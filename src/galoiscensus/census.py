@@ -13,8 +13,13 @@ Two interchangeable strategies:
   is O(H^2) regardless of height.
 * ``table``: a global irreducibility bit table is built first by marking all
   products with inner coefficient ranges doubled, then shared read-only by
-  the classification pass.  Memory is O(H^degree); it exists as a
-  cross-check of the direct strategy and is capped accordingly.
+  the classification pass, in this process (the table is not sent to
+  workers).  Memory is O(H^degree); it exists as a cross-check of the
+  direct strategy and is capped accordingly.
+
+Both strategies run the same stripe job and the same result loop, which
+merges counts, appends each stripe to the optional journal and reports
+progress.
 
 int64 safety: the largest intermediate is the quartic discriminant, bounded
 by 1069 * H^6 (sum of absolute formula coefficients), which stays below
@@ -26,6 +31,8 @@ silent wraparound or swapping.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -69,9 +76,6 @@ class CensusRequest:
     height: int
     strategy: str = "direct"
     workers: int = 0  # 0 = all available cores
-    emit_path: str | None = None
-    emit_format: str = "json"
-    table_cap_bytes: int = DEFAULT_TABLE_CAP
 
     def classes(self) -> tuple[str, ...]:
         return CUBIC_CLASSES if self.degree == 3 else QUARTIC_CLASSES
@@ -94,8 +98,6 @@ class CensusRequest:
             raise CensusError(f"unknown strategy {self.strategy!r}")
         if self.workers < 0:
             raise CensusError("workers must be >= 0")
-        if self.emit_format not in ("json", "csv"):
-            raise CensusError(f"unknown emit format {self.emit_format!r}")
 
 
 @dataclass
@@ -134,56 +136,66 @@ def _mark(flat: np.ndarray, rows: np.ndarray, cols: np.ndarray, width: int) -> N
     flat[rows * width + cols] = True
 
 
+@functools.cache
+def _factor_pairs(height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All (r, s) with r != 0 and |r*s| <= height, and -r*s, as read-only arrays.
+
+    A linear factor X - r times a monic cofactor with constant term s has
+    constant term -r*s, so these pairs cover every polynomial in the box
+    with a nonzero integer root; the stripe kernels recompute the other
+    coefficients per stripe.
+    """
+    r_parts = [np.zeros(0, dtype=np.int64)]
+    s_parts = [np.zeros(0, dtype=np.int64)]
+    for r in range(1, height + 1):
+        m = height // r
+        s = np.arange(-m, m + 1, dtype=np.int64)
+        for signed in (r, -r):
+            r_parts.append(np.full(s.shape, signed, dtype=np.int64))
+            s_parts.append(s)
+    rr, ss = np.concatenate(r_parts), np.concatenate(s_parts)
+    pairs = (rr, ss, -rr * ss)
+    for arr in pairs:
+        arr.flags.writeable = False  # one cached copy is shared by every stripe
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # cubic kernels: stripe = fixed a, grid indexed [b+H, c+H]
 
-def _cubic_factor_pairs(height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All (r, q) with r != 0 and |r*q| <= height; precomputes c = -r*q.
-
-    (X - r)(X^2 + pX + q) expands to a = p - r, b = q - r p, c = -r q, so a
-    stripe only needs b = q - r(a + r) recomputed per a.
-    """
-    rs, qs = [], []
-    for r in range(1, height + 1):
-        m = height // r
-        q = np.arange(-m, m + 1, dtype=np.int64)
-        for rr in (r, -r):
-            rs.append(np.full(q.shape, rr, dtype=np.int64))
-            qs.append(q)
-    if not rs:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    rr = np.concatenate(rs)
-    qq = np.concatenate(qs)
-    return rr, qq, -rr * qq
-
-
 def _cubic_red_mask(a: int, height: int, pairs) -> np.ndarray:
+    """(X - r)(X^2 + pX + s) has a = p - r, so b = s - r(a + r) and c = -r s."""
     H, W = height, 2 * height + 1
-    rr, qq, cc = pairs
+    rr, ss, cc = pairs
     red = np.zeros((W, W), dtype=bool)
     red[:, H] = True  # c = 0: root 0
     if rr.size:
-        bb = qq - rr * (a + rr)
+        bb = ss - rr * (a + rr)
         ok = np.abs(bb) <= H
         _mark(red.reshape(-1), bb[ok] + H, cc[ok] + H, W)
     return red
 
 
-def _cubic_stripe_counts(a: int, height: int, red: np.ndarray, block: int = 512):
-    """(reducible, S3, A3) counts over the (b, c) grid for fixed a."""
+def _cubic_a3_blocks(a: int, height: int, red: np.ndarray, block: int = 512):
+    """Yield (lo, mask): the A3 cells (square discriminant, not reducible) of
+    the (b, c) grid in b-rows lo, lo + 1, ..., a block of rows at a time."""
     H, W = height, 2 * height + 1
     b = np.arange(-H, H + 1, dtype=np.int64)
     c = np.arange(-H, H + 1, dtype=np.int64)
     t0 = (a * a) * b * b - 4 * b**3
     t1 = (18 * a) * b
     t2 = (-4 * a**3) * c - 27 * c * c
-    n_red = int(np.count_nonzero(red))
-    n_a3 = 0
     for lo in range(0, W, block):
         hi = min(lo + block, W)
         disc = t0[lo:hi, None] + t1[lo:hi, None] * c[None, :] + t2[None, :]
-        n_a3 += int(np.count_nonzero(_square_mask(disc) & ~red[lo:hi]))
+        yield lo, _square_mask(disc) & ~red[lo:hi]
+
+
+def _cubic_stripe_counts(a: int, height: int, red: np.ndarray):
+    """(reducible, S3, A3) counts over the (b, c) grid for fixed a."""
+    W = 2 * height + 1
+    n_red = int(np.count_nonzero(red))
+    n_a3 = sum(int(np.count_nonzero(mask)) for _, mask in _cubic_a3_blocks(a, height, red))
     n_s3 = W * W - n_red - n_a3
     return n_red, n_s3, n_a3
 
@@ -191,33 +203,14 @@ def _cubic_stripe_counts(a: int, height: int, red: np.ndarray, block: int = 512)
 # ---------------------------------------------------------------------------
 # quartic kernels: stripe = fixed (a, b), grid indexed [c+H, d+H]
 
-def _quartic_lin_pairs(height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All (r, s) with r != 0, |r*s| <= height; precomputes d = -r*s.
-
-    (X - r)(X^3 + pX^2 + qX + s): p = a + r and q = b + r p per stripe, then
-    c = s - r q and d = -r s.
-    """
-    rs, ss = [], []
-    for r in range(1, height + 1):
-        m = height // r
-        s = np.arange(-m, m + 1, dtype=np.int64)
-        for rr in (r, -r):
-            rs.append(np.full(s.shape, rr, dtype=np.int64))
-            ss.append(s)
-    if not rs:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    rr = np.concatenate(rs)
-    ss_ = np.concatenate(ss)
-    return rr, ss_, -rr * ss_
-
-
 def _quartic_red_mask(a: int, b: int, height: int, pairs) -> np.ndarray:
     H, W = height, 2 * height + 1
     red = np.zeros((W, W), dtype=bool)
     flat = red.reshape(-1)
     red[:, H] = True  # d = 0: root 0
 
+    # (X - r)(X^3 + pX^2 + qX + s): p = a + r and q = b + r p, then
+    # c = s - r q and d = -r s
     rr, ss, dd = pairs
     if rr.size:
         q = b + rr * (a + rr)
@@ -415,145 +408,142 @@ def build_irreducible_table(degree: int, height: int, cap_bytes: int = DEFAULT_T
 
 
 # ---------------------------------------------------------------------------
-# stripe drivers (top level so ProcessPoolExecutor can pickle them)
+# stripe job (top level so ProcessPoolExecutor can pickle it)
 
-_PAIR_CACHE: dict[tuple[int, int], tuple] = {}
+def _stripe_job(degree: int, height: int, a: int, table: np.ndarray | None = None):
+    """(a, counts) for the full a-stratum, doubled when a > 0.
 
-
-def _pairs_for(degree: int, height: int):
-    key = (degree, height)
-    if key not in _PAIR_CACHE:
-        _PAIR_CACHE[key] = (
-            _cubic_factor_pairs(height) if degree == 3 else _quartic_lin_pairs(height)
-        )
-    return _PAIR_CACHE[key]
-
-
-def _direct_stripe_job(args: tuple[int, int, int]) -> tuple[int, dict[str, int]]:
-    """Counts for the full a-stratum (doubled when a > 0)."""
-    degree, height, a = args
-    factor = 1 if a == 0 else 2
-    pairs = _pairs_for(degree, height)
-    if degree == 3:
-        red = _cubic_red_mask(a, height, pairs)
-        vals = _cubic_stripe_counts(a, height, red)
-        counts = dict(zip(CUBIC_CLASSES, vals))
-    else:
-        acc = [0] * 6
-        for b in range(-height, height + 1):
-            red = _quartic_red_mask(a, b, height, pairs)
-            vals = _quartic_stripe_counts(a, b, height, red)
-            acc = [x + y for x, y in zip(acc, vals)]
-        counts = dict(zip(QUARTIC_CLASSES, acc))
-    return a, {k: v * factor for k, v in counts.items()}
-
-
-def _table_stripe_counts(degree: int, height: int, a: int, table: np.ndarray) -> dict[str, int]:
+    A cubic stratum is one (b, c) grid; a quartic one is a (c, d) grid per b.
+    The reducible mask comes from the ``table`` strategy's irreducibility
+    table when one is given, else from the factor pairs (``direct``).
+    """
     H = height
-    factor = 1 if a == 0 else 2
     if degree == 3:
-        red = ~table[a + H]
-        vals = _cubic_stripe_counts(a, H, red)
-        counts = dict(zip(CUBIC_CLASSES, vals))
+        classes, keys = CUBIC_CLASSES, [(a,)]
+        red_mask, stripe_counts = _cubic_red_mask, _cubic_stripe_counts
     else:
-        acc = [0] * 6
-        for b in range(-H, H + 1):
-            red = ~table[a + H, b + H]
-            vals = _quartic_stripe_counts(a, b, H, red)
-            acc = [x + y for x, y in zip(acc, vals)]
-        counts = dict(zip(QUARTIC_CLASSES, acc))
-    return {k: v * factor for k, v in counts.items()}
+        classes, keys = QUARTIC_CLASSES, [(a, b) for b in range(-H, H + 1)]
+        red_mask, stripe_counts = _quartic_red_mask, _quartic_stripe_counts
+    pairs = _factor_pairs(H) if table is None else None
+    acc = [0] * len(classes)
+    for key in keys:
+        if table is None:
+            red = red_mask(*key, H, pairs)
+        else:
+            red = ~table[tuple(k + H for k in key)]
+        acc = [x + y for x, y in zip(acc, stripe_counts(*key, H, red))]
+    factor = 1 if a == 0 else 2
+    return a, {k: v * factor for k, v in zip(classes, acc)}
+
+
+def _stripe_results(req: CensusRequest, todo: list[int], stack: contextlib.ExitStack):
+    """Iterator of (a, counts) over the stripes in ``todo``.
+
+    ``table`` runs in this process, since its table is not sent to workers;
+    ``direct`` runs on a process pool (entered on ``stack``) unless one
+    worker or one stripe makes a pool pointless.
+    """
+    degree, H = req.degree, req.height
+    if req.strategy == "table":
+        table = build_irreducible_table(degree, H)
+        return (_stripe_job(degree, H, a, table) for a in todo)
+    workers = req.workers or os.cpu_count() or 1
+    if workers == 1 or len(todo) <= 1:
+        return (_stripe_job(degree, H, a) for a in todo)
+    pool = ProcessPoolExecutor(max_workers=workers)
+    # on an error or interrupt, drop the stripes no worker has started
+    stack.callback(pool.shutdown, wait=True, cancel_futures=True)
+    futs = [pool.submit(_stripe_job, degree, H, a) for a in todo]
+    return (fut.result() for fut in as_completed(futs))
 
 
 # ---------------------------------------------------------------------------
-# journal
+# journal: a header line binding it to the request, then one line per stripe
 
-def _journal_load(path: str, checksum: str) -> dict[int, dict[str, int]]:
+def _journal_load(path: str, req: CensusRequest) -> dict[int, dict[str, int]]:
+    """The stripe records of the journal at ``path`` (empty if there is none).
+
+    A final line without its newline is a write torn by a crash: it is cut
+    off the file, so its stripe is recomputed and appended.  Any other
+    malformed line raises CensusError with its line number.
+    """
     done: dict[int, dict[str, int]] = {}
     if not os.path.exists(path):
         return done
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if "checksum" in rec:
-                if rec["checksum"] != checksum:
-                    raise CensusError(
-                        f"journal {path} belongs to a different request "
-                        f"({rec['checksum']} != {checksum})"
-                    )
-                continue
-            done[rec["stripe"]] = rec["counts"]
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            fh.truncate(end)
+    checksum, classes = req.checksum(), list(req.classes())
+    for lineno, raw in enumerate(data[:end].splitlines(), 1):
+        if not raw.strip():
+            continue
+        try:
+            rec = json.loads(raw)
+        except ValueError:  # not JSON, or not UTF-8
+            rec = None
+        if not isinstance(rec, dict):
+            rec = {}
+        if "checksum" in rec:
+            if rec["checksum"] != checksum:
+                raise CensusError(
+                    f"journal {path} belongs to a different request "
+                    f"({rec['checksum']} != {checksum})"
+                )
+            continue
+        a, part = rec.get("stripe"), rec.get("counts")
+        if not (
+            type(a) is int
+            and 0 <= a <= req.height
+            and isinstance(part, dict)
+            and list(part) == classes
+            and all(type(v) is int for v in part.values())
+        ):
+            text = raw[:80].decode(errors="replace")
+            raise CensusError(f"journal {path} line {lineno}: malformed record {text!r}")
+        done[a] = part
     return done
 
 
+def _journal_append(fh, record: dict) -> None:
+    fh.write(json.dumps(record) + "\n")
+    fh.flush()
+
+
 def run_census(req: CensusRequest, journal_path: str | None = None, progress=None) -> CensusReport:
-    """Classify every tuple in the box exactly once and tally per class."""
+    """Classify every tuple in the box exactly once and tally per class.
+
+    With ``journal_path``, each finished stripe is appended to that journal,
+    and stripes it already holds are taken from it instead of recomputed.
+    ``progress(done, total)`` is called after each stripe.
+    """
     req.validate()
     t_start = time.perf_counter()
     H = req.height
-    classes = req.classes()
-    counts = {k: 0 for k in classes}
+    counts = {k: 0 for k in req.classes()}
+    done = _journal_load(journal_path, req) if journal_path else {}
+    for part in done.values():
+        for k, v in part.items():
+            counts[k] += v
+    todo = [a for a in range(H + 1) if a not in done]
+    completed = len(done)
 
-    if req.strategy == "table":
-        # cross-check strategy: small boxes, run serially on the shared table
-        table = build_irreducible_table(req.degree, H, req.table_cap_bytes)
-        for i, a in enumerate(range(0, H + 1)):
-            part = _table_stripe_counts(req.degree, H, a, table)
-            for k, v in part.items():
-                counts[k] += v
-            if progress:
-                progress(i + 1, H + 1)
-    else:
-        stripes = list(range(0, H + 1))
-        done: dict[int, dict[str, int]] = {}
-        journal_fh = None
+    with contextlib.ExitStack() as stack:
+        results = _stripe_results(req, todo, stack)
+        journal = None
         if journal_path:
-            done = _journal_load(journal_path, req.checksum())
-            journal_fh = open(journal_path, "a", encoding="utf-8")
-            if not done:
-                journal_fh.write(json.dumps({"checksum": req.checksum()}) + "\n")
-                journal_fh.flush()
-        for a, part in done.items():
+            journal = stack.enter_context(open(journal_path, "a", encoding="utf-8"))
+            if journal.tell() == 0:
+                _journal_append(journal, {"checksum": req.checksum()})
+        for a, part in results:
             for k, v in part.items():
                 counts[k] += v
-        todo = [a for a in stripes if a not in done]
-        workers = req.workers or os.cpu_count() or 1
-        completed = len(done)
-        try:
-            if workers == 1 or len(todo) <= 1:
-                results = map(_direct_stripe_job, [(req.degree, H, a) for a in todo])
-                for a, part in results:
-                    for k, v in part.items():
-                        counts[k] += v
-                    completed += 1
-                    if journal_fh:
-                        journal_fh.write(json.dumps({"stripe": a, "counts": part}) + "\n")
-                        journal_fh.flush()
-                    if progress:
-                        progress(completed, len(stripes))
-            else:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futs = {
-                        pool.submit(_direct_stripe_job, (req.degree, H, a)): a for a in todo
-                    }
-                    for fut in as_completed(futs):
-                        a, part = fut.result()
-                        for k, v in part.items():
-                            counts[k] += v
-                        completed += 1
-                        if journal_fh:
-                            journal_fh.write(
-                                json.dumps({"stripe": a, "counts": part}) + "\n"
-                            )
-                            journal_fh.flush()
-                        if progress:
-                            progress(completed, len(stripes))
-        finally:
-            if journal_fh:
-                journal_fh.close()
+            completed += 1
+            if journal:
+                _journal_append(journal, {"stripe": a, "counts": part})
+            if progress:
+                progress(completed, H + 1)
 
     total = sum(counts.values())
     expected = (2 * H + 1) ** req.degree
@@ -565,23 +555,15 @@ def run_census(req: CensusRequest, journal_path: str | None = None, progress=Non
 
 def list_a3_cubics(height: int) -> list[tuple[int, int, int]]:
     """All (a, b, c) with |a|,|b|,|c| <= height classifying A3, lexicographic."""
-    req = CensusRequest(3, height)
-    req.validate()
-    pairs = _pairs_for(3, height)
-    H, W = height, 2 * height + 1
+    CensusRequest(3, height).validate()
+    H = height
+    pairs = _factor_pairs(H)
     out: list[tuple[int, int, int]] = []
-    b = np.arange(-H, H + 1, dtype=np.int64)
-    c = np.arange(-H, H + 1, dtype=np.int64)
     for a in range(-H, H + 1):
         red = _cubic_red_mask(a, H, pairs)
-        disc = (
-            ((a * a) * b * b - 4 * b**3)[:, None]
-            + ((18 * a) * b)[:, None] * c[None, :]
-            + ((-4 * a**3) * c - 27 * c * c)[None, :]
-        )
-        mask = _square_mask(disc) & ~red
-        for bi, ci in np.argwhere(mask):
-            out.append((a, int(bi) - H, int(ci) - H))
+        for lo, mask in _cubic_a3_blocks(a, H, red):
+            for bi, ci in np.argwhere(mask):
+                out.append((a, lo + int(bi) - H, int(ci) - H))
     return out
 
 

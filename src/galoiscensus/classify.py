@@ -29,6 +29,7 @@ __all__ = [
     "classify_cubic",
     "resolvent",
     "disc_quartic",
+    "disc_quartic_coeffs",
     "invariants_quartic",
     "reducibility_witness",
     "is_reducible_quartic",
@@ -142,7 +143,15 @@ def resolvent(f: MonicQuartic) -> MonicCubic:
 
 
 def disc_quartic(f: MonicQuartic) -> int:
-    a, b, c, d = f.a, f.b, f.c, f.d
+    return disc_quartic_coeffs(f.a, f.b, f.c, f.d)
+
+
+def disc_quartic_coeffs(a, b, c, d):
+    """Discriminant of X^4 + aX^3 + bX^2 + cX + d from raw coefficients.
+
+    Works on ints and on Fractions alike, so identity checks with rational
+    substitutions need not build a MonicQuartic per case.
+    """
     a2, b2, c2, d2 = a * a, b * b, c * c, d * d
     a3, b3, c3 = a2 * a, b2 * b, c2 * c
     return (

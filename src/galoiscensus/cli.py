@@ -157,8 +157,6 @@ def _cmd_census(args, parser) -> int:
         height=args.height,
         strategy=args.strategy,
         workers=args.threads,
-        emit_path=args.out,
-        emit_format=args.format,
     )
     try:
         report = run_census(req, journal_path=args.journal, progress=_progress_printer("census"))

@@ -21,9 +21,6 @@ __all__ = [
     "EisensteinError",
     "WitnessError",
     "ParamWitness",
-    "eis_mul",
-    "eis_norm",
-    "eis_conj",
     "eis_gcd",
     "eis_factor",
     "eis_cubefree_decompose",
@@ -82,18 +79,6 @@ UNITS = (EisInt(1, 0), EisInt(0, 1), EisInt(-1, -1), EisInt(-1, 0), EisInt(0, -1
 LAMBDA = EisInt(2, 1)  # canonical associate of 1 - zeta, the prime over 3
 
 
-def eis_mul(a: EisInt, b: EisInt) -> EisInt:
-    return a * b
-
-
-def eis_norm(z: EisInt) -> int:
-    return z.norm()
-
-
-def eis_conj(z: EisInt) -> EisInt:
-    return z.conj()
-
-
 def canonical_associate(z: EisInt) -> EisInt:
     """The unique associate of z != 0 with 0 <= n < m (the 60-degree sector)."""
     if not z:
@@ -150,6 +135,14 @@ def _split_prime_above(p: int) -> EisInt:
     raise AssertionError(f"no Eisenstein prime above {p}")  # pragma: no cover
 
 
+def _divide_out(z: EisInt, prime: EisInt) -> tuple[EisInt, int]:
+    """(z / prime^k, k) for the largest k with prime^k dividing z != 0."""
+    k = 0
+    while (quotient := eis_exact_div(z, prime)) is not None:
+        z, k = quotient, k + 1
+    return z, k
+
+
 def eis_factor(z: EisInt) -> tuple[EisInt, tuple[tuple[EisInt, int], ...]]:
     """(unit, ((prime, exponent), ...)) with canonical primes, deterministic order.
 
@@ -161,37 +154,18 @@ def eis_factor(z: EisInt) -> tuple[EisInt, tuple[tuple[EisInt, int], ...]]:
         raise EisensteinError("cannot factor zero")
     rest = z
     found: list[tuple[EisInt, int]] = []
-    for p, e_norm in factorize(z.norm()).factors:
+    for p, _ in factorize(z.norm()).factors:
         if p == 3:
-            k = 0
-            while True:
-                nxt = eis_exact_div(rest, LAMBDA)
-                if nxt is None:
-                    break
-                rest, k = nxt, k + 1
-            if k:
-                found.append((LAMBDA, k))
+            primes = (LAMBDA,)
         elif p % 3 == 2:
-            k = 0
-            pe = EisInt(p, 0)
-            while True:
-                nxt = eis_exact_div(rest, pe)
-                if nxt is None:
-                    break
-                rest, k = nxt, k + 1
-            if k:
-                found.append((pe, k))
+            primes = (EisInt(p, 0),)
         else:
             pi = _split_prime_above(p)
-            for prime in (pi, canonical_associate(pi.conj())):
-                k = 0
-                while True:
-                    nxt = eis_exact_div(rest, prime)
-                    if nxt is None:
-                        break
-                    rest, k = nxt, k + 1
-                if k:
-                    found.append((prime, k))
+            primes = (pi, canonical_associate(pi.conj()))
+        for prime in primes:
+            rest, k = _divide_out(rest, prime)
+            if k:
+                found.append((prime, k))
     if rest.norm() != 1:
         raise AssertionError(f"non-unit cofactor {rest} left over")  # pragma: no cover
     found.sort(key=lambda t: (t[0].norm(), t[0].m, t[0].n))

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 __all__ = [
     "Factorization",
     "perfect_square",
-    "is_square",
     "icbrt",
     "divisors",
     "is_prime",
@@ -33,10 +32,6 @@ def perfect_square(n: int) -> int | None:
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
-
-
-def is_square(n: int) -> bool:
-    return perfect_square(n) is not None
 
 
 def icbrt(n: int) -> int:

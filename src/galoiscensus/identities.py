@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .classify import (
     MonicQuartic,
+    disc_quartic_coeffs,
     integer_roots_monic_cubic,
     invariants_quartic,
     resolvent,
@@ -107,29 +108,6 @@ def check_symmetry_identity(x: int, a: int, c: int, d: int, e: int) -> bool:
     return (x * x - 4 * d) * (a * a - 4 * e) == (x * a - 2 * c) ** 2
 
 
-def _quartic_disc_frac(a, b, c, d):
-    a2, b2, c2, d2 = a * a, b * b, c * c, d * d
-    a3, b3, c3 = a2 * a, b2 * b, c2 * c
-    return (
-        a2 * b2 * c2
-        - 4 * b3 * c2
-        - 4 * a3 * c3
-        + 18 * a * b * c3
-        - 27 * c2 * c2
-        - 4 * a2 * b3 * d
-        + 16 * b2 * b2 * d
-        + 18 * a3 * b * c * d
-        - 80 * a * b2 * c * d
-        - 6 * a2 * c2 * d
-        + 144 * b * c2 * d
-        - 27 * a2 * a2 * d2
-        + 144 * a2 * b * d2
-        - 128 * b2 * d2
-        - 192 * a * c * d2
-        + 256 * d2 * d
-    )
-
-
 def _star_rhs(u: int, v: int, w: int, x: int, a: int, sign: int) -> int:
     return (
         a**4
@@ -159,7 +137,7 @@ def check_star_identity(u: int, v: int, w: int, x: int, a: int, sign: int = 1) -
     d = Fraction(x * x - u * v * v, 4)
     b = x + Fraction(a * a - u * w * w, 4)
     c = Fraction(x * a + sign * u * v * w, 2)
-    disc = _quartic_disc_frac(Fraction(a), b, c, d)
+    disc = disc_quartic_coeffs(Fraction(a), b, c, d)
     factor = u * (2 * v * v + sign * a * v * w + w * w * x)
     return 64 * disc == factor * factor * _star_rhs(u, v, w, x, a, sign)
 
@@ -170,7 +148,7 @@ def _star_check_scaled(u: int, v: int, w: int, x: int, a: int, sign: int) -> boo
     d16 = 4 * (x * x - u * v * v)
     b4 = 4 * x + a * a - u * w * w
     c8 = 4 * (x * a + sign * u * v * w)
-    disc_f = _quartic_disc_frac(2 * a, b4, c8, d16)
+    disc_f = disc_quartic_coeffs(2 * a, b4, c8, d16)
     factor = u * (2 * v * v + sign * a * v * w + w * w * x)
     return disc_f == 64 * factor * factor * _star_rhs(u, v, w, x, a, sign)
 

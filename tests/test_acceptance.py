@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Criteria 2 and 3 are
-multi-hour exhaustive enumerations and only run when CENSUS_EXTENDED=1 is
-set (they resume from a stripe journal if one is provided via
-CENSUS_JOURNAL_DIR).
+long exhaustive enumerations (serial estimates on a 2-core machine: about
+11 min for the quartic census at H=150, about 27 min for the cubic census
+at H=2000) and only run when CENSUS_EXTENDED=1 is set (they resume from a
+stripe journal if one is provided via CENSUS_JOURNAL_DIR).
 """
 
 import itertools
