@@ -21,6 +21,10 @@ Both strategies run the same stripe job and the same result loop, which
 merges counts, appends each stripe to the optional journal and reports
 progress.
 
+The cubic A3 sweep tests squares only on the (a, b) rows where
+I = a^2 - 3b is a positive Loeschian number (x^2 + xy + y^2), which the
+paper's identity 27 disc = 4I^3 - J^2 requires of any square discriminant.
+
 int64 safety: the largest intermediate is the quartic discriminant, bounded
 by 1069 * H^6 (sum of absolute formula coefficients), which stays below
 2^62 for H <= 400; the cubic analogue 5 H^4 + 22 H^3 + 27 H^2 is safe far
@@ -119,17 +123,16 @@ class CensusReport:
 def _square_mask(v: np.ndarray) -> np.ndarray:
     """Boolean mask of strictly positive perfect squares in an int64 array.
 
-    float64 sqrt gives a candidate root within 1 of the truth for v < 2^54,
-    so checking the three neighbours keeps the test exact.
+    One candidate root suffices for v <= 2^62, the kernels' range.  If
+    v = s^2, then s <= 2^31; float64(v) and its sqrt are each rounded with
+    relative error at most 2^-53, so sqrt(float64(v)) is within s * 2^-52
+    <= 2^-21 of s, and rint gives s exactly.  The integer check r * r == v
+    then decides, so a non-square is never accepted.
     """
     pos = v > 0
     f = np.sqrt(v, where=pos, out=np.zeros(v.shape, dtype=np.float64), casting="unsafe")
     r = np.rint(f).astype(np.int64)
-    ok = np.zeros(v.shape, dtype=bool)
-    for dr in (-1, 0, 1):
-        rr = r + dr
-        ok |= rr * rr == v
-    return ok & pos
+    return (r * r == v) & pos
 
 
 def _mark(flat: np.ndarray, rows: np.ndarray, cols: np.ndarray, width: int) -> None:
@@ -176,19 +179,58 @@ def _cubic_red_mask(a: int, height: int, pairs) -> np.ndarray:
     return red
 
 
-def _cubic_a3_blocks(a: int, height: int, red: np.ndarray, block: int = 512):
-    """Yield (lo, mask): the A3 cells (square discriminant, not reducible) of
-    the (b, c) grid in b-rows lo, lo + 1, ..., a block of rows at a time."""
-    H, W = height, 2 * height + 1
+@functools.cache
+def _loeschian(n_max: int) -> np.ndarray:
+    """Read-only bool table over 0..n_max: True at n > 0 iff n = x^2 + xy + y^2.
+
+    These are the norms of Z[zeta_3].  Every one has a representation with
+    x >= y >= 0 (the six units and conjugation move any element into that
+    sector), so the table marks those.
+    """
+    table = np.zeros(n_max + 1, dtype=bool)
+    x = np.arange(math.isqrt(n_max) + 1, dtype=np.int64)
+    for y in range(1, math.isqrt(n_max // 3) + 1):
+        n = x[y:] * (x[y:] + y) + y * y
+        table[n[n <= n_max]] = True
+    table[x[1:] ** 2] = True  # y = 0
+    table.flags.writeable = False  # one cached copy is shared by every stripe
+    return table
+
+
+def _cubic_a3_rows(a: int, height: int) -> np.ndarray:
+    """Ascending b-row indices b + H where an A3 cubic X^3 + aX^2 + bX + c can lie.
+
+    27 disc = 4I^3 - J^2 with I = a^2 - 3b and J = 2a^3 - 9ab + 27c, so
+    disc = y^2 > 0 gives 4I^3 = J^2 + 3(3y)^2, a norm from Z[zeta_3].  Then
+    I > 0 and every prime = 2 (mod 3) divides 4I^3, hence I, to an even
+    power: I is Loeschian.  The condition does not involve c.
+    """
+    H = height
     b = np.arange(-H, H + 1, dtype=np.int64)
+    i = a * a - 3 * b  # at most H^2 + 3H
+    return np.flatnonzero(_loeschian(H * H + 3 * H)[np.maximum(i, 0)])
+
+
+def _cubic_disc_rows(a: int, height: int, rows: np.ndarray) -> np.ndarray:
+    """disc(X^3 + aX^2 + bX + c) over the b-row indices ``rows`` (b + H) and all c."""
+    H = height
+    b = rows.astype(np.int64) - H
     c = np.arange(-H, H + 1, dtype=np.int64)
     t0 = (a * a) * b * b - 4 * b**3
     t1 = (18 * a) * b
     t2 = (-4 * a**3) * c - 27 * c * c
-    for lo in range(0, W, block):
-        hi = min(lo + block, W)
-        disc = t0[lo:hi, None] + t1[lo:hi, None] * c[None, :] + t2[None, :]
-        yield lo, _square_mask(disc) & ~red[lo:hi]
+    return t0[:, None] + t1[:, None] * c[None, :] + t2[None, :]
+
+
+def _cubic_a3_blocks(a: int, height: int, red: np.ndarray, block: int = 512):
+    """Yield (rows, mask): the A3 cells (square discriminant, not reducible)
+    of the (b, c) grid in the ascending b-row indices ``rows``, a block of up
+    to ``block`` rows at a time.  Rows that ``_cubic_a3_rows`` rules out are
+    skipped."""
+    rows = _cubic_a3_rows(a, height)
+    for lo in range(0, rows.size, block):
+        rr = rows[lo : lo + block]
+        yield rr, _square_mask(_cubic_disc_rows(a, height, rr)) & ~red[rr]
 
 
 def _cubic_stripe_counts(a: int, height: int, red: np.ndarray):
@@ -561,9 +603,9 @@ def list_a3_cubics(height: int) -> list[tuple[int, int, int]]:
     out: list[tuple[int, int, int]] = []
     for a in range(-H, H + 1):
         red = _cubic_red_mask(a, H, pairs)
-        for lo, mask in _cubic_a3_blocks(a, H, red):
+        for rows, mask in _cubic_a3_blocks(a, H, red):
             for bi, ci in np.argwhere(mask):
-                out.append((a, lo + int(bi) - H, int(ci) - H))
+                out.append((a, int(rows[bi]) - H, int(ci) - H))
     return out
 
 

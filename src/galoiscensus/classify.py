@@ -192,12 +192,13 @@ def reducibility_witness(f: MonicQuartic) -> FactorWitness | None:
     a, b, c, d = f.a, f.b, f.c, f.d
     if d == 0:
         return FactorWitness("root", (0,))
-    for t in divisors(d):
+    divs = divisors(d)
+    for t in divs:
         if f(t) == 0:
             return FactorWitness("root", (t,))
         if f(-t) == 0:
             return FactorWitness("root", (-t,))
-    for t in divisors(d):
+    for t in divs:
         for q in (t, -t):
             s = d // q
             disc = a * a - 4 * (b - q - s)

@@ -1,8 +1,12 @@
 import itertools
 import json
+import math
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galoiscensus.census import (
     CensusError,
@@ -58,9 +62,6 @@ def test_quartic_census_matches_per_polynomial_oracle(height):
 def test_quartic_stripe_grids_match_classifier_at_height12():
     # reconstruct per-tuple labels from the raw kernel grids on sampled
     # stripes and demand exact agreement with the per-polynomial classifier
-    import math
-    import random
-
     from galoiscensus.census import (
         _factor_pairs,
         _quartic_disc_grid,
@@ -236,8 +237,6 @@ def test_list_a3_cubics_matches_classifier():
 def test_quartic_kernel_exact_at_height_cap():
     # int64 range claims hold at the documented cap H=400: grid values must
     # equal exact Python-int arithmetic on sampled cells
-    import random
-
     from galoiscensus.census import (
         _factor_pairs,
         _quartic_disc_grid,
@@ -266,28 +265,88 @@ def test_quartic_kernel_exact_at_height_cap():
 
 
 def test_cubic_kernel_exact_at_large_height():
-    import random
-
-    from galoiscensus.census import _cubic_red_mask, _factor_pairs
+    # the kernel's disc rows and reducible mask equal exact Python ints at
+    # the cap, and no b-row the A3 filter drops holds a positive square disc
+    from galoiscensus.census import (
+        _cubic_a3_rows,
+        _cubic_disc_rows,
+        _cubic_red_mask,
+        _factor_pairs,
+    )
     from galoiscensus.classify import disc_cubic
 
-    H = 5000
+    H, W = 5000, 10001
     rng = random.Random(9)
-    pairs = _factor_pairs(H)
     a = 4999
-    red = _cubic_red_mask(a, H, pairs)
-    import numpy as np
+    red = _cubic_red_mask(a, H, _factor_pairs(H))
+    rows = np.array(sorted({0, W - 1, *rng.sample(range(W), 30)}))
+    disc = _cubic_disc_rows(a, H, rows)
+    for i, bi in enumerate(rows.tolist()):
+        for c in [-H, H, *rng.sample(range(-H, H + 1), 10)]:
+            f = MonicCubic(a, bi - H, c)
+            assert int(disc[i, c + H]) == disc_cubic(f)
+            assert bool(red[bi, c + H]) == (classify_cubic(f).value == "reducible")
 
-    bvec = np.arange(-H, H + 1, dtype=np.int64)
-    cvec = np.arange(-H, H + 1, dtype=np.int64)
-    # one block of the disc grid, compared cellwise with exact ints
-    t0 = (a * a) * bvec * bvec - 4 * bvec**3
-    t1 = (18 * a) * bvec
-    t2 = (-4 * a**3) * cvec - 27 * cvec * cvec
-    for _ in range(300):
-        b = rng.randint(-H, H)
-        c = rng.randint(-H, H)
-        grid_val = int(t0[b + H] + t1[b + H] * c + t2[c + H])
-        f = MonicCubic(a, b, c)
-        assert grid_val == disc_cubic(f)
-        assert bool(red[b + H, c + H]) == (classify_cubic(f).value == "reducible")
+    kept = set(_cubic_a3_rows(a, H).tolist())
+    dropped = sorted(set(range(W)) - kept)
+    assert kept and dropped
+    for bi in rng.sample(dropped, 40):
+        for c in rng.sample(range(-H, H + 1), 200):
+            assert not _is_positive_square(disc_cubic(MonicCubic(a, bi - H, c)))
+
+
+def test_cubic_row_filter_matches_dense_sweep():
+    from galoiscensus.census import _cubic_a3_blocks, _cubic_red_mask, _factor_pairs, _square_mask
+
+    H = 60
+    b = np.arange(-H, H + 1, dtype=np.int64)[:, None]
+    c = np.arange(-H, H + 1, dtype=np.int64)[None, :]
+    pairs = _factor_pairs(H)
+    for a in range(-H, H + 1):
+        red = _cubic_red_mask(a, H, pairs)
+        disc = a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
+        dense = _square_mask(disc) & ~red
+        filtered = np.zeros_like(dense)
+        seen = []
+        for rows, mask in _cubic_a3_blocks(a, H, red, block=7):
+            filtered[rows] = mask
+            seen += rows.tolist()
+        assert seen == sorted(set(seen))
+        assert np.array_equal(filtered, dense), a
+
+
+def test_loeschian_table_matches_prime_exponent_rule():
+    from galoiscensus.census import _loeschian
+    from galoiscensus.exactarith import factorize
+
+    table = _loeschian(20000)
+    assert not table.flags.writeable
+    for n in range(20001):
+        expected = n > 0 and all(e % 2 == 0 for p, e in factorize(n).factors if p % 3 == 2)
+        assert bool(table[n]) == expected, n
+
+
+def _is_positive_square(v: int) -> bool:
+    return v > 0 and math.isqrt(v) ** 2 == v
+
+
+_NEAR_SQUARES = st.builds(lambda s, k: min(s * s + k, 2**62), st.integers(0, 2**31), st.integers(-2, 2))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.integers(-(2**62), 2**62), _NEAR_SQUARES), min_size=1, max_size=40))
+def test_square_mask_matches_isqrt(values):
+    from galoiscensus.census import _square_mask
+
+    got = _square_mask(np.array(values, dtype=np.int64))
+    assert got.tolist() == [_is_positive_square(v) for v in values]
+
+
+def test_square_mask_edge_cases():
+    from galoiscensus.census import _square_mask
+
+    values = [0, -1, -4, -(2**62), 1, 2, 3, 4, 2**62]
+    for s in range(2**31 - 4, 2**31 + 1):
+        values += [s * s - 1, s * s, s * s + 1]
+    got = _square_mask(np.array(values, dtype=np.int64))
+    assert got.tolist() == [_is_positive_square(v) for v in values]
