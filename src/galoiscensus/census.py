@@ -25,12 +25,19 @@ The cubic A3 sweep tests squares only on the (a, b) rows where
 I = a^2 - 3b is a positive Loeschian number (x^2 + xy + y^2), which the
 paper's identity 27 disc = 4I^3 - J^2 requires of any square discriminant.
 
+The quartic reducible mask finds quadratic splits from the divisor pairs
+(q, s) of d, and the resolvent-root search divides only on the candidate
+rows whose value range over |c| <= H can reach |d| <= H.
+
 int64 safety: the largest intermediate is the quartic discriminant, bounded
 by 1069 * H^6 (sum of absolute formula coefficients), which stays below
-2^62 for H <= 400; the cubic analogue 5 H^4 + 22 H^3 + 27 H^2 is safe far
-beyond the cubic cap of 5000, where the per-stripe masks (~100 MB) become
-the real constraint.  Heights above the caps are rejected rather than risk
-silent wraparound or swapping.
+2^62 for H <= 400.  In the reducible mask the split route stays below
+H^2 + 8H + 4 and the linear route below 2H^3 + H^2 + H.  The resolvent
+candidates have |x| <= 805 at the cap, so the row bounds, (ax)^2 the
+largest, stay below 1.1e11.  The cubic analogue 5 H^4 + 22 H^3 + 27 H^2 is
+safe far beyond the cubic cap of 5000, where the per-stripe masks (~100 MB)
+become the real constraint.  Heights above the caps are rejected rather
+than risk silent wraparound or swapping.
 """
 
 from __future__ import annotations
@@ -68,6 +75,12 @@ QUARTIC_CLASSES = ("reducible", "S4", "A4", "D4", "V4", "C4")
 
 MAX_HEIGHT = {3: 5000, 4: 400}
 DEFAULT_TABLE_CAP = 2**31  # bytes
+
+# Version of the stripe kernels, recorded in each journal header.  Bump it
+# whenever a kernel changes, so that a resume never merges stripes counted
+# by other code.  2: quadratic splits from factor pairs, pruned resolvent
+# rows.  Journals written before the version was recorded carry none.
+KERNEL_VERSION = 2
 
 
 class CensusError(ValueError):
@@ -145,8 +158,10 @@ def _factor_pairs(height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A linear factor X - r times a monic cofactor with constant term s has
     constant term -r*s, so these pairs cover every polynomial in the box
-    with a nonzero integer root; the stripe kernels recompute the other
-    coefficients per stripe.
+    with a nonzero integer root.  The pairs with s != 0, read as (q, s),
+    are also every pair of constant terms of a quartic's quadratic split
+    (X^2 + pX + q)(X^2 + rX + s) with d = qs != 0.  The stripe kernels
+    recompute the other coefficients per stripe.
     """
     r_parts = [np.zeros(0, dtype=np.int64)]
     s_parts = [np.zeros(0, dtype=np.int64)]
@@ -246,6 +261,14 @@ def _cubic_stripe_counts(a: int, height: int, red: np.ndarray):
 # quartic kernels: stripe = fixed (a, b), grid indexed [c+H, d+H]
 
 def _quartic_red_mask(a: int, b: int, height: int, pairs) -> np.ndarray:
+    """Reducible cells of the (c, d) grid for fixed (a, b), from the factor pairs.
+
+    A reducible quartic with d != 0 has a linear factor X - r with r | d, or
+    splits into two monic quadratics whose constant terms q, s have qs = d;
+    either way the pair has product at most H in absolute value, so it is
+    in the ``_factor_pairs`` table.  No value here exceeds 2H^3 + H^2 + H in
+    absolute value (the linear route's c), far inside int64.
+    """
     H, W = height, 2 * height + 1
     red = np.zeros((W, W), dtype=bool)
     flat = red.reshape(-1)
@@ -260,16 +283,21 @@ def _quartic_red_mask(a: int, b: int, height: int, pairs) -> np.ndarray:
         ok = np.abs(cc) <= H
         _mark(flat, cc[ok] + H, dd[ok] + H, W)
 
-    # (X^2+pX+q)(X^2+rX+s): inner linear coefficients range over [-2H, 2H],
-    # inner constants over [-H, H] (both nonzero, else caught by d = 0)
-    p = np.arange(-2 * H, 2 * H + 1, dtype=np.int64)[:, None]
-    q = np.arange(-H, H + 1, dtype=np.int64)[None, :]
-    r2 = a - p
-    s2 = (b - p * r2) - q
-    cc = p * s2 + q * r2
-    dd2 = q * s2
-    ok = (np.abs(cc) <= H) & (np.abs(dd2) <= H) & (q != 0)
-    _mark(flat, cc[ok] + H, dd2[ok] + H, W)
+    # (X^2 + pX + q)(X^2 + rX + s) with qs = d != 0: p + r = a and
+    # pr = b - q - s, so p and r are the integer roots of T^2 - aT + (b - q - s)
+    # and c = ps + qr.  The table holds both orders of (q, s); keeping q <= s
+    # lists each split once, and each of the two roots is tried as p.
+    keep = (ss != 0) & (rr <= ss)
+    q, s = rr[keep], ss[keep]
+    # the quadratic's discriminant; |q| + |s| <= H + 1 bounds it by H^2 + 8H + 4
+    disc = a * a - 4 * (b - q - s)
+    ok = _square_mask(disc) | (disc == 0)
+    q, s = q[ok], s[ok]
+    t = np.rint(np.sqrt(disc[ok])).astype(np.int64)  # t = a (mod 2)
+    p, r, d = (a + t) // 2, (a - t) // 2, q * s
+    for cc in (p * s + q * r, r * s + q * p):
+        ok = np.abs(cc) <= H
+        _mark(flat, cc[ok] + H, d[ok] + H, W)
     return red
 
 
@@ -280,6 +308,14 @@ def _quartic_resolvent_roots(a: int, b: int, height: int):
     d * K(x) = x^3 - b x^2 + a c x - c^2 with K(x) = 4x + a^2 - 4b, so each
     candidate root x pins d per c (K != 0) or a full d-column (K == 0).
     Candidate roots are complete via the Fujiwara bound.
+
+    A row x with K != 0 can hold a root only if num(x, c) = x^2 (x - b)
+    + axc - c^2 meets [-H|K|, H|K|] for some |c| <= H.  Over those c,
+    axc - c^2 >= -|ax| H - H^2, and axc - c^2 <= |ax| H as well as
+    axc - c^2 = (ax)^2 / 4 - (c - ax/2)^2 <= (ax)^2 / 4, hence
+    <= floor((ax)^2 / 4) since it is an integer.  Rows whose interval
+    [x^2 (x - b) - |ax| H - H^2, x^2 (x - b) + min(floor((ax)^2 / 4), |ax| H)]
+    misses [-H|K|, H|K|] are dropped before the division.
     """
     H, W = height, 2 * height + 1
     has_root = np.zeros((W, W), dtype=bool)
@@ -290,11 +326,15 @@ def _quartic_resolvent_roots(a: int, b: int, height: int):
     xmax = 2 * max(abs(b), math.isqrt(qmax) + 1, icbrt(smax) + 1, 1) + 1
     x = np.arange(-xmax, xmax + 1, dtype=np.int64)
     K = 4 * x + (a * a - 4 * b)
-    nz = K != 0
-    xn = x[nz][:, None]
-    Kn = K[nz][:, None]
+    base, ax = x * x * (x - b), np.abs(a * x)
+    lo = base - ax * H - H * H
+    hi = base + np.minimum(ax * ax // 4, ax * H)
+    reach = H * np.abs(K)
+    keep = (K != 0) & (lo <= reach) & (hi >= -reach)
+    xn = x[keep][:, None]
+    Kn = K[keep][:, None]
     c = np.arange(-H, H + 1, dtype=np.int64)[None, :]
-    num = xn * xn * (xn - b) + (a * xn) * c - c * c
+    num = base[keep][:, None] + (a * xn) * c - c * c
     dq, drem = np.divmod(num, Kn)
     ok = (drem == 0) & (np.abs(dq) <= H)
     if np.any(ok):
@@ -500,14 +540,16 @@ def _stripe_results(req: CensusRequest, todo: list[int], stack: contextlib.ExitS
 
 
 # ---------------------------------------------------------------------------
-# journal: a header line binding it to the request, then one line per stripe
+# journal: a header line binding it to the request and the kernel version,
+# then one line per stripe
 
 def _journal_load(path: str, req: CensusRequest) -> dict[int, dict[str, int]]:
     """The stripe records of the journal at ``path`` (empty if there is none).
 
     A final line without its newline is a write torn by a crash: it is cut
     off the file, so its stripe is recomputed and appended.  Any other
-    malformed line raises CensusError with its line number.
+    malformed line raises CensusError with its line number, and so does a
+    first line that is not the header of this request and KERNEL_VERSION.
     """
     done: dict[int, dict[str, int]] = {}
     if not os.path.exists(path):
@@ -527,11 +569,19 @@ def _journal_load(path: str, req: CensusRequest) -> dict[int, dict[str, int]]:
             rec = None
         if not isinstance(rec, dict):
             rec = {}
-        if "checksum" in rec:
+        if lineno == 1:
+            if "checksum" not in rec:
+                text = raw[:80].decode(errors="replace")
+                raise CensusError(f"journal {path} line 1: no header {text!r}")
             if rec["checksum"] != checksum:
                 raise CensusError(
                     f"journal {path} belongs to a different request "
                     f"({rec['checksum']} != {checksum})"
+                )
+            if rec.get("kernel") != KERNEL_VERSION:
+                raise CensusError(
+                    f"journal {path} was written by kernel {rec.get('kernel', 'none')}, "
+                    f"this is kernel {KERNEL_VERSION}; start a new journal"
                 )
             continue
         a, part = rec.get("stripe"), rec.get("counts")
@@ -577,7 +627,7 @@ def run_census(req: CensusRequest, journal_path: str | None = None, progress=Non
         if journal_path:
             journal = stack.enter_context(open(journal_path, "a", encoding="utf-8"))
             if journal.tell() == 0:
-                _journal_append(journal, {"checksum": req.checksum()})
+                _journal_append(journal, {"checksum": req.checksum(), "kernel": KERNEL_VERSION})
         for a, part in results:
             for k, v in part.items():
                 counts[k] += v

@@ -57,13 +57,29 @@ def _parse_coeffs(raw: str, expected: int, parser: argparse.ArgumentParser) -> l
 
 
 def _progress_printer(label: str):
-    state = {"last": 0.0}
+    """Census progress callback: done/total, stripes/s and an ETA on stderr,
+    at most once a second (and at the end).
+
+    The rate counts only the stripes finished since the printer was made.
+    Each call reports one more stripe, so the first call's ``done - 1``
+    stripes came from a journal.
+    """
+    start = time.monotonic()
+    state = {"last": 0.0, "resumed": None}
 
     def cb(done: int, total: int) -> None:
         now = time.monotonic()
+        if state["resumed"] is None:
+            state["resumed"] = done - 1
         if done == total or now - state["last"] > 1.0:
             state["last"] = now
-            print(f"{label}: {done}/{total} stripes", file=sys.stderr, flush=True)
+            rate = (done - state["resumed"]) / max(now - start, 1e-9)
+            eta = (total - done) / rate
+            print(
+                f"{label}: {done}/{total} stripes, {rate:.2f} stripes/s, ETA {eta:.0f} s",
+                file=sys.stderr,
+                flush=True,
+            )
 
     return cb
 

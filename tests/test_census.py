@@ -59,9 +59,10 @@ def test_quartic_census_matches_per_polynomial_oracle(height):
     assert {k: v for k, v in report.counts.items() if v} == oracle
 
 
-def test_quartic_stripe_grids_match_classifier_at_height12():
-    # reconstruct per-tuple labels from the raw kernel grids on sampled
-    # stripes and demand exact agreement with the per-polynomial classifier
+def _assert_kernel_labels(a: int, b: int, height: int, cells) -> None:
+    """Rebuild the class of each (c, d) in ``cells`` from the raw kernel
+    grids of stripe (a, b), the way ``_quartic_stripe_counts`` decides it,
+    and demand exact agreement with the per-polynomial classifier."""
     from galoiscensus.census import (
         _factor_pairs,
         _quartic_disc_grid,
@@ -70,34 +71,108 @@ def test_quartic_stripe_grids_match_classifier_at_height12():
         _square_mask,
     )
 
+    H = height
+    red = _quartic_red_mask(a, b, H, _factor_pairs(H))
+    disc = _quartic_disc_grid(a, b, H)
+    square = _square_mask(disc)
+    has_root, root_val = _quartic_resolvent_roots(a, b, H)
+    for c, d in cells:
+        i, j = c + H, d + H
+        if red[i, j]:
+            label = "reducible"
+        elif square[i, j]:
+            label = "V4" if has_root[i, j] else "A4"
+        elif not has_root[i, j]:
+            label = "S4"
+        else:
+            x, delta = int(root_val[i, j]), int(disc[i, j])
+            t1 = (x * x - 4 * d) * delta
+            t2 = (a * a - 4 * (b - x)) * delta
+            sq1 = t1 >= 0 and math.isqrt(t1) ** 2 == t1
+            sq2 = t2 >= 0 and math.isqrt(t2) ** 2 == t2
+            label = "C4" if (sq1 and sq2) else "D4"
+        assert label == classify_quartic(MonicQuartic(a, b, c, d)).group.value, (a, b, c, d)
+
+
+def test_quartic_stripe_grids_match_classifier_at_height12():
+    # every cell of sampled stripes, labelled from the raw kernel grids,
+    # agrees exactly with the per-polynomial classifier
     H = 12
     rng = random.Random(3)
-    pairs = _factor_pairs(H)
     stripes = [(rng.randint(-H, H), rng.randint(-H, H)) for _ in range(8)] + [(0, 0)]
+    cells = list(itertools.product(range(-H, H + 1), repeat=2))
     for a, b in stripes:
-        red = _quartic_red_mask(a, b, H, pairs)
-        disc = _quartic_disc_grid(a, b, H)
-        square = _square_mask(disc)
+        _assert_kernel_labels(a, b, H, cells)
+
+
+def test_quartic_stripe_grids_match_classifier_at_height150():
+    # sampled cells of seeded stripes (the box corners among them): random
+    # cells, cells on the lines d = 0 and c = 0, and a few of the cells the
+    # kernel finds reducible, with a resolvent root or with a square disc,
+    # so the rare classes are checked too
+    from galoiscensus.census import (
+        _factor_pairs,
+        _quartic_disc_grid,
+        _quartic_red_mask,
+        _quartic_resolvent_roots,
+        _square_mask,
+    )
+
+    H = 150
+    rng = random.Random(150)
+    stripes = [(H, H), (-H, -H), (H, -H), (-H, H), (0, 0)]
+    stripes += [(rng.randint(-H, H), rng.randint(-H, H)) for _ in range(19)]
+    for a, b in stripes:
+        cells = [(rng.randint(-H, H), rng.randint(-H, H)) for _ in range(200)]
+        cells += [(rng.randint(-H, H), 0) for _ in range(20)]
+        cells += [(0, rng.randint(-H, H)) for _ in range(20)]
+        red = _quartic_red_mask(a, b, H, _factor_pairs(H))
+        has_root = _quartic_resolvent_roots(a, b, H)[0]
+        square = _square_mask(_quartic_disc_grid(a, b, H))
+        for found in (red, has_root & ~red, square & ~red):
+            hits = np.argwhere(found) - H
+            for k in rng.sample(range(len(hits)), min(10, len(hits))):
+                cells.append((int(hits[k, 0]), int(hits[k, 1])))
+        _assert_kernel_labels(a, b, H, cells)
+
+
+def test_quartic_red_mask_matches_table_exhaustively():
+    # the whole reducible mask of every (a, b) stripe at H=16 equals the
+    # complement of the table strategy's independent product marking
+    from galoiscensus.census import _factor_pairs, _quartic_red_mask
+
+    H = 16
+    table = build_irreducible_table(4, H)
+    pairs = _factor_pairs(H)
+    for a, b in itertools.product(range(-H, H + 1), repeat=2):
+        assert np.array_equal(_quartic_red_mask(a, b, H, pairs), ~table[a + H, b + H]), (a, b)
+
+
+def test_quartic_resolvent_roots_match_unpruned_search():
+    # every integer root of the cubic resolvent over the whole box at H=10,
+    # found by trying each x up to the Cauchy bound with no row pruning
+    from galoiscensus.census import _quartic_resolvent_roots
+
+    H = 10
+    X = 1 + H**3 + 5 * H**2  # 1 + the largest |coefficient| of the resolvent
+    x = np.arange(-X, X + 1, dtype=np.int64)[:, None]
+    v = np.arange(-H, H + 1, dtype=np.int64)
+    c, d = v[:, None], v[None, :]
+    for a, b in itertools.product(range(-H, H + 1), repeat=2):
+        # d * K(x) = num(x, c): K != 0 pins d, K == 0 and num == 0 fix every d
+        K = 4 * x + a * a - 4 * b
+        num = x * x * (x - b) + a * x * v - v * v
+        dq, rem = np.divmod(num, np.where(K == 0, 1, K))
+        hit = (K != 0) & (rem == 0) & (np.abs(dq) <= H)
+        expected = np.zeros((2 * H + 1, 2 * H + 1), dtype=bool)
+        expected[np.nonzero(hit)[1], dq[hit] + H] = True
+        expected[np.nonzero((K == 0) & (num == 0))[1], :] = True
+
         has_root, root_val = _quartic_resolvent_roots(a, b, H)
-        for c in range(-H, H + 1):
-            for d in range(-H, H + 1):
-                i, j = c + H, d + H
-                if red[i, j]:
-                    label = "reducible"
-                elif square[i, j]:
-                    label = "V4" if has_root[i, j] else "A4"
-                elif not has_root[i, j]:
-                    label = "S4"
-                else:
-                    x, delta = int(root_val[i, j]), int(disc[i, j])
-                    t1 = (x * x - 4 * d) * delta
-                    t2 = (a * a - 4 * (b - x)) * delta
-                    sq1 = t1 >= 0 and math.isqrt(t1) ** 2 == t1
-                    sq2 = t2 >= 0 and math.isqrt(t2) ** 2 == t2
-                    label = "C4" if (sq1 and sq2) else "D4"
-                assert label == classify_quartic(MonicQuartic(a, b, c, d)).group.value, (
-                    a, b, c, d,
-                )
+        assert np.array_equal(has_root, expected), (a, b)
+        r = root_val
+        value = r**3 - b * r**2 + (a * c - 4 * d) * r - (a * a * d - 4 * b * d + c * c)
+        assert not value[has_root].any(), (a, b)
 
 
 def test_determinism_across_worker_counts():
@@ -197,6 +272,29 @@ def test_journal_malformed_line_is_named(tmp_path):
     lines[2] = lines[2][:12]
     journal.write_text("\n".join(lines) + "\n")
     with pytest.raises(CensusError, match="line 3"):
+        run_census(req, journal_path=str(journal))
+
+
+def test_journal_rejects_other_kernels(tmp_path):
+    # stripes counted by another kernel version, or by one that recorded
+    # none, are never merged; a journal without its header is refused too
+    from galoiscensus.census import KERNEL_VERSION
+
+    journal = tmp_path / "census.journal"
+    req = CensusRequest(3, 6, workers=1)
+    run_census(req, journal_path=str(journal))
+    lines = journal.read_text().splitlines()
+    assert json.loads(lines[0]) == {"checksum": req.checksum(), "kernel": KERNEL_VERSION}
+    headers = {
+        f"kernel {KERNEL_VERSION - 1}": {"checksum": req.checksum(), "kernel": KERNEL_VERSION - 1},
+        "kernel none": {"checksum": req.checksum()},
+    }
+    for named, header in headers.items():
+        journal.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        with pytest.raises(CensusError, match=f"{named}, this is kernel {KERNEL_VERSION}"):
+            run_census(req, journal_path=str(journal))
+    journal.write_text("\n".join(lines[1:]) + "\n")
+    with pytest.raises(CensusError, match="line 1: no header"):
         run_census(req, journal_path=str(journal))
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from galoiscensus import cli
 from galoiscensus.cli import main
 
 
@@ -46,6 +47,28 @@ def test_census_json(capsys):
     assert payload["total"] == 27
     # data stream is machine-clean; progress went to stderr
     assert captured.out.strip().startswith("{")
+
+
+def test_census_progress_goes_to_stderr(capsys):
+    assert main(["census", "--degree", "4", "--height", "2", "--threads", "1"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1
+    assert json.loads(captured.out)["total"] == 5**4
+    assert "census: 3/3 stripes, " in captured.err
+    assert "stripes/s, ETA 0 s" in captured.err
+
+
+def test_progress_rate_excludes_resumed_stripes(monkeypatch, capsys):
+    clock = iter([100.0, 102.0, 102.5, 104.0])
+    monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
+    progress = cli._progress_printer("census")
+    progress(31, 61)  # 30 stripes came from the journal; one took 2 s
+    progress(32, 61)  # within a second of the last line: not printed
+    progress(33, 61)
+    assert capsys.readouterr().err.splitlines() == [
+        "census: 31/61 stripes, 0.50 stripes/s, ETA 60 s",
+        "census: 33/61 stripes, 0.75 stripes/s, ETA 37 s",
+    ]
 
 
 def test_census_csv_to_file(tmp_path, capsys):
