@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", choices=("d4vc", "v4-biquadratic", "a4", "a3"), required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--delta", default="1/5", help="d4vc window constant, as P/Q")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="0 = all cores")
     p.add_argument("--out")
 
     p = sub.add_parser("param-witness", help="Eisenstein parametrization of an A3 cubic")
@@ -201,6 +202,8 @@ def _cmd_family(args, parser) -> int:
         delta = Fraction(args.delta)
     except (ValueError, ZeroDivisionError):
         parser.error(f"bad delta {args.delta!r}")
+    if args.threads < 0:
+        parser.error("--threads must be >= 0")
     if args.name == "d4vc":
         members = gen_d4vc_family(args.height, delta)
     elif args.name == "v4-biquadratic":
@@ -209,7 +212,7 @@ def _cmd_family(args, parser) -> int:
         members = gen_a4_family(args.height)
     else:
         members = gen_a3_family(-args.height, args.height)
-    report = cross_validate(members, workers=args.threads)
+    report = cross_validate(members, workers=args.threads or os.cpu_count() or 1)
     lines = [m.to_json(classified=label) for m, label in zip(members, report.labels)]
     summary = json.loads(report.to_json())
     summary_line = {"family": args.name, "height": args.height, "delta": str(delta), **summary}

@@ -2,7 +2,8 @@
 against the classifier.
 
 Square-root range conditions are decided by exact squared comparisons, never
-floats, so boundary tuples land on the correct side.
+floats, so boundary tuples land on the correct side; floats only pick the
+candidates those comparisons decide.
 """
 
 from __future__ import annotations
@@ -118,15 +119,122 @@ def _squarefree_u_values(u_max: int) -> np.ndarray:
     return 12 + 18 * ks.astype(np.int64)
 
 
-def _floor_div_sqrt(num: int, square: int) -> int:
-    """floor(num / sqrt(square)) for num >= 0, square >= 1, exactly."""
-    return math.isqrt(num * num // square)
-
-
 def _cong_range(lo: int, hi: int, residue: int, modulus: int) -> range:
     """Integers in [lo, hi] congruent to residue mod modulus."""
     start = lo + (residue - lo) % modulus
     return range(start, hi + 1, modulus)
+
+
+def _iroot(n: int, k: int) -> int:
+    """The largest r >= 0 with r^k <= n, for n >= 0, exactly."""
+    r = int(math.exp(math.log(n) / k)) if n else 0
+    while r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group index and offset within its group of each element, for groups
+    of the given sizes laid end to end."""
+    group = np.repeat(np.arange(counts.size), counts)
+    offset = np.arange(group.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return group, offset
+
+
+# relative widening of every float range end; see gen_d4vc_family
+_SLACK = 2.0**-40
+
+
+def _residue_span(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First k and count of the k with 12 + 18 k in the float window
+    (lo, hi], each end widened by the relative _SLACK (ends are positive)."""
+    k_lo = np.floor((lo * (1 - _SLACK) - 12) / 18).astype(np.int64) + 1
+    k_hi = np.floor((hi * (1 + _SLACK) - 12) / 18).astype(np.int64)
+    return k_lo, np.maximum(k_hi - k_lo + 1, 0)
+
+
+# (u, v) pairs per numpy block.  Freed temporaries stay in the process heap,
+# which forked pool workers inherit, so their size is bounded.
+_PAIR_BLOCK = 2**14
+
+
+def _d4vc_tuples(H: int, p: int, q: int) -> list[np.ndarray]:
+    """The u, v, w, x, a arrays of gen_d4vc_family(H, p/q), in its order."""
+    v_min = 2 * q * math.sqrt(H) / p  # 2 delta^-1 sqrt(H) <= v sqrt(u)
+    v_max = p * p * H / (q * q)  # v sqrt(u) <= delta^2 H
+
+    # u <= H^(2 - 2 delta)  <=>  u^q <= H^(2q - 2p); v >= 16 caps u too
+    u_max = min(_iroot(H ** (2 * q - 2 * p), q), (p * p * H) ** 2 // (q**4 * 256))
+    us = _squarefree_u_values(u_max)
+    root_u = np.sqrt(us.astype(np.float64))
+
+    # v = 4 + 6 j >= 16 in the widened float v range of each u
+    j_lo = np.maximum(np.ceil((v_min * (1 - _SLACK) / root_u - 4) / 6), 2).astype(np.int64)
+    j_hi = np.floor((v_max * (1 + _SLACK) / root_u - 4) / 6).astype(np.int64)
+    n_v = np.maximum(j_hi - j_lo + 1, 0)
+    starts = np.unique(
+        np.searchsorted(np.cumsum(n_v), np.arange(0, n_v.sum(), _PAIR_BLOCK), side="right")
+    )
+    parts = [
+        _d4vc_block(us[s:e], root_u[s:e], j_lo[s:e], n_v[s:e], H, p, q)
+        for s, e in zip(starts.tolist(), starts[1:].tolist() + [us.size])
+    ]
+    return [np.concatenate(c) for c in zip(*parts)] if parts else [us[:0]] * 5
+
+
+def _d4vc_block(us, root_u, j_lo, n_v, H: int, p: int, q: int) -> tuple[np.ndarray, ...]:
+    """_d4vc_tuples for the u in us, whose v are 4 + 6 (j_lo + [0, n_v))."""
+    pH = p * H
+    iu, j = _expand(n_v)
+    pu, root_u = us[iu], root_u[iu]
+    pv = 4 + 6 * (j_lo[iu] + j)
+    half = (pv + 1) // 2
+    w_lo = half + (12 - half) % 18  # the least w = 12 (mod 18) >= ceil(v/2)
+    vf = pv * root_u
+    length = pH / (q * vf)
+    kx, nx = _residue_span(vf, vf + length)
+    nx[w_lo > pv] = 0  # no w for this v
+
+    # x candidates, then the exact v range and x window:
+    #   v sqrt(u) < x <= v sqrt(u) + delta H / (v sqrt(u)), where the upper
+    #   end  <=>  q x v sqrt(u) <= q u v^2 + p H
+    xp, jx = _expand(nx)
+    x = 12 + 18 * (kx[xp] + jx)
+    v_lo_sq, v_hi_sq, p2, q4 = 4 * q * q * H, (p * p * H) ** 2, p * p, q**4
+    ok = [
+        p2 * uv2 >= v_lo_sq and q4 * uv2 <= v_hi_sq
+        and x_ * x_ > uv2 and (q * x_ * v_) ** 2 * u <= (q * uv2 + pH) ** 2
+        for u, v_, x_ in zip(pu[xp].tolist(), pv[xp].tolist(), x.tolist())
+        for uv2 in [u * v_ * v_]
+    ]
+    xp, x = xp[ok], x[ok]
+    pairs, x_start, x_count = np.unique(xp, return_index=True, return_counts=True)
+
+    # w of each pair with an x; a candidates, then the exact a window:
+    #   w sqrt(u) < a <= w sqrt(u) + delta H / (v sqrt(u)), where the upper
+    #   end  <=>  q a v sqrt(u) <= q u v w + p H
+    iw, jw = _expand((pv[pairs] - w_lo[pairs]) // 18 + 1)
+    wp = pairs[iw]
+    w = w_lo[wp] + 18 * jw
+    wf = w * root_u[wp]
+    ka, na = _residue_span(wf, wf + length[wp])
+    ia, ja = _expand(na)
+    a = 12 + 18 * (ka[ia] + ja)
+    ok = [
+        a_ * a_ > u * w_ * w_ and (q * a_ * v_) ** 2 * u <= (q * u * v_ * w_ + pH) ** 2
+        for u, v_, w_, a_ in zip(
+            pu[wp[ia]].tolist(), pv[wp[ia]].tolist(), w[ia].tolist(), a.tolist()
+        )
+    ]
+    ia, a = ia[ok], a[ok]
+
+    # each a with each x of its pair, in (u, v, w, a, x) order
+    im, jm = _expand(x_count[iw[ia]])
+    mx = x[x_start[iw[ia]][im] + jm]
+    mp = wp[ia][im]
+    return pu[mp], pv[mp], w[ia][im], mx, a[im]
 
 
 def gen_d4vc_family(height: int, delta: Fraction = Fraction(1, 5)) -> list[FamilyMember]:
@@ -136,68 +244,56 @@ def gen_d4vc_family(height: int, delta: Fraction = Fraction(1, 5)) -> list[Famil
     w sqrt(u) <= v sqrt(u) <= delta^2 H; then x and a sit in windows of
     length delta*H/(v sqrt(u)) above v sqrt(u) and w sqrt(u).  Coefficients
     come from 4d = x^2 - u v^2, 4(b - x) = a^2 - u w^2, 2c = x a - u v w.
+    Members come in (u, v, w, a, x) order.
+
+    Which (u, v) can give a member.  It needs w = 12 (mod 18) in
+    [ceil(v/2), v] with v = 4 (mod 6).  For v = 4 and 10 that range ends
+    below 12; v = 16 and 22 hold w = 12; v = 28 gives [14, 28], which holds
+    none; from v = 34 on the range has at least 18 integers, so it holds a w.
+    Hence v >= 16, and with v sqrt(u) <= delta^2 H that caps u at
+    delta^4 H^2 / 256.  A v whose range holds no w is dropped before its x
+    window is looked at.
+
+    Floats only pick candidates.  numpy estimates, for all u at once, the v
+    range [2 delta^-1 sqrt(H), delta^2 H] / sqrt(u); for all (u, v) the x
+    window (v sqrt(u), v sqrt(u) + L] with L = delta H / (v sqrt(u)); and
+    for each w of a pair with an x, the a window (w sqrt(u), w sqrt(u) + L].
+    Each end takes at most six correctly rounded operations on integers
+    (conversions, sqrt(u), products, quotients and one sum of positive
+    terms), so it is within a relative 8 * 2^-53 of the true end.  Each end
+    is then widened by the relative _SLACK = 2^-40, has 4 or 12 subtracted,
+    is divided by 6 or 18 and is rounded to an integer.  Every end that
+    can matter exceeds the constant subtracted (window ends are at least
+    12 sqrt(30) > 65, and a v range ending below 16 holds no v >= 16), so
+    those steps cost under another 2 * 2^-53 of the end.  The widening is
+    over 100 times the total error, so it carries each float end past the
+    true one, and the rounded quotients take in every integer of the true
+    range.  A (u, v) or a w is therefore dropped only when it has no member.
+    Every candidate x and a, with its pair's v range, is then decided by
+    the exact squared comparisons in Python ints in _d4vc_tuples; at
+    H = 10^6 they reach about 6e19, past int64.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     H = height
     p, q = delta.numerator, delta.denominator
-    members: list[FamilyMember] = []
-
-    # u <= H^(2 - 2 delta)  <=>  u^q <= H^(2q - 2p)
-    hpow = H ** (2 * q - 2 * p)
-    # v >= 4 and v sqrt(u) <= delta^2 H bound u as well
-    u_cap = (p * p * H) ** 2 // (q * q * q * q * 16) + 1
-    u_values = _squarefree_u_values(u_cap)
-    for u in u_values:
-        u = int(u)
-        if u**q > hpow:
-            continue
-        # 2 delta^-1 sqrt(H) <= v sqrt(u)   <=>   p^2 u v^2 >= 4 q^2 H
-        # v sqrt(u) <= delta^2 H            <=>   q^2 v sqrt(u) <= p^2 H
-        v_hi = _floor_div_sqrt(p * p * H, q**4 * u)
-        num = 4 * q * q * H
-        v_lo = math.isqrt((num + p * p * u - 1) // (p * p * u))
-        while p * p * u * v_lo * v_lo < num:
-            v_lo += 1
-        for v in _cong_range(max(v_lo, 1), v_hi, 4, 6):
-            uv2 = u * v * v
-            # x window: v sqrt(u) < x <= v sqrt(u) + delta H / (v sqrt(u))
-            #   upper  <=>  q x v sqrt(u) <= q u v^2 + p H
-            x_hi_sq = (q * uv2 + p * H) ** 2 // (q * q * uv2)
-            xs = [
-                x
-                for x in _cong_range(math.isqrt(uv2) + 1, math.isqrt(x_hi_sq), 12, 18)
-                if x * x > uv2 and (q * x * v) ** 2 * u <= (q * uv2 + p * H) ** 2
-            ]
-            if not xs:
-                continue
-            for w in _cong_range((v + 1) // 2, v, 12, 18):
-                uw2 = u * w * w
-                # a window: w sqrt(u) < a <= w sqrt(u) + delta H / (v sqrt(u))
-                #   upper  <=>  q a v sqrt(u) <= q u v w + p H
-                a_hi_sq = (q * u * v * w + p * H) ** 2 // (q * q * uv2)
-                for a in _cong_range(math.isqrt(uw2) + 1, math.isqrt(a_hi_sq), 12, 18):
-                    if a * a <= uw2 or (q * a * v) ** 2 * u > (q * u * v * w + p * H) ** 2:
-                        continue
-                    for x in xs:
-                        d, rem_d = divmod(x * x - uv2, 4)
-                        e, rem_e = divmod(a * a - uw2, 4)
-                        c2, rem_c = divmod(x * a - u * v * w, 2)
-                        assert rem_d == rem_e == rem_c == 0  # forced by the congruences
-                        b = x + e
-                        members.append(
-                            FamilyMember(
-                                family="d4vc",
-                                params=(
-                                    ("u", u), ("v", v), ("w", w), ("x", x), ("a", a),
-                                    ("H", H),
-                                    ("delta_num", p), ("delta_den", q),
-                                ),
-                                coeffs=(a, b, c2, d),
-                                expected=("D4", "V4", "C4"),
-                            )
-                        )
-    return members
+    mu, mv, mw, mx, ma = _d4vc_tuples(H, p, q)
+    # all five are even, so the divisions below are exact
+    assert not ((mu | mv | mw | mx | ma) & 1).any()
+    tail = (("H", H), ("delta_num", p), ("delta_den", q))
+    expected = ("D4", "V4", "C4")
+    return [
+        FamilyMember(
+            "d4vc",
+            (("u", u), ("v", v_), ("w", w_), ("x", x_), ("a", a_)) + tail,
+            (a_, x_ + (a_ * a_ - u * w_ * w_) // 4, (x_ * a_ - u * v_ * w_) // 2,
+             (x_ * x_ - u * v_ * v_) // 4),
+            expected,
+        )
+        for u, v_, w_, x_, a_ in zip(
+            mu.tolist(), mv.tolist(), mw.tolist(), mx.tolist(), ma.tolist()
+        )
+    ]
 
 
 def gen_v4_biquadratic(height: int) -> list[FamilyMember]:
@@ -323,15 +419,13 @@ def cross_validate(members: list[FamilyMember], workers: int = 1) -> CrossValida
         report.members_checked += 1
         report.labels.append(res["label"])
         report.classes[res["label"]] = report.classes.get(res["label"], 0) + 1
-        entry = {
-            "family": member.family,
-            "params": dict(member.params),
-            "coeffs": list(member.coeffs),
-            "class": res["label"],
-            "note": res["note"],
-        }
-        if res["exception"]:
-            report.exceptions.append(entry)
-        elif not res["ok"]:
-            report.mismatches.append(entry)
+        if res["exception"] or not res["ok"]:
+            entry = {
+                "family": member.family,
+                "params": dict(member.params),
+                "coeffs": list(member.coeffs),
+                "class": res["label"],
+                "note": res["note"],
+            }
+            (report.exceptions if res["exception"] else report.mismatches).append(entry)
     return report

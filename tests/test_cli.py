@@ -4,6 +4,7 @@ import pytest
 
 from galoiscensus import cli
 from galoiscensus.cli import main
+from galoiscensus.families import cross_validate
 
 
 def test_classify_quartic_text(capsys):
@@ -112,6 +113,27 @@ def test_family_v4(capsys):
     member = json.loads(lines[0])
     assert member["family"] == "v4-biquadratic" and len(member["coeffs"]) == 4
     assert member["class"] == "V4"
+
+
+def test_family_threads_zero_uses_every_core(monkeypatch, capsys):
+    seen = []
+
+    def spy(members, workers=1):
+        seen.append(workers)
+        return cross_validate(members, workers=1)
+
+    monkeypatch.setattr(cli, "cross_validate", spy)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert main(["family", "--name", "a3", "--height", "5", "--threads", "0"]) == 0
+    assert main(["family", "--name", "a3", "--height", "5", "--threads", "2"]) == 0
+    assert seen == [3, 2]
+
+
+def test_family_negative_threads_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--name", "a3", "--height", "5", "--threads", "-1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_family_bad_delta():

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from galoiscensus.classify import (
@@ -10,12 +11,15 @@ from galoiscensus.classify import (
     resolvent,
     integer_roots_monic_cubic,
 )
+from galoiscensus.exactarith import factorize
 from galoiscensus.families import (
+    FamilyMember,
     cross_validate,
     gen_a3_family,
     gen_a4_family,
     gen_d4vc_family,
     gen_v4_biquadratic,
+    _residue_span,
     _squarefree_u_values,
 )
 
@@ -98,8 +102,6 @@ def test_a3_family_examples():
 # --- the D4/V4/C4 construction ---
 
 def test_squarefree_u_sieve():
-    from galoiscensus.exactarith import factorize
-
     us = list(_squarefree_u_values(3000))
     assert us[0] == 30  # 12 and 48 are not squarefree
     for u in us:
@@ -112,6 +114,90 @@ def test_squarefree_u_sieve():
         if all(e == 1 for _, e in factorize(u).factors)
     ]
     assert us == brute
+
+
+def _d4vc_brute(H, delta):
+    """Every (u, v, w, x, a) of the construction, by a scan from the smallest
+    residue of each variable, with each window tested exactly; in the
+    generator's order (u, v, w, a, x)."""
+    p, q = delta.numerator, delta.denominator
+    members = []
+    squarefree = {}
+    u = 12
+    while u**q <= H ** (2 * q - 2 * p):  # u <= H^(2 - 2 delta)
+        v = 4
+        while u * v * v <= delta**4 * H * H:  # v sqrt(u) <= delta^2 H
+            if delta * delta * u * v * v < 4 * H:  # 2 sqrt(H) / delta <= v sqrt(u)
+                v += 6
+                continue
+            # x v sqrt(u) <= u v^2 + delta H, squared
+            x_top = (u * v * v + delta * H) ** 2
+            for w in range(12, v + 1, 18):
+                if 2 * w < v:  # v sqrt(u) / 2 <= w sqrt(u)
+                    continue
+                # a v sqrt(u) <= u v w + delta H, squared
+                a_top = (u * v * w + delta * H) ** 2
+                a = 12
+                while a * a * u * v * v <= a_top:
+                    x = 12
+                    while a * a > u * w * w and x * x * u * v * v <= x_top:
+                        if x * x > u * v * v:
+                            if u not in squarefree:
+                                squarefree[u] = all(e == 1 for _, e in factorize(u).factors)
+                            if squarefree[u]:
+                                d = Fraction(x * x - u * v * v, 4)
+                                e = Fraction(a * a - u * w * w, 4)
+                                c = Fraction(x * a - u * v * w, 2)
+                                assert d.denominator == e.denominator == c.denominator == 1
+                                members.append(
+                                    FamilyMember(
+                                        family="d4vc",
+                                        params=(
+                                            ("u", u), ("v", v), ("w", w), ("x", x), ("a", a),
+                                            ("H", H),
+                                            ("delta_num", p), ("delta_den", q),
+                                        ),
+                                        coeffs=(a, int(x + e), int(c), int(d)),
+                                        expected=("D4", "V4", "C4"),
+                                    )
+                                )
+                        x += 18
+                    a += 18
+            v += 6
+        u += 18
+    return members
+
+
+@pytest.mark.parametrize(
+    "H, delta, size",
+    [
+        (5000, Fraction(1, 2), 17),
+        (10**4, Fraction(1, 2), 106),
+        (2 * 10**4, Fraction(1, 3), 115),
+        (2 * 10**4, Fraction(1, 4), 6),
+    ],
+)
+def test_d4vc_matches_brute_force(H, delta, size):
+    brute = _d4vc_brute(H, delta)
+    assert len(brute) == size
+    assert gen_d4vc_family(H, delta) == brute
+
+
+@pytest.mark.parametrize("r", [30, 48, 12 + 18 * 1234, 12 + 18 * 10**9])
+def test_residue_span_keeps_residues_at_float_ends(r):
+    # a float window end may sit up to 8 ulps on the wrong side of its true
+    # value; a residue r = 12 (mod 18) at the true end must still be counted
+    ulp = 2.0**-53
+    for e in range(9):
+        lo = np.array([r * (1 + e * ulp)])  # true lower end just below r
+        hi = np.array([r * (1 - e * ulp)])  # true upper end exactly r
+        k, n = _residue_span(lo, np.array([r + 10.0]))
+        assert int(k[0]) <= (r - 12) // 18 < int(k[0] + n[0])
+        k, n = _residue_span(np.array([r - 10.0]), hi)
+        assert int(k[0]) <= (r - 12) // 18 < int(k[0] + n[0])
+    # windows well clear of every residue hold none
+    k, n = _residue_span(np.array([r + 0.5, r - 17.5]), np.array([r + 17.5, r - 0.5]))
+    assert n.tolist() == [0, 0]
 
 
 def test_d4vc_window_example_excludes_30_16_12():
@@ -173,11 +259,22 @@ def test_cross_validate_empty():
 
 
 def test_cross_validate_parallel_matches_serial():
-    fam = gen_v4_biquadratic(300)
+    # past the 256 members below which the pool is not used; a4(30) holds
+    # the exception u = 30, v = 3, and X^4 + 2 (D4) is a planted mismatch
+    fam = gen_a4_family(30)
+    fam.insert(
+        100,
+        FamilyMember("v4-biquadratic", (("b", 0), ("t", 1), ("H", 2)), (0, 0, 0, 2), ("V4",)),
+    )
     serial = cross_validate(fam, workers=1)
     parallel = cross_validate(fam, workers=2)
-    assert serial.classes == parallel.classes
-    assert serial.mismatch_count == parallel.mismatch_count == 0
+    assert serial.members_checked == parallel.members_checked == 901
+    assert len(serial.exceptions) == 1 and serial.exceptions[0]["params"] == {"u": 30, "v": 3}
+    assert [m["coeffs"] for m in serial.mismatches] == [[0, 0, 0, 2]]
+    assert parallel.labels == serial.labels
+    assert parallel.classes == serial.classes
+    assert parallel.exceptions == serial.exceptions
+    assert parallel.mismatches == serial.mismatches
 
 
 def test_member_json_line():
