@@ -153,6 +153,12 @@ def test_criterion_10_frobenius_cross_check():
 
 
 def test_criterion_11_constructions():
+    """Every construction family validates against the classifier.
+
+    d4vc(10^6, 1/5) has 264,235 members; generating them takes 2.2-2.4 s on
+    one core of a 2-core machine, and this test 13-20 s there, most of
+    it classifying the d4vc members on 2 workers.
+    """
     rep = cross_validate(gen_v4_biquadratic(500))
     assert rep.mismatch_count == 0 and rep.members_checked > 0
     rep = cross_validate(gen_a3_family(-200, 200))

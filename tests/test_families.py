@@ -1,3 +1,4 @@
+import functools
 import json
 from fractions import Fraction
 
@@ -121,47 +122,43 @@ def _d4vc_brute(H, delta):
     residue of each variable, with each window tested exactly; in the
     generator's order (u, v, w, a, x)."""
     p, q = delta.numerator, delta.denominator
+    squarefree = functools.cache(lambda n: all(e == 1 for _, e in factorize(n).factors))
     members = []
-    squarefree = {}
     u = 12
     while u**q <= H ** (2 * q - 2 * p):  # u <= H^(2 - 2 delta)
         v = 4
-        while u * v * v <= delta**4 * H * H:  # v sqrt(u) <= delta^2 H
+        while u * v * v <= delta**4 * H * H and squarefree(u):  # v sqrt(u) <= delta^2 H
+            ws = [w for w in range(12, v + 1, 18) if 2 * w >= v]  # w >= v / 2
             if delta * delta * u * v * v < 4 * H:  # 2 sqrt(H) / delta <= v sqrt(u)
-                v += 6
-                continue
-            # x v sqrt(u) <= u v^2 + delta H, squared
-            x_top = (u * v * v + delta * H) ** 2
-            for w in range(12, v + 1, 18):
-                if 2 * w < v:  # v sqrt(u) / 2 <= w sqrt(u)
-                    continue
-                # a v sqrt(u) <= u v w + delta H, squared
-                a_top = (u * v * w + delta * H) ** 2
+                ws = []
+            x_top = (u * v * v + delta * H) ** 2  # (x v sqrt(u) <= u v^2 + delta H)^2
+            xs = []
+            x = 12
+            while ws and x * x * u * v * v <= x_top:
+                if x * x > u * v * v:  # x > v sqrt(u)
+                    xs.append(x)
+                x += 18
+            for w in ws:
+                a_top = (u * v * w + delta * H) ** 2  # (a v sqrt(u) <= u v w + delta H)^2
                 a = 12
                 while a * a * u * v * v <= a_top:
-                    x = 12
-                    while a * a > u * w * w and x * x * u * v * v <= x_top:
-                        if x * x > u * v * v:
-                            if u not in squarefree:
-                                squarefree[u] = all(e == 1 for _, e in factorize(u).factors)
-                            if squarefree[u]:
-                                d = Fraction(x * x - u * v * v, 4)
-                                e = Fraction(a * a - u * w * w, 4)
-                                c = Fraction(x * a - u * v * w, 2)
-                                assert d.denominator == e.denominator == c.denominator == 1
-                                members.append(
-                                    FamilyMember(
-                                        family="d4vc",
-                                        params=(
-                                            ("u", u), ("v", v), ("w", w), ("x", x), ("a", a),
-                                            ("H", H),
-                                            ("delta_num", p), ("delta_den", q),
-                                        ),
-                                        coeffs=(a, int(x + e), int(c), int(d)),
-                                        expected=("D4", "V4", "C4"),
-                                    )
+                    if a * a > u * w * w:  # a > w sqrt(u)
+                        for x in xs:
+                            d = Fraction(x * x - u * v * v, 4)
+                            e = Fraction(a * a - u * w * w, 4)
+                            c = Fraction(x * a - u * v * w, 2)
+                            assert d.denominator == e.denominator == c.denominator == 1
+                            members.append(
+                                FamilyMember(
+                                    family="d4vc",
+                                    params=(
+                                        ("u", u), ("v", v), ("w", w), ("x", x), ("a", a),
+                                        ("H", H), ("delta_num", p), ("delta_den", q),
+                                    ),
+                                    coeffs=(a, int(x + e), int(c), int(d)),
+                                    expected=("D4", "V4", "C4"),
                                 )
-                        x += 18
+                            )
                     a += 18
             v += 6
         u += 18
