@@ -29,14 +29,20 @@ The quartic reducible mask finds quadratic splits from the divisor pairs
 (q, s) of d, and the resolvent-root search divides only on the candidate
 rows whose value range over |c| <= H can reach |d| <= H.
 
-int64 safety: the largest intermediate is the quartic discriminant, bounded
-by 1069 * H^6 (sum of absolute formula coefficients), which stays below
-2^62 for H <= 400.  In the reducible mask the split route stays below
-H^2 + 8H + 4 and the linear route below 2H^3 + H^2 + H.  The resolvent
-candidates have |x| <= 805 at the cap, so the row bounds, (ax)^2 the
-largest, stay below 1.1e11.  The cubic analogue 5 H^4 + 22 H^3 + 27 H^2 is
-safe far beyond the cubic cap of 5000, where the per-stripe masks (~100 MB)
-become the real constraint.  Heights above the caps are rejected rather
+The discriminants, the C4 test and the resolvent root bound are the
+classifier's functions; the stripes call them on int64 grids or Python ints.
+
+int64 safety: the largest intermediate is the quartic discriminant.  Each
+partial result of its Horner evaluation ((256 d + t2) d + t1) d + t0 is a
+sub-sum of its monomials, possibly divided by powers of c or d, so it has
+degree at most 6 and absolute coefficients summing to at most 1069: it is
+bounded by 1069 * H^6 < 2^62 for H <= 400.  In the reducible mask the split
+route stays below H^2 + 8H + 4 and the linear route below 2H^3 + H^2 + H.
+The resolvent candidates have |x| <= 805 at the cap, so the row bounds,
+(ax)^2 the largest, stay below 1.1e11.  The cubic discriminant's partial
+results are bounded the same way, by 5 H^4 + 22 H^3 + 27 H^2, safe far
+beyond the cubic cap of 5000, where the per-stripe masks (~100 MB) become
+the real constraint.  Heights above the caps are rejected rather
 than risk silent wraparound or swapping.
 """
 
@@ -54,7 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactarith import icbrt
+from .classify import disc_cubic_coeffs, disc_quartic_coeffs, fujiwara_bound, is_c4
+from .exactarith import perfect_square
 
 __all__ = [
     "CensusError",
@@ -79,8 +86,9 @@ DEFAULT_TABLE_CAP = 2**31  # bytes
 # Version of the stripe kernels, recorded in each journal header.  Bump it
 # whenever a kernel changes, so that a resume never merges stripes counted
 # by other code.  2: quadratic splits from factor pairs, pruned resolvent
-# rows.  Journals written before the version was recorded carry none.
-KERNEL_VERSION = 2
+# rows.  3: the classifier's discriminants, C4 test and root bound.
+# Journals written before the version was recorded carry none.
+KERNEL_VERSION = 3
 
 
 class CensusError(ValueError):
@@ -226,26 +234,16 @@ def _cubic_a3_rows(a: int, height: int) -> np.ndarray:
     return np.flatnonzero(_loeschian(H * H + 3 * H)[np.maximum(i, 0)])
 
 
-def _cubic_disc_rows(a: int, height: int, rows: np.ndarray) -> np.ndarray:
-    """disc(X^3 + aX^2 + bX + c) over the b-row indices ``rows`` (b + H) and all c."""
-    H = height
-    b = rows.astype(np.int64) - H
-    c = np.arange(-H, H + 1, dtype=np.int64)
-    t0 = (a * a) * b * b - 4 * b**3
-    t1 = (18 * a) * b
-    t2 = (-4 * a**3) * c - 27 * c * c
-    return t0[:, None] + t1[:, None] * c[None, :] + t2[None, :]
-
-
 def _cubic_a3_blocks(a: int, height: int, red: np.ndarray, block: int = 512):
     """Yield (rows, mask): the A3 cells (square discriminant, not reducible)
     of the (b, c) grid in the ascending b-row indices ``rows``, a block of up
     to ``block`` rows at a time.  Rows that ``_cubic_a3_rows`` rules out are
     skipped."""
     rows = _cubic_a3_rows(a, height)
+    c = np.arange(-height, height + 1, dtype=np.int64)
     for lo in range(0, rows.size, block):
         rr = rows[lo : lo + block]
-        yield rr, _square_mask(_cubic_disc_rows(a, height, rr)) & ~red[rr]
+        yield rr, _square_mask(disc_cubic_coeffs(a, (rr - height)[:, None], c)) & ~red[rr]
 
 
 def _cubic_stripe_counts(a: int, height: int, red: np.ndarray):
@@ -307,7 +305,8 @@ def _quartic_resolvent_roots(a: int, b: int, height: int):
     r(x) = x^3 - b x^2 + (ac - 4d) x - (a^2 d - 4bd + c^2) rearranges to
     d * K(x) = x^3 - b x^2 + a c x - c^2 with K(x) = 4x + a^2 - 4b, so each
     candidate root x pins d per c (K != 0) or a full d-column (K == 0).
-    Candidate roots are complete via the Fujiwara bound.
+    Candidate roots are complete via the Fujiwara bound, taken at the
+    largest |ac - 4d| and |a^2 d - 4bd + c^2| over the stripe.
 
     A row x with K != 0 can hold a root only if num(x, c) = x^2 (x - b)
     + axc - c^2 meets [-H|K|, H|K|] for some |c| <= H.  Over those c,
@@ -323,7 +322,7 @@ def _quartic_resolvent_roots(a: int, b: int, height: int):
 
     qmax = abs(a) * H + 4 * H
     smax = a * a * H + 4 * abs(b) * H + H * H
-    xmax = 2 * max(abs(b), math.isqrt(qmax) + 1, icbrt(smax) + 1, 1) + 1
+    xmax = fujiwara_bound(b, qmax, smax)
     x = np.arange(-xmax, xmax + 1, dtype=np.int64)
     K = 4 * x + (a * a - 4 * b)
     base, ax = x * x * (x - b), np.abs(a * x)
@@ -350,35 +349,20 @@ def _quartic_resolvent_roots(a: int, b: int, height: int):
     if a % 2 == 0:
         x0 = b - (a * a) // 4
         dc = (a * x0) ** 2 - 4 * (b * x0 * x0 - x0**3)
-        if dc >= 0:
-            t = math.isqrt(dc)
-            if t * t == dc:
-                for cv in {(a * x0 + t), (a * x0 - t)}:
-                    if cv % 2 == 0 and abs(cv // 2) <= H:
-                        has_root[cv // 2 + H, :] = True
-                        root_val[cv // 2 + H, :] = x0
+        t = perfect_square(dc)
+        if t is not None:
+            for cv in {(a * x0 + t), (a * x0 - t)}:
+                if cv % 2 == 0 and abs(cv // 2) <= H:
+                    has_root[cv // 2 + H, :] = True
+                    root_val[cv // 2 + H, :] = x0
     return has_root, root_val
-
-
-def _quartic_disc_grid(a: int, b: int, height: int) -> np.ndarray:
-    H = height
-    c = np.arange(-H, H + 1, dtype=np.int64)
-    d = np.arange(-H, H + 1, dtype=np.int64)
-    a2, b2 = a * a, b * b
-    t0 = (a2 * b2 - 4 * b2 * b) * c * c + (18 * a * b - 4 * a2 * a) * c**3 - 27 * c**4
-    t1 = (
-        (16 * b2 * b2 - 4 * a2 * b2 * b)
-        + (18 * a2 * a * b - 80 * a * b2) * c
-        + (144 * b - 6 * a2) * c * c
-    )
-    t2 = (144 * a2 * b - 27 * a2 * a2 - 128 * b2) - (192 * a) * c
-    return t0[:, None] + t1[:, None] * d[None, :] + t2[:, None] * d[None, :] ** 2 + 256 * d[None, :] ** 3
 
 
 def _quartic_stripe_counts(a: int, b: int, height: int, red: np.ndarray):
     """Counts (reducible, S4, A4, D4, V4, C4) over the (c, d) grid."""
     H, W = height, 2 * height + 1
-    disc = _quartic_disc_grid(a, b, H)
+    v = np.arange(-H, H + 1, dtype=np.int64)
+    disc = disc_quartic_coeffs(a, b, v[:, None], v[None, :])
     square = _square_mask(disc)
     has_root, root_val = _quartic_resolvent_roots(a, b, H)
 
@@ -388,30 +372,13 @@ def _quartic_stripe_counts(a: int, b: int, height: int, red: np.ndarray):
     n_a4 = int(np.count_nonzero(irr & square & ~has_root))
     n_s4 = int(np.count_nonzero(irr & ~square & ~has_root))
 
-    n_c4 = 0
-    cand = irr & ~square & has_root
-    n_cand = int(np.count_nonzero(cand))
-    if n_cand:
-        ci, di = np.nonzero(cand)
-        roots = root_val[ci, di]
-        discs = disc[ci, di]
-        for k in range(n_cand):
-            x = int(roots[k])
-            dv = int(di[k]) - H
-            delta = int(discs[k])
-            t1 = (x * x - 4 * dv) * delta
-            if t1 < 0:
-                continue
-            r1 = math.isqrt(t1)
-            if r1 * r1 != t1:
-                continue
-            t2 = (a * a - 4 * (b - x)) * delta
-            if t2 < 0:
-                continue
-            r2 = math.isqrt(t2)
-            if r2 * r2 == t2:
-                n_c4 += 1
-    n_d4 = n_cand - n_c4
+    # D4/C4 candidates: the C4 products outgrow int64, so test in Python ints
+    ci, di = np.nonzero(irr & ~square & has_root)
+    n_c4 = sum(
+        is_c4(a, b, d, x, delta)
+        for d, x, delta in zip((di - H).tolist(), root_val[ci, di].tolist(), disc[ci, di].tolist())
+    )
+    n_d4 = ci.size - n_c4
     return n_red, n_s4, n_a4, n_d4, n_v4, n_c4
 
 

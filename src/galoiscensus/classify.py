@@ -5,6 +5,10 @@ follows the resolvent-cubic decision table for quartics and the square
 discriminant test for cubics.  All user-facing coefficients are ordinary
 Python ints, so nothing here can overflow; the documented input contract is
 |coefficient| <= 10**6, which every formula below handles instantly.
+
+The census stripes evaluate the discriminants here on int64 grids (they
+accept broadcast int64 arrays as well as ints and Fractions), and call
+``is_c4`` and ``fujiwara_bound`` on Python ints: one copy of each formula.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ __all__ = [
     "InvariantPair",
     "FactorWitness",
     "disc_cubic",
+    "disc_cubic_coeffs",
     "invariants_cubic",
     "classify_cubic",
     "resolvent",
@@ -32,8 +37,9 @@ __all__ = [
     "disc_quartic_coeffs",
     "invariants_quartic",
     "reducibility_witness",
-    "is_reducible_quartic",
+    "is_c4",
     "classify_quartic",
+    "fujiwara_bound",
     "integer_roots_monic_cubic",
     "frobenius_cycle_type",
 ]
@@ -106,8 +112,17 @@ class FactorWitness(NamedTuple):
 
 
 def disc_cubic(f: MonicCubic) -> int:
-    a, b, c = f.a, f.b, f.c
-    return a * a * b * b - 4 * b**3 - 4 * a**3 * c + 18 * a * b * c - 27 * c * c
+    return disc_cubic_coeffs(f.a, f.b, f.c)
+
+
+def disc_cubic_coeffs(a, b, c):
+    """Discriminant of X^3 + aX^2 + bX + c from raw coefficients, as a
+    quadratic in c: (a^2 b^2 - 4b^3) + (18ab - 4a^3) c - 27c^2.
+
+    Works on ints, Fractions and broadcast int64 arrays; the cubic census
+    passes a column of b and a row of c.
+    """
+    return (a * a - 4 * b) * b * b + (18 * a * b - 4 * a * a * a) * c - 27 * c * c
 
 
 def invariants_cubic(f: MonicCubic) -> InvariantPair:
@@ -149,29 +164,21 @@ def disc_quartic(f: MonicQuartic) -> int:
 def disc_quartic_coeffs(a, b, c, d):
     """Discriminant of X^4 + aX^3 + bX^2 + cX + d from raw coefficients.
 
-    Works on ints and on Fractions alike, so identity checks with rational
-    substitutions need not build a MonicQuartic per case.
+    A cubic in d, evaluated by Horner: ((256 d + t2) d + t1) d + t0 with
+    t0, t1, t2 polynomials in (a, b, c).  Works on ints, Fractions and
+    broadcast int64 arrays alike: identity checks with rational
+    substitutions need not build a MonicQuartic per case, and the quartic
+    census passes a column of c and a row of d.
     """
-    a2, b2, c2, d2 = a * a, b * b, c * c, d * d
-    a3, b3, c3 = a2 * a, b2 * b, c2 * c
-    return (
-        a2 * b2 * c2
-        - 4 * b3 * c2
-        - 4 * a3 * c3
-        + 18 * a * b * c3
-        - 27 * c2 * c2
-        - 4 * a2 * b3 * d
-        + 16 * b2 * b2 * d
-        + 18 * a3 * b * c * d
-        - 80 * a * b2 * c * d
-        - 6 * a2 * c2 * d
-        + 144 * b * c2 * d
-        - 27 * a2 * a2 * d2
-        + 144 * a2 * b * d2
-        - 128 * b2 * d2
-        - 192 * a * c * d2
-        + 256 * d2 * d
+    a2, b2, c2 = a * a, b * b, c * c
+    t0 = ((a2 * b2 - 4 * b2 * b) + (18 * a * b - 4 * a2 * a) * c - 27 * c2) * c2
+    t1 = (
+        (16 * b2 - 4 * a2 * b) * b2
+        + (18 * a2 * a * b - 80 * a * b2) * c
+        + (144 * b - 6 * a2) * c2
     )
+    t2 = 144 * a2 * b - 27 * a2 * a2 - 128 * b2 - 192 * a * c
+    return ((256 * d + t2) * d + t1) * d + t0
 
 
 def invariants_quartic(f: MonicQuartic) -> InvariantPair:
@@ -215,12 +222,15 @@ def reducibility_witness(f: MonicQuartic) -> FactorWitness | None:
     return None
 
 
-def is_reducible_quartic(f: MonicQuartic) -> bool:
-    return reducibility_witness(f) is not None
-
-
 def _eval_monic_cubic(p: int, q: int, r: int, x: int) -> int:
     return ((x + p) * x + q) * x + r
+
+
+def fujiwara_bound(p: int, q: int, r: int) -> int:
+    """B > |x| for every complex root x of X^3 + pX^2 + qX + r, by Fujiwara's
+    |x| <= 2 max(|p|, |q|^(1/2), |r|^(1/3)).  B grows with |q| and |r|, so
+    upper bounds on them give a B for a whole family of cubics."""
+    return 2 * max(abs(p), math.isqrt(abs(q)) + 1, icbrt(abs(r)) + 1, 1) + 1
 
 
 def integer_roots_monic_cubic(p: int, q: int, r: int) -> list[int]:
@@ -231,8 +241,7 @@ def integer_roots_monic_cubic(p: int, q: int, r: int) -> list[int]:
     at any coefficient size (the resolvent constant term reaches ~10^18 under
     the coefficient contract, where divisor scans would need a factorization).
     """
-    # Fujiwara: every complex root has |x| <= 2 max(|p|, |q|^(1/2), |r|^(1/3)).
-    bound = 2 * max(abs(p), math.isqrt(abs(q)) + 1, icbrt(abs(r)) + 1, 1) + 1
+    bound = fujiwara_bound(p, q, r)
     cuts = {-bound, bound}
     dd = p * p - 3 * q  # discriminant of the derivative (3X^2 + 2pX + q) / ...
     if dd >= 0:
@@ -267,13 +276,22 @@ def resolvent_integer_roots(f: MonicQuartic) -> list[int]:
     return integer_roots_monic_cubic(r.a, r.b, r.c)
 
 
+def is_c4(a: int, b: int, d: int, x: int, disc: int) -> bool:
+    """D4/C4 split of an irreducible X^4 + aX^3 + bX^2 + cX + d with non-square
+    ``disc`` and resolvent root ``x``: C4 exactly when both (x^2 - 4d) disc
+    and (a^2 - 4(b - x)) disc are perfect squares."""
+    return (
+        perfect_square((x * x - 4 * d) * disc) is not None
+        and perfect_square((a * a - 4 * (b - x)) * disc) is not None
+    )
+
+
 def classify_quartic(f: MonicQuartic) -> QuarticClass:
     """Kappe-Warren classification of a monic integer quartic.
 
     Order of tests: reducibility; then square discriminant and resolvent
-    roots split S4/A4/V4 from the D4/C4 branch; D4 and C4 are separated by
-    whether both (x^2-4d)*disc and (a^2-4(b-x))*disc are perfect squares,
-    x being the resolvent root (unique in this branch).
+    roots split S4/A4/V4 from the D4/C4 branch; ``is_c4`` separates D4 and
+    C4 by the resolvent root x (unique in this branch).
     """
     if reducibility_witness(f) is not None:
         return QuarticClass(QuarticGroup.REDUCIBLE)
@@ -287,11 +305,8 @@ def classify_quartic(f: MonicQuartic) -> QuarticClass:
     if not roots:
         return QuarticClass(QuarticGroup.S4)
     x = roots[0]
-    t1 = (x * x - 4 * f.d) * disc
-    t2 = (f.a * f.a - 4 * (f.b - x)) * disc
-    if perfect_square(t1) is not None and perfect_square(t2) is not None:
-        return QuarticClass(QuarticGroup.C4, x)
-    return QuarticClass(QuarticGroup.D4, x)
+    group = QuarticGroup.C4 if is_c4(f.a, f.b, f.d, x, disc) else QuarticGroup.D4
+    return QuarticClass(group, x)
 
 
 # ---------------------------------------------------------------------------

@@ -204,14 +204,17 @@ def _cmd_family(args, parser) -> int:
         parser.error(f"bad delta {args.delta!r}")
     if args.threads < 0:
         parser.error("--threads must be >= 0")
-    if args.name == "d4vc":
-        members = gen_d4vc_family(args.height, delta)
-    elif args.name == "v4-biquadratic":
-        members = gen_v4_biquadratic(args.height)
-    elif args.name == "a4":
-        members = gen_a4_family(args.height)
-    else:
-        members = gen_a3_family(-args.height, args.height)
+    try:
+        if args.name == "d4vc":
+            members = gen_d4vc_family(args.height, delta)
+        elif args.name == "v4-biquadratic":
+            members = gen_v4_biquadratic(args.height)
+        elif args.name == "a4":
+            members = gen_a4_family(args.height)
+        else:
+            members = gen_a3_family(-args.height, args.height)
+    except ValueError as exc:
+        parser.error(str(exc))
     report = cross_validate(members, workers=args.threads or os.cpu_count() or 1)
     lines = [m.to_json(classified=label) for m, label in zip(members, report.labels)]
     summary = json.loads(report.to_json())
@@ -251,13 +254,16 @@ def _cmd_asym(args, parser) -> int:
             heights = [int(t) for t in args.heights.split(",")]
         except ValueError:
             parser.error("heights must be comma-separated integers")
-        reports = [
-            run_census(
-                CensusRequest(args.n, h, workers=args.threads),
-                progress=_progress_printer(f"census H={h}"),
-            )
-            for h in heights
-        ]
+        try:
+            reports = [
+                run_census(
+                    CensusRequest(args.n, h, workers=args.threads),
+                    progress=_progress_printer(f"census H={h}"),
+                )
+                for h in heights
+            ]
+        except CensusError as exc:
+            parser.error(str(exc))
         payload["fit"] = json.loads(fit_reducible(reports).to_json())
     print(json.dumps(payload))
     return 0

@@ -273,6 +273,8 @@ def gen_d4vc_family(height: int, delta: Fraction = Fraction(1, 5)) -> list[Famil
     the exact squared comparisons in Python ints in _d4vc_tuples; at
     H = 10^6 they reach about 6e19, past int64.
     """
+    if height < 0:
+        raise ValueError(f"height must be >= 0, got {height}")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     H = height

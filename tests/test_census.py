@@ -23,7 +23,9 @@ from galoiscensus.classify import (
     MonicQuartic,
     classify_cubic,
     classify_quartic,
-    is_reducible_quartic,
+    disc_quartic_coeffs,
+    is_c4,
+    reducibility_witness,
 )
 
 
@@ -59,13 +61,18 @@ def test_quartic_census_matches_per_polynomial_oracle(height):
     assert {k: v for k, v in report.counts.items() if v} == oracle
 
 
+def _disc_grid(a: int, b: int, height: int) -> np.ndarray:
+    """The stripe's int64 discriminant grid over (c, d), as the kernel builds it."""
+    v = np.arange(-height, height + 1, dtype=np.int64)
+    return disc_quartic_coeffs(a, b, v[:, None], v[None, :])
+
+
 def _assert_kernel_labels(a: int, b: int, height: int, cells) -> None:
     """Rebuild the class of each (c, d) in ``cells`` from the raw kernel
     grids of stripe (a, b), the way ``_quartic_stripe_counts`` decides it,
     and demand exact agreement with the per-polynomial classifier."""
     from galoiscensus.census import (
         _factor_pairs,
-        _quartic_disc_grid,
         _quartic_red_mask,
         _quartic_resolvent_roots,
         _square_mask,
@@ -73,7 +80,7 @@ def _assert_kernel_labels(a: int, b: int, height: int, cells) -> None:
 
     H = height
     red = _quartic_red_mask(a, b, H, _factor_pairs(H))
-    disc = _quartic_disc_grid(a, b, H)
+    disc = _disc_grid(a, b, H)
     square = _square_mask(disc)
     has_root, root_val = _quartic_resolvent_roots(a, b, H)
     for c, d in cells:
@@ -85,12 +92,7 @@ def _assert_kernel_labels(a: int, b: int, height: int, cells) -> None:
         elif not has_root[i, j]:
             label = "S4"
         else:
-            x, delta = int(root_val[i, j]), int(disc[i, j])
-            t1 = (x * x - 4 * d) * delta
-            t2 = (a * a - 4 * (b - x)) * delta
-            sq1 = t1 >= 0 and math.isqrt(t1) ** 2 == t1
-            sq2 = t2 >= 0 and math.isqrt(t2) ** 2 == t2
-            label = "C4" if (sq1 and sq2) else "D4"
+            label = "C4" if is_c4(a, b, d, int(root_val[i, j]), int(disc[i, j])) else "D4"
         assert label == classify_quartic(MonicQuartic(a, b, c, d)).group.value, (a, b, c, d)
 
 
@@ -112,7 +114,6 @@ def test_quartic_stripe_grids_match_classifier_at_height150():
     # so the rare classes are checked too
     from galoiscensus.census import (
         _factor_pairs,
-        _quartic_disc_grid,
         _quartic_red_mask,
         _quartic_resolvent_roots,
         _square_mask,
@@ -128,7 +129,7 @@ def test_quartic_stripe_grids_match_classifier_at_height150():
         cells += [(0, rng.randint(-H, H)) for _ in range(20)]
         red = _quartic_red_mask(a, b, H, _factor_pairs(H))
         has_root = _quartic_resolvent_roots(a, b, H)[0]
-        square = _square_mask(_quartic_disc_grid(a, b, H))
+        square = _square_mask(_disc_grid(a, b, H))
         for found in (red, has_root & ~red, square & ~red):
             hits = np.argwhere(found) - H
             for k in rng.sample(range(len(hits)), min(10, len(hits))):
@@ -230,7 +231,7 @@ def test_irreducible_table_bit_counts():
 def test_irreducible_table_matches_witness_scan():
     table = build_irreducible_table(4, 3)
     for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
-        expected = not is_reducible_quartic(MonicQuartic(a, b, c, d))
+        expected = reducibility_witness(MonicQuartic(a, b, c, d)) is None
         assert bool(table[a + 3, b + 3, c + 3, d + 3]) == expected
 
 
@@ -334,10 +335,12 @@ def test_list_a3_cubics_matches_classifier():
 
 def test_quartic_kernel_exact_at_height_cap():
     # int64 range claims hold at the documented cap H=400: grid values must
-    # equal exact Python-int arithmetic on sampled cells
+    # equal exact Python-int arithmetic on sampled cells.  The disc grid is
+    # the classifier's own formula on int64 arrays, so its comparison checks
+    # that the int64 evaluation does not overflow; sympy checks the formula
+    # itself in test_classify.
     from galoiscensus.census import (
         _factor_pairs,
-        _quartic_disc_grid,
         _quartic_red_mask,
         _quartic_resolvent_roots,
     )
@@ -347,7 +350,7 @@ def test_quartic_kernel_exact_at_height_cap():
     rng = random.Random(8)
     pairs = _factor_pairs(H)
     for a, b in [(400, -400), (399, 397), (0, -400), (255, -33)]:
-        disc = _quartic_disc_grid(a, b, H)
+        disc = _disc_grid(a, b, H)
         red = _quartic_red_mask(a, b, H, pairs)
         has_root, root_val = _quartic_resolvent_roots(a, b, H)
         for _ in range(120):
@@ -355,7 +358,7 @@ def test_quartic_kernel_exact_at_height_cap():
             d = rng.randint(-H, H)
             f = MonicQuartic(a, b, c, d)
             assert int(disc[c + H, d + H]) == disc_quartic(f)
-            assert bool(red[c + H, d + H]) == is_reducible_quartic(f)
+            assert bool(red[c + H, d + H]) == (reducibility_witness(f) is not None)
             roots = resolvent_integer_roots(f)
             assert bool(has_root[c + H, d + H]) == bool(roots)
             if roots:
@@ -364,21 +367,19 @@ def test_quartic_kernel_exact_at_height_cap():
 
 def test_cubic_kernel_exact_at_large_height():
     # the kernel's disc rows and reducible mask equal exact Python ints at
-    # the cap, and no b-row the A3 filter drops holds a positive square disc
-    from galoiscensus.census import (
-        _cubic_a3_rows,
-        _cubic_disc_rows,
-        _cubic_red_mask,
-        _factor_pairs,
-    )
-    from galoiscensus.classify import disc_cubic
+    # the cap, and no b-row the A3 filter drops holds a positive square disc.
+    # The disc rows are the classifier's own formula on int64 arrays, so
+    # their comparison checks that the int64 evaluation does not overflow;
+    # sympy checks the formula itself in test_classify.
+    from galoiscensus.census import _cubic_a3_rows, _cubic_red_mask, _factor_pairs
+    from galoiscensus.classify import disc_cubic, disc_cubic_coeffs
 
     H, W = 5000, 10001
     rng = random.Random(9)
     a = 4999
     red = _cubic_red_mask(a, H, _factor_pairs(H))
     rows = np.array(sorted({0, W - 1, *rng.sample(range(W), 30)}))
-    disc = _cubic_disc_rows(a, H, rows)
+    disc = disc_cubic_coeffs(a, (rows - H)[:, None], np.arange(-H, H + 1, dtype=np.int64))
     for i, bi in enumerate(rows.tolist()):
         for c in [-H, H, *rng.sample(range(-H, H + 1), 10)]:
             f = MonicCubic(a, bi - H, c)

@@ -15,10 +15,10 @@ from galoiscensus.classify import (
     disc_cubic,
     disc_quartic,
     frobenius_cycle_type,
+    fujiwara_bound,
     integer_roots_monic_cubic,
     invariants_cubic,
     invariants_quartic,
-    is_reducible_quartic,
     reducibility_witness,
     resolvent,
     resolvent_integer_roots,
@@ -98,6 +98,17 @@ def test_disc_quartic_against_sympy():
         assert disc_quartic(MonicQuartic(a, b, c, d)) == ref
 
 
+def test_disc_cubic_against_sympy():
+    import sympy
+    from sympy.abc import x
+
+    rng = random.Random(7)
+    for _ in range(200):
+        a, b, c = (rng.randint(-30, 30) for _ in range(3))
+        ref = sympy.discriminant(x**3 + a * x**2 + b * x + c, x)
+        assert disc_cubic(MonicCubic(a, b, c)) == ref
+
+
 # --- reducibility and resolvents ---
 
 @pytest.mark.parametrize(
@@ -122,7 +133,7 @@ def test_resolvent_examples(f, res):
     ],
 )
 def test_is_reducible_quartic_examples(f, reducible):
-    assert is_reducible_quartic(f) == reducible
+    assert (reducibility_witness(f) is not None) == reducible
 
 
 def test_reducibility_witness_is_a_certificate():
@@ -157,6 +168,19 @@ def test_integer_roots_from_constructed_factors(r1, r2, r3):
     q = r1 * r2 + r1 * r3 + r2 * r3
     r = -r1 * r2 * r3
     assert integer_roots_monic_cubic(p, q, r) == sorted({r1, r2, r3})
+
+
+@given(st.integers(-10, 10), st.integers(-10, 10), st.integers(-10, 10), st.integers(0, 10**6))
+@settings(max_examples=200)
+def test_fujiwara_bound_holds_for_a_family(r1, r2, r3, extra):
+    # the bound covers the roots, and it grows with |q| and |r|, so a bound
+    # taken at larger |q| and |r| still covers them (the census relies on this)
+    p = -(r1 + r2 + r3)
+    q = r1 * r2 + r1 * r3 + r2 * r3
+    r = -r1 * r2 * r3
+    bound = fujiwara_bound(p, q, r)
+    assert max(abs(r1), abs(r2), abs(r3)) < bound
+    assert bound <= fujiwara_bound(p, abs(q) + extra, -abs(r) - extra)
 
 
 def test_integer_roots_huge_coefficients():

@@ -142,6 +142,20 @@ def test_family_bad_delta():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--name", "d4vc", "--height", "-1"], "height must be >= 0, got -1"),
+        (["--name", "a4", "--height", "0"], "bound must be >= 1"),
+    ],
+)
+def test_family_generator_error_is_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["family", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_param_witness(capsys):
     assert main(["param-witness", "--coeffs", "1,-2,-1"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -165,6 +179,20 @@ def test_asym_with_heights(capsys):
     assert main(["asym", "--n", "3", "--heights", "10,20", "--threads", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [e["H"] for e in payload["fit"]["entries"]] == [10, 20]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--n", "3", "--heights", "5", "--threads", "-1"], "workers must be >= 0"),
+        (["--n", "4", "--heights", "401"], "exceeds the int64-safe cap"),
+    ],
+)
+def test_asym_census_error_is_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["asym", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_census_json_roundtrip_byte_identical(capsys):

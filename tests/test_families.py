@@ -243,6 +243,11 @@ def test_d4vc_distinct_tuples_give_mostly_distinct_polys():
     assert 3 * len(coeff_set) >= len(fam)  # each poly from at most 3 tuples
 
 
+def test_d4vc_negative_height():
+    with pytest.raises(ValueError, match="height must be >= 0, got -1"):
+        gen_d4vc_family(-1)
+
+
 def test_d4vc_bad_delta():
     with pytest.raises(ValueError):
         gen_d4vc_family(100, Fraction(3, 2))
