@@ -131,19 +131,9 @@ def invariants_cubic(f: MonicCubic) -> InvariantPair:
     return InvariantPair(a * a - 3 * b, 27 * c - 9 * a * b + 2 * a**3)
 
 
-def _has_integer_root_cubic(f: MonicCubic) -> bool:
-    # Monic, so rational roots are integers dividing the constant term.
-    if f.c == 0:
-        return True
-    for t in divisors(f.c):
-        if f(t) == 0 or f(-t) == 0:
-            return True
-    return False
-
-
 def classify_cubic(f: MonicCubic) -> CubicClass:
     """Reducible / S3 / A3 via integer-root scan and the square-disc test."""
-    if _has_integer_root_cubic(f):
+    if integer_roots_monic_cubic(f.a, f.b, f.c):
         return CubicClass.REDUCIBLE
     disc = disc_cubic(f)
     if disc > 0 and perfect_square(disc) is not None:
@@ -317,10 +307,6 @@ def _p_trim(f: list[int]) -> list[int]:
         f.pop()
     return f
 
-def _p_monic(f: list[int], p: int) -> list[int]:
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
-
 
 def _p_mulmod(f: list[int], g: list[int], m: list[int], p: int) -> list[int]:
     out = [0] * (len(f) + len(g) - 1)
@@ -345,14 +331,9 @@ def _p_rem(f: list[int], m: list[int], p: int) -> list[int]:
     return f
 
 
-def _p_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    while g:
-        f, g = g, _p_rem(f, g, p)
-    return _p_monic(f, p) if f else f
-
-
-def _p_powx(e: int, m: list[int], p: int) -> list[int]:
-    result, base = [1], _p_rem([0, 1], m, p)
+def _p_pow(base: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """base^e mod (m, p)."""
+    result, base = [1], _p_rem(base, m, p)
     while e:
         if e & 1:
             result = _p_mulmod(result, base, m, p)
@@ -361,52 +342,42 @@ def _p_powx(e: int, m: list[int], p: int) -> list[int]:
     return result
 
 
+def _p_root_count(f: list[int], xq: list[int], p: int) -> int:
+    """deg gcd(f, X^q - X) mod p, given xq = X^q mod f: the number of roots
+    of a squarefree f in F_q."""
+    g = xq + [0] * (2 - len(xq))
+    g[1] = (g[1] - 1) % p
+    g = _p_trim(g)
+    while g:
+        f, g = g, _p_rem(f, g, p)
+    return len(f) - 1
+
+
 def frobenius_cycle_type(f: MonicCubic | MonicQuartic, p: int) -> tuple[int, ...]:
     """Degrees of the irreducible factors of f mod p, ascending.
 
-    Distinct-degree factorization: gcds with X^(p^k) - X strip the degree-k
-    factors.  By Dedekind's theorem the result is the cycle type of a
-    Frobenius element of the Galois group, valid for primes p (including 2)
-    not dividing disc(f).
+    By Dedekind's theorem this is the cycle type of a Frobenius element of
+    the Galois group, valid for primes p (including 2) not dividing disc(f).
+    Then f mod p is squarefree, so deg gcd(f, X^p - X) counts its roots in
+    F_p, which are its e1 linear factors.  The other n - e1 degrees carry no
+    linear factor: 0, 2 or 3 of them form at most one factor, and 4 form
+    (2, 2) exactly when all four roots lie in F_(p^2), i.e. when
+    deg gcd(f, X^(p^2) - X) = 4, and (4,) otherwise.  X^(p^2) mod f is
+    computed as (X^p)^p mod f.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     disc = disc_cubic(f) if isinstance(f, MonicCubic) else disc_quartic(f)
     if disc % p == 0:
         raise ValueError(f"p={p} divides the discriminant")
-    rem = [c % p for c in f.coeffs()[::-1]] + [1]  # ascending, monic
-    parts: list[int] = []
-    k = 0
-    while len(rem) - 1 > 0:
-        k += 1
-        if 2 * k > len(rem) - 1:
-            # all factors of degree < k are gone, so the remainder is irreducible
-            parts.append(len(rem) - 1)
-            break
-        xq = _p_powx(p**k, rem, p)
-        while len(xq) < 2:
-            xq.append(0)
-        xq[1] = (xq[1] - 1) % p  # X^(p^k) - X
-        g = _p_gcd(rem[:], _p_trim(xq), p)
-        if len(g) > 1:
-            parts.extend([k] * ((len(g) - 1) // k))
-            rem = _p_quotient(rem, g, p)
-    return tuple(sorted(parts))
-
-
-def _p_quotient(f: list[int], g: list[int], p: int) -> list[int]:
-    f = _p_trim(f[:])
-    out = [0] * max(len(f) - len(g) + 1, 1)
-    inv = pow(g[-1], -1, p)
-    while len(f) >= len(g):
-        k = len(f) - len(g)
-        q = f[-1] * inv % p
-        out[k] = q
-        for i, gi in enumerate(g):
-            f[k + i] = (f[k + i] - q * gi) % p
-        f.pop()
-        _p_trim(f)
-    return _p_trim(out) or [0]
+    fp = [c % p for c in f.coeffs()[::-1]] + [1]  # ascending, monic
+    xp = _p_pow([0, 1], p, fp, p)
+    linear = _p_root_count(fp, xp, p)
+    rest = len(fp) - 1 - linear
+    if rest == 4:
+        quadratic_roots = _p_root_count(fp, _p_pow(xp, p, fp, p), p)
+        return (2, 2) if quadratic_roots == 4 else (4,)
+    return (1,) * linear + ((rest,) if rest else ())
 
 
 # cycle types realizable by each transitive group, as subgroups of S_n

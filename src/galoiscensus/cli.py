@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-identities", help="run exact identity sweeps")
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p.add_argument("--window", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0, help="echoed into the report")
     p.add_argument("--out")
 
     p = sub.add_parser("family", help="generate and cross-validate a construction family")
@@ -189,7 +188,6 @@ def _cmd_verify(args, parser) -> int:
     reports = run_suites(names, args.window)
     failures = sum(len(r.failures) for r in reports)
     payload = {
-        "seed": args.seed,
         "suites": [json.loads(r.to_json()) for r in reports],
         "failures": failures,
     }
@@ -204,6 +202,8 @@ def _cmd_family(args, parser) -> int:
         parser.error(f"bad delta {args.delta!r}")
     if args.threads < 0:
         parser.error("--threads must be >= 0")
+    if args.height < 0:
+        parser.error(f"height must be >= 0, got {args.height}")
     try:
         if args.name == "d4vc":
             members = gen_d4vc_family(args.height, delta)

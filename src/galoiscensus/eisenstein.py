@@ -243,7 +243,6 @@ class ParamWitness:
     r: int
     s: int
     t: int
-    conjugate_used: bool
 
     def verify(self) -> None:
         """Check every invariant; raises WitnessError with the failing one."""
@@ -301,7 +300,6 @@ class ParamWitness:
                 "r": self.r,
                 "s": self.s,
                 "t": self.t,
-                "conjugate_used": self.conjugate_used,
             }
         )
 
@@ -316,9 +314,12 @@ def _eis_is_cubefree(z: EisInt) -> bool:
 def parametrize_cubic_witness(f: MonicCubic) -> ParamWitness:
     """Run the full parametrization chain for an A3 cubic and verify it.
 
-    Both conjugates x +- y sqrt(-3) admit cubefree decompositions; the one
-    whose cubefree part has the smaller norm is recorded (ties prefer the
-    + conjugate), since that is the side the parameter-size analysis needs.
+    Only x + y sqrt(-3) is decomposed.  Its conjugate would give a cubefree
+    part of the same norm: conjugation maps each Eisenstein prime to a prime
+    with the same exponent, so the conjugate's cube root alpha' is an
+    associate of conj(alpha), and N(d') = N(x + y sqrt(-3)) / N(alpha)^3 =
+    N(d).  The parameter-size analysis, which wants the smaller norm, loses
+    nothing.
     """
     if classify_cubic(f) is not CubicClass.A3:
         raise WitnessError(f"{f} is not an A3 cubic")
@@ -332,19 +333,12 @@ def parametrize_cubic_witness(f: MonicCubic) -> ParamWitness:
         raise WitnessError("u v^2 does not divide 2I")  # unreachable if u cubefree
     x, y, z = J // g, Y // g, (2 * I) // g_tilde
 
-    plus = EisInt(x + y, 2 * y)  # x + y sqrt(-3)
-    d_p, a_p = eis_cubefree_decompose(plus)
-    d_m, a_m = eis_cubefree_decompose(plus.conj())
-    if d_m.norm() < d_p.norm():
-        d, alpha, conj_used = d_m.conj(), a_m.conj(), True
-    else:
-        d, alpha, conj_used = d_p, a_p, False
-
+    d, alpha = eis_cubefree_decompose(EisInt(x + y, 2 * y))  # x + y sqrt(-3)
     q, r = d.half_coords()
     s, t = alpha.half_coords()
     witness = ParamWitness(
         cubic=f, I=I, J=J, Y=Y, disc=disc, g=g, u=u, v=v, x=x, y=y, z=z,
-        d=d, alpha=alpha, q=q, r=r, s=s, t=t, conjugate_used=conj_used,
+        d=d, alpha=alpha, q=q, r=r, s=s, t=t,
     )
     witness.verify()
     return witness

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .classify import (
     MonicQuartic,
+    disc_cubic_coeffs,
     disc_quartic_coeffs,
     integer_roots_monic_cubic,
     invariants_quartic,
@@ -247,15 +248,15 @@ def surface_points(spec: SurfaceSpec, bound: int) -> list[tuple[int, int, int]]:
 
 
 def disc_F_identity(q: int, r: int) -> bool:
-    """disc(r X^3 + 3q X^2 - 9r X - 3q) == (18 (q^2 + 3 r^2))^2 for r != 0."""
+    """disc(F) == (18 (q^2 + 3 r^2))^2 for F = r X^3 + 3q X^2 - 9r X - 3q, r != 0.
+
+    r^2 F(X/r) = X^3 + 3q X^2 - 9r^2 X - 3q r^2 is monic with discriminant
+    r^2 disc(F), so the check runs on the monic cubic discriminant.
+    """
     if r == 0:
         raise ValueError("r must be nonzero (the polynomial must stay cubic)")
-    # general cubic a X^3 + b X^2 + c X + d
-    a, b, c, d = r, 3 * q, -9 * r, -3 * q
-    disc = (
-        18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
-    )
-    return disc == (18 * (q * q + 3 * r * r)) ** 2
+    r2 = r * r
+    return disc_cubic_coeffs(3 * q, -9 * r2, -3 * q * r2) == r2 * (18 * (q * q + 3 * r2)) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,11 @@ def test_classify_cubic_against_sympy_galois_group():
         (MonicQuartic(0, 0, 0, 1), 17, (1, 1, 1, 1)),
         (MonicQuartic(1, 1, 1, 1), 2, (4,)),
         (MonicCubic(1, -2, -1), 13, (1, 1, 1)),
+        (MonicCubic(0, 0, -2), 7, (3,)),
+        (MonicCubic(0, -1, -1), 5, (1, 2)),
+        (MonicQuartic(0, 0, -2, 1), 3, (1, 3)),
+        (MonicQuartic(0, 0, 0, -1), 3, (1, 1, 2)),
+        (MonicQuartic(0, 0, 0, -2), 5, (4,)),
     ],
 )
 def test_frobenius_examples(f, p, cycle):
@@ -307,19 +312,19 @@ def test_frobenius_against_sympy_factorization():
     from sympy.abc import x
 
     rng = random.Random(5)
-    for _ in range(150):
-        coeffs = [rng.randint(-15, 15) for _ in range(4)]
-        f = MonicQuartic(*coeffs)
-        p = rng.choice([2, 3, 5, 7, 11, 13, 17])
-        if disc_quartic(f) % p == 0:
-            continue
-        poly = sympy.Poly(
-            x**4 + coeffs[0] * x**3 + coeffs[1] * x**2 + coeffs[2] * x + coeffs[3],
-            x,
-            modulus=p,
-        )
-        ref = tuple(sorted(g.degree() for g, e in poly.factor_list()[1] for _ in range(e)))
-        assert frobenius_cycle_type(f, p) == ref
+    for n in (3, 4):
+        for _ in range(150):
+            coeffs = [rng.randint(-15, 15) for _ in range(n)]
+            f = MonicCubic(*coeffs) if n == 3 else MonicQuartic(*coeffs)
+            disc = disc_cubic(f) if n == 3 else disc_quartic(f)
+            p = rng.choice([2, 3, 5, 7, 11, 13, 17, 10007])
+            if disc % p == 0:
+                continue
+            poly = sympy.Poly(
+                x**n + sum(c * x ** (n - 1 - i) for i, c in enumerate(coeffs)), x, modulus=p
+            )
+            ref = tuple(sorted(g.degree() for g, e in poly.factor_list()[1] for _ in range(e)))
+            assert frobenius_cycle_type(f, p) == ref
 
 
 def test_cycle_types_land_in_classified_group():

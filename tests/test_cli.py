@@ -91,6 +91,7 @@ def test_census_height_cap_is_usage_error():
 def test_verify_identities_ok(capsys):
     assert main(["verify-identities", "--suite", "discF", "--window", "8"]) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"suites", "failures"}
     assert payload["failures"] == 0
     assert payload["suites"][0]["identity_name"] == "discF"
 
@@ -147,6 +148,8 @@ def test_family_bad_delta():
     [
         (["--name", "d4vc", "--height", "-1"], "height must be >= 0, got -1"),
         (["--name", "a4", "--height", "0"], "bound must be >= 1"),
+        (["--name", "a3", "--height", "-1"], "height must be >= 0, got -1"),
+        (["--name", "v4-biquadratic", "--height", "-1"], "height must be >= 0, got -1"),
     ],
 )
 def test_family_generator_error_is_usage_error(argv, message, capsys):

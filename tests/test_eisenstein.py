@@ -166,6 +166,17 @@ def test_cubefree_roundtrip(d0, a0):
     assert _eis_is_cubefree(d)
 
 
+@given(eis_nonzero, eis_nonzero)
+@settings(max_examples=150, deadline=None)
+def test_cubefree_part_of_conjugate(d0, a0):
+    # why parametrize_cubic_witness need not decompose the conjugate side
+    z = d0 * a0 * a0 * a0
+    d, _ = eis_cubefree_decompose(z)
+    d_conj, _ = eis_cubefree_decompose(z.conj())
+    assert d_conj.norm() == d.norm()
+    assert canonical_associate(d_conj) == canonical_associate(d.conj())
+
+
 # --- parametrization ---
 
 def test_param_xy_examples():
@@ -228,7 +239,11 @@ def test_witness_json_fields():
     w = parametrize_cubic_witness(MonicCubic(1, -2, -1))
     payload = json.loads(w.to_json())
     assert payload["cubic"] == [1, -2, -1]
-    assert payload["u"] == 7 and payload["conjugate_used"] is False
+    assert payload["u"] == 7
+    assert set(payload) == {
+        "cubic", "I", "J", "Y", "disc", "g", "u", "v", "x", "y", "z",
+        "d", "alpha", "q", "r", "s", "t",
+    }
 
 
 def test_witness_all_a3_cubics_height12():
