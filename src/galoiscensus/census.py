@@ -26,8 +26,10 @@ I = a^2 - 3b is a positive Loeschian number (x^2 + xy + y^2), which the
 paper's identity 27 disc = 4I^3 - J^2 requires of any square discriminant.
 
 The quartic reducible mask finds quadratic splits from the divisor pairs
-(q, s) of d, and the resolvent-root search divides only on the candidate
-rows whose value range over |c| <= H can reach |d| <= H.
+(q, s) of d, and the resolvent roots are enumerated from the paper's
+symmetry identity: for each candidate x, only the multiples of rad2(|K(x)|)
+in two short t = xa - 2c intervals are tried, on average about 130 per
+(a, b) at H = 60 and 210 at H = 400.
 
 The discriminants, the C4 test and the resolvent root bound are the
 classifier's functions; the stripes call them on int64 grids or Python ints.
@@ -38,12 +40,14 @@ sub-sum of its monomials, possibly divided by powers of c or d, so it has
 degree at most 6 and absolute coefficients summing to at most 1069: it is
 bounded by 1069 * H^6 < 2^62 for H <= 400.  In the reducible mask the split
 route stays below H^2 + 8H + 4 and the linear route below 2H^3 + H^2 + H.
-The resolvent candidates have |x| <= 805 at the cap, so the row bounds,
-(ax)^2 the largest, stay below 1.1e11.  The cubic discriminant's partial
-results are bounded the same way, by 5 H^4 + 22 H^3 + 27 H^2, safe far
-beyond the cubic cap of 5000, where the per-stripe masks (~100 MB) become
-the real constraint.  Heights above the caps are rejected rather
-than risk silent wraparound or swapping.
+The resolvent candidates have |x| <= 805 at the cap, so
+|t| <= 805 * 400 + 800 and t^2 < 1.1e11; |K| <= 164820, so the |t|-range
+ends |K| (x^2 + 4H) stay below 1.1e11 too, exact in float64 for the
+square-root guesses.  The cubic discriminant's partial results are bounded
+the same way, by 5 H^4 + 22 H^3 + 27 H^2, safe far beyond the cubic cap of
+5000, where the per-stripe masks (~100 MB) become the real constraint.
+Heights above the caps are rejected rather than risk silent wraparound or
+swapping.
 """
 
 from __future__ import annotations
@@ -87,8 +91,9 @@ DEFAULT_TABLE_CAP = 2**31  # bytes
 # whenever a kernel changes, so that a resume never merges stripes counted
 # by other code.  2: quadratic splits from factor pairs, pruned resolvent
 # rows.  3: the classifier's discriminants, C4 test and root bound.
+# 4: resolvent roots enumerated from the symmetry identity, not divided out.
 # Journals written before the version was recorded carry none.
-KERNEL_VERSION = 3
+KERNEL_VERSION = 4
 
 
 class CensusError(ValueError):
@@ -299,22 +304,69 @@ def _quartic_red_mask(a: int, b: int, height: int, pairs) -> np.ndarray:
     return red
 
 
+@functools.cache
+def _rad2(height: int) -> np.ndarray:
+    """Read-only int64 table over 0..n_max: rad2(n) = prod p^ceil(e/2) over
+    the prime powers p^e of n, the smallest m >= 0 with n | m^2.
+
+    n_max = H^2 + 4H + 4B + 4 bounds |K| = |a^2 - 4b + 4x| for every stripe
+    and every resolvent root candidate |x| <= B, the stripes' largest
+    Fujiwara bound.  Keyed by H alone, the table is built once per process.
+    A smallest-prime-factor sieve feeds one pass per prime factor: dividing
+    out p multiplies the result by p exactly when the exponent of p read so
+    far becomes odd, which gives p^ceil(e/2).
+    """
+    H = height
+    n_max = H * H + 4 * H + 4 * fujiwara_bound(H, H * H + 4 * H, H**3 + 5 * H * H) + 4
+    n = np.arange(n_max + 1, dtype=np.int64)
+    spf = n.copy()  # smallest prime factor; spf[k] == k marks k prime
+    for p in range(2, math.isqrt(n_max) + 1):
+        if spf[p] == p:
+            view = spf[p * p :: p]
+            np.minimum(view, p, out=view)
+    rem, rad = n.copy(), np.ones_like(n)
+    rem[0] = 1
+    last, odd = np.zeros_like(n), np.zeros(n.shape, dtype=bool)
+    while (rem > 1).any():
+        p = spf[rem]  # 1 once rem is used up
+        odd = (p > 1) & ((p != last) | ~odd)
+        rad *= np.where(odd, p, 1)
+        rem //= p
+        last = p
+    rad[0] = 0
+    rad.flags.writeable = False  # one cached copy is shared by every stripe
+    return rad
+
+
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) of int64 v in [0, 2^53): a float guess, corrected in ints.
+
+    float64(v) is exact there, and rounding sqrt(v) to float64 is monotone
+    and keeps integers, so with s = floor(sqrt(v)) the guess lies in
+    [s, s + 1]: one integer step down settles it.
+    """
+    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
+    r -= r * r > v
+    return r
+
+
 def _quartic_resolvent_roots(a: int, b: int, height: int):
     """(has_root, root_val) grids over (c, d) for the cubic resolvent.
 
-    r(x) = x^3 - b x^2 + (ac - 4d) x - (a^2 d - 4bd + c^2) rearranges to
-    d * K(x) = x^3 - b x^2 + a c x - c^2 with K(x) = 4x + a^2 - 4b, so each
-    candidate root x pins d per c (K != 0) or a full d-column (K == 0).
-    Candidate roots are complete via the Fujiwara bound, taken at the
-    largest |ac - 4d| and |a^2 d - 4bd + c^2| over the stripe.
+    r(x) = x^3 - b x^2 + (ac - 4d) x - (a^2 d - 4bd + c^2), and with
+    K(x) = a^2 - 4b + 4x and t = xa - 2c the paper's symmetry identity
+    (x^2 - 4d)(a^2 - 4e) = (xa - 2c)^2, e = b - x, reads
+    (x^2 - 4d) K - t^2 = 4 r(x).  Candidate roots are complete via the
+    Fujiwara bound, taken at the largest |ac - 4d| and |a^2 d - 4bd + c^2|
+    over the stripe.
 
-    A row x with K != 0 can hold a root only if num(x, c) = x^2 (x - b)
-    + axc - c^2 meets [-H|K|, H|K|] for some |c| <= H.  Over those c,
-    axc - c^2 >= -|ax| H - H^2, and axc - c^2 <= |ax| H as well as
-    axc - c^2 = (ax)^2 / 4 - (c - ax/2)^2 <= (ax)^2 / 4, hence
-    <= floor((ax)^2 / 4) since it is an integer.  Rows whose interval
-    [x^2 (x - b) - |ax| H - H^2, x^2 (x - b) + min(floor((ax)^2 / 4), |ax| H)]
-    misses [-H|K|, H|K|] are dropped before the division.
+    For K != 0, x is a root exactly when K | t^2 and x^2 - 4d = t^2 / K.
+    K | t^2 holds exactly when rad2(|K|) divides t.  |c| <= H puts t in
+    [xa - 2H, xa + 2H], and |d| <= H puts t^2 between K (x^2 - 4H) and
+    K (x^2 + 4H), which bounds |t| to one interval.  So each x steps
+    through at most two t-intervals by rad2(|K|), and a candidate t is a
+    root cell when t = xa (mod 2) and 4 | x^2 - t^2 / K; the candidates of
+    all x are generated at once.
     """
     H, W = height, 2 * height + 1
     has_root = np.zeros((W, W), dtype=bool)
@@ -325,24 +377,32 @@ def _quartic_resolvent_roots(a: int, b: int, height: int):
     xmax = fujiwara_bound(b, qmax, smax)
     x = np.arange(-xmax, xmax + 1, dtype=np.int64)
     K = 4 * x + (a * a - 4 * b)
-    base, ax = x * x * (x - b), np.abs(a * x)
-    lo = base - ax * H - H * H
-    hi = base + np.minimum(ax * ax // 4, ax * H)
-    reach = H * np.abs(K)
-    keep = (K != 0) & (lo <= reach) & (hi >= -reach)
-    xn = x[keep][:, None]
-    Kn = K[keep][:, None]
-    c = np.arange(-H, H + 1, dtype=np.int64)[None, :]
-    num = base[keep][:, None] + (a * xn) * c - c * c
-    dq, drem = np.divmod(num, Kn)
-    ok = (drem == 0) & (np.abs(dq) <= H)
-    if np.any(ok):
-        ci = np.broadcast_to(c, ok.shape)[ok] + H
-        di = dq[ok] + H
-        xi = np.broadcast_to(xn, ok.shape)[ok]
-        idx = ci * W + di
-        has_root.reshape(-1)[idx] = True
-        root_val.reshape(-1)[idx] = xi
+    x, K = x[K != 0], K[K != 0]
+    ax, step = a * x, _rad2(H)[np.abs(K)]
+    # |t| in [lo, hi] from t^2 = K (x^2 - 4d) over |d| <= H; hi < lo if none
+    e1, e2 = K * (x * x - 4 * H), K * (x * x + 4 * H)
+    top = np.maximum(e1, e2)
+    hi = np.where(top < 0, -1, _isqrt(np.maximum(top, 0)))
+    bot = np.maximum(np.minimum(e1, e2), 0)
+    lo = _isqrt(bot)
+    lo += lo * lo < bot
+    # t >= 0 and t < 0, each cut to the c-window [xa - 2H, xa + 2H]
+    tlo = np.concatenate([np.maximum(lo, ax - 2 * H), np.maximum(-hi, ax - 2 * H)])
+    thi = np.concatenate([np.minimum(hi, ax + 2 * H), np.minimum(-np.maximum(lo, 1), ax + 2 * H)])
+    x, K, step = np.tile(x, 2), np.tile(K, 2), np.tile(step, 2)
+    # the n multiples k * step in [tlo, thi], k from ceil(tlo / step), laid
+    # out interval after interval
+    k0 = -(-tlo // step)
+    n = np.maximum(thi // step - k0 + 1, 0)
+    first = np.cumsum(n) - n
+    k = np.repeat(k0 - first, n) + np.arange(int(n.sum()))
+    x, K = np.repeat(x, n), np.repeat(K, n)
+    t = k * np.repeat(step, n)
+    c2, d4 = a * x - t, x * x - t * t // K  # 2c and 4d
+    ok = (c2 % 2 == 0) & (d4 % 4 == 0) & (np.abs(c2) <= 2 * H) & (np.abs(d4) <= 4 * H)
+    idx = (c2[ok] // 2 + H) * W + (d4[ok] // 4 + H)
+    has_root.reshape(-1)[idx] = True
+    root_val.reshape(-1)[idx] = x[ok]
 
     # K(x0) == 0: the constraint degenerates to a quadratic in c alone and
     # every d shares the root x0
@@ -516,9 +576,12 @@ def _journal_load(path: str, req: CensusRequest) -> dict[int, dict[str, int]]:
     A final line without its newline is a write torn by a crash: it is cut
     off the file, so its stripe is recomputed and appended.  Any other
     malformed line raises CensusError with its line number, and so does a
-    first line that is not the header of this request and KERNEL_VERSION.
+    first line that is not the header of this request and KERNEL_VERSION,
+    a record with a negative count or counts that do not sum to its share
+    of the box, and a second record of a stripe (naming both lines).
     """
     done: dict[int, dict[str, int]] = {}
+    seen: dict[int, int] = {}  # stripe -> line number
     if not os.path.exists(path):
         return done
     with open(path, "rb+") as fh:
@@ -527,6 +590,7 @@ def _journal_load(path: str, req: CensusRequest) -> dict[int, dict[str, int]]:
         if end < len(data):
             fh.truncate(end)
     checksum, classes = req.checksum(), list(req.classes())
+    cells = (2 * req.height + 1) ** (req.degree - 1)  # per a-stratum
     for lineno, raw in enumerate(data[:end].splitlines(), 1):
         if not raw.strip():
             continue
@@ -561,6 +625,15 @@ def _journal_load(path: str, req: CensusRequest) -> dict[int, dict[str, int]]:
         ):
             text = raw[:80].decode(errors="replace")
             raise CensusError(f"journal {path} line {lineno}: malformed record {text!r}")
+        share = cells if a == 0 else 2 * cells
+        if min(part.values()) < 0 or sum(part.values()) != share:
+            raise CensusError(
+                f"journal {path} line {lineno}: stripe {a} counts {part} "
+                f"must be >= 0 and sum to its {share} cells"
+            )
+        if a in seen:
+            raise CensusError(f"journal {path} lines {seen[a]} and {lineno}: both record stripe {a}")
+        seen[a] = lineno
         done[a] = part
     return done
 

@@ -24,9 +24,11 @@ from galoiscensus.classify import (
     classify_cubic,
     classify_quartic,
     disc_quartic_coeffs,
+    fujiwara_bound,
     is_c4,
     reducibility_witness,
 )
+from galoiscensus.exactarith import perfect_square
 
 
 def _oracle_counts(degree: int, height: int) -> dict[str, int]:
@@ -176,6 +178,99 @@ def test_quartic_resolvent_roots_match_unpruned_search():
         assert not value[has_root].any(), (a, b)
 
 
+def _resolvent_oracle(a: int, b: int, height: int):
+    """(has_root, root_val) by the earlier dense search: d * K(x) = num(x, c)
+    with num = x^2 (x - b) + axc - c^2 is divided out on every (x, c) of
+    the rows whose value range can reach |d| <= H."""
+    H, W = height, 2 * height + 1
+    has_root = np.zeros((W, W), dtype=bool)
+    root_val = np.zeros((W, W), dtype=np.int64)
+
+    qmax = abs(a) * H + 4 * H
+    smax = a * a * H + 4 * abs(b) * H + H * H
+    xmax = fujiwara_bound(b, qmax, smax)
+    x = np.arange(-xmax, xmax + 1, dtype=np.int64)
+    K = 4 * x + (a * a - 4 * b)
+    base, ax = x * x * (x - b), np.abs(a * x)
+    # over |c| <= H, axc - c^2 lies in [-|ax| H - H^2, min((ax)^2 / 4, |ax| H)]
+    lo = base - ax * H - H * H
+    hi = base + np.minimum(ax * ax // 4, ax * H)
+    reach = H * np.abs(K)
+    keep = (K != 0) & (lo <= reach) & (hi >= -reach)
+    xn = x[keep][:, None]
+    Kn = K[keep][:, None]
+    c = np.arange(-H, H + 1, dtype=np.int64)[None, :]
+    num = base[keep][:, None] + (a * xn) * c - c * c
+    dq, drem = np.divmod(num, Kn)
+    ok = (drem == 0) & (np.abs(dq) <= H)
+    idx = (np.broadcast_to(c, ok.shape)[ok] + H) * W + dq[ok] + H
+    has_root.reshape(-1)[idx] = True
+    root_val.reshape(-1)[idx] = np.broadcast_to(xn, ok.shape)[ok]
+
+    # K(x0) == 0: a quadratic in c alone, and every d shares the root x0
+    if a % 2 == 0:
+        x0 = b - (a * a) // 4
+        t = perfect_square((a * x0) ** 2 - 4 * (b * x0 * x0 - x0**3))
+        if t is not None:
+            for cv in {a * x0 + t, a * x0 - t}:
+                if cv % 2 == 0 and abs(cv // 2) <= H:
+                    has_root[cv // 2 + H, :] = True
+                    root_val[cv // 2 + H, :] = x0
+    return has_root, root_val
+
+
+def _assert_resolvent_matches_oracle(a: int, b: int, height: int) -> None:
+    from galoiscensus.census import _quartic_resolvent_roots
+
+    H = height
+    has_root, root_val = _quartic_resolvent_roots(a, b, H)
+    assert np.array_equal(has_root, _resolvent_oracle(a, b, H)[0]), (a, b, H)
+    c = np.arange(-H, H + 1, dtype=np.int64)[:, None]
+    d = np.arange(-H, H + 1, dtype=np.int64)[None, :]
+    r = root_val
+    value = r**3 - b * r**2 + (a * c - 4 * d) * r - (a * a * d - 4 * b * d + c * c)
+    assert not value[has_root].any(), (a, b, H)
+
+
+def test_quartic_resolvent_roots_match_oracle_up_to_height20():
+    for H in range(21):
+        for a, b in itertools.product(range(-H, H + 1), repeat=2):
+            _assert_resolvent_matches_oracle(a, b, H)
+
+
+@pytest.mark.parametrize("height", [150, 400])
+def test_quartic_resolvent_roots_match_oracle_on_seeded_stripes(height):
+    H = height
+    rng = random.Random(height)
+    stripes = [(H, H), (-H, -H), (H, -H), (-H, H), (0, 0)]
+    stripes += [(rng.randint(-H, H), rng.randint(-H, H)) for _ in range(15)]
+    for a, b in stripes:
+        _assert_resolvent_matches_oracle(a, b, H)
+
+
+def test_rad2_table():
+    # rad2(n) = prod p^ceil(e/2) is the smallest m with n | m^2
+    from galoiscensus.census import _rad2
+    from galoiscensus.exactarith import factorize
+
+    def rad2(n: int) -> int:
+        return math.prod(p ** ((e + 1) // 2) for p, e in factorize(n).factors)
+
+    table = _rad2(140)
+    assert not table.flags.writeable
+    assert table.size > 20001 and table[0] == 0
+    for n in range(1, 20001):
+        assert table[n] == rad2(n), n
+    for n in range(1, 2001):
+        assert table[n] == next(m for m in range(1, n + 1) if m * m % n == 0), n
+
+    H = 400
+    top = _rad2(H)
+    n_max = H * H + 4 * H + 4 * fujiwara_bound(H, H * H + 4 * H, H**3 + 5 * H * H) + 4
+    assert top.size == n_max + 1 == 164825
+    assert top[-1] == rad2(n_max)
+
+
 def test_determinism_across_worker_counts():
     for workers in (1, 2, 3):
         rep = run_census(CensusRequest(3, 8, workers=workers))
@@ -273,6 +368,46 @@ def test_journal_malformed_line_is_named(tmp_path):
     lines[2] = lines[2][:12]
     journal.write_text("\n".join(lines) + "\n")
     with pytest.raises(CensusError, match="line 3"):
+        run_census(req, journal_path=str(journal))
+
+
+def test_journal_repeated_stripe_is_named(tmp_path):
+    # a second record of a stripe, even one whose counts still sum to its
+    # share of the box, is refused, not merged over the first
+    journal = tmp_path / "census.journal"
+    req = CensusRequest(3, 3, workers=1)
+    run_census(req, journal_path=str(journal))
+    lines = journal.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["counts"]["S3"] -= 1
+    rec["counts"]["A3"] += 1
+    journal.write_text("\n".join([*lines, json.dumps(rec)]) + "\n")
+    with pytest.raises(CensusError, match=f"lines 3 and {len(lines) + 1}: both record stripe {rec['stripe']}"):
+        run_census(req, journal_path=str(journal))
+
+
+def test_journal_record_totals_are_checked(tmp_path):
+    # two records whose errors cancel would pass the final sum check; each
+    # record must sum to its own share of the box, with no negative count
+    journal = tmp_path / "census.journal"
+    req = CensusRequest(3, 3, workers=1)
+    run_census(req, journal_path=str(journal))
+    lines = journal.read_text().splitlines()
+    recs = [json.loads(line) for line in lines[1:]]
+    recs[0]["counts"]["S3"] += 2
+    recs[2]["counts"]["S3"] -= 2
+    journal.write_text("\n".join([lines[0], *map(json.dumps, recs)]) + "\n")
+    with pytest.raises(CensusError, match="line 2: stripe 0 .* sum to its 49 cells"):
+        run_census(req, journal_path=str(journal))
+
+    # a negative count is refused even when the record's total is right
+    recs[0]["counts"]["S3"] -= 2
+    recs[2]["counts"]["S3"] += 2
+    counts = recs[1]["counts"]
+    counts["S3"] += counts["A3"] + 1
+    counts["A3"] = -1
+    journal.write_text("\n".join([lines[0], *map(json.dumps, recs)]) + "\n")
+    with pytest.raises(CensusError, match="line 3: stripe 1 .* must be >= 0"):
         run_census(req, journal_path=str(journal))
 
 
@@ -439,6 +574,19 @@ def test_square_mask_matches_isqrt(values):
 
     got = _square_mask(np.array(values, dtype=np.int64))
     assert got.tolist() == [_is_positive_square(v) for v in values]
+
+
+def test_isqrt_matches_math_isqrt():
+    from galoiscensus.census import _isqrt
+
+    values = [0, 1, 2, 3, 4, 2**53 - 1]
+    for s in [*range(1, 50), *range(2**26 - 3, 2**26 + 3), *range(94906262, 94906266)]:
+        values += [s * s - 1, s * s, s * s + 1]
+    values = [v for v in values if v < 2**53]
+    rng = random.Random(53)
+    values += [rng.randrange(2**53) for _ in range(1000)]
+    got = _isqrt(np.array(values, dtype=np.int64))
+    assert got.tolist() == [math.isqrt(v) for v in values]
 
 
 def test_square_mask_edge_cases():
