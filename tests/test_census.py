@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import random
 from collections import Counter
 
@@ -360,6 +361,31 @@ def test_journal_torn_tail_is_recomputed(tmp_path):
     assert journal.read_text() == text
 
 
+def _count_fsyncs(monkeypatch) -> list[int]:
+    """Patch os.fsync to record the size of the synced file at each call."""
+    sizes = []
+    monkeypatch.setattr(os, "fsync", lambda fd: sizes.append(os.fstat(fd).st_size))
+    return sizes
+
+
+def test_journal_fsync_cadence(tmp_path, monkeypatch):
+    # a short run fsyncs at most once per second, plus once before the close,
+    # after the last record
+    journal = tmp_path / "census.journal"
+    sizes = _count_fsyncs(monkeypatch)
+    rep = run_census(CensusRequest(3, 8, workers=1), journal_path=str(journal))
+    assert 1 <= len(sizes) <= 1 + int(rep.wall_time_s)
+    assert sizes[-1] == journal.stat().st_size
+
+    # with no interval, each stripe record is fsynced as it lands
+    monkeypatch.setattr("galoiscensus.census._FSYNC_INTERVAL_S", 0.0)
+    journal.unlink()
+    sizes.clear()
+    run_census(CensusRequest(3, 8, workers=1), journal_path=str(journal))
+    ends = list(itertools.accumulate(len(line) for line in journal.read_text().splitlines(keepends=True)))
+    assert sizes == ends[1:] + ends[-1:]  # one per stripe, then the close
+
+
 def test_journal_malformed_line_is_named(tmp_path):
     journal = tmp_path / "census.journal"
     req = CensusRequest(3, 6, workers=1)
@@ -457,15 +483,19 @@ def test_report_csv_shape():
     assert lines[1:] == ["reducible,15", "S3,12", "A3,0"]
 
 
-def test_list_a3_cubics_matches_classifier():
-    found = list_a3_cubics(6)
-    expected = [
-        (a, b, c)
-        for a, b, c in itertools.product(range(-6, 7), repeat=3)
-        if classify_cubic(MonicCubic(a, b, c)).value == "A3"
-    ]
-    assert found == expected
-    assert len(found) == run_census(CensusRequest(3, 6, workers=1)).counts["A3"]
+def test_list_a3_cubics_matches_classifier(monkeypatch):
+    # H=6 runs one tile per stripe; at H=20 two-row tiles make c0 vary
+    for H, tile_cells in [(6, None), (20, 2 * 41)]:
+        if tile_cells:
+            monkeypatch.setattr("galoiscensus.census._TILE_CELLS", tile_cells)
+        found = list_a3_cubics(H)
+        expected = [
+            (a, b, c)
+            for a, b, c in itertools.product(range(-H, H + 1), repeat=3)
+            if classify_cubic(MonicCubic(a, b, c)).value == "A3"
+        ]
+        assert found == expected
+        assert len(found) == run_census(CensusRequest(3, H, workers=1)).counts["A3"]
 
 
 def test_quartic_kernel_exact_at_height_cap():
@@ -529,24 +559,100 @@ def test_cubic_kernel_exact_at_large_height():
             assert not _is_positive_square(disc_cubic(MonicCubic(a, bi - H, c)))
 
 
-def test_cubic_row_filter_matches_dense_sweep():
-    from galoiscensus.census import _cubic_a3_blocks, _cubic_red_mask, _factor_pairs, _square_mask
+def _dense_a3_rows(a: int, H: int, red: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The A3 cells of the b-row indices ``rows`` over every c, from the raw
+    discriminant formula with no row filter, window or tiling."""
+    from galoiscensus.census import _square_mask
 
-    H = 60
-    b = np.arange(-H, H + 1, dtype=np.int64)[:, None]
+    b = (rows - H)[:, None]
     c = np.arange(-H, H + 1, dtype=np.int64)[None, :]
+    disc = a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
+    return _square_mask(disc) & ~red[rows]
+
+
+def _tiles(a: int, H: int, red: np.ndarray):
+    """The sweep's tiles, checked for ascending disjoint rows and in-box,
+    in-budget shapes."""
+    from galoiscensus.census import _TILE_CELLS, _cubic_a3_blocks
+
+    seen = []
+    for rows, c0, mask in _cubic_a3_blocks(a, H, red):
+        assert mask.shape[0] == rows.size <= max(1, _TILE_CELLS // (2 * H + 1))
+        assert -H <= c0 and c0 + mask.shape[1] - 1 <= H
+        seen += rows.tolist()
+        yield rows, c0, mask
+    assert seen == sorted(set(seen))
+
+
+def test_cubic_row_filter_matches_dense_sweep(monkeypatch):
+    from galoiscensus.census import _cubic_red_mask, _factor_pairs
+
+    # three rows per tile, so every stripe runs many tiles with their own c0
+    H, W = 60, 121
+    monkeypatch.setattr("galoiscensus.census._TILE_CELLS", 3 * W)
     pairs = _factor_pairs(H)
+    n_tiles = 0
     for a in range(-H, H + 1):
         red = _cubic_red_mask(a, H, pairs)
-        disc = a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
-        dense = _square_mask(disc) & ~red
-        filtered = np.zeros_like(dense)
-        seen = []
-        for rows, mask in _cubic_a3_blocks(a, H, red, block=7):
-            filtered[rows] = mask
-            seen += rows.tolist()
-        assert seen == sorted(set(seen))
-        assert np.array_equal(filtered, dense), a
+        dense = _dense_a3_rows(a, H, red, np.arange(W))
+        tiled = np.zeros_like(dense)
+        for rows, c0, mask in _tiles(a, H, red):
+            tiled[rows, c0 + H : c0 + H + mask.shape[1]] = mask
+            n_tiles += 1
+        assert np.array_equal(tiled, dense), a
+    assert n_tiles > 10 * W
+
+
+@pytest.mark.parametrize("height", [1200, 5000])
+def test_cubic_tiles_match_dense_rows_at_large_heights(height):
+    # the full dense grid is too large here: sampled rows of seeded stripes
+    # are swept densely one at a time and compared with the tiles' rows
+    from galoiscensus.census import _cubic_a3_rows, _cubic_red_mask, _factor_pairs
+
+    H, W = height, 2 * height + 1
+    rng = random.Random(height)
+    pairs = _factor_pairs(H)
+    for a in [0, H, rng.randint(1, H - 1)]:
+        red = _cubic_red_mask(a, H, pairs)
+        sample = set(rng.sample(range(W), 20) + rng.sample(_cubic_a3_rows(a, H).tolist(), 40))
+        tiled = {}  # the sampled rows and the rows with an A3 cell
+        for rows, c0, mask in _tiles(a, H, red):
+            for i, bi in enumerate(rows.tolist()):
+                if bi in sample or mask[i].any():
+                    tiled[bi] = np.zeros(W, dtype=bool)
+                    tiled[bi][c0 + H : c0 + H + mask.shape[1]] = mask[i]
+        hits = [bi for bi, row in tiled.items() if row.any()]
+        assert hits, a
+        for bi in sorted(sample | set(rng.sample(hits, min(20, len(hits))))):
+            dense = _dense_a3_rows(a, H, red, np.array([bi]))[0]
+            assert np.array_equal(tiled.get(bi, np.zeros(W, dtype=bool)), dense), (a, bi)
+
+
+def test_cubic_c_window_edges_in_python_ints():
+    # the window ends hold disc >= 0 and their outer neighbours disc <= 0,
+    # evaluated in Python ints, including rows where 4 I^3 outgrows int64
+    from galoiscensus.census import _cubic_a3_rows, _cubic_c_window
+    from galoiscensus.classify import disc_cubic_coeffs
+
+    rng = random.Random(27)
+    wide = non_empty = 0
+    for H in [1, 7, 60, 500, 1200, 5000]:
+        for a in {0, H, -H, rng.randint(-H, H)}:
+            rows = _cubic_a3_rows(a, H).tolist()
+            pick = sorted({rows[0], rows[-1], *rng.sample(rows, min(40, len(rows)))})
+            lo, hi = _cubic_c_window(a, H, np.array(pick, dtype=np.int64))
+            for bi, lo_c, hi_c in zip(pick, lo.tolist(), hi.tolist()):
+                b = bi - H
+                wide += 4 * (a * a - 3 * b) ** 3 > 2**63
+                if lo_c - 1 >= -H:
+                    assert disc_cubic_coeffs(a, b, lo_c - 1) <= 0, (H, a, b)
+                if hi_c + 1 <= H:
+                    assert disc_cubic_coeffs(a, b, hi_c + 1) <= 0, (H, a, b)
+                if lo_c <= hi_c:
+                    non_empty += 1
+                    assert disc_cubic_coeffs(a, b, lo_c) >= 0, (H, a, b)
+                    assert disc_cubic_coeffs(a, b, hi_c) >= 0, (H, a, b)
+    assert wide > 20 and non_empty > 100
 
 
 def test_loeschian_table_matches_prime_exponent_rule():
