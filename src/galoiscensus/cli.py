@@ -185,7 +185,10 @@ def _cmd_census(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    reports = run_suites(names, args.window)
+    try:
+        reports = run_suites(names, args.window)
+    except ValueError as exc:
+        parser.error(str(exc))
     failures = sum(len(r.failures) for r in reports)
     payload = {
         "suites": [json.loads(r.to_json()) for r in reports],

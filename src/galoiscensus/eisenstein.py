@@ -245,7 +245,19 @@ class ParamWitness:
     t: int
 
     def verify(self) -> None:
-        """Check every invariant; raises WitnessError with the failing one."""
+        """Check every invariant; raises WitnessError with the failing one.
+
+        "d cubefree in Z[zeta]" is decided from the factorization of N(d),
+        independently of how d was built.  Each rational prime p dividing
+        N(d) lies under primes of Z[zeta] by its residue mod 3:
+        - p = 3 ramifies, 3 = -zeta^2 lambda^2 with N(lambda) = 3, so
+          v_lambda(d) = v_3(N(d)) and d is lambda-cubefree iff v_3(N) < 3;
+        - p = 2 (mod 3) stays prime with N(p) = p^2, so v_p(N) = 2 v_p(d)
+          and d is p-cubefree iff v_p(N) < 6;
+        - p = 1 (mod 3) splits into pi and conj(pi) of norm p, so
+          v_p(N) = v_pi(d) + v_conj(pi)(d).  If v_p(N) < 3 both are below 3;
+          otherwise exact division of d by pi^3 and by conj(pi)^3 decides.
+        """
         checks = [
             ("disc matches cubic", self.disc == disc_cubic(self.cubic)),
             ("Y = 3 sqrt(disc) > 0", self.Y > 0 and self.Y * self.Y == 9 * self.disc),
@@ -305,10 +317,22 @@ class ParamWitness:
 
 
 def _eis_is_cubefree(z: EisInt) -> bool:
+    """True iff no prime cube divides z, read off the factorization of N(z)
+    (the argument is in ParamWitness.verify)."""
     if not z:
         return False
-    _, primes = eis_factor(z)
-    return all(e < 3 for _, e in primes)
+    for p, e in factorize(z.norm()).factors:
+        if p % 3 == 2:
+            if e >= 6:
+                return False
+        elif e >= 3:
+            if p == 3:
+                return False
+            pi = _split_prime_above(p)
+            for prime in (pi, pi.conj()):
+                if eis_exact_div(z, prime * prime * prime) is not None:
+                    return False
+    return True
 
 
 def parametrize_cubic_witness(f: MonicCubic) -> ParamWitness:

@@ -4,6 +4,32 @@ surfaces.
 
 Everything is checked with integer or rational arithmetic; the suites return
 a report listing every failing case (expected: none, these are identities).
+
+The star suite evaluates both sides of the discriminant factorization one u
+at a time, on a broadcast (v, w, x, a, sign) grid of 2 (2W + 1)^4 cells for
+the window W, through the same `_star_sides` a single case goes through.
+Failures are read from the grid in the order of the nested loop over u, v,
+w, x, a and then sign = +1 before -1.  One block per u keeps the memory to a
+few hundred kB at W = 6; a single 5-D grid would be 13 times larger.
+
+int64 safety of the star grid: numpy int64 wraps silently, so the window cap
+is proved, not measured.  Replace every variable by W, every coefficient by
+its absolute value and every minus by a plus: this majorant of an
+expression bounds its absolute value, and it is the sum of the |monomials|
+of the expression expanded as written, with no terms cancelled.  All majorants are integers >= 1 for
+W >= 1, so the majorant of a sum or product is at least that of each
+operand, and the majorant of a whole side bounds every partial result on
+the way, the Horner partials of the discriminant included.  For the
+discriminant side, disc(X^4 + 2a X^3 + 4b X^2 + 8c X + 16d), it is
+
+    128 W^15 + 768 W^14 + 8448 W^13 + 52480 W^12 + 180352 W^11
+    + 399872 W^10 + 622592 W^9 + 604160 W^8 + 311296 W^7 + 65536 W^6,
+
+which is 4.49e18 < 2^63 at W = 12 but 1.37e19 > 2^63 at W = 13.  For the
+other side, 64 factor^2 RHS, it is 256 W^14 + 1024 W^13 + 13824 W^12
++ 46080 W^11 + 69888 W^10 + 53248 W^9 + 16384 W^8, 6.0e17 at W = 12.  So
+windows up to STAR_INT64_WINDOW = 12 run in int64; larger ones run the same
+blocks on dtype=object arrays of Python ints, exact at any size.
 """
 
 from __future__ import annotations
@@ -11,6 +37,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from .classify import (
     MonicQuartic,
@@ -23,6 +51,7 @@ from .classify import (
 from .exactarith import perfect_square
 
 __all__ = [
+    "STAR_INT64_WINDOW",
     "CurveSpec",
     "SurfaceSpec",
     "VerificationReport",
@@ -109,7 +138,7 @@ def check_symmetry_identity(x: int, a: int, c: int, d: int, e: int) -> bool:
     return (x * x - 4 * d) * (a * a - 4 * e) == (x * a - 2 * c) ** 2
 
 
-def _star_rhs(u: int, v: int, w: int, x: int, a: int, sign: int) -> int:
+def _star_rhs(u, v, w, x, a, sign):
     return (
         a**4
         - 64 * u * v * v
@@ -143,15 +172,34 @@ def check_star_identity(u: int, v: int, w: int, x: int, a: int, sign: int = 1) -
     return 64 * disc == factor * factor * _star_rhs(u, v, w, x, a, sign)
 
 
-def _star_check_scaled(u: int, v: int, w: int, x: int, a: int, sign: int) -> bool:
-    """Integer-only route: disc of the 2-rescaled quartic X^4 + 2a X^3 + 4b X^2
-    + 8c X + 16d (integral whenever 4d, 4b, 2c are), using disc(F) = 4^6 disc(f)."""
+def _star_sides(u, v, w, x, a, sign):
+    """Both sides of the star identity in integer-only form: the disc of the
+    2-rescaled quartic X^4 + 2a X^3 + 4b X^2 + 8c X + 16d (integral whenever
+    4d, 4b, 2c are), which is 4^6 disc(f), and 64 factor^2 RHS.  Works on
+    ints and on broadcast int64 or object arrays alike."""
     d16 = 4 * (x * x - u * v * v)
     b4 = 4 * x + a * a - u * w * w
     c8 = 4 * (x * a + sign * u * v * w)
-    disc_f = disc_quartic_coeffs(2 * a, b4, c8, d16)
     factor = u * (2 * v * v + sign * a * v * w + w * w * x)
-    return disc_f == 64 * factor * factor * _star_rhs(u, v, w, x, a, sign)
+    return (
+        disc_quartic_coeffs(2 * a, b4, c8, d16),
+        64 * factor * factor * _star_rhs(u, v, w, x, a, sign),
+    )
+
+
+STAR_INT64_WINDOW = 12
+"""Largest star_suite window evaluated in int64 (argued in the module docstring)."""
+
+_STAR_SIGNS = (1, -1)
+
+
+def _star_block(u: int, window: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides at fixed u on the (v, w, x, a, sign) grid of the window,
+    with sign = (+1, -1) on the last axis."""
+    r = np.arange(-window, window + 1, dtype=dtype)
+    n = r.size
+    v, w, x, a = r.reshape(n, 1, 1, 1, 1), r.reshape(n, 1, 1, 1), r.reshape(n, 1, 1), r.reshape(n, 1)
+    return _star_sides(u, v, w, x, a, np.array(_STAR_SIGNS, dtype=dtype))
 
 
 def curve_is_reducible(spec: CurveSpec) -> bool:
@@ -281,20 +329,24 @@ def symmetry_suite(window: int = 6) -> VerificationReport:
 
 def star_suite(window: int = 6) -> VerificationReport:
     """The cleared-denominator discriminant factorization on the full
-    (u, v, w, x, a) window, both signs."""
+    (u, v, w, x, a) window, both signs.
+
+    Each u is one block: `_star_sides` on the broadcast (v, w, x, a, sign)
+    grid, in int64 up to STAR_INT64_WINDOW and on dtype=object arrays above
+    it (see the module docstring for the bound).  Failures are listed in the
+    loop order u, v, w, x, a, sign = +1 before -1, as plain ints.
+    """
     rep = VerificationReport("star", window, 0)
-    rng = range(-window, window + 1)
-    for u in rng:
-        for v in rng:
-            for w in rng:
-                for x in rng:
-                    for a in rng:
-                        for sign in (1, -1):
-                            rep.cases_checked += 1
-                            if not _star_check_scaled(u, v, w, x, a, sign):
-                                rep.failures.append(
-                                    {"u": u, "v": v, "w": w, "x": x, "a": a, "sign": sign}
-                                )
+    dtype = np.int64 if window <= STAR_INT64_WINDOW else object
+    for u in range(-window, window + 1):
+        lhs, rhs = _star_block(u, window, dtype)
+        bad = lhs != rhs
+        rep.cases_checked += bad.size
+        for vi, wi, xi, ai, si in np.argwhere(bad).tolist():
+            rep.failures.append(
+                {"u": u, "v": vi - window, "w": wi - window, "x": xi - window,
+                 "a": ai - window, "sign": _STAR_SIGNS[si]}
+            )
     return rep
 
 
@@ -338,6 +390,10 @@ _SUITES = {
 
 
 def run_suites(names: list[str], window: int | None = None) -> list[VerificationReport]:
+    """Run the named suites at `window`, or each at its default window.  A
+    negative window would sweep nothing and report a pass, so it is refused."""
+    if window is not None and window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
     reports = []
     for name in names:
         if name not in _SUITES:

@@ -104,6 +104,15 @@ def test_verify_identities_all_small(capsys):
     ]
 
 
+def test_verify_identities_negative_window_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-identities", "--suite", "all", "--window", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "window must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+
+
 def test_family_v4(capsys):
     assert main(["family", "--name", "v4-biquadratic", "--height", "60"]) == 0
     captured = capsys.readouterr()

@@ -11,6 +11,7 @@ from galoiscensus.eisenstein import (
     EisInt,
     EisensteinError,
     WitnessError,
+    _eis_is_cubefree,
     canonical_associate,
     eis_cubefree_decompose,
     eis_divmod,
@@ -175,6 +176,49 @@ def test_cubefree_part_of_conjugate(d0, a0):
     d_conj, _ = eis_cubefree_decompose(z.conj())
     assert d_conj.norm() == d.norm()
     assert canonical_associate(d_conj) == canonical_associate(d.conj())
+
+
+def _cubefree_by_factoring(z):
+    # the route the witness check took before it read N(z): a full factorization in Z[zeta]
+    _, primes = eis_factor(z)
+    return all(e < 3 for _, e in primes)
+
+
+def _power(z, k):
+    out = EisInt(1, 0)
+    for _ in range(k):
+        out = out * z
+    return out
+
+
+small_nonzero = st.builds(EisInt, st.integers(-4, 4), st.integers(-4, 4)).filter(bool)
+with_cube = st.builds(lambda d0, a0: d0 * a0 * a0 * a0, eis_nonzero, small_nonzero)
+with_prime_powers = st.builds(
+    lambda d0, k, kc: d0 * _power(EisInt(3, 1), k) * _power(EisInt(3, 1).conj(), kc),
+    eis_nonzero, st.integers(0, 4), st.integers(0, 4),
+)
+
+
+@given(st.one_of(eis_nonzero, with_cube, with_prime_powers))
+@settings(max_examples=400, deadline=None)
+def test_cubefree_check_matches_factoring(z):
+    assert _eis_is_cubefree(z) == _cubefree_by_factoring(z)
+
+
+def test_cubefree_check_edge_cases():
+    lam = LAMBDA
+    assert _eis_is_cubefree(lam * lam)  # v_3(N) = 2
+    assert not _eis_is_cubefree(lam * lam * lam)  # v_3(N) = 3
+    assert _eis_is_cubefree(EisInt(4, 0))  # 2 is inert: v_2(N) = 4
+    assert not _eis_is_cubefree(EisInt(8, 0))  # v_2(N) = 6
+    pi = EisInt(3, 1)  # a split prime of norm 7
+    assert pi.norm() == 7
+    d0 = EisInt(5, 1)
+    assert not _eis_is_cubefree(d0 * _power(pi, 3))
+    assert not _eis_is_cubefree(d0 * _power(pi.conj(), 3))
+    assert _eis_is_cubefree(_power(pi, 2) * _power(pi.conj(), 2))  # v_7(N) = 4
+    assert _eis_is_cubefree(_power(pi, 2) * pi.conj())  # v_7(N) = 3
+    assert not _eis_is_cubefree(EisInt(0, 0))
 
 
 # --- parametrization ---

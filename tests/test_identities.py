@@ -1,9 +1,12 @@
 import itertools
+import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galoiscensus import identities
 from galoiscensus.classify import (
     MonicQuartic,
     integer_roots_monic_cubic,
@@ -11,6 +14,7 @@ from galoiscensus.classify import (
     resolvent,
 )
 from galoiscensus.identities import (
+    STAR_INT64_WINDOW,
     CurveSpec,
     SurfaceSpec,
     c4_curve_check,
@@ -28,7 +32,8 @@ from galoiscensus.identities import (
     surface_points,
     surface_suite,
     symmetry_suite,
-    _star_check_scaled,
+    _star_block,
+    _star_sides,
 )
 
 small = st.integers(min_value=-30, max_value=30)
@@ -62,12 +67,123 @@ def test_star_examples():
 
 
 def test_star_scaled_agrees_with_fraction_route():
-    rng = range(-3, 4)
-    for u, v, w, x, a in itertools.product(rng, repeat=5):
+    # every cell of the int64 grid blocks against the Fraction route, the oracle
+    window = 3
+    rng = range(-window, window + 1)
+    cells = 0
+    for u in rng:
+        lhs, rhs = _star_block(u, window, np.int64)
+        holds = lhs == rhs
+        for v, w, x, a in itertools.product(rng, repeat=4):
+            for si, sign in enumerate((1, -1)):
+                cell = (v + window, w + window, x + window, a + window, si)
+                assert holds[cell] == check_star_identity(u, v, w, x, a, sign)
+                cells += 1
+    assert cells == 33_614
+
+
+def test_star_failures_match_case_loop(monkeypatch):
+    true_rhs = identities._star_rhs
+
+    def broken_rhs(u, v, w, x, a, sign):
+        wrong = ((u == 2) & (v == -1) & (x == 0) & (a == 1)) | (
+            (u == -3) & (w == 3) & (x == -2) & (a == 0) & (sign == -1)
+        )
+        return np.where(wrong, true_rhs(u, v, w, x, a, sign) + 1, true_rhs(u, v, w, x, a, sign))
+
+    monkeypatch.setattr(identities, "_star_rhs", broken_rhs)
+    rep = star_suite(3)
+    expected = []
+    for u, v, w, x, a in itertools.product(range(-3, 4), repeat=5):
         for sign in (1, -1):
-            frac = check_star_identity(u, v, w, x, a, sign)
-            scaled = _star_check_scaled(u, v, w, x, a, sign)
-            assert frac and scaled
+            lhs, rhs = _star_sides(u, v, w, x, a, sign)
+            if lhs != rhs:
+                expected.append({"u": u, "v": v, "w": w, "x": x, "a": a, "sign": sign})
+    # 21 broken cells, less the 4 with factor = 0 where any RHS satisfies the identity
+    assert len(expected) == 17
+    assert rep.cases_checked == 33_614
+    assert rep.failures == expected
+    assert all(type(val) is int for case in rep.failures for val in case.values())
+    assert json.loads(rep.to_json())["failures"] == expected
+
+
+class _Majorant(int):
+    """A bound on |value|: coefficients taken absolutely, every minus a plus.
+    Records the largest bound built, so every partial result is covered."""
+
+    peak = 0
+
+    def __new__(cls, value):
+        obj = super().__new__(cls, value)
+        _Majorant.peak = max(_Majorant.peak, int(obj))
+        return obj
+
+    def __add__(self, other):
+        return _Majorant(int(self) + abs(int(other)))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return _Majorant(int(self) * abs(int(other)))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+    def __pow__(self, k):
+        return _Majorant(int(self) ** k)
+
+
+def _star_majorants(window):
+    _Majorant.peak = 0
+    m = _Majorant(window)
+    lhs, rhs = _star_sides(m, m, m, m, m, _Majorant(1))
+    return int(lhs), int(rhs), _Majorant.peak
+
+
+def test_star_int64_cap_argument():
+    # the polynomials quoted in the identities module docstring
+    disc_side = [128, 768, 8448, 52480, 180352, 399872, 622592, 604160, 311296, 65536, 0, 0, 0, 0, 0, 0]
+    other_side = [256, 1024, 13824, 46080, 69888, 53248, 16384, 0, 0, 0, 0, 0, 0, 0, 0]
+    for window in range(1, 20):
+        lhs, rhs, peak = _star_majorants(window)
+        assert lhs == sum(c * window ** (15 - i) for i, c in enumerate(disc_side))
+        assert rhs == sum(c * window ** (14 - i) for i, c in enumerate(other_side))
+        assert peak == max(lhs, rhs)
+    assert _star_majorants(STAR_INT64_WINDOW)[2] < 2**63
+    assert _star_majorants(STAR_INT64_WINDOW + 1)[2] >= 2**63
+
+
+def test_star_int64_blocks_match_object_blocks_at_cap():
+    cap = STAR_INT64_WINDOW
+    seeded = random.Random(11).sample(range(-cap + 1, cap), 2)
+    for u in (cap, -cap, 0, *seeded):
+        for side, exact in zip(_star_block(u, cap, np.int64), _star_block(u, cap, object)):
+            assert side.dtype == np.int64 and exact.dtype == object
+            assert (side.astype(object) == exact).all()
+
+
+def test_star_suite_selects_object_dtype_above_cap(monkeypatch):
+    seen = []
+
+    def spy(u, window, dtype):
+        seen.append(dtype)
+        return np.zeros(1, dtype=dtype), np.zeros(1, dtype=dtype)
+
+    monkeypatch.setattr(identities, "_star_block", spy)
+    star_suite(STAR_INT64_WINDOW)
+    assert set(seen) == {np.int64}
+    seen.clear()
+    star_suite(STAR_INT64_WINDOW + 1)
+    assert set(seen) == {object} and len(seen) == 2 * STAR_INT64_WINDOW + 3
+
+
+def test_star_suite_object_route(monkeypatch):
+    # the object-dtype blocks run end to end, here below their usual windows
+    monkeypatch.setattr(identities, "STAR_INT64_WINDOW", 1)
+    rep = star_suite(3)
+    assert rep.ok and rep.cases_checked == 33_614
 
 
 def test_star_suite_window4():
@@ -208,6 +324,12 @@ def test_run_suites_dispatch():
     assert all(r.ok for r in reports)
     with pytest.raises(ValueError):
         run_suites(["nope"])
+
+
+def test_run_suites_rejects_negative_window():
+    with pytest.raises(ValueError, match="window must be >= 0, got -1"):
+        run_suites(["star"], window=-1)
+    assert run_suites(["star"], window=0)[0].cases_checked == 2
 
 
 def test_surface_suite_small():
