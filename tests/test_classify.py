@@ -4,9 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galoiscensus import classify
 from galoiscensus.classify import (
     CYCLE_TYPES,
     CubicClass,
+    FactorWitness,
     MonicCubic,
     MonicQuartic,
     QuarticGroup,
@@ -23,6 +25,7 @@ from galoiscensus.classify import (
     resolvent,
     resolvent_integer_roots,
 )
+from galoiscensus.exactarith import divisors, perfect_square
 
 coeff = st.integers(min_value=-50, max_value=50)
 
@@ -151,6 +154,140 @@ def test_reducibility_witness_is_a_certificate():
             seen_split += 1
             assert (p + r, p * r + q + s, p * s + q * r, q * s) == f.coeffs()
     assert seen_split > 0
+
+
+def _divisor_pair_witness(f):
+    """The reducibility oracle: integer roots scanned as divisors of d, and
+    quadratic splits (X^2+pX+q)(X^2+rX+s) as divisor pairs q*s = d with
+    p + r = a, pr = b - q - s, checked against ps + qr = c."""
+    a, b, c, d = f.coeffs()
+    if d == 0:
+        return FactorWitness("root", (0,))
+    divs = divisors(d)
+    for t in divs:
+        if f(t) == 0:
+            return FactorWitness("root", (t,))
+        if f(-t) == 0:
+            return FactorWitness("root", (-t,))
+    for t in divs:
+        for q in (t, -t):
+            s = d // q
+            sq = perfect_square(a * a - 4 * (b - q - s))
+            if sq is None:
+                continue
+            for root in {(a + sq), (a - sq)}:
+                if root % 2:
+                    continue
+                p = root // 2
+                r = a - p
+                if p * s + q * r == c:
+                    return FactorWitness("split", (p, q, r, s))
+    return None
+
+
+def _multiplies_back(f, w):
+    if w.kind == "root":
+        return f(w.data[0]) == 0
+    p, q, r, s = w.data
+    return (p + r, p * r + q + s, p * s + q * r, q * s) == f.coeffs()
+
+
+def test_reducibility_matches_divisor_pair_oracle_on_box():
+    kinds = {"root": 0, "split": 0}
+    for coeffs in itertools.product(range(-6, 7), repeat=4):
+        f = MonicQuartic(*coeffs)
+        w, ref = reducibility_witness(f), _divisor_pair_witness(f)
+        assert (w is None) == (ref is None), coeffs
+        if w is not None:
+            assert w.kind == ref.kind and _multiplies_back(f, w), (coeffs, w)
+            kinds[w.kind] += 1
+        assert (classify_quartic(f).group is QuarticGroup.REDUCIBLE) == (w is not None)
+    assert kinds["split"] > 100 and kinds["root"] > 1000
+
+
+def test_seeded_products_are_always_found():
+    rng = random.Random(12)
+    for _ in range(300):
+        t = rng.randint(-1000, 1000)
+        g2, g1, g0 = (rng.randint(-1000, 1000) for _ in range(3))
+        f = MonicQuartic(g2 - t, g1 - t * g2, g0 - t * g1, -t * g0)  # (X - t)(X^3 + g2 X^2 + g1 X + g0)
+        w = reducibility_witness(f)
+        assert w is not None and w.kind == "root" and _multiplies_back(f, w), f
+        assert classify_quartic(f).group is QuarticGroup.REDUCIBLE
+    for _ in range(300):
+        p, q, r, s = (rng.randint(-700, 700) for _ in range(4))
+        f = MonicQuartic(p + r, q + s + p * r, p * s + q * r, q * s)
+        w = reducibility_witness(f)
+        assert w is not None and _multiplies_back(f, w), (p, q, r, s)
+        assert classify_quartic(f).group is QuarticGroup.REDUCIBLE
+
+
+def test_reducibility_against_sympy_factor_list():
+    import sympy
+    from sympy.abc import x
+
+    rng = random.Random(13)
+    seen = {True: 0, False: 0}
+    for i in range(200):
+        if i % 3:
+            coeffs = tuple(rng.randint(-10**6, 10**6) for _ in range(4))
+        else:  # a product of two random quadratics, to meet reducible ones too
+            p, q, r, s = (rng.randint(-700, 700) for _ in range(4))
+            coeffs = (p + r, q + s + p * r, p * s + q * r, q * s)
+        a, b, c, d = coeffs
+        factors = sympy.factor_list(x**4 + a * x**3 + b * x**2 + c * x + d)[1]
+        reducible = len(factors) > 1 or factors[0][1] > 1
+        assert (reducibility_witness(MonicQuartic(*coeffs)) is not None) == reducible, coeffs
+        seen[reducible] += 1
+    assert min(seen.values()) > 50
+
+
+def test_root_certificate_never_rejects_a_root_residue():
+    # an integer root r is a root mod every filter prime, so no residue class
+    # of r, 0 included, may be certified root-free; d = 0 is met at r = 0
+    # and at g0 = 0
+    rng = random.Random(14)
+    for p in classify._ROOT_FILTER_PRIMES:
+        for t in range(p):
+            for r in (t, t - p, t + 7 * p, t - 1000 * p):
+                g2, g1 = rng.randint(-99, 99), rng.randint(-99, 99)
+                for g0 in (rng.randint(-99, 99), 0):
+                    a, b, c, d = g2 - r, g1 - r * g2, g0 - r * g1, -r * g0
+                    root = classify._integer_root(a, b, c, d)
+                    assert root is not None and MonicQuartic(a, b, c, d)(root) == 0, (p, r)
+
+
+def test_root_certificate_skips_the_divisor_scan(monkeypatch):
+    calls = []
+
+    def spy(n):
+        calls.append(n)
+        return divisors(n)
+
+    monkeypatch.setattr(classify, "divisors", spy)
+    # X^4 + 2 has no root mod 5 (fourth powers are 0 or 1 there)
+    assert classify._integer_root(0, 0, 0, 2) is None and calls == []
+    # X^4 - 16 has roots mod every prime, so it reaches the scan
+    assert classify._integer_root(0, 0, 0, -16) == 2 and calls == [-16]
+
+
+def test_root_filter_primes_each_certify_d4vc_members():
+    # a filter prime that certifies no d4vc member only costs time there;
+    # 3 is such a prime, since every member is X^4 mod 3
+    from fractions import Fraction
+
+    from galoiscensus.families import gen_d4vc_family
+
+    fam = [m.coeffs for m in gen_d4vc_family(2 * 10**5, Fraction(1, 5))]
+
+    def root_free(p, a, b, c, d):
+        return all((t**4 + a * t**3 + b * t**2 + c * t + d) % p for t in range(p))
+
+    for p in classify._ROOT_FILTER_PRIMES:
+        assert any(root_free(p, *co) for co in fam), p
+    assert not any(root_free(3, *co) for co in fam)
+    certified = sum(any(root_free(p, *co) for p in classify._ROOT_FILTER_PRIMES) for co in fam)
+    assert certified >= 0.9 * len(fam)
 
 
 def test_integer_roots_monic_cubic_exhaustive():

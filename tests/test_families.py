@@ -12,6 +12,7 @@ from galoiscensus.classify import (
     resolvent,
     integer_roots_monic_cubic,
 )
+from galoiscensus import families
 from galoiscensus.exactarith import factorize
 from galoiscensus.families import (
     FamilyMember,
@@ -277,6 +278,35 @@ def test_cross_validate_parallel_matches_serial():
     assert parallel.classes == serial.classes
     assert parallel.exceptions == serial.exceptions
     assert parallel.mismatches == serial.mismatches
+
+
+def test_cross_validate_many_chunks_keep_member_order(monkeypatch):
+    # chunks of 7 members: results must come back in member order
+    monkeypatch.setattr(families, "_CHUNK", 7)
+    fam = gen_a4_family(17) + gen_v4_biquadratic(200) + gen_a3_family(-20, 20)
+    serial = cross_validate(fam, workers=1)
+    parallel = cross_validate(fam, workers=2)
+    assert len(fam) > 256 and parallel.labels == serial.labels
+    assert parallel.exceptions == serial.exceptions and parallel.mismatches == serial.mismatches
+
+
+def _json_dumps_line(member, classified=None):
+    """The member JSON line as json.dumps writes it: the oracle for to_json."""
+    payload = {"family": member.family, "params": dict(member.params), "coeffs": list(member.coeffs)}
+    if classified is not None:
+        payload["class"] = classified
+    return json.dumps(payload)
+
+
+def test_member_json_line_matches_json_dumps():
+    families_seen = set()
+    for fam in (gen_d4vc_family(2 * 10**5, Fraction(1, 5))[:500], gen_v4_biquadratic(100),
+                gen_a4_family(5), gen_a3_family(-30, 30)):
+        for m, label in zip(fam, ("D4", "reducible", None, "S4", "A3", "V4", "C4") * len(fam)):
+            assert m.to_json(classified=label) == _json_dumps_line(m, label)
+            assert m.to_json() == _json_dumps_line(m)
+            families_seen.add(m.family)
+    assert families_seen == {"d4vc", "v4-biquadratic", "a4", "a3"}
 
 
 def test_member_json_line():

@@ -83,6 +83,16 @@ def test_star_scaled_agrees_with_fraction_route():
 
 
 def test_star_failures_match_case_loop(monkeypatch):
+    _assert_star_failures_match_case_loop(monkeypatch)
+
+
+def test_star_failures_match_case_loop_on_object_blocks(monkeypatch):
+    # the per-(u, v) object blocks list failures in the same order
+    monkeypatch.setattr(identities, "STAR_INT64_WINDOW", 1)
+    _assert_star_failures_match_case_loop(monkeypatch)
+
+
+def _assert_star_failures_match_case_loop(monkeypatch):
     true_rhs = identities._star_rhs
 
     def broken_rhs(u, v, w, x, a, sign):
@@ -167,16 +177,19 @@ def test_star_int64_blocks_match_object_blocks_at_cap():
 def test_star_suite_selects_object_dtype_above_cap(monkeypatch):
     seen = []
 
-    def spy(u, window, dtype):
-        seen.append(dtype)
+    def spy(u, window, dtype, vs):
+        seen.append((dtype, len(vs)))
         return np.zeros(1, dtype=dtype), np.zeros(1, dtype=dtype)
 
     monkeypatch.setattr(identities, "_star_block", spy)
     star_suite(STAR_INT64_WINDOW)
-    assert set(seen) == {np.int64}
+    # int64: one block per u, over every v
+    assert set(seen) == {(np.int64, 2 * STAR_INT64_WINDOW + 1)}
+    assert len(seen) == 2 * STAR_INT64_WINDOW + 1
     seen.clear()
     star_suite(STAR_INT64_WINDOW + 1)
-    assert set(seen) == {object} and len(seen) == 2 * STAR_INT64_WINDOW + 3
+    # object: one block per (u, v)
+    assert set(seen) == {(object, 1)} and len(seen) == (2 * STAR_INT64_WINDOW + 3) ** 2
 
 
 def test_star_suite_object_route(monkeypatch):
