@@ -178,8 +178,8 @@ def fit_reducible(reports: list[CensusReport]) -> FitReport:
         raise ValueError("reports mix degrees")
     degree = degrees.pop()
     heights = [r.request.height for r in reports]
-    if len(set(heights)) != len(heights):
-        raise ValueError("heights must be distinct")
+    if len(set(heights)) != len(heights) or min(heights) < 1:
+        raise ValueError("heights must be distinct and >= 1")
     const = chela_constant_c(degree)
     entries = []
     for rep in sorted(reports, key=lambda r: r.request.height):

@@ -9,8 +9,9 @@ enumeration: the a = 0 stratum is counted once, a >= 1 strata twice.
 Two interchangeable strategies:
 
 * ``direct`` (default): reducibility is re-derived inside each stripe by
-  marking products of lower-degree factors restricted to the stripe; memory
-  is O(H^2) regardless of height.
+  marking products of lower-degree factors restricted to the stripe (for
+  quartics, the linear factors; the stripe adds the quadratic splits read
+  off its resolvent roots); memory is O(H^2) regardless of height.
 * ``table``: a global irreducibility bit table is built first by marking all
   products with inner coefficient ranges doubled, then shared read-only by
   the classification pass, in this process (the table is not sent to
@@ -29,11 +30,11 @@ confines each such row to one c-window, whose ends come from isqrt(4I^3)
 taken in Python ints.  The sweep walks cache-sized tiles of consecutive
 rows, each spanning the union of its rows' windows.
 
-The quartic reducible mask finds quadratic splits from the divisor pairs
-(q, s) of d, and the resolvent roots are enumerated from the paper's
-symmetry identity: for each candidate x, only the multiples of rad2(|K(x)|)
-in two short t = xa - 2c intervals are tried, on average about 130 per
-(a, b) at H = 60 and 210 at H = 400.
+The quartic resolvent roots are enumerated from the paper's symmetry
+identity: for each candidate x, only the multiples of rad2(|K(x)|) in two
+short t = xa - 2c intervals are tried, on average about 130 per (a, b) at
+H = 60 and 210 at H = 400.  These sparse root cells also decide every
+quadratic split, so the reducible mask marks only linear factors.
 
 The discriminants, the C4 test and the resolvent root bound are the
 classifier's functions; the stripes call them on int64 grids or Python ints.
@@ -42,9 +43,8 @@ int64 safety: the largest intermediate is the quartic discriminant.  Each
 partial result of its Horner evaluation ((256 d + t2) d + t1) d + t0 is a
 sub-sum of its monomials, possibly divided by powers of c or d, so it has
 degree at most 6 and absolute coefficients summing to at most 1069: it is
-bounded by 1069 * H^6 < 2^62 for H <= 400.  In the reducible mask the split
-route stays below H^2 + 8H + 4 and the linear route below 2H^3 + H^2 + H.
-The resolvent candidates have |x| <= 805 at the cap, so
+bounded by 1069 * H^6 < 2^62 for H <= 400, and the reducible mask by
+2H^3 + H^2 + H.  The resolvent candidates have |x| <= 805 at the cap, so
 |t| <= 805 * 400 + 800 and t^2 < 1.1e11; |K| <= 164820, so the |t|-range
 ends |K| (x^2 + 4H) stay below 1.1e11 too, exact in float64 for the
 square-root guesses.  The cubic discriminant's partial results are bounded
@@ -69,7 +69,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import disc_cubic_coeffs, disc_quartic_coeffs, fujiwara_bound, is_c4
-from .exactarith import perfect_square
 
 __all__ = [
     "CensusError",
@@ -96,10 +95,11 @@ DEFAULT_TABLE_CAP = 2**31  # bytes
 # by other code.  2: quadratic splits from factor pairs, pruned resolvent
 # rows.  3: the classifier's discriminants, C4 test and root bound.
 # 4: resolvent roots enumerated from the symmetry identity, not divided out.
-# 5: the cubic A3 sweep in cache-sized tiles cut to the disc > 0 c-windows;
-# the counts are unchanged, but a journal names the code that counted it.
+# 5: the cubic A3 sweep in cache-sized tiles cut to the disc > 0 c-windows.
+# 6: quadratic splits from the resolvent root cells.  The counts never
+# changed, but a journal names the code that counted it.
 # Journals written before the version was recorded carry none.
-KERNEL_VERSION = 5
+KERNEL_VERSION = 6
 
 
 class CensusError(ValueError):
@@ -159,12 +159,14 @@ def _square_mask(v: np.ndarray) -> np.ndarray:
     v = s^2, then s <= 2^31; float64(v) and its sqrt are each rounded with
     relative error at most 2^-53, so sqrt(float64(v)) is within s * 2^-52
     <= 2^-21 of s, and rint gives s exactly.  The integer check r * r == v
-    then decides, so a non-square is never accepted.
+    then decides, so a non-square is never accepted.  Rounding and squaring
+    in place keep the temporaries to one float64 and one int64 array.
     """
     pos = v > 0
-    f = np.sqrt(v, where=pos, out=np.zeros(v.shape, dtype=np.float64), casting="unsafe")
-    r = np.rint(f).astype(np.int64)
-    return (r * r == v) & pos
+    r = np.sqrt(v, where=pos, out=np.zeros(v.shape, dtype=np.float64), casting="unsafe")
+    r = np.rint(r, out=r).astype(np.int64)
+    np.multiply(r, r, out=r)
+    return (r == v) & pos
 
 
 def _mark(flat: np.ndarray, rows: np.ndarray, cols: np.ndarray, width: int) -> None:
@@ -177,10 +179,8 @@ def _factor_pairs(height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A linear factor X - r times a monic cofactor with constant term s has
     constant term -r*s, so these pairs cover every polynomial in the box
-    with a nonzero integer root.  The pairs with s != 0, read as (q, s),
-    are also every pair of constant terms of a quartic's quadratic split
-    (X^2 + pX + q)(X^2 + rX + s) with d = qs != 0.  The stripe kernels
-    recompute the other coefficients per stripe.
+    with a nonzero integer root.  The stripe kernels recompute the other
+    coefficients per stripe.
     """
     r_parts = [np.zeros(0, dtype=np.int64)]
     s_parts = [np.zeros(0, dtype=np.int64)]
@@ -312,17 +312,15 @@ def _cubic_stripe_counts(a: int, height: int, red: np.ndarray):
 # quartic kernels: stripe = fixed (a, b), grid indexed [c+H, d+H]
 
 def _quartic_red_mask(a: int, b: int, height: int, pairs) -> np.ndarray:
-    """Reducible cells of the (c, d) grid for fixed (a, b), from the factor pairs.
+    """Cells of the (c, d) grid for fixed (a, b) with an integer root.
 
-    A reducible quartic with d != 0 has a linear factor X - r with r | d, or
-    splits into two monic quadratics whose constant terms q, s have qs = d;
-    either way the pair has product at most H in absolute value, so it is
-    in the ``_factor_pairs`` table.  No value here exceeds 2H^3 + H^2 + H in
-    absolute value (the linear route's c), far inside int64.
+    A root r != 0 divides d, so (r, s), s the cofactor's constant term, is
+    in the ``_factor_pairs`` table; d = 0 has the root 0.  The quadratic
+    splits are marked by ``_quartic_stripe_counts``.  No value here exceeds
+    2H^3 + H^2 + H in absolute value (c), far inside int64.
     """
     H, W = height, 2 * height + 1
     red = np.zeros((W, W), dtype=bool)
-    flat = red.reshape(-1)
     red[:, H] = True  # d = 0: root 0
 
     # (X - r)(X^3 + pX^2 + qX + s): p = a + r and q = b + r p, then
@@ -332,23 +330,7 @@ def _quartic_red_mask(a: int, b: int, height: int, pairs) -> np.ndarray:
         q = b + rr * (a + rr)
         cc = ss - rr * q
         ok = np.abs(cc) <= H
-        _mark(flat, cc[ok] + H, dd[ok] + H, W)
-
-    # (X^2 + pX + q)(X^2 + rX + s) with qs = d != 0: p + r = a and
-    # pr = b - q - s, so p and r are the integer roots of T^2 - aT + (b - q - s)
-    # and c = ps + qr.  The table holds both orders of (q, s); keeping q <= s
-    # lists each split once, and each of the two roots is tried as p.
-    keep = (ss != 0) & (rr <= ss)
-    q, s = rr[keep], ss[keep]
-    # the quadratic's discriminant; |q| + |s| <= H + 1 bounds it by H^2 + 8H + 4
-    disc = a * a - 4 * (b - q - s)
-    ok = _square_mask(disc) | (disc == 0)
-    q, s = q[ok], s[ok]
-    t = np.rint(np.sqrt(disc[ok])).astype(np.int64)  # t = a (mod 2)
-    p, r, d = (a + t) // 2, (a - t) // 2, q * s
-    for cc in (p * s + q * r, r * s + q * p):
-        ok = np.abs(cc) <= H
-        _mark(flat, cc[ok] + H, d[ok] + H, W)
+        _mark(red.reshape(-1), cc[ok] + H, dd[ok] + H, W)
     return red
 
 
@@ -399,26 +381,34 @@ def _isqrt(v: np.ndarray) -> np.ndarray:
 
 
 def _quartic_resolvent_roots(a: int, b: int, height: int):
-    """(has_root, root_val) grids over (c, d) for the cubic resolvent.
+    """The stripe's resolvent root cells as 1-D arrays: the flat cell index
+    (c + H) W + (d + H), the integer root x, and a split flag.
 
     r(x) = x^3 - b x^2 + (ac - 4d) x - (a^2 d - 4bd + c^2), and with
-    K(x) = a^2 - 4b + 4x and t = xa - 2c the paper's symmetry identity
-    (x^2 - 4d)(a^2 - 4e) = (xa - 2c)^2, e = b - x, reads
+    K(x) = a^2 - 4b + 4x and t = xa - 2c the paper's symmetry identity reads
     (x^2 - 4d) K - t^2 = 4 r(x).  Candidate roots are complete via the
     Fujiwara bound, taken at the largest |ac - 4d| and |a^2 d - 4bd + c^2|
     over the stripe.
 
-    For K != 0, x is a root exactly when K | t^2 and x^2 - 4d = t^2 / K.
-    K | t^2 holds exactly when rad2(|K|) divides t.  |c| <= H puts t in
-    [xa - 2H, xa + 2H], and |d| <= H puts t^2 between K (x^2 - 4H) and
-    K (x^2 + 4H), which bounds |t| to one interval.  So each x steps
-    through at most two t-intervals by rad2(|K|), and a candidate t is a
-    root cell when t = xa (mod 2) and 4 | x^2 - t^2 / K; the candidates of
-    all x are generated at once.
+    For K != 0, x is a root exactly when K | t^2, that is rad2(|K|) | t, and
+    x^2 - 4d = t^2 / K.  |c| <= H puts t in [xa - 2H, xa + 2H], and |d| <= H
+    puts t^2 between K (x^2 - 4H) and K (x^2 + 4H), so each x steps through
+    at most two t-intervals (t >= 0 and t < 0) by rad2(|K|); a candidate is
+    a root cell when t = xa (mod 2) and 4 | x^2 - t^2 / K.  t fixes c, so no
+    (cell, x) pair repeats.  For K = 0 the identity forces t = 0: every d of
+    the row c = ax / 2 has the root x.
+
+    The flag marks f = (X^2 + pX + q)(X^2 + rX + s) with x = q + s.  Such a
+    split has p + r = a, pr = b - x and qs = d, so K = (p - r)^2 and
+    x^2 - 4d = (q - s)^2.  Conversely, if K = n^2 and x^2 - 4d = m^2, then
+    n = a and m = x (mod 2), and p, r = (a +- n) / 2 and q, s = (x +- m) / 2
+    give back a, b and d in either pairing of the signs, with
+    ps + qr = (ax -+ nm) / 2.  The identity gives nm = |t|, so one pairing
+    gives c = (ax - t) / 2.  For K != 0, x^2 - 4d = t^2 / K is a square once
+    K is, so the flag is "K a positive square"; for K = 0 it is "x^2 - 4d a
+    square or 0", far inside int64 as |x| <= H + H^2 / 4 there.
     """
     H, W = height, 2 * height + 1
-    has_root = np.zeros((W, W), dtype=bool)
-    root_val = np.zeros((W, W), dtype=np.int64)
 
     qmax = abs(a) * H + 4 * H
     smax = a * a * H + 4 * abs(b) * H + H * H
@@ -448,46 +438,49 @@ def _quartic_resolvent_roots(a: int, b: int, height: int):
     t = k * np.repeat(step, n)
     c2, d4 = a * x - t, x * x - t * t // K  # 2c and 4d
     ok = (c2 % 2 == 0) & (d4 % 4 == 0) & (np.abs(c2) <= 2 * H) & (np.abs(d4) <= 4 * H)
-    idx = (c2[ok] // 2 + H) * W + (d4[ok] // 4 + H)
-    has_root.reshape(-1)[idx] = True
-    root_val.reshape(-1)[idx] = x[ok]
+    cells = [(c2[ok] // 2 + H) * W + (d4[ok] // 4 + H)]
+    roots, split = [x[ok]], [_square_mask(K[ok])]
 
-    # K(x0) == 0: the constraint degenerates to a quadratic in c alone and
-    # every d shares the root x0
-    if a % 2 == 0:
+    if a % 2 == 0:  # K(x0) = 0 at an integer x0, whose cells are the row c0
         x0 = b - (a * a) // 4
-        dc = (a * x0) ** 2 - 4 * (b * x0 * x0 - x0**3)
-        t = perfect_square(dc)
-        if t is not None:
-            for cv in {(a * x0 + t), (a * x0 - t)}:
-                if cv % 2 == 0 and abs(cv // 2) <= H:
-                    has_root[cv // 2 + H, :] = True
-                    root_val[cv // 2 + H, :] = x0
-    return has_root, root_val
+        c0 = a // 2 * x0
+        if abs(c0) <= H:
+            m = x0 * x0 - 4 * np.arange(-H, H + 1, dtype=np.int64)
+            cells.append((c0 + H) * W + np.arange(W, dtype=np.int64))
+            roots.append(np.full(W, x0, dtype=np.int64))
+            split.append(_square_mask(m) | (m == 0))
+    return np.concatenate(cells), np.concatenate(roots), np.concatenate(split)
 
 
 def _quartic_stripe_counts(a: int, b: int, height: int, red: np.ndarray):
-    """Counts (reducible, S4, A4, D4, V4, C4) over the (c, d) grid."""
+    """Counts (reducible, S4, A4, D4, V4, C4) over the (c, d) grid.
+
+    The split root cells are marked into ``red`` in place (a no-op for the
+    ``table`` mask).  An irreducible quartic's resolvent is separable with
+    0, 1 or 3 integer roots: V4 are the irreducible square-disc root cells,
+    A4 the other square-disc cells, D4/C4 the non-square root cells, listed
+    once each with their one root, and S4 the rest.
+    """
     H, W = height, 2 * height + 1
     v = np.arange(-H, H + 1, dtype=np.int64)
-    disc = disc_quartic_coeffs(a, b, v[:, None], v[None, :])
-    square = _square_mask(disc)
-    has_root, root_val = _quartic_resolvent_roots(a, b, H)
+    square = _square_mask(disc_quartic_coeffs(a, b, v[:, None], v[None, :])).reshape(-1)
+    cells, roots, split = _quartic_resolvent_roots(a, b, H)
+    red = red.reshape(-1)
+    red[cells[split]] = True
+    n_red = int(np.count_nonzero(red))
 
-    irr = ~red
-    n_red = W * W - int(np.count_nonzero(irr))
-    n_v4 = int(np.count_nonzero(irr & square & has_root))
-    n_a4 = int(np.count_nonzero(irr & square & ~has_root))
-    n_s4 = int(np.count_nonzero(irr & ~square & ~has_root))
+    sq = np.flatnonzero(square)
+    sq = sq[~red[sq]]
+    n_v4 = len(set(sq.tolist()).intersection(cells.tolist())) if sq.size else 0
 
-    # D4/C4 candidates: the C4 products outgrow int64, so test in Python ints
-    ci, di = np.nonzero(irr & ~square & has_root)
-    n_c4 = sum(
-        is_c4(a, b, d, x, delta)
-        for d, x, delta in zip((di - H).tolist(), root_val[ci, di].tolist(), disc[ci, di].tolist())
-    )
-    n_d4 = ci.size - n_c4
-    return n_red, n_s4, n_a4, n_d4, n_v4, n_c4
+    # D4/C4 cells: the C4 products outgrow int64, so test in Python ints
+    keep = ~(red[cells] | square[cells])
+    c, d = np.divmod(cells[keep], W)
+    disc = disc_quartic_coeffs(a, b, c - H, d - H)
+    n_c4 = sum(is_c4(a, b, *args) for args in zip((d - H).tolist(), roots[keep].tolist(), disc.tolist()))
+    n_d4 = c.size - n_c4
+    n_s4 = W * W - n_red - sq.size - c.size
+    return n_red, n_s4, sq.size - n_v4, n_d4, n_v4, n_c4
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ follows the resolvent-cubic decision table for quartics and the square
 discriminant test for cubics.  A quartic's reducibility test reuses the
 table's work: an integer root is looked for among the divisors of d only
 when f has a root mod each of a few small primes, and a quadratic split
-(X^2+pX+q)(X^2+rX+s) is read off a resolvent root x = q + s.
+(X^2+pX+q)(X^2+rX+s) is read off a resolvent root x = q + s, as in the census.
 
 All user-facing coefficients are ordinary Python ints, so nothing here can
 overflow; the documented input contract is |coefficient| <= 10**6, which
@@ -275,6 +275,8 @@ def _quadratic_split(a: int, b: int, c: int, d: int, roots: list[int]) -> tuple[
     qs = d, p + r = a and pr = b - x, so (q - s)^2 = x^2 - 4d and
     (p - r)^2 = a^2 - 4(b - x) are squares, of the parity of x and of a.
     Conversely those four relations with ps + qr = c multiply back to f.
+    The census reads the same two squares off its root cells, where they
+    alone decide the split; the ps + qr check certifies the factors here.
     """
     for x in roots:
         m = perfect_square(x * x - 4 * d)

@@ -257,6 +257,8 @@ def _cmd_asym(args, parser) -> int:
             heights = [int(t) for t in args.heights.split(",")]
         except ValueError:
             parser.error("heights must be comma-separated integers")
+        if min(heights) < 1 or len(set(heights)) != len(heights):
+            parser.error(f"heights must be distinct and >= 1, got {args.heights}")
         try:
             reports = [
                 run_census(

@@ -159,3 +159,8 @@ def test_fit_input_validation():
         fit_reducible([_fake_report(3, 10, 5), _fake_report(4, 10, 5)])
     with pytest.raises(ValueError):
         fit_reducible([_fake_report(3, 10, 5), _fake_report(3, 10, 6)])
+    # the ratio divides by c_n H^(n-1): a real H=0 census is refused, not a
+    # ZeroDivisionError
+    with pytest.raises(ValueError, match="heights must be distinct and >= 1"):
+        fit_reducible([_fake_report(4, 5, 100), run_census(CensusRequest(4, 0, workers=1))])
+

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galoiscensus.census import (
+    QUARTIC_CLASSES,
     CensusError,
     CensusRequest,
     build_irreducible_table,
@@ -70,22 +71,54 @@ def _disc_grid(a: int, b: int, height: int) -> np.ndarray:
     return disc_quartic_coeffs(a, b, v[:, None], v[None, :])
 
 
+def _resolvent_value(a: int, b: int, c, d, x):
+    """r(x) for the cubic resolvent of X^4 + aX^3 + bX^2 + cX + d."""
+    return x**3 - b * x**2 + (a * c - 4 * d) * x - (a * a * d - 4 * b * d + c * c)
+
+
+def _root_grids(a: int, b: int, height: int):
+    """(has_root, root_val, split): the sparse root cells of stripe (a, b)
+    scattered into dense (c, d) grids, after checking that each listed x is
+    a root of the resolvent at its cell and that no (cell, x) pair repeats.
+    ``split`` marks the cells with a split root; ``root_val`` keeps one root
+    of each cell."""
+    from galoiscensus.census import _quartic_resolvent_roots
+
+    H, W = height, 2 * height + 1
+    cells, roots, split = _quartic_resolvent_roots(a, b, H)
+    assert cells.shape == roots.shape == split.shape and split.dtype == bool
+    assert np.all((cells >= 0) & (cells < W * W)), (a, b, H)
+    c, d = np.divmod(cells, W)
+    assert not _resolvent_value(a, b, c - H, d - H, roots).any(), (a, b, H)
+    assert len(set(zip(cells.tolist(), roots.tolist()))) == cells.size, (a, b, H)
+    has_root = np.zeros((W, W), dtype=bool)
+    root_val = np.zeros((W, W), dtype=np.int64)
+    split_grid = np.zeros((W, W), dtype=bool)
+    has_root.reshape(-1)[cells] = True
+    root_val.reshape(-1)[cells] = roots
+    split_grid.reshape(-1)[cells[split]] = True
+    return has_root, root_val, split_grid
+
+
+def _reducible_grid(a: int, b: int, height: int) -> np.ndarray:
+    """The stripe's reducible mask: the linear-factor cells plus the split
+    root cells, as ``_quartic_stripe_counts`` completes it."""
+    from galoiscensus.census import _factor_pairs, _quartic_red_mask
+
+    return _quartic_red_mask(a, b, height, _factor_pairs(height)) | _root_grids(a, b, height)[2]
+
+
 def _assert_kernel_labels(a: int, b: int, height: int, cells) -> None:
     """Rebuild the class of each (c, d) in ``cells`` from the raw kernel
-    grids of stripe (a, b), the way ``_quartic_stripe_counts`` decides it,
+    output of stripe (a, b), the way ``_quartic_stripe_counts`` decides it,
     and demand exact agreement with the per-polynomial classifier."""
-    from galoiscensus.census import (
-        _factor_pairs,
-        _quartic_red_mask,
-        _quartic_resolvent_roots,
-        _square_mask,
-    )
+    from galoiscensus.census import _square_mask
 
     H = height
-    red = _quartic_red_mask(a, b, H, _factor_pairs(H))
+    red = _reducible_grid(a, b, H)
     disc = _disc_grid(a, b, H)
     square = _square_mask(disc)
-    has_root, root_val = _quartic_resolvent_roots(a, b, H)
+    has_root, root_val, _ = _root_grids(a, b, H)
     for c, d in cells:
         i, j = c + H, d + H
         if red[i, j]:
@@ -101,13 +134,19 @@ def _assert_kernel_labels(a: int, b: int, height: int, cells) -> None:
 
 def test_quartic_stripe_grids_match_classifier_at_height12():
     # every cell of sampled stripes, labelled from the raw kernel grids,
-    # agrees exactly with the per-polynomial classifier
+    # agrees exactly with the per-polynomial classifier, and so do the
+    # stripe's counts, which take D4/C4 from the sparse root cells
+    from galoiscensus.census import _factor_pairs, _quartic_red_mask, _quartic_stripe_counts
+
     H = 12
     rng = random.Random(3)
     stripes = [(rng.randint(-H, H), rng.randint(-H, H)) for _ in range(8)] + [(0, 0)]
     cells = list(itertools.product(range(-H, H + 1), repeat=2))
     for a, b in stripes:
         _assert_kernel_labels(a, b, H, cells)
+        labels = Counter(classify_quartic(MonicQuartic(a, b, c, d)).group.value for c, d in cells)
+        counts = _quartic_stripe_counts(a, b, H, _quartic_red_mask(a, b, H, _factor_pairs(H)))
+        assert dict(zip(QUARTIC_CLASSES, counts)) == {k: labels[k] for k in QUARTIC_CLASSES}, (a, b)
 
 
 def test_quartic_stripe_grids_match_classifier_at_height150():
@@ -115,12 +154,7 @@ def test_quartic_stripe_grids_match_classifier_at_height150():
     # cells, cells on the lines d = 0 and c = 0, and a few of the cells the
     # kernel finds reducible, with a resolvent root or with a square disc,
     # so the rare classes are checked too
-    from galoiscensus.census import (
-        _factor_pairs,
-        _quartic_red_mask,
-        _quartic_resolvent_roots,
-        _square_mask,
-    )
+    from galoiscensus.census import _square_mask
 
     H = 150
     rng = random.Random(150)
@@ -130,8 +164,8 @@ def test_quartic_stripe_grids_match_classifier_at_height150():
         cells = [(rng.randint(-H, H), rng.randint(-H, H)) for _ in range(200)]
         cells += [(rng.randint(-H, H), 0) for _ in range(20)]
         cells += [(0, rng.randint(-H, H)) for _ in range(20)]
-        red = _quartic_red_mask(a, b, H, _factor_pairs(H))
-        has_root = _quartic_resolvent_roots(a, b, H)[0]
+        red = _reducible_grid(a, b, H)
+        has_root = _root_grids(a, b, H)[0]
         square = _square_mask(_disc_grid(a, b, H))
         for found in (red, has_root & ~red, square & ~red):
             hits = np.argwhere(found) - H
@@ -141,27 +175,22 @@ def test_quartic_stripe_grids_match_classifier_at_height150():
 
 
 def test_quartic_red_mask_matches_table_exhaustively():
-    # the whole reducible mask of every (a, b) stripe at H=16 equals the
-    # complement of the table strategy's independent product marking
-    from galoiscensus.census import _factor_pairs, _quartic_red_mask
-
+    # the whole reducible mask of every (a, b) stripe at H=16, the linear
+    # cells plus the split root cells, equals the complement of the table
+    # strategy's independent product marking
     H = 16
     table = build_irreducible_table(4, H)
-    pairs = _factor_pairs(H)
     for a, b in itertools.product(range(-H, H + 1), repeat=2):
-        assert np.array_equal(_quartic_red_mask(a, b, H, pairs), ~table[a + H, b + H]), (a, b)
+        assert np.array_equal(_reducible_grid(a, b, H), ~table[a + H, b + H]), (a, b)
 
 
 def test_quartic_resolvent_roots_match_unpruned_search():
     # every integer root of the cubic resolvent over the whole box at H=10,
     # found by trying each x up to the Cauchy bound with no row pruning
-    from galoiscensus.census import _quartic_resolvent_roots
-
     H = 10
     X = 1 + H**3 + 5 * H**2  # 1 + the largest |coefficient| of the resolvent
     x = np.arange(-X, X + 1, dtype=np.int64)[:, None]
     v = np.arange(-H, H + 1, dtype=np.int64)
-    c, d = v[:, None], v[None, :]
     for a, b in itertools.product(range(-H, H + 1), repeat=2):
         # d * K(x) = num(x, c): K != 0 pins d, K == 0 and num == 0 fix every d
         K = 4 * x + a * a - 4 * b
@@ -172,11 +201,7 @@ def test_quartic_resolvent_roots_match_unpruned_search():
         expected[np.nonzero(hit)[1], dq[hit] + H] = True
         expected[np.nonzero((K == 0) & (num == 0))[1], :] = True
 
-        has_root, root_val = _quartic_resolvent_roots(a, b, H)
-        assert np.array_equal(has_root, expected), (a, b)
-        r = root_val
-        value = r**3 - b * r**2 + (a * c - 4 * d) * r - (a * a * d - 4 * b * d + c * c)
-        assert not value[has_root].any(), (a, b)
+        assert np.array_equal(_root_grids(a, b, H)[0], expected), (a, b)
 
 
 def _resolvent_oracle(a: int, b: int, height: int):
@@ -220,20 +245,44 @@ def _resolvent_oracle(a: int, b: int, height: int):
     return has_root, root_val
 
 
-def _assert_resolvent_matches_oracle(a: int, b: int, height: int) -> None:
-    from galoiscensus.census import _quartic_resolvent_roots
+def _split_oracle(a: int, b: int, height: int) -> np.ndarray:
+    """The cells of stripe (a, b) that split into two monic quadratics, by
+    the earlier factor-pair route.  (X^2 + pX + q)(X^2 + rX + s) with
+    qs = d != 0 has p + r = a and pr = b - q - s, so p and r are the integer
+    roots of T^2 - aT + (b - q - s), and c = ps + qr; both orders of (q, s)
+    are in the pair table, so q <= s lists each split once and each root is
+    tried as p.  At d = 0, f = X g splits exactly when the cubic
+    g = X^3 + aX^2 + bX + c has an integer root: row b of the cubic
+    reducible mask."""
+    from galoiscensus.census import _cubic_red_mask, _factor_pairs, _square_mask
 
-    H = height
-    has_root, root_val = _quartic_resolvent_roots(a, b, H)
-    assert np.array_equal(has_root, _resolvent_oracle(a, b, H)[0]), (a, b, H)
-    c = np.arange(-H, H + 1, dtype=np.int64)[:, None]
-    d = np.arange(-H, H + 1, dtype=np.int64)[None, :]
-    r = root_val
-    value = r**3 - b * r**2 + (a * c - 4 * d) * r - (a * a * d - 4 * b * d + c * c)
-    assert not value[has_root].any(), (a, b, H)
+    H, W = height, 2 * height + 1
+    split = np.zeros((W, W), dtype=bool)
+    pairs = _factor_pairs(H)
+    rr, ss, _ = pairs
+    keep = (ss != 0) & (rr <= ss)
+    q, s = rr[keep], ss[keep]
+    disc = a * a - 4 * (b - q - s)
+    ok = _square_mask(disc) | (disc == 0)
+    q, s = q[ok], s[ok]
+    t = np.rint(np.sqrt(disc[ok])).astype(np.int64)  # t = a (mod 2)
+    p, r, d = (a + t) // 2, (a - t) // 2, q * s
+    for cc in (p * s + q * r, r * s + q * p):
+        ok = np.abs(cc) <= H
+        split[cc[ok] + H, d[ok] + H] = True
+    split[:, H] = _cubic_red_mask(a, H, pairs)[b + H]
+    return split
+
+
+def _assert_resolvent_matches_oracle(a: int, b: int, height: int) -> None:
+    has_root, _, split = _root_grids(a, b, height)
+    assert np.array_equal(has_root, _resolvent_oracle(a, b, height)[0]), (a, b, height)
+    assert np.array_equal(split, _split_oracle(a, b, height)), (a, b, height)
 
 
 def test_quartic_resolvent_roots_match_oracle_up_to_height20():
+    # the root cells against the dense search, the split cells against the
+    # factor-pair route, at every stripe
     for H in range(21):
         for a, b in itertools.product(range(-H, H + 1), repeat=2):
             _assert_resolvent_matches_oracle(a, b, H)
@@ -241,6 +290,7 @@ def test_quartic_resolvent_roots_match_oracle_up_to_height20():
 
 @pytest.mark.parametrize("height", [150, 400])
 def test_quartic_resolvent_roots_match_oracle_on_seeded_stripes(height):
+    # as above, on seeded stripes of heights the table cannot reach
     H = height
     rng = random.Random(height)
     stripes = [(H, H), (-H, -H), (H, -H), (-H, H), (0, 0)]
@@ -504,20 +554,14 @@ def test_quartic_kernel_exact_at_height_cap():
     # the classifier's own formula on int64 arrays, so its comparison checks
     # that the int64 evaluation does not overflow; sympy checks the formula
     # itself in test_classify.
-    from galoiscensus.census import (
-        _factor_pairs,
-        _quartic_red_mask,
-        _quartic_resolvent_roots,
-    )
     from galoiscensus.classify import disc_quartic, resolvent_integer_roots
 
     H = 400
     rng = random.Random(8)
-    pairs = _factor_pairs(H)
     for a, b in [(400, -400), (399, 397), (0, -400), (255, -33)]:
         disc = _disc_grid(a, b, H)
-        red = _quartic_red_mask(a, b, H, pairs)
-        has_root, root_val = _quartic_resolvent_roots(a, b, H)
+        red = _reducible_grid(a, b, H)
+        has_root, root_val, _ = _root_grids(a, b, H)
         for _ in range(120):
             c = rng.randint(-H, H)
             d = rng.randint(-H, H)

@@ -222,6 +222,35 @@ def test_seeded_products_are_always_found():
         assert classify_quartic(f).group is QuarticGroup.REDUCIBLE
 
 
+def _two_squares(a: int, b: int, d: int, roots: list[int]) -> bool:
+    """The census's split criterion: some resolvent root x has both
+    K(x) = a^2 - 4(b - x) and x^2 - 4d square, 0 included."""
+    return any(
+        perfect_square(a * a - 4 * (b - x)) is not None and perfect_square(x * x - 4 * d) is not None
+        for x in roots
+    )
+
+
+def test_quadratic_split_exactly_when_two_squares():
+    # the census reads a split off a resolvent root by the two squares alone;
+    # the classifier also multiplies back to ps + qr = c, and the two must
+    # agree on the whole box and on seeded products of two quadratics
+    seen = {True: 0, False: 0}
+    for a, b, c, d in itertools.product(range(-6, 7), repeat=4):
+        roots = resolvent_integer_roots(MonicQuartic(a, b, c, d))
+        split = classify._quadratic_split(a, b, c, d, roots) is not None
+        assert split == _two_squares(a, b, d, roots), (a, b, c, d)
+        seen[split] += 1
+    assert seen[True] > 1000 and seen[False] > 10000
+    rng = random.Random(15)
+    for _ in range(20000):
+        p, q, r, s = (rng.randint(-1000, 1000) for _ in range(4))
+        a, b, c, d = p + r, q + s + p * r, p * s + q * r, q * s
+        roots = resolvent_integer_roots(MonicQuartic(a, b, c, d))
+        assert classify._quadratic_split(a, b, c, d, roots) is not None, (p, q, r, s)
+        assert _two_squares(a, b, d, roots), (p, q, r, s)
+
+
 def test_reducibility_against_sympy_factor_list():
     import sympy
     from sympy.abc import x

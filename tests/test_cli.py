@@ -198,6 +198,8 @@ def test_asym_with_heights(capsys):
     [
         (["--n", "3", "--heights", "5", "--threads", "-1"], "workers must be >= 0"),
         (["--n", "4", "--heights", "401"], "exceeds the int64-safe cap"),
+        (["--n", "3", "--heights", "2,2"], "heights must be distinct and >= 1, got 2,2"),
+        (["--n", "3", "--heights", "0"], "heights must be distinct and >= 1, got 0"),
     ],
 )
 def test_asym_census_error_is_usage_error(argv, message, capsys):
@@ -205,6 +207,17 @@ def test_asym_census_error_is_usage_error(argv, message, capsys):
         main(["asym", *argv])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_asym_rejects_bad_heights_before_any_census(monkeypatch):
+    def no_census(*args, **kwargs):
+        raise AssertionError("a census ran")
+
+    monkeypatch.setattr("galoiscensus.cli.run_census", no_census)
+    for heights in ("2,2", "0", "3,-1", "5,4,5"):
+        with pytest.raises(SystemExit) as exc:
+            main(["asym", "--n", "3", "--heights", heights])
+        assert exc.value.code == 2, heights
 
 
 def test_census_json_roundtrip_byte_identical(capsys):
