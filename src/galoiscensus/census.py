@@ -476,8 +476,9 @@ def _quartic_stripe_counts(a: int, b: int, height: int, red: np.ndarray):
     # D4/C4 cells: the C4 products outgrow int64, so test in Python ints
     keep = ~(red[cells] | square[cells])
     c, d = np.divmod(cells[keep], W)
-    disc = disc_quartic_coeffs(a, b, c - H, d - H)
-    n_c4 = sum(is_c4(a, b, *args) for args in zip((d - H).tolist(), roots[keep].tolist(), disc.tolist()))
+    c, d = c - H, d - H
+    disc = disc_quartic_coeffs(a, b, c, d)
+    n_c4 = sum(is_c4(a, b, *args) for args in zip(d.tolist(), roots[keep].tolist(), disc.tolist()))
     n_d4 = c.size - n_c4
     n_s4 = W * W - n_red - sq.size - c.size
     return n_red, n_s4, sq.size - n_v4, n_d4, n_v4, n_c4
