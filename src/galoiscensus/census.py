@@ -1,10 +1,14 @@
 """Exhaustive censuses of monic integer cubics/quartics by Galois class.
 
-The coefficient box [-H, H]^deg is enumerated in stripes (fixed a for
-cubics, fixed (a, b) for quartics) and every tuple in a stripe is classified
-with vectorized int64 kernels.  The X -> -X symmetry (a,b,c,d) -> (-a,b,-c,d)
-halves the work exactly as in the per-sign doubling of the reference
-enumeration: the a = 0 stratum is counted once, a >= 1 strata twice.
+The coefficient box [-H, H]^deg is enumerated in stripes, one per a-stratum
+(fixed a), and every tuple in a stripe is classified with vectorized int64
+kernels.  A cubic stripe is one (b, c) grid.  A quartic stripe is walked in
+blocks of consecutive b, each a (b, c, d) grid of about 2^17 cells (8 b at
+H = 60, one from H = 128 on), and each layer runs as one vectorised pass
+over all of a block's b-values.  The X -> -X symmetry
+(a,b,c,d) -> (-a,b,-c,d) halves the work exactly as in the per-sign
+doubling of the reference enumeration: the a = 0 stratum is counted once,
+a >= 1 strata twice.
 
 Two interchangeable strategies:
 
@@ -36,6 +40,17 @@ short t = xa - 2c intervals are tried, on average about 130 per (a, b) at
 H = 60 and 210 at H = 400.  These sparse root cells also decide every
 quadratic split, so the reducible mask marks only linear factors.
 
+The quartic square test uses the same identity 27 disc = 4I^3 - J^2, now
+with I = 12d + b^2 - 3ac and J linear in d.  A square discriminant is
+positive, so I(d) > 0 and |J(d)| <= isqrt(4 I(H)^3), since I grows with d:
+each (b, c) row holds one exact d-window with every cell of disc > 0.
+On seeded stripes the windows hold 32% / 27% / 18% of the cells at
+H = 60 / 150 / 400, against 22% / 21% / 17% with disc > 0.  Only the
+windows are evaluated, laid end to end in tiles of about 2^13 cells that
+reuse one set of scratch arrays per stripe, and every square is confirmed
+by integer squaring.  V4 and D4/C4 are read off the sparse root cells,
+where the discriminant is evaluated once per block.
+
 The discriminants, the C4 test and the resolvent root bound are the
 classifier's functions; the stripes call them on int64 grids or Python ints.
 
@@ -47,10 +62,13 @@ bounded by 1069 * H^6 < 2^62 for H <= 400, and the reducible mask by
 2H^3 + H^2 + H.  The resolvent candidates have |x| <= 805 at the cap, so
 |t| <= 805 * 400 + 800 and t^2 < 1.1e11; |K| <= 164820, so the |t|-range
 ends |K| (x^2 + 4H) stay below 1.1e11 too, exact in float64 for the
-square-root guesses.  The cubic discriminant's partial results are bounded
-the same way, by 5 H^4 + 22 H^3 + 27 H^2, safe far beyond the cubic cap of
-5000.  There the sweep's tiles are small, and the stripe's reducible mask,
-the only full (b, c) grid, takes 100 MB.  Heights above the caps are
+square-root guesses.  The d-windows have I(H) <= 4H^2 + 12H, so
+4 I(H)^3 < 1.1e18 < 2^62 at the cap, within ``_isqrt``'s exact domain, and
+|J(0)| <= 11H^3 + 27H^2 with slope |72b - 27a^2| <= 27H^2 + 72H.  The cubic
+discriminant's partial results are bounded the same way, by
+5 H^4 + 22 H^3 + 27 H^2, safe far beyond the cubic cap of 5000.  There
+the sweep's tiles are small, and the stripe's reducible mask, the only
+full (b, c) grid, takes 100 MB.  Heights above the caps are
 rejected rather than risk silent wraparound or swapping.
 """
 
@@ -68,7 +86,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import disc_cubic_coeffs, disc_quartic_coeffs, fujiwara_bound, is_c4
+from .classify import (
+    disc_cubic_coeffs,
+    disc_quartic_coeffs,
+    disc_quartic_terms,
+    fujiwara_bound,
+    invariants_quartic_coeffs,
+    is_c4,
+)
 
 __all__ = [
     "CensusError",
@@ -96,10 +121,11 @@ DEFAULT_TABLE_CAP = 2**31  # bytes
 # rows.  3: the classifier's discriminants, C4 test and root bound.
 # 4: resolvent roots enumerated from the symmetry identity, not divided out.
 # 5: the cubic A3 sweep in cache-sized tiles cut to the disc > 0 c-windows.
-# 6: quadratic splits from the resolvent root cells.  The counts never
-# changed, but a journal names the code that counted it.
+# 6: quadratic splits from the resolvent root cells.  7: quartic stripes
+# in b-blocks, the square test cut to the disc > 0 d-windows.  The counts
+# never changed, but a journal names the code that counted it.
 # Journals written before the version was recorded carry none.
-KERNEL_VERSION = 6
+KERNEL_VERSION = 7
 
 
 class CensusError(ValueError):
@@ -152,25 +178,28 @@ class CensusReport:
 # ---------------------------------------------------------------------------
 # vectorized primitives
 
-def _square_mask(v: np.ndarray) -> np.ndarray:
+def _square_mask(v: np.ndarray, scratch=None) -> np.ndarray:
     """Boolean mask of strictly positive perfect squares in an int64 array.
 
     One candidate root suffices for v <= 2^62, the kernels' range.  If
     v = s^2, then s <= 2^31; float64(v) and its sqrt are each rounded with
     relative error at most 2^-53, so sqrt(float64(v)) is within s * 2^-52
     <= 2^-21 of s, and rint gives s exactly.  The integer check r * r == v
-    then decides, so a non-square is never accepted.  Rounding and squaring
-    in place keep the temporaries to one float64 and one int64 array.
+    then decides, so a non-square is never accepted.  v <= 0 is raised to 1
+    before the root, so r = 1 and r * r != v there.  Rounding and squaring
+    in place keep the temporaries to one float64 and one int64 array;
+    ``scratch``, an (int64, float64, bool) triple of v's shape, supplies
+    them and the result instead.
     """
-    pos = v > 0
-    r = np.sqrt(v, where=pos, out=np.zeros(v.shape, dtype=np.float64), casting="unsafe")
-    r = np.rint(r, out=r).astype(np.int64)
+    if scratch is None:
+        scratch = (np.empty(v.shape, np.int64), np.empty(v.shape, np.float64), None)
+    r, f, out = scratch
+    np.maximum(v, 1, out=r)
+    np.sqrt(r, out=f)
+    np.rint(f, out=f)
+    np.copyto(r, f, casting="unsafe")
     np.multiply(r, r, out=r)
-    return (r == v) & pos
-
-
-def _mark(flat: np.ndarray, rows: np.ndarray, cols: np.ndarray, width: int) -> None:
-    flat[rows * width + cols] = True
+    return np.equal(r, v, out=out)
 
 
 @functools.cache
@@ -209,7 +238,7 @@ def _cubic_red_mask(a: int, height: int, pairs) -> np.ndarray:
     if rr.size:
         bb = ss - rr * (a + rr)
         ok = np.abs(bb) <= H
-        _mark(red.reshape(-1), bb[ok] + H, cc[ok] + H, W)
+        red.reshape(-1)[(bb[ok] + H) * W + cc[ok] + H] = True
     return red
 
 
@@ -309,29 +338,45 @@ def _cubic_stripe_counts(a: int, height: int, red: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# quartic kernels: stripe = fixed (a, b), grid indexed [c+H, d+H]
+# quartic kernels: an a-stratum is walked in blocks of consecutive b, each a
+# (b, c, d) grid with block-flat cell index (i W + c + H) W + d + H for the
+# i-th b of the block
 
-def _quartic_red_mask(a: int, b: int, height: int, pairs) -> np.ndarray:
-    """Cells of the (c, d) grid for fixed (a, b) with an integer root.
+_BLOCK_CELLS = 2**17
+"""Cells (b, c, d) per block of a quartic a-stratum: 8 b-values at H = 60,
+one from H = 128 on.  A block runs each layer as one vectorised pass over
+its b-values, so numpy's per-call cost is paid per block, not per b."""
+
+_WINDOW_TILE_CELLS = 2**13
+"""Cells per tile of the quartic square test (up to one (b, c) row more
+are allowed).  Its int64, float64 and bool scratch arrays are allocated once
+per a-stratum and reused by every tile through ``out=``.  Per block, the
+square layer took 0.77 / 0.65 / 2.5 ms at H = 60 / 150 / 400 with 2^12-cell
+tiles, 0.68 / 0.56 / 1.65 ms with 2^13 and 0.70 / 0.53 / 1.42 ms with 2^14,
+whose scratch is twice as large."""
+
+
+def _quartic_red_mask(a: int, b0: int, b1: int, height: int, pairs, out: np.ndarray) -> None:
+    """Mark in ``out``, a (b1 - b0, W, W) bool array, the cells of the block
+    b0 <= b < b1 with an integer root, and clear the others.
 
     A root r != 0 divides d, so (r, s), s the cofactor's constant term, is
     in the ``_factor_pairs`` table; d = 0 has the root 0.  The quadratic
-    splits are marked by ``_quartic_stripe_counts``.  No value here exceeds
+    splits are marked by ``_quartic_block_counts``.  No value here exceeds
     2H^3 + H^2 + H in absolute value (c), far inside int64.
     """
     H, W = height, 2 * height + 1
-    red = np.zeros((W, W), dtype=bool)
-    red[:, H] = True  # d = 0: root 0
+    out.fill(False)
+    out[:, :, H] = True  # d = 0: root 0
 
     # (X - r)(X^3 + pX^2 + qX + s): p = a + r and q = b + r p, then
     # c = s - r q and d = -r s
     rr, ss, dd = pairs
     if rr.size:
-        q = b + rr * (a + rr)
-        cc = ss - rr * q
-        ok = np.abs(cc) <= H
-        _mark(red.reshape(-1), cc[ok] + H, dd[ok] + H, W)
-    return red
+        b = np.arange(b0, b1, dtype=np.int64)[:, None]
+        cc = ss - rr * (b + rr * (a + rr))
+        bi, k = np.nonzero(np.abs(cc) <= H)
+        out.reshape(-1)[(bi * W + cc[bi, k] + H) * W + dd[k] + H] = True
 
 
 @functools.cache
@@ -369,32 +414,38 @@ def _rad2(height: int) -> np.ndarray:
 
 
 def _isqrt(v: np.ndarray) -> np.ndarray:
-    """floor(sqrt(v)) of int64 v in [0, 2^53): a float guess, corrected in ints.
+    """floor(sqrt(v)) of int64 v in [0, 2^62): a float guess, corrected in ints.
 
-    float64(v) is exact there, and rounding sqrt(v) to float64 is monotone
-    and keeps integers, so with s = floor(sqrt(v)) the guess lies in
-    [s, s + 1]: one integer step down settles it.
+    With s = floor(sqrt(v)) < 2^31, float64(v) = v (1 + e1) and its rounded
+    square root g = sqrt(float64(v)) (1 + e2), |e1|, |e2| <= 2^-53, so g is
+    within relative error 2^-52 of sqrt(v), |g - sqrt(v)| < 2^31 * 2^-52 =
+    2^-21, and floor(g) lies in [s - 1, s + 1].  One integer step down
+    (r^2 > v) and then one step up ((r + 1)^2 <= v) settle it; r <= 2^31
+    throughout, so the squares stay below 2^63.
     """
     r = np.sqrt(v.astype(np.float64)).astype(np.int64)
     r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
     return r
 
 
-def _quartic_resolvent_roots(a: int, b: int, height: int):
-    """The stripe's resolvent root cells as 1-D arrays: the flat cell index
-    (c + H) W + (d + H), the integer root x, and a split flag.
+def _quartic_resolvent_roots(a: int, b0: int, b1: int, height: int):
+    """The resolvent root cells of the block b0 <= b < b1 as 1-D arrays: the
+    block-flat cell index, the integer root x, and a split flag.
 
     r(x) = x^3 - b x^2 + (ac - 4d) x - (a^2 d - 4bd + c^2), and with
     K(x) = a^2 - 4b + 4x and t = xa - 2c the paper's symmetry identity reads
     (x^2 - 4d) K - t^2 = 4 r(x).  Candidate roots are complete via the
-    Fujiwara bound, taken at the largest |ac - 4d| and |a^2 d - 4bd + c^2|
-    over the stripe.
+    Fujiwara bound, taken per b at the largest |ac - 4d| and
+    |a^2 d - 4bd + c^2| over its (c, d) grid; the block's candidate ranges
+    are concatenated and searched at once.
 
     For K != 0, x is a root exactly when K | t^2, that is rad2(|K|) | t, and
     x^2 - 4d = t^2 / K.  |c| <= H puts t in [xa - 2H, xa + 2H], and |d| <= H
     puts t^2 between K (x^2 - 4H) and K (x^2 + 4H), so each x steps through
-    at most two t-intervals (t >= 0 and t < 0) by rad2(|K|); a candidate is
-    a root cell when t = xa (mod 2) and 4 | x^2 - t^2 / K.  t fixes c, so no
+    at most two t-intervals (t >= 0 and t < 0) by rad2(|K|).  Conversely
+    every t there gives |c| <= H and |d| <= H, so a candidate is a root cell
+    exactly when t = xa (mod 2) and 4 | x^2 - t^2 / K.  t fixes c, so no
     (cell, x) pair repeats.  For K = 0 the identity forces t = 0: every d of
     the row c = ax / 2 has the root x.
 
@@ -411,11 +462,16 @@ def _quartic_resolvent_roots(a: int, b: int, height: int):
     H, W = height, 2 * height + 1
 
     qmax = abs(a) * H + 4 * H
-    smax = a * a * H + 4 * abs(b) * H + H * H
-    xmax = fujiwara_bound(b, qmax, smax)
-    x = np.arange(-xmax, xmax + 1, dtype=np.int64)
-    K = 4 * x + (a * a - 4 * b)
-    x, K = x[K != 0], K[K != 0]
+    xmax = np.array(
+        [fujiwara_bound(b, qmax, a * a * H + 4 * abs(b) * H + H * H) for b in range(b0, b1)],
+        dtype=np.int64,
+    )
+    n = 2 * xmax + 1
+    bi = np.repeat(np.arange(b1 - b0, dtype=np.int64), n)  # block row of each x
+    x = np.arange(int(n.sum()), dtype=np.int64) - np.repeat(np.cumsum(n) - n + xmax, n)
+    K = 4 * x + (a * a - 4 * (bi + b0))
+    nz = K != 0
+    bi, x, K = bi[nz], x[nz], K[nz]
     ax, step = a * x, _rad2(H)[np.abs(K)]
     # |t| in [lo, hi] from t^2 = K (x^2 - 4d) over |d| <= H; hi < lo if none
     e1, e2 = K * (x * x - 4 * H), K * (x * x + 4 * H)
@@ -427,61 +483,157 @@ def _quartic_resolvent_roots(a: int, b: int, height: int):
     # t >= 0 and t < 0, each cut to the c-window [xa - 2H, xa + 2H]
     tlo = np.concatenate([np.maximum(lo, ax - 2 * H), np.maximum(-hi, ax - 2 * H)])
     thi = np.concatenate([np.minimum(hi, ax + 2 * H), np.minimum(-np.maximum(lo, 1), ax + 2 * H)])
-    x, K, step = np.tile(x, 2), np.tile(K, 2), np.tile(step, 2)
+    bi, x, K, step = np.tile(bi, 2), np.tile(x, 2), np.tile(K, 2), np.tile(step, 2)
     # the n multiples k * step in [tlo, thi], k from ceil(tlo / step), laid
     # out interval after interval
     k0 = -(-tlo // step)
     n = np.maximum(thi // step - k0 + 1, 0)
     first = np.cumsum(n) - n
     k = np.repeat(k0 - first, n) + np.arange(int(n.sum()))
-    x, K = np.repeat(x, n), np.repeat(K, n)
+    bi, x, K = np.repeat(bi, n), np.repeat(x, n), np.repeat(K, n)
     t = k * np.repeat(step, n)
     c2, d4 = a * x - t, x * x - t * t // K  # 2c and 4d
-    ok = (c2 % 2 == 0) & (d4 % 4 == 0) & (np.abs(c2) <= 2 * H) & (np.abs(d4) <= 4 * H)
-    cells = [(c2[ok] // 2 + H) * W + (d4[ok] // 4 + H)]
+    ok = ((c2 & 1) | (d4 & 3)) == 0
+    cells = [(bi[ok] * W + c2[ok] // 2 + H) * W + (d4[ok] // 4 + H)]
     roots, split = [x[ok]], [_square_mask(K[ok])]
 
     if a % 2 == 0:  # K(x0) = 0 at an integer x0, whose cells are the row c0
-        x0 = b - (a * a) // 4
+        x0 = np.arange(b0, b1, dtype=np.int64) - (a * a) // 4
         c0 = a // 2 * x0
-        if abs(c0) <= H:
-            m = x0 * x0 - 4 * np.arange(-H, H + 1, dtype=np.int64)
-            cells.append((c0 + H) * W + np.arange(W, dtype=np.int64))
-            roots.append(np.full(W, x0, dtype=np.int64))
-            split.append(_square_mask(m) | (m == 0))
-    return np.concatenate(cells), np.concatenate(roots), np.concatenate(split)
+        (rows,) = np.nonzero(np.abs(c0) <= H)
+        x0 = x0[rows, None]
+        d = np.arange(-H, H + 1, dtype=np.int64)
+        m = x0 * x0 - 4 * d
+        cells.append(((rows * W + c0[rows] + H) * W)[:, None] + (d + H))
+        roots.append(np.broadcast_to(x0, m.shape))
+        split.append(_square_mask(m) | (m == 0))
+    return tuple(np.concatenate([v.reshape(-1) for v in parts]) for parts in (cells, roots, split))
 
 
-def _quartic_stripe_counts(a: int, b: int, height: int, red: np.ndarray):
-    """Counts (reducible, S4, A4, D4, V4, C4) over the (c, d) grid.
+def _quartic_d_windows(a: int, b0: int, b1: int, height: int):
+    """(lo, hi): per (b, c) row of the block, row index (b - b0) W + c + H, a
+    d-interval holding every cell with disc > 0.  hi < lo marks an empty one.
 
-    The split root cells are marked into ``red`` in place (a no-op for the
-    ``table`` mask).  An irreducible quartic's resolvent is separable with
-    0, 1 or 3 integer roots: V4 are the irreducible square-disc root cells,
-    A4 the other square-disc cells, D4/C4 the non-square root cells, listed
-    once each with their one root, and S4 the rest.
+    27 disc = 4I^3 - J^2, where I and J are linear in d and I grows with it
+    (slope 12; ``invariants_quartic_coeffs``).  disc > 0 needs I(d) > 0, so
+    d > -I(0) / 12, and J(d)^2 < 4I(d)^3 <= 4I(H)^3, so
+    |J(d)| <= isqrt(4I(H)^3) =: S, a d-interval from the ends of
+    J(0) + s d in [-S, S], with s = J(1) - J(0) = 72b - 27a^2 (every d, or
+    none, when s = 0).  The ends are exact integers; the window is a
+    superset, and the square test rejects its cells with disc <= 0.
+
+    int64: I(H) <= 4H^2 + 12H, so 4I(H)^3 < 1.1e18 < 2^62 at the cap
+    H = 400 and S < 1.1e9; |J(0)| <= 11H^3 + 27H^2 and |s| <= 27H^2 + 72H,
+    so every end stays far inside int64.
+    """
+    H = height
+    b = np.arange(b0, b1, dtype=np.int64)[:, None]
+    c = np.arange(-H, H + 1, dtype=np.int64)[None, :]
+    i0, j0 = (v.reshape(-1) for v in invariants_quartic_coeffs(a, b, c, 0))
+    i1, j1 = (v.reshape(-1) for v in invariants_quartic_coeffs(a, b, c, 1))
+    g, s = i1 - i0, j1 - j0
+    top = np.maximum(i0 + H * g, 0)  # I(H), or 0 when I <= 0 on the whole row
+    big = _isqrt(4 * top * top * top)
+    # |j0 + s d| <= big, read with u = |s| > 0 as u d in [m - big, m + big]
+    u, m = np.abs(s), np.where(s < 0, j0, -j0)
+    us = np.maximum(u, 1)
+    lo = np.where(u > 0, -((big - m) // us), -H)
+    hi = np.where(u > 0, (m + big) // us, np.where(np.abs(j0) <= big, H, -H - 1))
+    return np.maximum(np.maximum(lo, -i0 // g + 1), -H), np.minimum(hi, H)
+
+
+def _tile_scratch(cells: int):
+    """Scratch arrays for ``_quartic_square_cells`` tiles of up to ``cells``
+    cells: the offsets 0..cells-1, two int64 rows, a float64 and a bool row."""
+    return (
+        np.arange(cells, dtype=np.int64),
+        np.empty((2, cells), dtype=np.int64),
+        np.empty(cells, dtype=np.float64),
+        np.empty(cells, dtype=bool),
+    )
+
+
+def _quartic_square_cells(a: int, b0: int, b1: int, height: int, scratch) -> np.ndarray:
+    """Ascending block-flat indices of the cells of the block b0 <= b < b1
+    whose discriminant is a positive square.
+
+    Only the rows' ``_quartic_d_windows`` are evaluated.  Their cells are
+    laid end to end and cut into tiles of whole rows, a new tile at each
+    row starting past a multiple of _WINDOW_TILE_CELLS, so a tile holds
+    fewer than _WINDOW_TILE_CELLS + W cells, the size of ``scratch``
+    (``_tile_scratch``).  The Horner terms of ``disc_quartic_terms`` are
+    taken once per row and repeated along it; the Horner steps are those
+    of ``disc_quartic_coeffs``, run in the scratch arrays.
     """
     H, W = height, 2 * height + 1
-    v = np.arange(-H, H + 1, dtype=np.int64)
-    square = _square_mask(disc_quartic_coeffs(a, b, v[:, None], v[None, :])).reshape(-1)
-    cells, roots, split = _quartic_resolvent_roots(a, b, H)
+    lo, hi = _quartic_d_windows(a, b0, b1, H)
+    rows = np.flatnonzero(lo <= hi)
+    lo, n = lo[rows], (hi - lo + 1)[rows]
+    b, c = np.divmod(rows, W)
+    t2, t1, t0 = disc_quartic_terms(a, b + b0, c - H)
+    end = np.cumsum(n)
+    off = lo + n - end  # a cell's d is off[row] + its position in the layout
+    cuts = np.searchsorted(end - n, np.arange(0, int(n.sum()), _WINDOW_TILE_CELLS)).tolist()
+    pos, ints, f, mask = scratch
+    hits = [np.zeros(0, dtype=np.int64)]
+    for r0, r1 in zip(cuts, cuts[1:] + [rows.size]):
+        if r0 == r1:
+            continue
+        p0 = int(end[r0] - n[r0])
+        m = int(end[r1 - 1]) - p0
+        run, (v, w) = n[r0:r1], ints[:, :m]
+        d = np.repeat(off[r0:r1], run)
+        d += pos[:m]
+        d += p0
+        np.multiply(d, 256, out=v)
+        v += np.repeat(t2[r0:r1], run)
+        v *= d
+        v += np.repeat(t1[r0:r1], run)
+        v *= d
+        v += np.repeat(t0[r0:r1], run)
+        k = np.flatnonzero(_square_mask(v, (w, f[:m], mask[:m])))
+        if k.size:
+            row = rows[r0 + np.searchsorted(end[r0:r1], p0 + k, side="right")]
+            hits.append(row * W + d[k] + H)
+    return np.concatenate(hits)
+
+
+def _quartic_block_counts(a: int, b0: int, b1: int, height: int, red: np.ndarray, scratch):
+    """Counts (reducible, S4, A4, D4, V4, C4) over the block b0 <= b < b1.
+
+    ``red`` is the block's (b1 - b0, W, W) reducible mask; the split root
+    cells are marked into it in place (a no-op for the ``table`` mask).  An
+    irreducible quartic's resolvent is separable with 0, 1 or 3 integer
+    roots.  The discriminant is evaluated at the irreducible root cells:
+    V4 are those with a square one, D4/C4 the others, listed once each with
+    their one root.  A4 are the other irreducible cells of
+    ``_quartic_square_cells``, and S4 the rest.
+    """
+    H, W = height, 2 * height + 1
+    cells, roots, split = _quartic_resolvent_roots(a, b0, b1, H)
     red = red.reshape(-1)
     red[cells[split]] = True
     n_red = int(np.count_nonzero(red))
 
-    sq = np.flatnonzero(square)
-    sq = sq[~red[sq]]
-    n_v4 = len(set(sq.tolist()).intersection(cells.tolist())) if sq.size else 0
+    sq = _quartic_square_cells(a, b0, b1, H, scratch)
+    n_sq = int(np.count_nonzero(~red[sq]))
 
-    # D4/C4 cells: the C4 products outgrow int64, so test in Python ints
-    keep = ~(red[cells] | square[cells])
-    c, d = np.divmod(cells[keep], W)
-    c, d = c - H, d - H
+    # the irreducible root cells: V4 where the disc is a square, else D4/C4;
+    # the C4 products outgrow int64, so test in Python ints
+    keep = ~red[cells]
+    cells, roots = cells[keep], roots[keep]
+    bc, d = np.divmod(cells, W)
+    b, c = np.divmod(bc, W)
+    b, c, d = b + b0, c - H, d - H
     disc = disc_quartic_coeffs(a, b, c, d)
-    n_c4 = sum(is_c4(a, b, *args) for args in zip(d.tolist(), roots[keep].tolist(), disc.tolist()))
-    n_d4 = c.size - n_c4
-    n_s4 = W * W - n_red - sq.size - c.size
-    return n_red, n_s4, sq.size - n_v4, n_d4, n_v4, n_c4
+    square = _square_mask(disc)
+    n_v4 = len(set(cells[square].tolist()))
+    keep = ~square
+    args = zip(b[keep].tolist(), d[keep].tolist(), roots[keep].tolist(), disc[keep].tolist())
+    n_c4 = sum(is_c4(a, *arg) for arg in args)
+    n_d4 = int(np.count_nonzero(keep)) - n_c4
+    n_s4 = red.size - n_red - n_sq - n_d4 - n_c4
+    return n_red, n_s4, n_sq - n_v4, n_d4, n_v4, n_c4
 
 
 # ---------------------------------------------------------------------------
@@ -564,25 +716,29 @@ def build_irreducible_table(degree: int, height: int, cap_bytes: int = DEFAULT_T
 def _stripe_job(degree: int, height: int, a: int, table: np.ndarray | None = None):
     """(a, counts) for the full a-stratum, doubled when a > 0.
 
-    A cubic stratum is one (b, c) grid; a quartic one is a (c, d) grid per b.
-    The reducible mask comes from the ``table`` strategy's irreducibility
-    table when one is given, else from the factor pairs (``direct``).
+    A cubic stratum is one (b, c) grid; a quartic one is walked in blocks of
+    up to _BLOCK_CELLS // W^2 consecutive b, each a (b, c, d) grid.  The
+    reducible mask comes from the ``table`` strategy's irreducibility table
+    when one is given, else from the factor pairs (``direct``).
     """
-    H = height
-    if degree == 3:
-        classes, keys = CUBIC_CLASSES, [(a,)]
-        red_mask, stripe_counts = _cubic_red_mask, _cubic_stripe_counts
-    else:
-        classes, keys = QUARTIC_CLASSES, [(a, b) for b in range(-H, H + 1)]
-        red_mask, stripe_counts = _quartic_red_mask, _quartic_stripe_counts
+    H, W = height, 2 * height + 1
     pairs = _factor_pairs(H) if table is None else None
-    acc = [0] * len(classes)
-    for key in keys:
-        if table is None:
-            red = red_mask(*key, H, pairs)
-        else:
-            red = ~table[tuple(k + H for k in key)]
-        acc = [x + y for x, y in zip(acc, stripe_counts(*key, H, red))]
+    if degree == 3:
+        red = _cubic_red_mask(a, H, pairs) if table is None else ~table[a + H]
+        classes, acc = CUBIC_CLASSES, _cubic_stripe_counts(a, H, red)
+    else:
+        classes, acc = QUARTIC_CLASSES, [0] * len(QUARTIC_CLASSES)
+        nb = max(1, _BLOCK_CELLS // (W * W))
+        # one mask and one set of tile scratch arrays serve every block
+        red, scratch = np.empty((nb, W, W), dtype=bool), _tile_scratch(_WINDOW_TILE_CELLS + W)
+        for b0 in range(-H, H + 1, nb):
+            b1 = min(b0 + nb, H + 1)
+            mask = red[: b1 - b0]
+            if table is None:
+                _quartic_red_mask(a, b0, b1, H, pairs, mask)
+            else:
+                np.invert(table[a + H, b0 + H : b1 + H], out=mask)
+            acc = [x + y for x, y in zip(acc, _quartic_block_counts(a, b0, b1, H, mask, scratch))]
     factor = 1 if a == 0 else 2
     return a, {k: v * factor for k, v in zip(classes, acc)}
 

@@ -40,7 +40,9 @@ __all__ = [
     "resolvent",
     "disc_quartic",
     "disc_quartic_coeffs",
+    "disc_quartic_terms",
     "invariants_quartic",
+    "invariants_quartic_coeffs",
     "reducibility_witness",
     "is_c4",
     "classify_quartic",
@@ -156,14 +158,13 @@ def disc_quartic(f: MonicQuartic) -> int:
     return disc_quartic_coeffs(f.a, f.b, f.c, f.d)
 
 
-def disc_quartic_coeffs(a, b, c, d):
-    """Discriminant of X^4 + aX^3 + bX^2 + cX + d from raw coefficients.
+def disc_quartic_terms(a, b, c):
+    """(t2, t1, t0): the discriminant of X^4 + aX^3 + bX^2 + cX + d is the
+    cubic ((256 d + t2) d + t1) d + t0 in d, whose lower coefficients are
+    these polynomials in (a, b, c).
 
-    A cubic in d, evaluated by Horner: ((256 d + t2) d + t1) d + t0 with
-    t0, t1, t2 polynomials in (a, b, c).  Works on ints, Fractions and
-    broadcast int64 arrays alike: identity checks with rational
-    substitutions need not build a MonicQuartic per case, and the quartic
-    census passes a column of c and a row of d.
+    The quartic census computes them once per (b, c) row and runs the Horner
+    steps over that row's d-window itself.
     """
     a2, b2, c2 = a * a, b * b, c * c
     t0 = ((a2 * b2 - 4 * b2 * b) + (18 * a * b - 4 * a2 * a) * c - 27 * c2) * c2
@@ -173,15 +174,37 @@ def disc_quartic_coeffs(a, b, c, d):
         + (144 * b - 6 * a2) * c2
     )
     t2 = 144 * a2 * b - 27 * a2 * a2 - 128 * b2 - 192 * a * c
+    return t2, t1, t0
+
+
+def disc_quartic_coeffs(a, b, c, d):
+    """Discriminant of X^4 + aX^3 + bX^2 + cX + d from raw coefficients.
+
+    A cubic in d, evaluated by Horner: ((256 d + t2) d + t1) d + t0 with
+    (t2, t1, t0) from ``disc_quartic_terms``.  Works on ints, Fractions and
+    broadcast int64 arrays alike: identity checks with rational
+    substitutions need not build a MonicQuartic per case, and the quartic
+    census passes the coefficients of its sparse root cells.
+    """
+    t2, t1, t0 = disc_quartic_terms(a, b, c)
     return ((256 * d + t2) * d + t1) * d + t0
+
+
+def invariants_quartic_coeffs(a, b, c, d):
+    """(I, J) of X^4 + aX^3 + bX^2 + cX + d from raw coefficients, with
+    27 * disc = 4 I^3 - J^2.  Both are linear in d, I with slope 12.
+
+    Works on ints, Fractions and broadcast int64 arrays; the quartic census
+    evaluates them per (b, c) row at d = 0 and d = 1.
+    """
+    i = 12 * d - 3 * a * c + b * b
+    j = 72 * b * d + 9 * a * b * c - 27 * c * c - 27 * a * a * d - 2 * b**3
+    return i, j
 
 
 def invariants_quartic(f: MonicQuartic) -> InvariantPair:
     """(I, J) with 27 * disc = 4 I^3 - J^2."""
-    a, b, c, d = f.a, f.b, f.c, f.d
-    i = 12 * d - 3 * a * c + b * b
-    j = 72 * b * d + 9 * a * b * c - 27 * c * c - 27 * a * a * d - 2 * b**3
-    return InvariantPair(i, j)
+    return InvariantPair(*invariants_quartic_coeffs(f.a, f.b, f.c, f.d))
 
 
 def _eval_monic_cubic(p: int, q: int, r: int, x: int) -> int:

@@ -66,9 +66,31 @@ def test_quartic_census_matches_per_polynomial_oracle(height):
 
 
 def _disc_grid(a: int, b: int, height: int) -> np.ndarray:
-    """The stripe's int64 discriminant grid over (c, d), as the kernel builds it."""
+    """The dense int64 discriminant grid over (c, d) of stripe (a, b): the
+    oracle for the kernel's sparse square cells."""
     v = np.arange(-height, height + 1, dtype=np.int64)
     return disc_quartic_coeffs(a, b, v[:, None], v[None, :])
+
+
+def _dense_square_block(a: int, b0: int, b1: int, height: int) -> np.ndarray:
+    """The positive-square discriminant cells of the block b0 <= b < b1 as a
+    (b1 - b0, W, W) bool array, from the dense grids."""
+    from galoiscensus.census import _square_mask
+
+    return np.stack([_square_mask(_disc_grid(a, b, height)) for b in range(b0, b1)])
+
+
+def _square_cells(a: int, b0: int, b1: int, height: int) -> np.ndarray:
+    """The kernel's square cells of the block b0 <= b < b1, checked to be
+    ascending and in the block, scattered into a (b1 - b0, W, W) grid."""
+    from galoiscensus.census import _WINDOW_TILE_CELLS, _quartic_square_cells, _tile_scratch
+
+    W = 2 * height + 1
+    sq = _quartic_square_cells(a, b0, b1, height, _tile_scratch(_WINDOW_TILE_CELLS + W))
+    assert np.all(np.diff(sq) > 0) and np.all((sq >= 0) & (sq < (b1 - b0) * W * W)), (a, b0, b1)
+    grid = np.zeros((b1 - b0, W, W), dtype=bool)
+    grid.reshape(-1)[sq] = True
+    return grid
 
 
 def _resolvent_value(a: int, b: int, c, d, x):
@@ -76,48 +98,64 @@ def _resolvent_value(a: int, b: int, c, d, x):
     return x**3 - b * x**2 + (a * c - 4 * d) * x - (a * a * d - 4 * b * d + c * c)
 
 
-def _root_grids(a: int, b: int, height: int):
-    """(has_root, root_val, split): the sparse root cells of stripe (a, b)
-    scattered into dense (c, d) grids, after checking that each listed x is
-    a root of the resolvent at its cell and that no (cell, x) pair repeats.
-    ``split`` marks the cells with a split root; ``root_val`` keeps one root
-    of each cell."""
+def _root_block(a: int, b0: int, b1: int, height: int):
+    """(has_root, root_val, split): the sparse root cells of the block
+    b0 <= b < b1 scattered into dense (b1 - b0, W, W) grids, after checking
+    that each listed x is a root of the resolvent at its cell and that no
+    (cell, x) pair repeats.  ``split`` marks the cells with a split root;
+    ``root_val`` keeps one root of each cell."""
     from galoiscensus.census import _quartic_resolvent_roots
 
     H, W = height, 2 * height + 1
-    cells, roots, split = _quartic_resolvent_roots(a, b, H)
+    cells, roots, split = _quartic_resolvent_roots(a, b0, b1, H)
     assert cells.shape == roots.shape == split.shape and split.dtype == bool
-    assert np.all((cells >= 0) & (cells < W * W)), (a, b, H)
-    c, d = np.divmod(cells, W)
-    assert not _resolvent_value(a, b, c - H, d - H, roots).any(), (a, b, H)
-    assert len(set(zip(cells.tolist(), roots.tolist()))) == cells.size, (a, b, H)
-    has_root = np.zeros((W, W), dtype=bool)
-    root_val = np.zeros((W, W), dtype=np.int64)
-    split_grid = np.zeros((W, W), dtype=bool)
+    assert np.all((cells >= 0) & (cells < (b1 - b0) * W * W)), (a, b0, b1, H)
+    bc, d = np.divmod(cells, W)
+    b, c = np.divmod(bc, W)
+    assert not _resolvent_value(a, b + b0, c - H, d - H, roots).any(), (a, b0, b1, H)
+    assert len(set(zip(cells.tolist(), roots.tolist()))) == cells.size, (a, b0, b1, H)
+    shape = (b1 - b0, W, W)
+    has_root, root_val, split_grid = np.zeros(shape, bool), np.zeros(shape, np.int64), np.zeros(shape, bool)
     has_root.reshape(-1)[cells] = True
     root_val.reshape(-1)[cells] = roots
     split_grid.reshape(-1)[cells[split]] = True
     return has_root, root_val, split_grid
 
 
-def _reducible_grid(a: int, b: int, height: int) -> np.ndarray:
-    """The stripe's reducible mask: the linear-factor cells plus the split
-    root cells, as ``_quartic_stripe_counts`` completes it."""
+def _root_grids(a: int, b: int, height: int):
+    """``_root_block`` of the one-b block of stripe (a, b), as (W, W) grids."""
+    return tuple(g[0] for g in _root_block(a, b, b + 1, height))
+
+
+def _linear_block(a: int, b0: int, b1: int, height: int) -> np.ndarray:
+    """The block's linear-factor mask, as ``_stripe_job`` fills it."""
     from galoiscensus.census import _factor_pairs, _quartic_red_mask
 
-    return _quartic_red_mask(a, b, height, _factor_pairs(height)) | _root_grids(a, b, height)[2]
+    W = 2 * height + 1
+    red = np.ones((b1 - b0, W, W), dtype=bool)  # the kernel clears it first
+    _quartic_red_mask(a, b0, b1, height, _factor_pairs(height), red)
+    return red
+
+
+def _reducible_block(a: int, b0: int, b1: int, height: int) -> np.ndarray:
+    """The block's reducible mask: the linear-factor cells plus the split
+    root cells, as ``_quartic_block_counts`` completes it."""
+    return _linear_block(a, b0, b1, height) | _root_block(a, b0, b1, height)[2]
+
+
+def _reducible_grid(a: int, b: int, height: int) -> np.ndarray:
+    """``_reducible_block`` of the one-b block of stripe (a, b)."""
+    return _reducible_block(a, b, b + 1, height)[0]
 
 
 def _assert_kernel_labels(a: int, b: int, height: int, cells) -> None:
     """Rebuild the class of each (c, d) in ``cells`` from the raw kernel
-    output of stripe (a, b), the way ``_quartic_stripe_counts`` decides it,
+    output of stripe (a, b), the way ``_quartic_block_counts`` decides it,
     and demand exact agreement with the per-polynomial classifier."""
-    from galoiscensus.census import _square_mask
-
     H = height
     red = _reducible_grid(a, b, H)
     disc = _disc_grid(a, b, H)
-    square = _square_mask(disc)
+    square = _square_cells(a, b, b + 1, H)[0]
     has_root, root_val, _ = _root_grids(a, b, H)
     for c, d in cells:
         i, j = c + H, d + H
@@ -132,12 +170,20 @@ def _assert_kernel_labels(a: int, b: int, height: int, cells) -> None:
         assert label == classify_quartic(MonicQuartic(a, b, c, d)).group.value, (a, b, c, d)
 
 
-def test_quartic_stripe_grids_match_classifier_at_height12():
-    # every cell of sampled stripes, labelled from the raw kernel grids,
-    # agrees exactly with the per-polynomial classifier, and so do the
-    # stripe's counts, which take D4/C4 from the sparse root cells
-    from galoiscensus.census import _factor_pairs, _quartic_red_mask, _quartic_stripe_counts
+def _block_counts(a: int, b0: int, b1: int, height: int):
+    """The kernel's class counts of the block b0 <= b < b1 (``direct`` mask)."""
+    from galoiscensus.census import _WINDOW_TILE_CELLS, _quartic_block_counts, _tile_scratch
 
+    W = 2 * height + 1
+    red = _linear_block(a, b0, b1, height)
+    return _quartic_block_counts(a, b0, b1, height, red, _tile_scratch(_WINDOW_TILE_CELLS + W))
+
+
+def test_quartic_stripe_grids_match_classifier_at_height12():
+    # every cell of sampled stripes, labelled from the raw kernel output,
+    # agrees exactly with the per-polynomial classifier, and so do the
+    # counts of the stripe's one-b block, which take V4 and D4/C4 from the
+    # sparse root cells
     H = 12
     rng = random.Random(3)
     stripes = [(rng.randint(-H, H), rng.randint(-H, H)) for _ in range(8)] + [(0, 0)]
@@ -145,7 +191,7 @@ def test_quartic_stripe_grids_match_classifier_at_height12():
     for a, b in stripes:
         _assert_kernel_labels(a, b, H, cells)
         labels = Counter(classify_quartic(MonicQuartic(a, b, c, d)).group.value for c, d in cells)
-        counts = _quartic_stripe_counts(a, b, H, _quartic_red_mask(a, b, H, _factor_pairs(H)))
+        counts = _block_counts(a, b, b + 1, H)
         assert dict(zip(QUARTIC_CLASSES, counts)) == {k: labels[k] for k in QUARTIC_CLASSES}, (a, b)
 
 
@@ -154,8 +200,6 @@ def test_quartic_stripe_grids_match_classifier_at_height150():
     # cells, cells on the lines d = 0 and c = 0, and a few of the cells the
     # kernel finds reducible, with a resolvent root or with a square disc,
     # so the rare classes are checked too
-    from galoiscensus.census import _square_mask
-
     H = 150
     rng = random.Random(150)
     stripes = [(H, H), (-H, -H), (H, -H), (-H, H), (0, 0)]
@@ -166,7 +210,7 @@ def test_quartic_stripe_grids_match_classifier_at_height150():
         cells += [(0, rng.randint(-H, H)) for _ in range(20)]
         red = _reducible_grid(a, b, H)
         has_root = _root_grids(a, b, H)[0]
-        square = _square_mask(_disc_grid(a, b, H))
+        square = _square_cells(a, b, b + 1, H)[0]
         for found in (red, has_root & ~red, square & ~red):
             hits = np.argwhere(found) - H
             for k in rng.sample(range(len(hits)), min(10, len(hits))):
@@ -175,13 +219,13 @@ def test_quartic_stripe_grids_match_classifier_at_height150():
 
 
 def test_quartic_red_mask_matches_table_exhaustively():
-    # the whole reducible mask of every (a, b) stripe at H=16, the linear
-    # cells plus the split root cells, equals the complement of the table
-    # strategy's independent product marking
+    # the whole reducible mask of every a-stratum at H=16, taken as one
+    # block of all 33 b (the linear cells plus the split root cells), equals
+    # the complement of the table strategy's independent product marking
     H = 16
     table = build_irreducible_table(4, H)
-    for a, b in itertools.product(range(-H, H + 1), repeat=2):
-        assert np.array_equal(_reducible_grid(a, b, H), ~table[a + H, b + H]), (a, b)
+    for a in range(-H, H + 1):
+        assert np.array_equal(_reducible_block(a, -H, H + 1, H), ~table[a + H]), a
 
 
 def test_quartic_resolvent_roots_match_unpruned_search():
@@ -297,6 +341,139 @@ def test_quartic_resolvent_roots_match_oracle_on_seeded_stripes(height):
     stripes += [(rng.randint(-H, H), rng.randint(-H, H)) for _ in range(15)]
     for a, b in stripes:
         _assert_resolvent_matches_oracle(a, b, H)
+
+
+def test_quartic_resolvent_roots_block_equals_its_stripes():
+    # a block's root cells are its stripes' root cells, each b's cells
+    # offset by its place in the block, in blocks of every size and at
+    # every place in the a-stratum, K = 0 rows included (even a)
+    from galoiscensus.census import _quartic_resolvent_roots
+
+    for H in (7, 20):
+        W = 2 * H + 1
+        for a in (0, 1, 6, -H, H):
+            per_b = {b: _quartic_resolvent_roots(a, b, b + 1, H) for b in range(-H, H + 1)}
+            for nb in (2, 3, W):
+                for b0 in range(-H, H + 1, nb):
+                    b1 = min(b0 + nb, H + 1)
+                    got = list(zip(*(v.tolist() for v in _quartic_resolvent_roots(a, b0, b1, H))))
+                    want = []
+                    for b in range(b0, b1):
+                        cells, roots, split = per_b[b]
+                        cells = cells + (b - b0) * W * W
+                        want += zip(cells.tolist(), roots.tolist(), split.tolist())
+                    assert sorted(got) == sorted(want), (H, a, b0, b1)
+
+
+def _assert_windows_cover(a: int, b0: int, b1: int, height: int) -> tuple[int, int]:
+    """Every cell of the block with disc > 0 lies in its (b, c) row's
+    d-window (the dense grid is the oracle); returns (window cells,
+    positive cells)."""
+    from galoiscensus.census import _quartic_d_windows
+
+    H, W = height, 2 * height + 1
+    lo, hi = _quartic_d_windows(a, b0, b1, H)
+    assert lo.shape == hi.shape == ((b1 - b0) * W,)
+    d = np.arange(-H, H + 1, dtype=np.int64)
+    inside = (d >= lo[:, None]) & (d <= hi[:, None])
+    positive = np.concatenate([_disc_grid(a, b, H) > 0 for b in range(b0, b1)])
+    assert not (positive & ~inside).any(), (a, b0, b1, H, np.argwhere(positive & ~inside)[:5])
+    return int(inside.sum()), int(positive.sum())
+
+
+def test_quartic_d_windows_cover_positive_disc_up_to_height20():
+    # exhaustive at every H <= 20 and a >= 0, each stratum as one block
+    for H in range(21):
+        for a in range(H + 1):
+            _assert_windows_cover(a, -H, H + 1, H)
+
+
+@pytest.mark.parametrize("height", [150, 400])
+def test_quartic_d_windows_cover_positive_disc_on_seeded_stripes(height):
+    # seeded stripes, the box corners and, at the cap, the corner stripes of
+    # test_quartic_kernel_exact_at_height_cap; the windows must also cut
+    # the evaluated cells well below the full grid
+    H = height
+    rng = random.Random(4 * height)
+    stripes = [(H, H), (0, 0), (H, -H), (0, -H)]
+    if H == 400:
+        stripes += [(400, -400), (0, -400), (399, 397), (255, -33)]
+    stripes += [(rng.randint(0, H), rng.randint(-H, H)) for _ in range(12)]
+    window = positive = 0
+    for a, b in stripes:
+        w, p = _assert_windows_cover(a, b, b + 1, H)
+        window, positive = window + w, positive + p
+    assert positive <= window < 0.4 * len(stripes) * (2 * H + 1) ** 2
+
+
+def test_quartic_square_cells_match_dense_grid_up_to_height20():
+    # the windowed, tiled square test against the dense grid at every
+    # H <= 20, each a-stratum (a < 0 too) as one block of all b
+    for H in range(21):
+        for a in range(-H, H + 1):
+            got = _square_cells(a, -H, H + 1, H)
+            assert np.array_equal(got, _dense_square_block(a, -H, H + 1, H)), (H, a)
+
+
+@pytest.mark.parametrize("height", [150, 400])
+def test_quartic_square_cells_match_dense_grid_on_seeded_stripes(height):
+    H = height
+    rng = random.Random(height + 1)
+    stripes = [(H, H), (0, 0), (H, -H), (0, -H), (-H, H)]
+    stripes += [(rng.randint(-H, H), rng.randint(-H, H)) for _ in range(10)]
+    found = 0
+    for a, b in stripes:
+        got = _square_cells(a, b, b + 1, H)
+        assert np.array_equal(got, _dense_square_block(a, b, b + 1, H)), (a, b)
+        found += int(got.sum())
+    assert found > 0
+
+
+def _stratum_labels(a: int, height: int) -> dict[str, int]:
+    rng = range(-height, height + 1)
+    labels = Counter(
+        classify_quartic(MonicQuartic(a, b, c, d)).group.value for b, c, d in itertools.product(rng, repeat=3)
+    )
+    factor = 1 if a == 0 else 2
+    return {k: labels[k] * factor for k in QUARTIC_CLASSES}
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3, "all"])
+def test_quartic_blocks_and_tiles_match_classifier(monkeypatch, per_block):
+    # blocks of 1, 2, 3 and 2H + 1 b-values (2 and 3 do not divide 2H + 1 =
+    # 25), tiles of three rows: the a-stratum counts equal the classifier's
+    from galoiscensus import census
+    from galoiscensus.census import _stripe_job
+
+    H, W = 12, 25
+    nb = W if per_block == "all" else per_block
+    monkeypatch.setattr(census, "_BLOCK_CELLS", nb * W * W)
+    monkeypatch.setattr(census, "_WINDOW_TILE_CELLS", 3 * W)
+    blocks = []
+    block_counts = census._quartic_block_counts
+
+    def recorded(a, b0, b1, *rest):
+        blocks.append((b0, b1))
+        return block_counts(a, b0, b1, *rest)
+
+    monkeypatch.setattr(census, "_quartic_block_counts", recorded)
+    for a in (0, 7, H):
+        blocks.clear()
+        assert _stripe_job(4, H, a) == (a, _stratum_labels(a, H)), a
+        assert blocks == [(b0, min(b0 + nb, H + 1)) for b0 in range(-H, H + 1, nb)]
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3, "all"])
+def test_quartic_blocks_and_tiles_match_table_at_height20(monkeypatch, per_block):
+    from galoiscensus import census
+
+    H, W = 20, 41
+    nb = W if per_block == "all" else per_block
+    table = run_census(CensusRequest(4, H, strategy="table", workers=1)).counts
+    monkeypatch.setattr(census, "_BLOCK_CELLS", nb * W * W)
+    monkeypatch.setattr(census, "_WINDOW_TILE_CELLS", 2 * W)
+    for strategy in ("direct", "table"):
+        assert run_census(CensusRequest(4, H, strategy=strategy, workers=1)).counts == table, strategy
 
 
 def test_rad2_table():
@@ -548,12 +725,28 @@ def test_list_a3_cubics_matches_classifier(monkeypatch):
         assert len(found) == run_census(CensusRequest(3, H, workers=1)).counts["A3"]
 
 
+def _d_window(a: int, b: int, c: int, height: int) -> tuple[int, int]:
+    """The (b, c) row's d-window in Python ints, straight from its
+    definition: I(d) > 0 and |J(d)| <= isqrt(4 I(H)^3), cut to [-H, H];
+    (lo, hi), or None when no d qualifies."""
+    from galoiscensus.classify import invariants_quartic
+
+    H = height
+    big = math.isqrt(4 * max(invariants_quartic(MonicQuartic(a, b, c, H)).I, 0) ** 3)
+    inv = [invariants_quartic(MonicQuartic(a, b, c, d)) for d in range(-H, H + 1)]
+    ok = [d for d, (i, j) in zip(range(-H, H + 1), inv) if i > 0 and abs(j) <= big]
+    return (ok[0], ok[-1]) if ok else None
+
+
 def test_quartic_kernel_exact_at_height_cap():
     # int64 range claims hold at the documented cap H=400: grid values must
     # equal exact Python-int arithmetic on sampled cells.  The disc grid is
     # the classifier's own formula on int64 arrays, so its comparison checks
     # that the int64 evaluation does not overflow; sympy checks the formula
-    # itself in test_classify.
+    # itself in test_classify.  The d-windows equal their Python-int
+    # derivation, cover every disc > 0 cell, and the sparse square cells
+    # equal the dense grid's.
+    from galoiscensus.census import _quartic_d_windows, _square_mask
     from galoiscensus.classify import disc_quartic, resolvent_integer_roots
 
     H = 400
@@ -562,6 +755,12 @@ def test_quartic_kernel_exact_at_height_cap():
         disc = _disc_grid(a, b, H)
         red = _reducible_grid(a, b, H)
         has_root, root_val, _ = _root_grids(a, b, H)
+        assert np.array_equal(_square_cells(a, b, b + 1, H)[0], _square_mask(disc)), (a, b)
+        _assert_windows_cover(a, b, b + 1, H)
+        lo, hi = _quartic_d_windows(a, b, b + 1, H)
+        for c in [-H, H, *rng.sample(range(-H, H + 1), 30)]:
+            ends = (int(lo[c + H]), int(hi[c + H]))
+            assert (ends if ends[0] <= ends[1] else None) == _d_window(a, b, c, H), (a, b, c)
         for _ in range(120):
             c = rng.randint(-H, H)
             d = rng.randint(-H, H)
@@ -727,14 +926,20 @@ def test_square_mask_matches_isqrt(values):
 
 
 def test_isqrt_matches_math_isqrt():
+    # over the whole documented domain [0, 2^62): the float guess is off by
+    # one in either direction near the top, which the two integer steps fix
     from galoiscensus.census import _isqrt
 
-    values = [0, 1, 2, 3, 4, 2**53 - 1]
-    for s in [*range(1, 50), *range(2**26 - 3, 2**26 + 3), *range(94906262, 94906266)]:
+    values = [0, 1, 2, 3, 4, 2**53 - 1, 2**53, 2**53 + 1, 2**62 - 1]
+    near = [*range(1, 50), *range(2**26 - 3, 2**26 + 3), *range(94906262, 94906266), *range(2**31 - 40, 2**31)]
+    for s in near:
         values += [s * s - 1, s * s, s * s + 1]
-    values = [v for v in values if v < 2**53]
+    values = [v for v in values if v < 2**62]
     rng = random.Random(53)
     values += [rng.randrange(2**53) for _ in range(1000)]
+    values += [rng.randrange(2**62) for _ in range(1000)]
+    for s in (rng.randrange(2**27, 2**31) for _ in range(300)):
+        values += [s * s - 1, s * s, min(s * s + 1, 2**62 - 1)]
     got = _isqrt(np.array(values, dtype=np.int64))
     assert got.tolist() == [math.isqrt(v) for v in values]
 

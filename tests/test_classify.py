@@ -90,6 +90,21 @@ def test_invariant_identity_exhaustive_quartic():
         assert 27 * disc_quartic(f) == 4 * I**3 - J * J
 
 
+def test_quartic_terms_and_invariants_in_d():
+    # the census relies on these shapes: disc = ((256 d + t2) d + t1) d + t0
+    # with (t2, t1, t0) free of d, I(d) = I(0) + 12 d and
+    # J(d) = J(0) + (72 b - 27 a^2) d
+    from galoiscensus.classify import disc_quartic_terms, invariants_quartic_coeffs
+
+    rng = random.Random(12)
+    for _ in range(500):
+        a, b, c, d = (rng.randint(-400, 400) for _ in range(4))
+        t2, t1, t0 = disc_quartic_terms(a, b, c)
+        assert ((256 * d + t2) * d + t1) * d + t0 == disc_quartic(MonicQuartic(a, b, c, d))
+        i0, j0 = invariants_quartic_coeffs(a, b, c, 0)
+        assert invariants_quartic(MonicQuartic(a, b, c, d)) == (i0 + 12 * d, j0 + (72 * b - 27 * a * a) * d)
+
+
 def test_disc_quartic_against_sympy():
     import sympy
     from sympy.abc import x
