@@ -367,55 +367,95 @@ def classify_quartic(f: MonicQuartic) -> QuarticClass:
 # ---------------------------------------------------------------------------
 # Frobenius cycle types mod p (independent cross-check of the classifier)
 
-def _p_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+def _p_frame(f: MonicCubic | MonicQuartic, p: int):
+    """(coeffs, rows) for the monic quartic F = f, or F = X f for a cubic f:
+    coeffs = (a, b, c, d) with F = X^4 + a X^3 + b X^2 + c X + d mod p, and
+    rows = (X^4, X^5, X^6) mod (F, p), each ascending."""
+    a, b, c, d = f.coeffs() if isinstance(f, MonicQuartic) else (*f.coeffs(), 0)
+    coeffs = a, b, c, d = a % p, b % p, c % p, d % p
+    x4 = (-d % p, -c % p, -b % p, -a % p)
+    x5 = _p_mulx(x4, x4, p)
+    return coeffs, (x4, x5, _p_mulx(x5, x4, p))
 
 
-def _p_mulmod(f: list[int], g: list[int], m: list[int], p: int) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                out[i + j] = (out[i + j] + fi * gj) % p
-    return _p_rem(out, m, p)
+def _p_fold(t0, t1, t2, t3, t4, t5, t6, rows, p):
+    """t0 + t1 X + ... + t6 X^6 mod (F, p), with rows = (X^4, X^5, X^6) mod F:
+    each coefficient is reduced once, by a single % p at the end."""
+    (u0, u1, u2, u3), (v0, v1, v2, v3), (w0, w1, w2, w3) = rows
+    return (
+        (t0 + t4 * u0 + t5 * v0 + t6 * w0) % p,
+        (t1 + t4 * u1 + t5 * v1 + t6 * w1) % p,
+        (t2 + t4 * u2 + t5 * v2 + t6 * w2) % p,
+        (t3 + t4 * u3 + t5 * v3 + t6 * w3) % p,
+    )
 
 
-def _p_rem(f: list[int], m: list[int], p: int) -> list[int]:
-    f = _p_trim(f[:])
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, p)
-    while len(f) - 1 >= dm:
-        k = len(f) - 1 - dm
-        q = f[-1] * inv % p
-        for i, mi in enumerate(m):
-            f[k + i] = (f[k + i] - q * mi) % p
-        f.pop()
-        _p_trim(f)
-    return f
+def _p_sqr(g, rows, p):
+    """g^2 mod (F, p) from the 10 symmetric products g_i g_j, i <= j."""
+    g0, g1, g2, g3 = g
+    return _p_fold(
+        g0 * g0, 2 * g0 * g1, 2 * g0 * g2 + g1 * g1, 2 * (g0 * g3 + g1 * g2),
+        2 * g1 * g3 + g2 * g2, 2 * g2 * g3, g3 * g3, rows, p,
+    )
 
 
-def _p_pow(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """base^e mod (m, p)."""
-    result, base = [1], _p_rem(base, m, p)
-    while e:
-        if e & 1:
-            result = _p_mulmod(result, base, m, p)
-        base = _p_mulmod(base, base, m, p)
-        e >>= 1
-    return result
+def _p_mul(g, h, rows, p):
+    """g h mod (F, p): a general product, 16 coefficient products."""
+    g0, g1, g2, g3 = g
+    h0, h1, h2, h3 = h
+    return _p_fold(
+        g0 * h0, g0 * h1 + g1 * h0, g0 * h2 + g1 * h1 + g2 * h0,
+        g0 * h3 + g1 * h2 + g2 * h1 + g3 * h0,
+        g1 * h3 + g2 * h2 + g3 * h1, g2 * h3 + g3 * h2, g3 * h3, rows, p,
+    )
 
 
-def _p_root_count(f: list[int], xq: list[int], p: int) -> int:
-    """deg gcd(f, X^q - X) mod p, given xq = X^q mod f: the number of roots
-    of a squarefree f in F_q."""
-    g = xq + [0] * (2 - len(xq))
-    g[1] = (g[1] - 1) % p
-    g = _p_trim(g)
-    while g:
-        f, g = g, _p_rem(f, g, p)
-    return len(f) - 1
+def _p_mulx(g, x4, p):
+    """X g mod (F, p): a shift, with the top coefficient folded in along x4 = X^4 mod F."""
+    g0, g1, g2, g3 = g
+    u0, u1, u2, u3 = x4
+    return (g3 * u0 % p, (g0 + g3 * u1) % p, (g1 + g3 * u2) % p, (g2 + g3 * u3) % p)
+
+
+def _p_xpow(rows, p):
+    """X^p mod (F, p), left to right over the bits of p: bit_length(p) - 1
+    squarings, each followed by a shift when its bit is set."""
+    g = (0, 1, 0, 0)
+    for bit in bin(p)[3:]:
+        g = _p_sqr(g, rows, p)
+        if bit == "1":
+            g = _p_mulx(g, rows[0], p)
+    return g
+
+
+def _p_compose(g, rows, p):
+    """g(g) mod (F, p) by Horner.  Its first step, g3 g, is a scalar
+    multiple, so the three steps take two general products."""
+    g0, g1, g2, g3 = g
+    a0, a1, a2, a3 = _p_mul(((g3 * g0 + g2) % p, g3 * g1 % p, g3 * g2 % p, g3 * g3 % p), g, rows, p)
+    a0, a1, a2, a3 = _p_mul(((a0 + g1) % p, a1, a2, a3), g, rows, p)
+    return ((a0 + g0) % p, a1, a2, a3)
+
+
+def _p_root_count(coeffs, xq, p):
+    """deg gcd(F, X^q - X) mod p, given F = X^4 + a X^3 + b X^2 + c X + d as
+    coeffs = (a, b, c, d) and xq = X^q mod F: the number of distinct roots of
+    F in F_q.  Euclid on descending coefficient lists; each remainder step
+    defers its % p to the coefficients it keeps."""
+    u = [1, *coeffs]
+    v = [xq[3], xq[2], (xq[1] - 1) % p, xq[0]]
+    while v:
+        if not v[0]:
+            del v[0]
+            continue
+        inv = pow(v[0], -1, p)
+        nv = len(v)
+        for k in range(len(u) - nv + 1):
+            q = u[k] * inv % p
+            for i in range(1, nv):
+                u[k + i] -= q * v[i]
+        u, v = v, [c % p for c in u[len(u) - nv + 1:]]
+    return len(u) - 1
 
 
 def frobenius_cycle_type(f: MonicCubic | MonicQuartic, p: int) -> tuple[int, ...]:
@@ -427,20 +467,32 @@ def frobenius_cycle_type(f: MonicCubic | MonicQuartic, p: int) -> tuple[int, ...
     F_p, which are its e1 linear factors.  The other n - e1 degrees carry no
     linear factor: 0, 2 or 3 of them form at most one factor, and 4 form
     (2, 2) exactly when all four roots lie in F_(p^2), i.e. when
-    deg gcd(f, X^(p^2) - X) = 4, and (4,) otherwise.  X^(p^2) mod f is
-    computed as (X^p)^p mod f.
+    deg gcd(f, X^(p^2) - X) = 4, and (4,) otherwise.
+
+    All arithmetic is in F_p[X] / F for the quartic F = f, or F = X f for a
+    cubic, so both degrees share one code path; the root 0 that X adds is
+    dropped from the count unless f(0) = 0 mod p.  X^p mod F is built left
+    to right by squaring and shifting.  X^(p^2) mod F is then xp(xp) for
+    xp = X^p mod F, by Horner: g -> g^p is a ring map of F_p[X] / F that
+    fixes F_p, so (X^p)^p = xp(X)^p = xp(X^p) = xp(xp).  Products accumulate
+    unreduced in Python ints and are folded to degree 3 along the rows
+    X^4, X^5, X^6 mod F, then reduced mod p once per coefficient: every
+    value stays an exact integer.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    disc = disc_cubic(f) if isinstance(f, MonicCubic) else disc_quartic(f)
+    quartic = isinstance(f, MonicQuartic)
+    disc = disc_quartic(f) if quartic else disc_cubic(f)
     if disc % p == 0:
         raise ValueError(f"p={p} divides the discriminant")
-    fp = [c % p for c in f.coeffs()[::-1]] + [1]  # ascending, monic
-    xp = _p_pow([0, 1], p, fp, p)
-    linear = _p_root_count(fp, xp, p)
-    rest = len(fp) - 1 - linear
+    coeffs, rows = _p_frame(f, p)
+    xp = _p_xpow(rows, p)
+    linear = _p_root_count(coeffs, xp, p)
+    if not quartic and coeffs[2]:  # f(0) != 0 mod p: the root 0 is X's alone
+        linear -= 1
+    rest = len(f.coeffs()) - linear
     if rest == 4:
-        quadratic_roots = _p_root_count(fp, _p_pow(xp, p, fp, p), p)
+        quadratic_roots = _p_root_count(coeffs, _p_compose(xp, rows, p), p)
         return (2, 2) if quadratic_roots == 4 else (4,)
     return (1,) * linear + ((rest,) if rest else ())
 

@@ -70,12 +70,20 @@ def divisors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for all inputs below 3.3e24."""
+    """Trial division by the primes up to 37, then deterministic Miller-Rabin;
+    exact for all inputs below 3.3e24.
+
+    A composite n has a prime factor at most sqrt(n), so one below
+    41^2 = 1681 has a prime factor at most 37, which the trial division
+    finds: an n < 1681 that survives it is prime without Miller-Rabin.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
+    if n < 1681:
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -152,7 +160,14 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Canonical factorization of nonzero n: trial division, then Brent rho."""
+    """Canonical factorization of nonzero n: trial division, then Brent rho.
+
+    When the trial division stops at p with p^2 > n, every prime below p is
+    divided out, so the cofactor n < p^2 has no prime factor below sqrt(n):
+    it is 1 or a prime, and is recorded as it is.
+    Only a cofactor left when the trial limit runs out is tested with
+    ``is_prime`` and split by ``_brent_rho``.
+    """
     if n == 0:
         raise ValueError("cannot factorize zero")
     sign = -1 if n < 0 else 1
@@ -160,11 +175,13 @@ def factorize(n: int) -> Factorization:
     counts: dict[int, int] = {}
     for p in range(2, _TRIAL_LIMIT + 1):
         if p * p > n:
-            break
+            if n > 1:
+                counts[n] = 1
+            return Factorization(sign, tuple(counts.items()))
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:

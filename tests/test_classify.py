@@ -482,10 +482,14 @@ def test_frobenius_examples(f, p, cycle):
 
 def test_frobenius_rejects_bad_primes():
     f = MonicQuartic(0, 0, 0, 1)  # disc 256
-    with pytest.raises(ValueError):
-        frobenius_cycle_type(f, 2)  # divides disc
-    with pytest.raises(ValueError):
-        frobenius_cycle_type(f, 15)  # not prime
+    with pytest.raises(ValueError, match="divides the discriminant"):
+        frobenius_cycle_type(f, 2)
+    with pytest.raises(ValueError, match="divides the discriminant"):
+        frobenius_cycle_type(MonicCubic(0, 0, -2), 3)  # disc -108
+    # 1681 = 41^2 is the first composite with no prime factor up to 37
+    for p in (15, 0, 1, 4, 1681, -7):
+        with pytest.raises(ValueError, match="not prime"):
+            frobenius_cycle_type(f, p)
 
 
 def test_frobenius_against_sympy_factorization():
@@ -506,6 +510,142 @@ def test_frobenius_against_sympy_factorization():
             )
             ref = tuple(sorted(g.degree() for g, e in poly.factor_list()[1] for _ in range(e)))
             assert frobenius_cycle_type(f, p) == ref
+
+
+# The textbook F_p route that frobenius_cycle_type replaced: right-to-left
+# powers of X with a trimmed remainder after every product, on f itself for
+# cubics too.  It pins the lean layer's output.
+
+def _oracle_trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _oracle_rem(f: list[int], m: list[int], p: int) -> list[int]:
+    f = _oracle_trim(f[:])
+    dm = len(m) - 1
+    inv = pow(m[-1], -1, p)
+    while len(f) - 1 >= dm:
+        k = len(f) - 1 - dm
+        q = f[-1] * inv % p
+        for i, mi in enumerate(m):
+            f[k + i] = (f[k + i] - q * mi) % p
+        f.pop()
+        _oracle_trim(f)
+    return f
+
+
+def _oracle_mulmod(f: list[int], g: list[int], m: list[int], p: int) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        if fi:
+            for j, gj in enumerate(g):
+                out[i + j] = (out[i + j] + fi * gj) % p
+    return _oracle_rem(out, m, p)
+
+
+def _oracle_pow(base: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """base^e mod (m, p), ascending and trimmed."""
+    result, base = [1], _oracle_rem(base, m, p)
+    while e:
+        if e & 1:
+            result = _oracle_mulmod(result, base, m, p)
+        base = _oracle_mulmod(base, base, m, p)
+        e >>= 1
+    return result
+
+
+def _oracle_root_count(f: list[int], xq: list[int], p: int) -> int:
+    g = xq + [0] * (2 - len(xq))
+    g[1] = (g[1] - 1) % p
+    g = _oracle_trim(g)
+    while g:
+        f, g = g, _oracle_rem(f, g, p)
+    return len(f) - 1
+
+
+def _frobenius_oracle(f, p: int) -> tuple[int, ...]:
+    fp = [c % p for c in f.coeffs()[::-1]] + [1]  # ascending, monic
+    xp = _oracle_pow([0, 1], p, fp, p)
+    linear = _oracle_root_count(fp, xp, p)
+    rest = len(fp) - 1 - linear
+    if rest == 4:
+        quadratic_roots = _oracle_root_count(fp, _oracle_pow(xp, p, fp, p), p)
+        return (2, 2) if quadratic_roots == 4 else (4,)
+    return (1,) * linear + ((rest,) if rest else ())
+
+
+_ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 101, 199, 10007, 65537, 1000003)
+_BIG_PRIMES = {10007, 65537, 1000003}
+
+
+def _seeded_frobenius_pairs(seed: int, count: int, degrees=(3, 4)):
+    """count seeded (f, p) pairs with p prime to disc(f); coefficient heights
+    12, 50 and the contract's 10^6."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        n = rng.choice(degrees)
+        height = rng.choice((12, 50, 10**6))
+        coeffs = [rng.randint(-height, height) for _ in range(n)]
+        f = MonicCubic(*coeffs) if n == 3 else MonicQuartic(*coeffs)
+        p = rng.choice(_ORACLE_PRIMES)
+        if (disc_cubic(f) if n == 3 else disc_quartic(f)) % p:
+            pairs.append((f, p))
+    return pairs
+
+
+def test_frobenius_matches_oracle_on_seeded_pairs():
+    pairs = _seeded_frobenius_pairs(15, 20_000)
+    seen = set()
+    for f, p in pairs:
+        cycle = frobenius_cycle_type(f, p)
+        assert cycle == _frobenius_oracle(f, p), (f, p)
+        seen.add((len(f.coeffs()), p in _BIG_PRIMES, p == 2, cycle))
+    # both degrees, p = 2 and the large primes, and every realizable cycle type
+    assert {(n, big) for n, big, _, _ in seen} == {(3, False), (3, True), (4, False), (4, True)}
+    assert {n for n, _, two, _ in seen if two} == {3, 4}
+    assert {c for *_, c in seen} == set().union(*CYCLE_TYPES.values())
+
+
+def test_frobenius_square_power_by_composition_matches_oracle():
+    # X^(p^2) mod f as xp(xp) equals the oracle's (X^p)^p, and X^p agrees too
+    for f, p in _seeded_frobenius_pairs(16, 1500, degrees=(4,)):
+        fp = [c % p for c in f.coeffs()[::-1]] + [1]
+        coeffs, rows = classify._p_frame(f, p)
+        xp = classify._p_xpow(rows, p)
+        oracle_xp = _oracle_pow([0, 1], p, fp, p)
+        assert list(xp) == oracle_xp + [0] * (4 - len(oracle_xp)), (f, p)
+        xp2 = _oracle_pow(oracle_xp, p, fp, p)
+        assert list(classify._p_compose(xp, rows, p)) == xp2 + [0] * (4 - len(xp2)), (f, p)
+
+
+def test_frobenius_work_counts(monkeypatch):
+    # X^p takes bit_length(p) - 1 squarings and no general product; only a
+    # rootless quartic composes, with two general products (Horner's first
+    # step is a scalar multiple)
+    calls = {"sqr": 0, "mul": 0}
+    sqr, mul = classify._p_sqr, classify._p_mul
+
+    def counted_sqr(*args):
+        calls["sqr"] += 1
+        return sqr(*args)
+
+    def counted_mul(*args):
+        calls["mul"] += 1
+        return mul(*args)
+
+    monkeypatch.setattr(classify, "_p_sqr", counted_sqr)
+    monkeypatch.setattr(classify, "_p_mul", counted_mul)
+    rootless = 0
+    for f, p in _seeded_frobenius_pairs(17, 2000):
+        calls.update(sqr=0, mul=0)
+        cycle = frobenius_cycle_type(f, p)
+        assert calls["sqr"] == p.bit_length() - 1, (f, p)
+        assert calls["mul"] == (2 if 1 not in cycle and len(f.coeffs()) == 4 else 0), (f, p)
+        rootless += calls["mul"] > 0
+    assert rootless > 100
 
 
 def test_cycle_types_land_in_classified_group():

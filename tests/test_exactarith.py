@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galoiscensus import exactarith
 from galoiscensus.exactarith import (
     Factorization,
     cubefree_decompose,
@@ -76,6 +79,24 @@ def test_factorize_large_semiprime():
     p, q = 1_000_003, 998_244_353
     fac = factorize(p * q)
     assert fac.factors == ((p, 1), (q, 1))
+
+
+def test_factorize_below_trial_limit_squared_skips_primality_work(monkeypatch):
+    # below 10^8 = _TRIAL_LIMIT^2 the trial division always ends at p^2 > n,
+    # so the cofactor is 1 or a prime and neither is_prime nor rho runs
+    def forbidden(n):
+        raise AssertionError(f"called on {n}")
+
+    rng = random.Random(8)
+    values = [rng.randint(1, 10**8 - 1) for _ in range(3000)]
+    values += [1, 2, 9973, 9973**2, 99_999_989, 2**26, 3 * 33_333_331, 7919 * 7927, -(10**8 - 1)]
+    with monkeypatch.context() as patch:
+        patch.setattr(exactarith, "is_prime", forbidden)
+        patch.setattr(exactarith, "_brent_rho", forbidden)
+        facs = [factorize(n) for n in values]
+    for n, fac in zip(values, facs):
+        assert fac.value() == n
+        assert all(is_prime(p) for p, _ in fac.factors)
 
 
 def test_factorize_rejects_zero():
