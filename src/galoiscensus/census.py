@@ -416,16 +416,23 @@ def _rad2(height: int) -> np.ndarray:
 def _isqrt(v: np.ndarray) -> np.ndarray:
     """floor(sqrt(v)) of int64 v in [0, 2^62): a float guess, corrected in ints.
 
-    With s = floor(sqrt(v)) < 2^31, float64(v) = v (1 + e1) and its rounded
+    Let s = floor(sqrt(v)) < 2^31.  float64(v) = v (1 + e1) and its rounded
     square root g = sqrt(float64(v)) (1 + e2), |e1|, |e2| <= 2^-53, so g is
     within relative error 2^-52 of sqrt(v), |g - sqrt(v)| < 2^31 * 2^-52 =
-    2^-21, and floor(g) lies in [s - 1, s + 1].  One integer step down
-    (r^2 > v) and then one step up ((r + 1)^2 <= v) settle it; r <= 2^31
-    throughout, so the squares stay below 2^63.
+    2^-21, and floor(g) <= s + 1.  One integer step down (r^2 > v) takes
+    s + 1 to s; r <= 2^31, so r^2 stays below 2^63.
+
+    No step up is needed: g >= s.  Take s >= 1 (v = 0 gives g = 0).
+    Rounding to nearest is monotone and s^2 <= v, so float64(v) >=
+    fl(s^2) >= s^2 (1 - e) with e = 2^-53, and since sqrt(1 - e) >=
+    1 - e/2 - e^2/2, sqrt(float64(v)) >= s - s (2^-54 + 2^-107).  For s
+    a power of 2, s^2 is a float, so float64(v) >= s^2 and g >= s.
+    Otherwise 2^k < s < 2^(k+1) for some k <= 30, the float below s is
+    s - 2^(k-52), and s (2^-54 + 2^-107) < 2^(k-53): the true root is
+    nearer s than that float, so it rounds to s or above.
     """
     r = np.sqrt(v.astype(np.float64)).astype(np.int64)
     r -= r * r > v
-    r += (r + 1) * (r + 1) <= v
     return r
 
 

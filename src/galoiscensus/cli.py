@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .asymptotics import chela_constant_c, fit_reducible
@@ -28,23 +29,26 @@ from .classify import (
 )
 from .eisenstein import WitnessError, parametrize_cubic_witness
 from .families import (
-    cross_validate,
+    d4vc_units,
     gen_a3_family,
     gen_a4_family,
-    gen_d4vc_family,
     gen_v4_biquadratic,
+    member_units,
+    validate_units,
 )
 from .identities import run_suites
 
 SUITE_NAMES = ("symmetry", "star", "discF", "surface")
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _emit(blocks: list[str], path: str | None) -> None:
+    """Write each block and a newline to ``path``, or to stdout; in a file,
+    a block that already ends in a newline gets no second one."""
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+        for block in blocks:
+            out.write(block)
+            if not (path and block.endswith("\n")):
+                out.write("\n")
 
 
 def _parse_coeffs(raw: str, expected: int, parser: argparse.ArgumentParser) -> list[int]:
@@ -179,7 +183,7 @@ def _cmd_census(args, parser) -> int:
     except CensusError as exc:
         parser.error(str(exc))
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0
 
 
@@ -194,7 +198,7 @@ def _cmd_verify(args, parser) -> int:
         "suites": [json.loads(r.to_json()) for r in reports],
         "failures": failures,
     }
-    _emit(json.dumps(payload), args.out)
+    _emit([json.dumps(payload)], args.out)
     return 1 if failures else 0
 
 
@@ -207,26 +211,30 @@ def _cmd_family(args, parser) -> int:
         parser.error("--threads must be >= 0")
     if args.height < 0:
         parser.error(f"height must be >= 0, got {args.height}")
+    start = time.perf_counter()
+    workers = args.threads or os.cpu_count() or 1
     try:
         if args.name == "d4vc":
-            members = gen_d4vc_family(args.height, delta)
+            # generated in the pool units themselves
+            units = d4vc_units(args.height, delta)
         elif args.name == "v4-biquadratic":
-            members = gen_v4_biquadratic(args.height)
+            units = member_units(gen_v4_biquadratic(args.height), workers)
         elif args.name == "a4":
-            members = gen_a4_family(args.height)
+            units = member_units(gen_a4_family(args.height), workers)
         else:
-            members = gen_a3_family(-args.height, args.height)
+            units = member_units(gen_a3_family(-args.height, args.height), workers)
     except ValueError as exc:
         parser.error(str(exc))
-    report = cross_validate(members, workers=args.threads or os.cpu_count() or 1)
-    lines = [m.to_json(classified=label) for m, label in zip(members, report.labels)]
+    report, texts = validate_units(units, workers)
     summary = json.loads(report.to_json())
     summary_line = {"family": args.name, "height": args.height, "delta": str(delta), **summary}
-    lines.append(json.dumps(summary_line))
-    _emit("\n".join(lines), args.out)
+    texts.append(json.dumps(summary_line))
+    _emit(texts, args.out)
+    elapsed = time.perf_counter() - start
     print(
         f"family {args.name}: {report.members_checked} members, "
-        f"{report.mismatch_count} mismatches",
+        f"{report.mismatch_count} mismatches, {elapsed:.2f} s, "
+        f"{report.members_checked / elapsed:.0f} members/s",
         file=sys.stderr,
     )
     return 1 if report.mismatch_count else 0

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -29,10 +32,13 @@ __all__ = [
     "FamilyMember",
     "CrossValidationReport",
     "gen_d4vc_family",
+    "d4vc_units",
     "gen_v4_biquadratic",
     "gen_a4_family",
     "gen_a3_family",
     "cross_validate",
+    "member_units",
+    "validate_units",
 ]
 
 
@@ -51,16 +57,21 @@ class FamilyMember:
         return MonicCubic(*self.coeffs) if self.degree == 3 else MonicQuartic(*self.coeffs)
 
     def to_json(self, classified: str | None = None) -> str:
-        """The member's JSON line, byte-identical to ``json.dumps`` of
-        {"family", "params" (as a dict), "coeffs" (as a list)[, "class"]}.
+        return _member_line(self.family, self.params, self.coeffs, classified)
 
-        Built from a template: the family, parameter names and class labels
-        are plain identifiers, which JSON quotes without escapes, and the
-        values are ints, which it writes as ``str`` does."""
-        params = ", ".join([f'"{k}": {v}' for k, v in self.params])
-        coeffs = ", ".join(map(str, self.coeffs))
-        label = "" if classified is None else f', "class": "{classified}"'
-        return f'{{"family": "{self.family}", "params": {{{params}}}, "coeffs": [{coeffs}]{label}}}'
+
+def _member_line(family: str, params: tuple, coeffs: tuple[int, ...],
+                 classified: str | None = None) -> str:
+    """A member's JSON line, byte-identical to ``json.dumps`` of
+    {"family", "params" (as a dict), "coeffs" (as a list)[, "class"]}.
+
+    Built from a template: the family, parameter names and class labels
+    are plain identifiers, which JSON quotes without escapes, and the
+    values are ints, which it writes as ``str`` does."""
+    params = ", ".join([f'"{k}": {v}' for k, v in params])
+    coeffs = ", ".join(map(str, coeffs))
+    label = "" if classified is None else f', "class": "{classified}"'
+    return f'{{"family": "{family}", "params": {{{params}}}, "coeffs": [{coeffs}]{label}}}'
 
 
 @dataclass
@@ -157,13 +168,10 @@ def _residue_span(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return k_lo, np.maximum(k_hi - k_lo + 1, 0)
 
 
-# (u, v) pairs per numpy block.  Freed temporaries stay in the process heap,
-# which forked pool workers inherit, so their size is bounded.
-_PAIR_BLOCK = 2**14
-
-
-def _d4vc_tuples(H: int, p: int, q: int) -> list[np.ndarray]:
-    """The u, v, w, x, a arrays of gen_d4vc_family(H, p/q), in its order."""
+def _d4vc_prelude(H: int, p: int, q: int) -> tuple[np.ndarray, ...]:
+    """The (u, v) pair list of gen_d4vc_family(H, p/q), u-major: the u that
+    may hold a member, their sqrt(u), and the first j and the number of j
+    of their v = 4 + 6 j."""
     v_min = 2 * q * math.sqrt(H) / p  # 2 delta^-1 sqrt(H) <= v sqrt(u)
     v_max = p * p * H / (q * q)  # v sqrt(u) <= delta^2 H
 
@@ -175,19 +183,72 @@ def _d4vc_tuples(H: int, p: int, q: int) -> list[np.ndarray]:
     # v = 4 + 6 j >= 16 in the widened float v range of each u
     j_lo = np.maximum(np.ceil((v_min * (1 - _SLACK) / root_u - 4) / 6), 2).astype(np.int64)
     j_hi = np.floor((v_max * (1 + _SLACK) / root_u - 4) / 6).astype(np.int64)
-    n_v = np.maximum(j_hi - j_lo + 1, 0)
-    starts = np.unique(
-        np.searchsorted(np.cumsum(n_v), np.arange(0, n_v.sum(), _PAIR_BLOCK), side="right")
-    )
-    parts = [
-        _d4vc_block(us[s:e], root_u[s:e], j_lo[s:e], n_v[s:e], H, p, q)
-        for s, e in zip(starts.tolist(), starts[1:].tolist() + [us.size])
-    ]
-    return [np.concatenate(c) for c in zip(*parts)] if parts else [us[:0]] * 5
+    return us, root_u, j_lo, np.maximum(j_hi - j_lo + 1, 0)
+
+
+# the work of scanning one (u, v) pair for candidates, counted in members:
+# at d4vc(6e5, 1/5) the scan took about 0.6 us a pair, and a member about
+# 40 us to generate, classify, validate and render
+_PAIR_COST = 1 / 64
+
+
+def d4vc_units(height: int, delta: Fraction = Fraction(1, 5)) -> list[tuple]:
+    """gen_d4vc_family(height, delta) as pool units for validate_units:
+    consecutive ranges of its (u, v) pair list, of about _CHUNK estimated
+    members each, whose members _d4vc_rows generates.
+
+    A pair's x and a windows hold about L/18 residues each, with
+    L = delta H / (v sqrt(u)), and its w range about v/36, so the pair
+    holds about (delta H)^2 / (11664 u v) members.  Ranges are cut by that
+    estimate plus _PAIR_COST, and a cut may fall inside one u's v range:
+    at (6e5, 1/5) u = 30 alone holds 10.6% of the members.  The estimate
+    only places the cuts; the ranges partition the pair list whatever it
+    says.  Height and delta are checked here, before any unit runs.
+    """
+    if height < 0:
+        raise ValueError(f"height must be >= 0, got {height}")
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+    H, p, q = height, delta.numerator, delta.denominator
+    us, root_u, j_lo, n_v = _d4vc_prelude(H, p, q)
+    iu, j = _expand(n_v)
+    work = np.cumsum((p * H / q) ** 2 / (11664.0 * us[iu] * (4 + 6 * (j_lo[iu] + j))) + _PAIR_COST)
+    total = float(work[-1]) if work.size else 0.0
+    n_units = max(1, math.ceil(total / _CHUNK))
+    cuts = [0, *np.searchsorted(work, total * np.arange(1, n_units) / n_units).tolist(), iu.size]
+    ends = np.cumsum(n_v)
+    starts = ends - n_v
+    units = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        # the u whose pairs meet [lo, hi), each cut down to its share
+        s, e = int(np.searchsorted(ends, lo, side="right")), int(np.searchsorted(starts, hi))
+        first, last = np.maximum(starts[s:e], lo), np.minimum(ends[s:e], hi)
+        args = (H, p, q, us[s:e], root_u[s:e], j_lo[s:e] + first - starts[s:e], last - first)
+        units.append((_d4vc_rows, args))
+    return units
+
+
+def _d4vc_rows(H: int, p: int, q: int, us, root_u, j_lo, n_v):
+    """The fields (family, params, coeffs, expected) of the d4vc members
+    whose u is in us and v in 4 + 6 (j_lo + [0, n_v)), in their order."""
+    mu, mv, mw, mx, ma = _d4vc_block(us, root_u, j_lo, n_v, H, p, q)
+    # all five are even, so the divisions below are exact
+    assert not ((mu | mv | mw | mx | ma) & 1).any()
+    tail = (("H", H), ("delta_num", p), ("delta_den", q))
+    expected = ("D4", "V4", "C4")
+    for u, v_, w_, x_, a_ in zip(mu.tolist(), mv.tolist(), mw.tolist(), mx.tolist(), ma.tolist()):
+        yield (
+            "d4vc",
+            (("u", u), ("v", v_), ("w", w_), ("x", x_), ("a", a_)) + tail,
+            (a_, x_ + (a_ * a_ - u * w_ * w_) // 4, (x_ * a_ - u * v_ * w_) // 2,
+             (x_ * x_ - u * v_ * v_) // 4),
+            expected,
+        )
 
 
 def _d4vc_block(us, root_u, j_lo, n_v, H: int, p: int, q: int) -> tuple[np.ndarray, ...]:
-    """_d4vc_tuples for the u in us, whose v are 4 + 6 (j_lo + [0, n_v))."""
+    """The u, v, w, x, a arrays of the d4vc members whose u is in us and v
+    in 4 + 6 (j_lo + [0, n_v)), in (u, v, w, a, x) order."""
     pH = p * H
     iu, j = _expand(n_v)
     pu, root_u = us[iu], root_u[iu]
@@ -272,32 +333,18 @@ def gen_d4vc_family(height: int, delta: Fraction = Fraction(1, 5)) -> list[Famil
     true one, and the rounded quotients take in every integer of the true
     range.  A (u, v) or a w is therefore dropped only when it has no member.
     Every candidate x and a, with its pair's v range, is then decided by
-    the exact squared comparisons in Python ints in _d4vc_tuples; at
+    the exact squared comparisons in Python ints in _d4vc_block; at
     H = 10^6 they reach about 6e19, past int64.
+
+    How the work is split.  _d4vc_prelude lists the (u, v) pairs once:
+    the u sieve, sqrt(u) and each u's v range, all cheap.  d4vc_units cuts
+    that list into consecutive ranges, and _d4vc_rows turns one range into
+    its members.  This function is the concatenation of all the ranges, in
+    one process; the ``family`` command runs the same ranges as pool units,
+    each generated, validated and rendered in a worker (validate_units).
     """
-    if height < 0:
-        raise ValueError(f"height must be >= 0, got {height}")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    H = height
-    p, q = delta.numerator, delta.denominator
-    mu, mv, mw, mx, ma = _d4vc_tuples(H, p, q)
-    # all five are even, so the divisions below are exact
-    assert not ((mu | mv | mw | mx | ma) & 1).any()
-    tail = (("H", H), ("delta_num", p), ("delta_den", q))
-    expected = ("D4", "V4", "C4")
-    return [
-        FamilyMember(
-            "d4vc",
-            (("u", u), ("v", v_), ("w", w_), ("x", x_), ("a", a_)) + tail,
-            (a_, x_ + (a_ * a_ - u * w_ * w_) // 4, (x_ * a_ - u * v_ * w_) // 2,
-             (x_ * x_ - u * v_ * v_) // 4),
-            expected,
-        )
-        for u, v_, w_, x_, a_ in zip(
-            mu.tolist(), mv.tolist(), mw.tolist(), mx.tolist(), ma.tolist()
-        )
-    ]
+    return [FamilyMember(*row) for make_rows, args in d4vc_units(height, delta)
+            for row in make_rows(*args)]
 
 
 def gen_v4_biquadratic(height: int) -> list[FamilyMember]:
@@ -363,11 +410,14 @@ def gen_a3_family(t_lo: int, t_hi: int) -> list[FamilyMember]:
 # validation
 
 _CHUNK = 1024
-"""Most members per pool task.  A task goes out as a list of plain tuples,
-which pickle and unpickle in under half the time of the dataclasses, and
-comes back as one result tuple per member.  At d4vc(6e5, 1/5) chunks of
-1024 held the workers' peak RSS to 93 MB, against 92 MB when members went
-out as dataclasses and 97 MB with chunks of 4096."""
+"""Most members per pool unit: a chunk of a member list (member_units), or
+the estimated members of a d4vc pair range (d4vc_units).  A chunk goes out
+as a list of plain tuples, which pickle and unpickle in under half the time
+of the dataclasses; a d4vc range goes out as four short numpy slices, and
+its worker generates the members.  A unit comes back as its labels, its
+JSON lines joined into one string, and its mismatch and exception entries.
+Units of about 1024 members keep each reply near 200 kB at d4vc(6e5, 1/5)
+and leave dozens of units to balance the workers."""
 
 
 def _check_member(family: str, params: tuple, coeffs: tuple[int, ...],
@@ -400,14 +450,6 @@ def _check_member(family: str, params: tuple, coeffs: tuple[int, ...],
     return label, ok, exception, note
 
 
-def _fields(members: list[FamilyMember]) -> list[tuple]:
-    return [(m.family, m.params, m.coeffs, m.expected) for m in members]
-
-
-def _check_chunk(chunk: list[tuple]) -> list[tuple[str, bool, bool, str]]:
-    return [_check_member(*fields) for fields in chunk]
-
-
 def _validate_d4vc(params: tuple, coeffs: tuple[int, ...], expected: tuple[str, ...],
                    label: str) -> tuple[bool, str]:
     params = dict(params)
@@ -429,29 +471,62 @@ def _validate_d4vc(params: tuple, coeffs: tuple[int, ...], expected: tuple[str, 
     return True, ""
 
 
-def cross_validate(members: list[FamilyMember], workers: int = 1) -> CrossValidationReport:
-    """Classify every member and tally mismatches against the family contract."""
-    report = CrossValidationReport()
-    if workers > 1 and len(members) > 256:
-        # chunks are built lazily: the workers fork at the first one, so
-        # the rest never sit in their copies of this heap
-        size = min(_CHUNK, -(-len(members) // workers))
-        chunks = (_fields(members[i : i + size]) for i in range(0, len(members), size))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = [res for part in pool.map(_check_chunk, chunks) for res in part]
-    else:
-        results = _check_chunk(_fields(members))
-    for member, (label, ok, exception, note) in zip(members, results):
-        report.members_checked += 1
-        report.labels.append(label)
-        report.classes[label] = report.classes.get(label, 0) + 1
+def _check_unit(unit: tuple, render: bool) -> tuple[list[str], str, list[dict], list[dict]]:
+    """Generate one pool unit's members, then classify and validate each;
+    a unit is (make_rows, args), and make_rows(*args) yields member fields.
+    Returns the labels, the JSON lines joined by newlines ("" unless
+    ``render``) and the mismatch and exception entries, in member order."""
+    make_rows, args = unit
+    labels, lines, mismatches, exceptions = [], [], [], []
+    for family, params, coeffs, expected in make_rows(*args):
+        label, ok, exception, note = _check_member(family, params, coeffs, expected)
+        labels.append(label)
+        if render:
+            lines.append(_member_line(family, params, coeffs, label))
         if exception or not ok:
             entry = {
-                "family": member.family,
-                "params": dict(member.params),
-                "coeffs": list(member.coeffs),
+                "family": family,
+                "params": dict(params),
+                "coeffs": list(coeffs),
                 "class": label,
                 "note": note,
             }
-            (report.exceptions if exception else report.mismatches).append(entry)
-    return report
+            (exceptions if exception else mismatches).append(entry)
+    return labels, "\n".join(lines), mismatches, exceptions
+
+
+def member_units(members: list[FamilyMember], workers: int = 1) -> list[tuple]:
+    """Pool units for validate_units: chunks of at most _CHUNK members, as
+    many as the workers where that leaves at least 256 members a chunk."""
+    size = min(_CHUNK, max(256, -(-len(members) // workers)))
+    return [
+        (iter, ([(m.family, m.params, m.coeffs, m.expected) for m in members[i : i + size]],))
+        for i in range(0, len(members), size)
+    ]
+
+
+def validate_units(units: list[tuple], workers: int = 1,
+                   render: bool = True) -> tuple[CrossValidationReport, list[str]]:
+    """Run every unit through _check_unit, on a pool of up to ``workers``
+    processes when there is more than one unit, and merge the results in
+    unit order.  Returns the report and the non-empty JSON-line blocks of
+    the units, in order.  Serial and pooled runs share the unit function."""
+    report, texts = CrossValidationReport(), []
+    pool = ProcessPoolExecutor(min(workers, len(units))) if workers > 1 and len(units) > 1 else None
+    with pool or nullcontext():
+        for labels, text, mismatches, exceptions in (pool.map if pool else map)(
+            _check_unit, units, repeat(render)
+        ):
+            report.labels += labels
+            report.mismatches += mismatches
+            report.exceptions += exceptions
+            if text:
+                texts.append(text)
+    report.members_checked = len(report.labels)
+    report.classes = dict(Counter(report.labels))
+    return report, texts
+
+
+def cross_validate(members: list[FamilyMember], workers: int = 1) -> CrossValidationReport:
+    """Classify every member and tally mismatches against the family contract."""
+    return validate_units(member_units(members, workers), workers, render=False)[0]

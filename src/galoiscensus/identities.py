@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-
 import numpy as np
 
 from .classify import (
@@ -57,13 +55,10 @@ __all__ = [
     "SurfaceSpec",
     "VerificationReport",
     "check_symmetry_identity",
-    "check_star_identity",
     "curve_points",
-    "curve_points_by_y",
     "curve_is_reducible",
     "c4_curve_check",
     "surface_eval",
-    "surface_eval_defining",
     "surface_points",
     "disc_F_identity",
     "symmetry_suite",
@@ -152,27 +147,6 @@ def _star_rhs(u, v, w, x, a, sign):
     )
 
 
-def check_star_identity(u: int, v: int, w: int, x: int, a: int, sign: int = 1) -> bool:
-    """The discriminant factorization under the resolvent-root substitutions.
-
-    With d = (x^2 - u v^2)/4, b = x + (a^2 - u w^2)/4, c = (x a + s u v w)/2
-    (exact rationals; the substitutions need not be integral), verifies
-
-        64 disc(f) = u^2 (2v^2 + s a v w + w^2 x)^2 * RHS(u,v,w,x,a,s)
-
-    in cleared-denominator form, RHS being the degree-4 polynomial whose
-    integer points the V4/C4 counting rests on.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    d = Fraction(x * x - u * v * v, 4)
-    b = x + Fraction(a * a - u * w * w, 4)
-    c = Fraction(x * a + sign * u * v * w, 2)
-    disc = disc_quartic_coeffs(Fraction(a), b, c, d)
-    factor = u * (2 * v * v + sign * a * v * w + w * w * x)
-    return 64 * disc == factor * factor * _star_rhs(u, v, w, x, a, sign)
-
-
 def _star_sides(u, v, w, x, a, sign):
     """Both sides of the star identity in integer-only form: the disc of the
     2-rescaled quartic X^4 + 2a X^3 + 4b X^2 + 8c X + 16d (integral whenever
@@ -227,25 +201,6 @@ def curve_points(spec: CurveSpec, xmax: int, ymax: int) -> list[tuple[int, int]]
     return sorted(pts)
 
 
-def curve_points_by_y(spec: CurveSpec, xmax: int, ymax: int) -> list[tuple[int, int]]:
-    """Transposed enumeration (y-major), an independent oracle for curve_points."""
-    k, m = spec.shift(), spec.box_constant()
-    pts = set()
-    for y in range(0, ymax + 1):
-        t = y * y + m
-        if t < 0:
-            continue
-        root = perfect_square(t)
-        if root is None:
-            continue
-        for signed in {root, -root}:
-            num = signed + k
-            if num % 8 == 0 and abs(num // 8) <= xmax:
-                pts.add((num // 8, y))
-                pts.add((num // 8, -y))
-    return sorted(pts)
-
-
 def c4_curve_check(spec: CurveSpec, x: int, y: int) -> bool:
     """u((8x - (a^2 + u w^2))^2 - 4u (a w + 4 s v)^2) == y^2."""
     if spec.u == 0:
@@ -271,14 +226,6 @@ def surface_eval(spec: SurfaceSpec, a: int, c: int, d: int) -> int:
         + 4 * I**3
     )
     return ((c3 * d + c2) * d + c1) * d + c0
-
-
-def surface_eval_defining(spec: SurfaceSpec, a: int, c: int, d: int) -> int:
-    """The defining form (I - 12d + 3ac)(96d + 3ac - 2I)^2 - (J + 27c^2 + 27a^2 d)^2."""
-    I, J = spec.I, spec.J
-    return (I - 12 * d + 3 * a * c) * (96 * d + 3 * a * c - 2 * I) ** 2 - (
-        J + 27 * c * c + 27 * a * a * d
-    ) ** 2
 
 
 def surface_points(spec: SurfaceSpec, bound: int) -> list[tuple[int, int, int]]:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from galoiscensus.census import (
+    KERNEL_VERSION,
     QUARTIC_CLASSES,
     CensusError,
     CensusRequest,
@@ -588,6 +589,34 @@ def test_journal_torn_tail_is_recomputed(tmp_path):
     assert journal.read_text() == text
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_journal_after_interrupt_holds_whole_records(tmp_path, workers):
+    # Ctrl-C after k stripes: the journal keeps the header and exactly the k
+    # records written so far, each a whole line, and a resume completes it
+    req = CensusRequest(3, 12, workers=workers)
+    full = run_census(CensusRequest(3, 12, workers=1))
+    for k in (1, 5):
+        journal = tmp_path / f"interrupted-{k}.journal"
+
+        def progress(done, total):
+            if done == k:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_census(req, journal_path=str(journal), progress=progress)
+        text = journal.read_text()
+        assert text.endswith("\n")
+        records = [json.loads(line) for line in text.splitlines()]
+        assert records[0] == {"checksum": req.checksum(), "kernel": KERNEL_VERSION}
+        assert len(records) == 1 + k
+        assert len({r["stripe"] for r in records[1:]}) == k
+        assert all(full.counts.keys() == r["counts"].keys() for r in records[1:])
+
+        resumed = run_census(req, journal_path=str(journal))
+        assert resumed.counts == full.counts
+        assert len(journal.read_text().splitlines()) == 1 + 13
+
+
 def _count_fsyncs(monkeypatch) -> list[int]:
     """Patch os.fsync to record the size of the synced file at each call."""
     sizes = []
@@ -940,6 +969,22 @@ def test_isqrt_matches_math_isqrt():
     values += [rng.randrange(2**62) for _ in range(1000)]
     for s in (rng.randrange(2**27, 2**31) for _ in range(300)):
         values += [s * s - 1, s * s, min(s * s + 1, 2**62 - 1)]
+    got = _isqrt(np.array(values, dtype=np.int64))
+    assert got.tolist() == [math.isqrt(v) for v in values]
+
+
+def test_isqrt_near_powers_of_two():
+    # the float guess never falls below floor(sqrt(v)) (the proof in the
+    # docstring): s^2 - 1, s^2 and s^2 + 1 for s near 2^e, e = 26..31
+    from galoiscensus.census import _isqrt
+
+    values = [
+        v
+        for e in range(26, 32)
+        for s in range(2**e - 3000, 2**e + 3001)
+        for v in (s * s - 1, s * s, s * s + 1)
+        if v < 2**62
+    ]
     got = _isqrt(np.array(values, dtype=np.int64))
     assert got.tolist() == [math.isqrt(v) for v in values]
 

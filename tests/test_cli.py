@@ -4,7 +4,7 @@ import pytest
 
 from galoiscensus import cli
 from galoiscensus.cli import main
-from galoiscensus.families import cross_validate
+from galoiscensus.families import validate_units
 
 
 def test_classify_quartic_text(capsys):
@@ -125,14 +125,23 @@ def test_family_v4(capsys):
     assert member["class"] == "V4"
 
 
+def test_family_summary_reports_time_and_rate(monkeypatch, capsys):
+    clock = iter([10.0, 12.5])
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock))
+    assert main(["family", "--name", "a3", "--height", "5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["family a3: 11 members, 0 mismatches, 2.50 s, 4 members/s"]
+    assert json.loads(captured.out.splitlines()[-1])["members_checked"] == 11
+
+
 def test_family_threads_zero_uses_every_core(monkeypatch, capsys):
     seen = []
 
-    def spy(members, workers=1):
+    def spy(units, workers=1):
         seen.append(workers)
-        return cross_validate(members, workers=1)
+        return validate_units(units, workers=1)
 
-    monkeypatch.setattr(cli, "cross_validate", spy)
+    monkeypatch.setattr(cli, "validate_units", spy)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     assert main(["family", "--name", "a3", "--height", "5", "--threads", "0"]) == 0
     assert main(["family", "--name", "a3", "--height", "5", "--threads", "2"]) == 0

@@ -1,6 +1,7 @@
 import functools
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from galoiscensus.classify import (
     integer_roots_monic_cubic,
 )
 from galoiscensus import families
+from galoiscensus.cli import main
 from galoiscensus.exactarith import factorize
 from galoiscensus.families import (
     FamilyMember,
@@ -21,8 +23,11 @@ from galoiscensus.families import (
     gen_a4_family,
     gen_d4vc_family,
     gen_v4_biquadratic,
+    _d4vc_prelude,
+    _expand,
     _residue_span,
     _squarefree_u_values,
+    d4vc_units,
 )
 
 
@@ -288,6 +293,101 @@ def test_cross_validate_many_chunks_keep_member_order(monkeypatch):
     parallel = cross_validate(fam, workers=2)
     assert len(fam) > 256 and parallel.labels == serial.labels
     assert parallel.exceptions == serial.exceptions and parallel.mismatches == serial.mismatches
+
+
+# --- the d4vc route of the family command: pool units generate, validate
+# and render their own (u, v) ranges; gen_d4vc_family + cross_validate +
+# to_json is its oracle
+
+def _oracle_output(H, delta):
+    """The family command's output and exit code, from the whole-family API."""
+    fam = gen_d4vc_family(H, delta)
+    rep = cross_validate(fam)
+    lines = [m.to_json(classified=label) for m, label in zip(fam, rep.labels)]
+    summary = {"family": "d4vc", "height": H, "delta": str(delta), **json.loads(rep.to_json())}
+    lines.append(json.dumps(summary))
+    return "\n".join(lines) + "\n", 1 if rep.mismatch_count else 0
+
+
+def _route_output(tmp_path, H, delta, workers):
+    out = tmp_path / f"d4vc-{H}-{workers}.jsonl"
+    rc = main(["family", "--name", "d4vc", "--height", str(H), "--delta", str(delta),
+               "--threads", str(workers), "--out", str(out)])
+    return out.read_text(encoding="utf-8"), rc
+
+
+@pytest.mark.parametrize(
+    "H, delta", [(10**5, Fraction(1, 5)), (2 * 10**5, Fraction(1, 5)), (400, Fraction(1, 2)),
+                 (100, Fraction(1, 5))]
+)
+def test_d4vc_route_matches_oracle(tmp_path, H, delta):
+    expected = _oracle_output(H, delta)
+    for workers in (1, 2):
+        assert _route_output(tmp_path, H, delta, workers) == expected
+
+
+def _unit_pairs(units):
+    """The (u, j) pairs of d4vc units, unit by unit."""
+    out = []
+    for _, (H, p, q, us, root_u, j_lo, n_v) in units:
+        assert root_u.tolist() == np.sqrt(us.astype(np.float64)).tolist()
+        iu, j = _expand(n_v)
+        out.append(list(zip(us[iu].tolist(), (j_lo[iu] + j).tolist())))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [0.1, 1, 7, 1024, 10**9])
+@pytest.mark.parametrize("H, delta", [(10**5, Fraction(1, 5)), (2 * 10**5, Fraction(1, 5)),
+                                      (5000, Fraction(1, 2)), (100, Fraction(1, 5))])
+def test_d4vc_units_partition_the_pair_list(monkeypatch, chunk, H, delta):
+    monkeypatch.setattr(families, "_CHUNK", chunk)
+    us, _, j_lo, n_v = _d4vc_prelude(H, delta.numerator, delta.denominator)
+    iu, j = _expand(n_v)
+    pairs = _unit_pairs(d4vc_units(H, delta))
+    assert [pair for unit in pairs for pair in unit] == list(zip(us[iu].tolist(), (j_lo[iu] + j).tolist()))
+    if chunk >= 10**9:
+        assert len(pairs) == 1
+    elif chunk < 1 and iu.size:
+        assert [] in pairs  # pairs of more estimated members than a unit leave empty ranges
+
+
+def test_d4vc_many_tiny_units_keep_member_order(tmp_path, monkeypatch):
+    # about one estimated member a unit: hundreds of units, some of them
+    # with pairs but no member, and u = 30 split over several units
+    monkeypatch.setattr(families, "_CHUNK", 1)
+    H, delta = 10**5, Fraction(1, 5)
+    units = d4vc_units(H, delta)
+    sizes = [sum(1 for _ in make_rows(*args)) for make_rows, args in units]
+    assert len(units) > 100 and 0 in sizes and sum(sizes) == 315
+    assert sum(1 for unit in _unit_pairs(units) if unit and unit[0][0] == 30) > 1
+    expected = _oracle_output(H, delta)
+    for workers in (1, 2):
+        assert _route_output(tmp_path, H, delta, workers) == expected
+
+
+def test_d4vc_planted_mismatch_same_on_both_routes(tmp_path, monkeypatch):
+    # one member classified S4 by a patched classifier: the same mismatch
+    # entry, the same lines and exit 1 from the oracle and from the route,
+    # serial and on a pool of several units (workers fork with the patch)
+    H, delta = 10**5, Fraction(1, 5)
+    target = gen_d4vc_family(H, delta)[100].coeffs
+    real = families.classify_quartic
+
+    def classify(f):
+        if (f.a, f.b, f.c, f.d) == target:
+            return SimpleNamespace(group=SimpleNamespace(value="S4"))
+        return real(f)
+
+    monkeypatch.setattr(families, "classify_quartic", classify)
+    monkeypatch.setattr(families, "_CHUNK", 32)
+    expected = _oracle_output(H, delta)
+    summary = json.loads(expected[0].splitlines()[-1])
+    assert expected[1] == 1 and summary["mismatch_count"] == 1
+    assert summary["mismatches"][0]["coeffs"] == list(target)
+    assert summary["mismatches"][0]["note"] == "classified S4"
+    assert len(d4vc_units(H, delta)) > 2
+    for workers in (1, 2):
+        assert _route_output(tmp_path, H, delta, workers) == expected
 
 
 def _json_dumps_line(member, classified=None):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from galoiscensus import identities
 from galoiscensus.classify import (
     MonicQuartic,
+    disc_quartic_coeffs,
     integer_roots_monic_cubic,
     invariants_quartic,
     resolvent,
@@ -18,25 +20,77 @@ from galoiscensus.identities import (
     CurveSpec,
     SurfaceSpec,
     c4_curve_check,
-    check_star_identity,
     check_symmetry_identity,
     curve_is_reducible,
     curve_points,
-    curve_points_by_y,
     disc_F_identity,
     disc_F_suite,
     run_suites,
     star_suite,
     surface_eval,
-    surface_eval_defining,
     surface_points,
     surface_suite,
     symmetry_suite,
     _star_block,
+    _star_rhs,
     _star_sides,
 )
+from galoiscensus.exactarith import perfect_square
 
 small = st.integers(min_value=-30, max_value=30)
+
+
+# --- independent oracles for the library's fast routes
+
+def check_star_identity(u: int, v: int, w: int, x: int, a: int, sign: int = 1) -> bool:
+    """The discriminant factorization under the resolvent-root substitutions.
+
+    With d = (x^2 - u v^2)/4, b = x + (a^2 - u w^2)/4, c = (x a + s u v w)/2
+    (exact rationals; the substitutions need not be integral), verifies
+
+        64 disc(f) = u^2 (2v^2 + s a v w + w^2 x)^2 * RHS(u,v,w,x,a,s)
+
+    in cleared-denominator form, RHS being the degree-4 polynomial whose
+    integer points the V4/C4 counting rests on.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    d = Fraction(x * x - u * v * v, 4)
+    b = x + Fraction(a * a - u * w * w, 4)
+    c = Fraction(x * a + sign * u * v * w, 2)
+    disc = disc_quartic_coeffs(Fraction(a), b, c, d)
+    factor = u * (2 * v * v + sign * a * v * w + w * w * x)
+    return 64 * disc == factor * factor * _star_rhs(u, v, w, x, a, sign)
+
+
+def curve_points_by_y(spec: CurveSpec, xmax: int, ymax: int) -> list[tuple[int, int]]:
+    """Transposed enumeration (y-major), an independent oracle for curve_points."""
+    k, m = spec.shift(), spec.box_constant()
+    pts = set()
+    for y in range(0, ymax + 1):
+        t = y * y + m
+        if t < 0:
+            continue
+        root = perfect_square(t)
+        if root is None:
+            continue
+        for signed in {root, -root}:
+            num = signed + k
+            if num % 8 == 0 and abs(num // 8) <= xmax:
+                pts.add((num // 8, y))
+                pts.add((num // 8, -y))
+    return sorted(pts)
+
+
+def surface_eval_defining(spec: SurfaceSpec, a: int, c: int, d: int) -> int:
+    """The defining form (I - 12d + 3ac)(96d + 3ac - 2I)^2 - (J + 27c^2 + 27a^2 d)^2."""
+    I, J = spec.I, spec.J
+    return (I - 12 * d + 3 * a * c) * (96 * d + 3 * a * c - 2 * I) ** 2 - (
+        J + 27 * c * c + 27 * a * a * d
+    ) ** 2
+
+
+
 
 
 def test_symmetry_examples():
