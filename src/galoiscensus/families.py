@@ -15,7 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -471,18 +472,17 @@ def _validate_d4vc(params: tuple, coeffs: tuple[int, ...], expected: tuple[str, 
     return True, ""
 
 
-def _check_unit(unit: tuple, render: bool) -> tuple[list[str], str, list[dict], list[dict]]:
-    """Generate one pool unit's members, then classify and validate each;
-    a unit is (make_rows, args), and make_rows(*args) yields member fields.
-    Returns the labels, the JSON lines joined by newlines ("" unless
-    ``render``) and the mismatch and exception entries, in member order."""
+def _check_unit(unit: tuple) -> tuple[list[str], str, list[dict], list[dict]]:
+    """Generate one pool unit's members, then classify, validate and render
+    each; a unit is (make_rows, args), and make_rows(*args) yields member
+    fields.  Returns the labels, the JSON lines joined by newlines and the
+    mismatch and exception entries, in member order."""
     make_rows, args = unit
     labels, lines, mismatches, exceptions = [], [], [], []
     for family, params, coeffs, expected in make_rows(*args):
         label, ok, exception, note = _check_member(family, params, coeffs, expected)
         labels.append(label)
-        if render:
-            lines.append(_member_line(family, params, coeffs, label))
+        lines.append(_member_line(family, params, coeffs, label))
         if exception or not ok:
             entry = {
                 "family": family,
@@ -495,27 +495,31 @@ def _check_unit(unit: tuple, render: bool) -> tuple[list[str], str, list[dict], 
     return labels, "\n".join(lines), mismatches, exceptions
 
 
-def member_units(members: list[FamilyMember], workers: int = 1) -> list[tuple]:
+def member_units(members: list[FamilyMember], workers: int = 1) -> Iterator[tuple]:
     """Pool units for validate_units: chunks of at most _CHUNK members, as
-    many as the workers where that leaves at least 256 members a chunk."""
+    many as the workers where that leaves at least 256 members a chunk.
+    The chunks are built lazily, as the pool takes them: its workers fork
+    at the first ones, so the rest never sit in their copies of this heap."""
     size = min(_CHUNK, max(256, -(-len(members) // workers)))
-    return [
-        (iter, ([(m.family, m.params, m.coeffs, m.expected) for m in members[i : i + size]],))
-        for i in range(0, len(members), size)
-    ]
+    for i in range(0, len(members), size):
+        yield iter, ([(m.family, m.params, m.coeffs, m.expected) for m in members[i : i + size]],)
 
 
-def validate_units(units: list[tuple], workers: int = 1,
-                   render: bool = True) -> tuple[CrossValidationReport, list[str]]:
+def validate_units(units: Iterable[tuple],
+                   workers: int = 1) -> tuple[CrossValidationReport, list[str]]:
     """Run every unit through _check_unit, on a pool of up to ``workers``
     processes when there is more than one unit, and merge the results in
     unit order.  Returns the report and the non-empty JSON-line blocks of
-    the units, in order.  Serial and pooled runs share the unit function."""
+    the units, in order.  Serial and pooled runs share the unit function.
+    Only the first ``workers`` units are taken before the pool forks; the
+    rest are taken as the pool submits them."""
+    units = iter(units)
+    head = list(islice(units, max(workers, 1)))
     report, texts = CrossValidationReport(), []
-    pool = ProcessPoolExecutor(min(workers, len(units))) if workers > 1 and len(units) > 1 else None
+    pool = ProcessPoolExecutor(len(head)) if len(head) > 1 else None
     with pool or nullcontext():
         for labels, text, mismatches, exceptions in (pool.map if pool else map)(
-            _check_unit, units, repeat(render)
+            _check_unit, chain(head, units)
         ):
             report.labels += labels
             report.mismatches += mismatches
@@ -529,4 +533,4 @@ def validate_units(units: list[tuple], workers: int = 1,
 
 def cross_validate(members: list[FamilyMember], workers: int = 1) -> CrossValidationReport:
     """Classify every member and tally mismatches against the family contract."""
-    return validate_units(member_units(members, workers), workers, render=False)[0]
+    return validate_units(member_units(members, workers), workers)[0]
