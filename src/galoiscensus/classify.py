@@ -6,6 +6,10 @@ discriminant test for cubics.  A quartic's reducibility test reuses the
 table's work: an integer root is looked for among the divisors of d only
 when f has a root mod each of a few small primes, and a quadratic split
 (X^2+pX+q)(X^2+rX+s) is read off a resolvent root x = q + s, as in the census.
+The integer roots of a monic cubic (a cubic's reducibility, the resolvent's
+roots) come from float guesses on the depressed form Y^3 - 3I Y + J that
+exact integer evaluations then certify; an exact bisection decides whenever
+the certificate fails.
 
 All user-facing coefficients are ordinary Python ints, so nothing here can
 overflow; the documented input contract is |coefficient| <= 10**6, which
@@ -36,6 +40,7 @@ __all__ = [
     "disc_cubic",
     "disc_cubic_coeffs",
     "invariants_cubic",
+    "invariants_cubic_coeffs",
     "classify_cubic",
     "resolvent",
     "disc_quartic",
@@ -132,14 +137,21 @@ def disc_cubic_coeffs(a, b, c):
     return (a * a - 4 * b) * b * b + (18 * a * b - 4 * a * a * a) * c - 27 * c * c
 
 
+def invariants_cubic_coeffs(a, b, c):
+    """(I, J) of X^3 + aX^2 + bX + c from raw coefficients, with
+    27 * disc = 4 I^3 - J^2.  With Y = 3X + a, 27 f(X) = Y^3 - 3I Y + J.
+    """
+    return a * a - 3 * b, 2 * a**3 - 9 * a * b + 27 * c
+
+
 def invariants_cubic(f: MonicCubic) -> InvariantPair:
     """(I, J) with 27 * disc = 4 I^3 - J^2."""
-    a, b, c = f.a, f.b, f.c
-    return InvariantPair(a * a - 3 * b, 27 * c - 9 * a * b + 2 * a**3)
+    return InvariantPair(*invariants_cubic_coeffs(f.a, f.b, f.c))
 
 
 def classify_cubic(f: MonicCubic) -> CubicClass:
-    """Reducible / S3 / A3 via integer-root scan and the square-disc test."""
+    """Reducible / S3 / A3: reducible exactly when f has an integer root
+    (``integer_roots_monic_cubic``), else A3 exactly when disc is a square."""
     if integer_roots_monic_cubic(f.a, f.b, f.c):
         return CubicClass.REDUCIBLE
     disc = disc_cubic(f)
@@ -207,6 +219,11 @@ def invariants_quartic(f: MonicQuartic) -> InvariantPair:
     return InvariantPair(*invariants_quartic_coeffs(f.a, f.b, f.c, f.d))
 
 
+_TWO_PI_3 = 2 * math.pi / 3
+_FLOAT_UNIT_LIMIT = 2.0**52
+"""Guesses at or beyond this size cannot locate a unit interval."""
+
+
 def _eval_monic_cubic(p: int, q: int, r: int, x: int) -> int:
     return ((x + p) * x + q) * x + r
 
@@ -221,11 +238,112 @@ def fujiwara_bound(p: int, q: int, r: int) -> int:
 def integer_roots_monic_cubic(p: int, q: int, r: int) -> list[int]:
     """All integer roots of X^3 + p X^2 + q X + r, ascending.
 
-    Exact bisection on the monotone pieces cut out by the critical points of
-    the cubic; every evaluation is integer arithmetic, so the scan is correct
-    at any coefficient size (the resolvent constant term reaches ~10^18 under
-    the coefficient contract, where divisor scans would need a factorization).
+    With (I, J) = ``invariants_cubic_coeffs(p, q, r)`` and Y = 3X + p,
+    27 f(X) = Y^3 - 3I Y + J, and D = 4I^3 - J^2 = 27 disc is exact.
+
+    D = 0: the roots are rational, hence integers.  I = 0 gives the triple
+    root -p/3.  Otherwise the double root in Y is a = J / (2I), since a^2 = I
+    and J = 2a^3, and the roots are (a - p)/3 (double) and (-2a - p)/3.
+
+    D != 0: floats only choose where to look.  D > 0 gives three distinct
+    real roots, guessed from the trigonometric form
+    Y = 2 sqrt(I) cos((t + 2 pi k)/3) with t = atan2(sqrt(D), -J); D < 0
+    gives one, guessed by Cardano's formula on the branch without
+    cancellation.  The sorted guesses X give sample points: n = floor(X) and
+    n + 1 for each, and the midpoint of any two guesses with the same n (a
+    dyadic rational, so f there is exact too).  f is evaluated exactly at
+    each point in ascending order:
+    - f(m) = 0 at an integer point m deflates f exactly by X - m, and the
+      quadratic's integer roots come from a perfect-square test;
+    - otherwise, count the sign changes between consecutive points at most
+      1 apart.  Each one puts an odd number of roots in an open interval
+      holding no integer, and these intervals are disjoint.  If they are as
+      many as the real roots, each holds exactly one, so no root is an
+      integer.
+
+    Whenever the certificate fails (too few sign changes, f = 0 at a
+    midpoint, a float overflow, or a guess with |X| >= 2^52, beyond float's
+    unit resolution), the exact bisection ``_integer_roots_bisect`` decides.
+    It is never needed on the d4vc resolvents, on the 4,946 A3 cubics of
+    height 100, on the |coefficient| <= 12 box or on 20,000 random cubics
+    with |coefficient| <= 10^6.  Fallbacks begin where the guesses' absolute
+    error nears a unit: 1 in 20,000 random cubics at |coefficient| <= 10^12,
+    0.1% at 10^13, 1% at 10^14, 12% at 10^15 and 74% at 10^16.
     """
+    I, J = invariants_cubic_coeffs(p, q, r)
+    D = 4 * I * I * I - J * J
+    if D == 0:
+        if I == 0:
+            return [-p // 3]
+        a = J // (2 * I)
+        return sorted({(a - p) // 3, (-2 * a - p) // 3})
+    try:
+        if D > 0:
+            s = 2.0 * math.sqrt(float(I))
+            t = math.atan2(math.sqrt(float(D)), -float(J)) / 3
+            ys = (s * math.cos(t + _TWO_PI_3), s * math.cos(t - _TWO_PI_3), s * math.cos(t))
+        else:
+            fj = float(J)
+            c = -0.5 * (fj + math.copysign(math.sqrt(float(-D)), fj))
+            u = math.copysign(abs(c) ** (1 / 3), c)
+            ys = (u + float(I) / u,)
+        xs = sorted((y - p) / 3 for y in ys)
+    except OverflowError:
+        return _integer_roots_bisect(p, q, r)
+    # the sample points, ascending
+    pts = []
+    prev_x = prev_n = None
+    for x in xs:
+        if not -_FLOAT_UNIT_LIMIT < x < _FLOAT_UNIT_LIMIT:
+            return _integer_roots_bisect(p, q, r)
+        n = math.floor(x)
+        if n == prev_n:
+            pts.insert(-1, (prev_x + x) / 2)
+        else:
+            if not pts or pts[-1] != n:
+                pts.append(n)
+            pts.append(n + 1)
+        prev_x, prev_n = x, n
+    changes = 0
+    lo = lo_pos = None
+    for t in pts:
+        if type(t) is int:
+            ft = ((t + p) * t + q) * t + r
+            if ft == 0:
+                return _deflated_roots(p, q, t)
+        else:
+            # a dyadic rational num / den, where den^3 f(t) is an exact int
+            num, den = t.as_integer_ratio()
+            ft = ((num + p * den) * num + q * den * den) * num + r * den**3
+            if ft == 0:
+                return _integer_roots_bisect(p, q, r)
+        pos = ft > 0
+        if lo is not None and pos != lo_pos and t - lo <= 1:
+            changes += 1
+        lo, lo_pos = t, pos
+    if changes == len(xs):
+        return []
+    return _integer_roots_bisect(p, q, r)
+
+
+def _deflated_roots(p: int, q: int, m: int) -> list[int]:
+    """All integer roots of X^3 + p X^2 + q X + r, given its integer root m:
+    f = (X - m)(X^2 + sX + t), and the quadratic's roots (-s +- k) / 2 are
+    integers exactly when s^2 - 4t = k^2 (then k = s mod 2, as k^2 = s^2
+    mod 4)."""
+    s = p + m
+    t = q + m * s
+    k = perfect_square(s * s - 4 * t)
+    if k is None:
+        return [m]
+    return sorted({m, (-s - k) // 2, (-s + k) // 2})
+
+
+def _integer_roots_bisect(p: int, q: int, r: int) -> list[int]:
+    """All integer roots of X^3 + p X^2 + q X + r, ascending, by exact
+    bisection on the monotone pieces cut out by the critical points of the
+    cubic.  Every evaluation is integer arithmetic, so it is correct at any
+    coefficient size; ``integer_roots_monic_cubic`` falls back on it."""
     bound = fujiwara_bound(p, q, r)
     cuts = {-bound, bound}
     dd = p * p - 3 * q  # discriminant of the derivative (3X^2 + 2pX + q) / ...

@@ -42,12 +42,12 @@ SUITE_NAMES = ("symmetry", "star", "discF", "surface")
 
 
 def _emit(blocks: list[str], path: str | None) -> None:
-    """Write each block and a newline to ``path``, or to stdout; in a file,
-    a block that already ends in a newline gets no second one."""
+    """Write each block and a newline to ``path``, or to stdout; a block that
+    already ends in a newline gets no second one, so both give the same bytes."""
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
         for block in blocks:
             out.write(block)
-            if not (path and block.endswith("\n")):
+            if not block.endswith("\n"):
                 out.write("\n")
 
 

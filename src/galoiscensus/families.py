@@ -188,9 +188,9 @@ def _d4vc_prelude(H: int, p: int, q: int) -> tuple[np.ndarray, ...]:
 
 
 # the work of scanning one (u, v) pair for candidates, counted in members:
-# at d4vc(6e5, 1/5) the scan took about 0.6 us a pair, and a member about
-# 40 us to generate, classify, validate and render
-_PAIR_COST = 1 / 64
+# at d4vc(6e5, 1/5) the scan takes about 0.2 us a pair, and a member about
+# 30 us: 4 us to generate, 26 us to classify, validate and render
+_PAIR_COST = 1 / 128
 
 
 def d4vc_units(height: int, delta: Fraction = Fraction(1, 5)) -> list[tuple]:

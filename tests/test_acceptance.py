@@ -157,9 +157,9 @@ def test_criterion_11_constructions():
 
     d4vc(10^6, 1/5) has 264,235 members; gen_d4vc_family builds them in
     1.7-2.1 s on one core of a 2-core machine, and this test takes about
-    10-11 s there, most of it classifying and rendering the d4vc members
-    on 2 workers.
-    The ``family`` command does the same work in about 6.5 s, since its
+    8 s there, most of it classifying and rendering the d4vc members on 2
+    workers.
+    The ``family`` command does the same work in about 4.1-4.4 s, since its
     workers generate their own ranges of the family.
     """
     rep = cross_validate(gen_v4_biquadratic(500))

@@ -370,6 +370,98 @@ def test_integer_roots_huge_coefficients():
     assert integer_roots_monic_cubic(p, q, r) == [10**7]
 
 
+def _planted(r1, r2, r3):
+    """(p, q, r) of (X - r1)(X - r2)(X - r3)."""
+    return -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+
+
+@pytest.mark.parametrize("bound", [10**6, 10**12, 10**18])
+def test_integer_roots_match_bisection_on_seeded_cubics(bound):
+    rng = random.Random(bound)
+    for _ in range(20000):
+        p, q, r = (rng.randint(-bound, bound) for _ in range(3))
+        assert integer_roots_monic_cubic(p, q, r) == classify._integer_roots_bisect(p, q, r), (p, q, r)
+
+
+def test_integer_roots_match_bisection_on_planted_roots():
+    rng = random.Random(17)
+    cases = []
+    for _ in range(6000):
+        r1, r2, r3 = (rng.randint(-(10**5), 10**5) for _ in range(3))
+        cases += [(r1, r2, r3), (r1, r1, r3), (r1, r1, r1)]
+    cases += [(10**5, 10**5, -(10**5)), (-(10**5),) * 3, (0, 0, 1), (0, 0, 0)]
+    for roots in cases:
+        coeffs = _planted(*roots)
+        got = integer_roots_monic_cubic(*coeffs)
+        assert got == sorted(set(roots)) == classify._integer_roots_bisect(*coeffs), roots
+
+
+def test_integer_roots_on_every_zero_disc_cubic_of_the_box():
+    # D = 0 is decided in closed form, without floats
+    seen = 0
+    for p, q, r in itertools.product(range(-12, 13), repeat=3):
+        if disc_cubic(MonicCubic(p, q, r)) == 0:
+            seen += 1
+            assert integer_roots_monic_cubic(p, q, r) == classify._integer_roots_bisect(p, q, r)
+    assert seen > 40
+
+
+@pytest.mark.parametrize(
+    "coeffs,roots",
+    [
+        # (X - 10^20)(X^2 + 3): a root beyond 2^53, where a float guess no
+        # longer locates a unit interval
+        ((-(10**20), 3, -3 * 10**20), [10**20]),
+        # (X - 2)(X^2 + 10^300) and X^3 + 10^300 X + 1: float() overflows
+        ((-2, 10**300, -2 * 10**300), [2]),
+        ((0, 10**300, 1), []),
+    ],
+)
+def test_integer_roots_fallback_stays_exact(monkeypatch, coeffs, roots):
+    calls = []
+    bisect = classify._integer_roots_bisect
+    monkeypatch.setattr(classify, "_integer_roots_bisect", lambda *c: calls.append(c) or bisect(*c))
+    assert integer_roots_monic_cubic(*coeffs) == roots
+    assert calls == [coeffs]
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        # roots near -0.763, -0.147 and 8.910: two share the interval (-1, 0),
+        # which the certificate splits at the midpoint of their guesses
+        (-8, -8, -1),
+        # X^3 - 2(aX - 1)^2, a = 10^4: two roots near 1/a, about 1.4e-10 apart
+        (-2 * 10**8, 4 * 10**4, -2),
+        # one real root, about 3.7e-6 below the integer 237058096173
+        (-237058096174, 237058983568, -92295601377),
+    ],
+)
+def test_integer_roots_hard_for_floats_stay_exact(coeffs):
+    assert integer_roots_monic_cubic(*coeffs) == classify._integer_roots_bisect(*coeffs) == []
+
+
+def test_integer_roots_certificate_decides_d4vc_and_a3(monkeypatch):
+    # with the fallback made to fail, every answer below comes from the
+    # float guesses and their exact certificate
+    from fractions import Fraction
+
+    from galoiscensus.census import list_a3_cubics
+    from galoiscensus.families import gen_d4vc_family
+
+    def no_fallback(*coeffs):
+        raise AssertionError(f"fallback on {coeffs}")
+
+    monkeypatch.setattr(classify, "_integer_roots_bisect", no_fallback)
+    fam = gen_d4vc_family(10**5, Fraction(1, 5))
+    assert len(fam) > 300
+    for m in fam:
+        assert resolvent_integer_roots(m.polynomial()) == [dict(m.params)["x"]]
+    a3 = list_a3_cubics(30)
+    assert len(a3) > 700
+    assert all(classify_cubic(MonicCubic(*c)) is CubicClass.A3 for c in a3)
+
+
 # --- classification ---
 
 @pytest.mark.parametrize(

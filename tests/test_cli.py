@@ -82,6 +82,17 @@ def test_census_csv_to_file(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "class,count"
 
 
+def test_census_csv_stdout_matches_out_file(tmp_path, capsysbinary):
+    argv = ["census", "--degree", "3", "--height", "1", "--threads", "1", "--format", "csv"]
+    out = tmp_path / "report.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsysbinary.readouterr()
+    assert main(argv) == 0
+    stdout = capsysbinary.readouterr().out
+    assert stdout == out.read_bytes()
+    assert stdout.endswith(b"A3,0\n")
+
+
 def test_census_height_cap_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["census", "--degree", "4", "--height", "9999", "--threads", "1"])
