@@ -261,9 +261,9 @@ def integer_roots_monic_cubic(p: int, q: int, r: int) -> list[int]:
       many as the real roots, each holds exactly one, so no root is an
       integer.
 
-    Whenever the certificate fails (too few sign changes, f = 0 at a
-    midpoint, a float overflow, or a guess with |X| >= 2^52, beyond float's
-    unit resolution), the exact bisection ``_integer_roots_bisect`` decides.
+    Whenever the certificate fails (too few sign changes, a float overflow,
+    or a guess with |X| >= 2^52, beyond float's unit resolution), the exact
+    bisection ``_integer_roots_bisect`` decides.
     It is never needed on the d4vc resolvents, on the 4,946 A3 cubics of
     height 100, on the |coefficient| <= 12 box or on 20,000 random cubics
     with |coefficient| <= 10^6.  Fallbacks begin where the guesses' absolute
@@ -290,8 +290,16 @@ def integer_roots_monic_cubic(p: int, q: int, r: int) -> list[int]:
         xs = sorted((y - p) / 3 for y in ys)
     except OverflowError:
         return _integer_roots_bisect(p, q, r)
-    # the sample points, ascending
-    pts = []
+    return _certified_roots(p, q, r, xs)
+
+
+def _certified_roots(p: int, q: int, r: int, xs: list[float]) -> list[int]:
+    """All integer roots of X^3 + p X^2 + q X + r, given ascending float
+    guesses ``xs``, as many as its real roots, all simple: the certificate
+    of ``integer_roots_monic_cubic``, with ``_integer_roots_bisect`` where it
+    fails.  The answer is exact whatever the guesses; they only decide
+    whether the certificate holds."""
+    pts = []  # the sample points, ascending
     prev_x = prev_n = None
     for x in xs:
         if not -_FLOAT_UNIT_LIMIT < x < _FLOAT_UNIT_LIMIT:
@@ -312,11 +320,11 @@ def integer_roots_monic_cubic(p: int, q: int, r: int) -> list[int]:
             if ft == 0:
                 return _deflated_roots(p, q, t)
         else:
-            # a dyadic rational num / den, where den^3 f(t) is an exact int
+            # a dyadic rational num / den, where den^3 f(t) is an exact int;
+            # f(t) != 0, as a rational root of f is an integer, and t = n
+            # only after f(n) != 0
             num, den = t.as_integer_ratio()
             ft = ((num + p * den) * num + q * den * den) * num + r * den**3
-            if ft == 0:
-                return _integer_roots_bisect(p, q, r)
         pos = ft > 0
         if lo is not None and pos != lo_pos and t - lo <= 1:
             changes += 1

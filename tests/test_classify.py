@@ -441,6 +441,37 @@ def test_integer_roots_hard_for_floats_stay_exact(coeffs):
     assert integer_roots_monic_cubic(*coeffs) == classify._integer_roots_bisect(*coeffs) == []
 
 
+def test_certificate_is_exact_whatever_the_guesses():
+    # the floats only choose where to look: guesses off by up to 30 units,
+    # one per real root, must still give the bisection's answer
+    import numpy as np
+
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(4000):
+        kind = rng.randrange(3)
+        if kind == 0:
+            p, q, r = _planted(*(rng.randint(-40, 40) for _ in range(3)))
+        elif kind == 1:
+            # (X - m)(X^2 + bX + c): an integer root beside two real
+            # irrational ones, whose sign changes must not stand in for it
+            m, b, c = rng.randint(-40, 40), rng.randint(-40, 40), rng.randint(-400, 0)
+            p, q, r = b - m, c - m * b, -m * c
+        else:
+            p, q, r = (rng.randint(-300, 300) for _ in range(3))
+        I, J = classify.invariants_cubic_coeffs(p, q, r)
+        D = 4 * I**3 - J * J
+        if D == 0:
+            continue
+        roots = sorted(np.roots([1, p, q, r]), key=lambda z: abs(z.imag))[: 3 if D > 0 else 1]
+        scale = rng.choice([0.0, 0.01, 0.6, 3.0, 30.0])
+        xs = sorted(float(z.real) + rng.uniform(-scale, scale) for z in roots)
+        got = classify._certified_roots(p, q, r, xs)
+        assert got == classify._integer_roots_bisect(p, q, r), (p, q, r, xs)
+        outcomes.add(bool(got))
+    assert outcomes == {False, True}
+
+
 def test_integer_roots_certificate_decides_d4vc_and_a3(monkeypatch):
     # with the fallback made to fail, every answer below comes from the
     # float guesses and their exact certificate
