@@ -78,19 +78,22 @@ def region_volume_k(n: int) -> Fraction:
     return (hi - lo) * 2**m
 
 
-def zeta_value(s: int, eps: float = 1e-15) -> float:
+_ZETA_EPS = 1e-15  # bound on the truncation error of zeta_value
+
+
+def zeta_value(s: int) -> float:
     """zeta(s) for integer s >= 2 by Euler-Maclaurin with a rigorous tail.
 
     Sum to N, then N^(1-s)/(s-1) + N^(-s)/2 + s N^(-s-1)/12
     - s(s+1)(s+2) N^(-s-3)/720, with the error below the first omitted
-    (Bernoulli) term, which is driven under eps by choice of N.
+    (Bernoulli) term, which is driven under _ZETA_EPS by choice of N.
     """
     if s < 2:
         raise ValueError("zeta_value needs s >= 2")
     N = 10
     def omitted(N: int) -> float:
         return s * (s + 1) * (s + 2) * (s + 3) * (s + 4) * N ** (-s - 5) / 30240.0
-    while omitted(N) > eps:
+    while omitted(N) > _ZETA_EPS:
         N *= 2
     head = math.fsum(k ** (-float(s)) for k in range(1, N + 1))
     tail = (
@@ -120,15 +123,15 @@ class ChelaConstant:
         return abs(self.appendix_form - self.closed_form)
 
 
-def chela_constant_c(n: int, eps: float = 1e-15) -> ChelaConstant:
+def chela_constant_c(n: int) -> ChelaConstant:
     if n not in (3, 4):
         raise ValueError("only n = 3 and n = 4 are supported")
     k_n = region_volume_k(n)
-    appendix = 2**n * (zeta_value(n - 1, eps) - 1.0) + 2 ** (n - 1) + 2.0 * float(k_n)
+    appendix = 2**n * (zeta_value(n - 1) - 1.0) + 2 ** (n - 1) + 2.0 * float(k_n)
     if n == 3:
         closed = 8.0 * (math.pi**2 / 6.0 + 0.25)
     else:
-        closed = 16.0 * (zeta_value(3, eps) + 1.0 / 6.0)
+        closed = 16.0 * (zeta_value(3) + 1.0 / 6.0)
     return ChelaConstant(n=n, appendix_form=appendix, closed_form=closed, k_n=k_n)
 
 

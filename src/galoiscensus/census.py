@@ -91,6 +91,7 @@ from .classify import (
     disc_quartic_coeffs,
     disc_quartic_terms,
     fujiwara_bound,
+    invariants_cubic_coeffs,
     invariants_quartic_coeffs,
     is_c4,
 )
@@ -123,7 +124,9 @@ DEFAULT_TABLE_CAP = 2**31  # bytes
 # 5: the cubic A3 sweep in cache-sized tiles cut to the disc > 0 c-windows.
 # 6: quadratic splits from the resolvent root cells.  7: quartic stripes
 # in b-blocks, the square test cut to the disc > 0 d-windows.  The counts
-# never changed, but a journal names the code that counted it.
+# never changed, but a journal names the code that counted it.  A move
+# that leaves every int64 value as it was keeps the version: the cubic I
+# and J0 taken from classify.invariants_cubic_coeffs did not bump it.
 # Journals written before the version was recorded carry none.
 KERNEL_VERSION = 7
 
@@ -280,7 +283,7 @@ def _cubic_a3_rows(a: int, height: int) -> np.ndarray:
     """
     H = height
     b = np.arange(-H, H + 1, dtype=np.int64)
-    i = a * a - 3 * b  # at most H^2 + 3H
+    i, _ = invariants_cubic_coeffs(a, b, 0)  # at most H^2 + 3H
     return np.flatnonzero(_loeschian(H * H + 3 * H)[np.maximum(i, 0)])
 
 
@@ -298,10 +301,8 @@ def _cubic_c_window(a: int, height: int, rows: np.ndarray) -> tuple[np.ndarray, 
     marks an empty window.
     """
     H = height
-    b = rows - H
-    i = a * a - 3 * b
+    i, j0 = invariants_cubic_coeffs(a, rows - H, 0)
     s = np.array([math.isqrt(4 * v**3) for v in i.tolist()], dtype=np.int64)
-    j0 = 2 * a**3 - 9 * a * b
     return np.maximum(-((s + j0) // 27), -H), np.minimum((s - j0) // 27, H)
 
 
@@ -646,20 +647,21 @@ def _quartic_block_counts(a: int, b0: int, b1: int, height: int, red: np.ndarray
 # ---------------------------------------------------------------------------
 # irreducibility tables (the reference enumeration's product marking)
 
-def build_irreducible_table(degree: int, height: int, cap_bytes: int = DEFAULT_TABLE_CAP) -> np.ndarray:
+def build_irreducible_table(degree: int, height: int) -> np.ndarray:
     """Bit table over the coefficient box: True iff the tuple is irreducible.
 
     Built by marking every product of lower-degree monic factors, with the
     inner linear-coefficient ranges doubled to [-2H, 2H]; divide-out bounds
-    show this covers every factor of a height-H polynomial.
+    show this covers every factor of a height-H polynomial.  A table over
+    DEFAULT_TABLE_CAP bytes is refused.
     """
     if degree not in (3, 4):
         raise CensusError("degree must be 3 or 4")
     H, W = height, 2 * height + 1
-    if W**degree > cap_bytes:
+    if W**degree > DEFAULT_TABLE_CAP:
         raise CensusError(
             f"table for degree {degree}, height {height} needs {W**degree} bytes, "
-            f"over the cap {cap_bytes}"
+            f"over the cap {DEFAULT_TABLE_CAP}"
         )
     if degree == 3:
         irred = np.ones((W, W, W), dtype=bool)

@@ -21,13 +21,11 @@ __all__ = [
     "EisensteinError",
     "WitnessError",
     "ParamWitness",
-    "eis_gcd",
     "eis_factor",
     "eis_cubefree_decompose",
     "canonical_associate",
     "param_xy",
     "parametrize_cubic_witness",
-    "surface_family_point",
 ]
 
 
@@ -73,8 +71,6 @@ class EisInt:
 
 
 ONE = EisInt(1, 0)
-ZETA = EisInt(0, 1)
-SQRT_M3 = EisInt(1, 2)  # sqrt(-3) = 1 + 2*zeta
 UNITS = (EisInt(1, 0), EisInt(0, 1), EisInt(-1, -1), EisInt(-1, 0), EisInt(0, -1), EisInt(1, 1))
 LAMBDA = EisInt(2, 1)  # canonical associate of 1 - zeta, the prime over 3
 
@@ -90,19 +86,6 @@ def canonical_associate(z: EisInt) -> EisInt:
     raise AssertionError("unit orbit missed the canonical sector")  # pragma: no cover
 
 
-def eis_divmod(a: EisInt, b: EisInt) -> tuple[EisInt, EisInt]:
-    """Quotient and remainder with norm(rem) <= 3/4 norm(b)."""
-    if not b:
-        raise ZeroDivisionError("division by zero in Z[zeta]")
-    nb = b.norm()
-    num = a * b.conj()
-    # nearest-integer rounding of each coordinate keeps the remainder small
-    qm = (2 * num.m + nb) // (2 * nb)
-    qn = (2 * num.n + nb) // (2 * nb)
-    q = EisInt(qm, qn)
-    return q, a - q * b
-
-
 def eis_exact_div(a: EisInt, b: EisInt) -> EisInt | None:
     """a / b when b divides a exactly, else None."""
     if not b:
@@ -112,16 +95,6 @@ def eis_exact_div(a: EisInt, b: EisInt) -> EisInt | None:
     if num.m % nb or num.n % nb:
         return None
     return EisInt(num.m // nb, num.n // nb)
-
-
-def eis_gcd(a: EisInt, b: EisInt) -> EisInt:
-    """Euclidean gcd, returned as the canonical associate."""
-    if not a and not b:
-        raise EisensteinError("gcd(0, 0) is undefined")
-    while b:
-        _, r = eis_divmod(a, b)
-        a, b = b, r
-    return canonical_associate(a)
 
 
 def _split_prime_above(p: int) -> EisInt:
@@ -201,15 +174,6 @@ def param_xy(q: int, r: int, s: int, t: int) -> tuple[int, int]:
     x16 = q * (s**3 - 9 * s * t * t) + 9 * r * (t**3 - s * s * t)
     y16 = 3 * q * (s * s * t - t**3) + r * (s**3 - 9 * s * t * t)
     return x16, y16
-
-
-def surface_family_point(s: int, t: int) -> tuple[int, int, int]:
-    """A parametrized solution (J, Y, I) of J^2 + 3 Y^2 = 4 I^3."""
-    return (
-        2 * s**3 - 18 * s * t * t,
-        6 * t * (s - t) * (s + t),
-        s * s + 3 * t * t,
-    )
 
 
 class WitnessError(ValueError):

@@ -1,4 +1,4 @@
-"""Exact integer primitives: square tests, divisors, factorization, k-free parts.
+"""Exact integer primitives: square tests, divisors, factorization, cubefree parts.
 
 Everything here is pure integer arithmetic on Python ints, so results are exact
 at any size.  No floating point is used anywhere.
@@ -16,7 +16,6 @@ __all__ = [
     "divisors",
     "is_prime",
     "factorize",
-    "squarefree_decompose",
     "cubefree_decompose",
 ]
 
@@ -193,18 +192,6 @@ def factorize(n: int) -> Factorization:
         stack.append(g)
         stack.append(m // g)
     return Factorization(sign, tuple(sorted(counts.items())))
-
-
-def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = u * v**2 with u squarefree (sign of n) and v >= 1."""
-    if n == 0:
-        raise ValueError("cannot decompose zero")
-    fac = factorize(n)
-    u, v = fac.sign, 1
-    for p, e in fac.factors:
-        u *= p ** (e % 2)
-        v *= p ** (e // 2)
-    return u, v
 
 
 def cubefree_decompose(n: int) -> tuple[int, int]:

@@ -50,16 +50,6 @@ class FamilyMember:
     coeffs: tuple[int, ...]
     expected: tuple[str, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs)
-
-    def polynomial(self) -> MonicCubic | MonicQuartic:
-        return MonicCubic(*self.coeffs) if self.degree == 3 else MonicQuartic(*self.coeffs)
-
-    def to_json(self, classified: str | None = None) -> str:
-        return _member_line(self.family, self.params, self.coeffs, classified)
-
 
 def _member_line(family: str, params: tuple, coeffs: tuple[int, ...],
                  classified: str | None = None) -> str:

@@ -1,6 +1,7 @@
 """Exact verification of the algebraic identities behind the classification
-counts, plus brute-force integer-point scans for the associated curves and
-surfaces.
+counts: the resolvent-root symmetry, the discriminant factorization behind
+the V4/C4 curve counting (the star identity), the auxiliary cubic
+discriminant and the invariant surface g(a, c, d) = 0.
 
 Everything is checked with integer or rational arithmetic; the suites return
 a report listing every failing case (expected: none, these are identities).
@@ -47,19 +48,12 @@ from .classify import (
     invariants_quartic,
     resolvent,
 )
-from .exactarith import perfect_square
 
 __all__ = [
     "STAR_INT64_WINDOW",
-    "CurveSpec",
-    "SurfaceSpec",
     "VerificationReport",
     "check_symmetry_identity",
-    "curve_points",
-    "curve_is_reducible",
-    "c4_curve_check",
     "surface_eval",
-    "surface_points",
     "disc_F_identity",
     "symmetry_suite",
     "star_suite",
@@ -67,44 +61,6 @@ __all__ = [
     "surface_suite",
     "run_suites",
 ]
-
-
-@dataclass(frozen=True)
-class CurveSpec:
-    """The curve (8x - (a^2 + u w^2))^2 - (4a^2 u w^2 + 64 u v^2 + s*32 a u v w) = y^2.
-
-    sign = +1 pairs with the reducibility locus a w = -4 v, i.e. the
-    subtracted constant is 4u (a w + 4 s v)^2.
-    """
-
-    u: int
-    v: int
-    w: int
-    a: int
-    sign: int = 1
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-    def shift(self) -> int:
-        return self.a * self.a + self.u * self.w * self.w
-
-    def box_constant(self) -> int:
-        u, v, w, a, s = self.u, self.v, self.w, self.a, self.sign
-        return 4 * a * a * u * w * w + 64 * u * v * v + s * 32 * a * u * v * w
-
-
-@dataclass(frozen=True)
-class SurfaceSpec:
-    """The affine surface of (a, c, d) sharing quartic invariants (I, J)."""
-
-    I: int
-    J: int
-
-    def __post_init__(self) -> None:
-        if 4 * self.I**3 == self.J**2:
-            raise ValueError("degenerate invariants: 4I^3 = J^2")
 
 
 @dataclass
@@ -179,41 +135,10 @@ def _star_block(u: int, window: int, dtype, vs: range | None = None) -> tuple[np
     return _star_sides(u, v, w, x, a, np.array(_STAR_SIGNS, dtype=dtype))
 
 
-def curve_is_reducible(spec: CurveSpec) -> bool:
-    """True iff the curve degenerates to a pair of lines: a w = -4 s v."""
-    if spec.u == 0:
-        raise ValueError("u must be nonzero")
-    return spec.a * spec.w + 4 * spec.sign * spec.v == 0
-
-
-def curve_points(spec: CurveSpec, xmax: int, ymax: int) -> list[tuple[int, int]]:
-    """All integer points with |x| <= xmax, |y| <= ymax, by x-major scan."""
-    k, m = spec.shift(), spec.box_constant()
-    pts = []
-    for x in range(-xmax, xmax + 1):
-        t = (8 * x - k) ** 2 - m
-        y = perfect_square(t)
-        if y is None or y > ymax:
-            continue
-        pts.append((x, y))
-        if y:
-            pts.append((x, -y))
-    return sorted(pts)
-
-
-def c4_curve_check(spec: CurveSpec, x: int, y: int) -> bool:
-    """u((8x - (a^2 + u w^2))^2 - 4u (a w + 4 s v)^2) == y^2."""
-    if spec.u == 0:
-        raise ValueError("u must be nonzero")
-    lin = spec.a * spec.w + 4 * spec.sign * spec.v
-    lhs = spec.u * ((8 * x - spec.shift()) ** 2 - 4 * spec.u * lin * lin)
-    return lhs == y * y
-
-
-def surface_eval(spec: SurfaceSpec, a: int, c: int, d: int) -> int:
+def surface_eval(I: int, J: int, a: int, c: int, d: int) -> int:
     """g(a, c, d) = c3 d^3 + c2 d^2 + c1 d + c0 with the fixed coefficient
-    polynomials; zero exactly on quartics with invariants (I, J)."""
-    I, J = spec.I, spec.J
+    polynomials; zero exactly on quartics with invariants (I, J).  Meant for
+    nondegenerate invariants, 4I^3 != J^2; ``surface_suite`` skips the rest."""
     c3 = -110592
     c2 = -729 * a**4 + 20736 * a * c + 13824 * I
     c1 = 162 * a * a * c * c - 54 * a * a * J - 432 * a * c * I - 432 * I * I
@@ -226,23 +151,6 @@ def surface_eval(spec: SurfaceSpec, a: int, c: int, d: int) -> int:
         + 4 * I**3
     )
     return ((c3 * d + c2) * d + c1) * d + c0
-
-
-def surface_points(spec: SurfaceSpec, bound: int) -> list[tuple[int, int, int]]:
-    """All integer zeros of g in [-bound, bound]^3; the polynomial is a true
-    cubic in d (leading coefficient -110592), so each (a, c) stops after
-    three hits."""
-    pts = []
-    for a in range(-bound, bound + 1):
-        for c in range(-bound, bound + 1):
-            hits = 0
-            for d in range(-bound, bound + 1):
-                if surface_eval(spec, a, c, d) == 0:
-                    pts.append((a, c, d))
-                    hits += 1
-                    if hits == 3:
-                        break
-    return pts
 
 
 def disc_F_identity(q: int, r: int) -> bool:
@@ -260,7 +168,7 @@ def disc_F_identity(q: int, r: int) -> bool:
 # ---------------------------------------------------------------------------
 # suites
 
-def symmetry_suite(window: int = 6) -> VerificationReport:
+def symmetry_suite(window: int) -> VerificationReport:
     """Eq-(3.3) instances: every quartic of height <= window contributes one
     case per integer root x of its resolvent, with e = b - x."""
     rep = VerificationReport("symmetry", window, 0)
@@ -277,7 +185,7 @@ def symmetry_suite(window: int = 6) -> VerificationReport:
     return rep
 
 
-def star_suite(window: int = 6) -> VerificationReport:
+def star_suite(window: int) -> VerificationReport:
     """The cleared-denominator discriminant factorization on the full
     (u, v, w, x, a) window, both signs.
 
@@ -307,7 +215,7 @@ def star_suite(window: int = 6) -> VerificationReport:
     return rep
 
 
-def disc_F_suite(window: int = 50) -> VerificationReport:
+def disc_F_suite(window: int) -> VerificationReport:
     rep = VerificationReport("discF", window, 0)
     for q in range(-window, window + 1):
         for r in range(-window, window + 1):
@@ -319,7 +227,7 @@ def disc_F_suite(window: int = 50) -> VerificationReport:
     return rep
 
 
-def surface_suite(window: int = 6) -> VerificationReport:
+def surface_suite(window: int) -> VerificationReport:
     """Every quartic of height <= window with nondegenerate invariants lies
     on its own surface: g(a, c, d) = 0."""
     rep = VerificationReport("surface", window, 0)
@@ -332,8 +240,7 @@ def surface_suite(window: int = 6) -> VerificationReport:
                     if 4 * I**3 == J * J:
                         continue
                     rep.cases_checked += 1
-                    spec = SurfaceSpec(I, J)
-                    if surface_eval(spec, a, c, d) != 0:
+                    if surface_eval(I, J, a, c, d) != 0:
                         rep.failures.append({"coeffs": [a, b, c, d], "I": I, "J": J})
     return rep
 

@@ -171,7 +171,7 @@ def test_criterion_11_constructions():
     assert len(a4) == 400
     for m in a4:
         u, v = dict(m.params)["u"], dict(m.params)["v"]
-        assert disc_quartic(m.polynomial()) == (16 * (27 * u * v**4 + u**3)) ** 2
+        assert disc_quartic(MonicQuartic(*m.coeffs)) == (16 * (27 * u * v**4 + u**3)) ** 2
     assert cross_validate(a4).mismatch_count == 0
 
     fam = gen_d4vc_family(10**6, Fraction(1, 5))

@@ -528,7 +528,7 @@ def test_monotonicity_in_height():
         prev = counts
 
 
-def test_request_validation():
+def test_request_validation(monkeypatch):
     with pytest.raises(CensusError):
         run_census(CensusRequest(5, 3))
     with pytest.raises(CensusError):
@@ -537,8 +537,9 @@ def test_request_validation():
         run_census(CensusRequest(3, 10, strategy="magic"))
     with pytest.raises(CensusError):
         run_census(CensusRequest(4, 401))  # beyond the int64-safe cap
+    monkeypatch.setattr("galoiscensus.census.DEFAULT_TABLE_CAP", 10**6)
     with pytest.raises(CensusError):
-        build_irreducible_table(4, 30, cap_bytes=10**6)  # table over memory cap
+        build_irreducible_table(4, 30)  # table over memory cap
 
 
 def test_irreducible_table_bit_counts():

@@ -487,7 +487,7 @@ def test_integer_roots_certificate_decides_d4vc_and_a3(monkeypatch):
     fam = gen_d4vc_family(10**5, Fraction(1, 5))
     assert len(fam) > 300
     for m in fam:
-        assert resolvent_integer_roots(m.polynomial()) == [dict(m.params)["x"]]
+        assert resolvent_integer_roots(MonicQuartic(*m.coeffs)) == [dict(m.params)["x"]]
     a3 = list_a3_cubics(30)
     assert len(a3) > 700
     assert all(classify_cubic(MonicCubic(*c)) is CubicClass.A3 for c in a3)

@@ -14,12 +14,9 @@ from galoiscensus.eisenstein import (
     _eis_is_cubefree,
     canonical_associate,
     eis_cubefree_decompose,
-    eis_divmod,
     eis_factor,
-    eis_gcd,
     param_xy,
     parametrize_cubic_witness,
-    surface_family_point,
 )
 
 small = st.integers(min_value=-60, max_value=60)
@@ -65,13 +62,6 @@ def test_half_coordinates(z):
     assert q == 2 * z.m - z.n and r == z.n
 
 
-@given(eis, eis_nonzero)
-def test_divmod_contract(a, b):
-    q, r = eis_divmod(a, b)
-    assert q * b + r == a
-    assert 4 * r.norm() <= 3 * b.norm()
-
-
 def test_canonical_associate_sector():
     for z in (EisInt(3, 1), EisInt(-2, 5), EisInt(0, -4), EisInt(1, 1), EisInt(7, 7)):
         w = canonical_associate(z)
@@ -88,26 +78,7 @@ def test_canonical_associate_is_unique(z):
     assert canonical_associate(z) == hits[0]
 
 
-# --- gcd and factorization ---
-
-def test_gcd_examples():
-    assert eis_gcd(EisInt(2, 0), EisInt(1, -1)) == EisInt(1, 0)
-    assert eis_gcd(EisInt(6, 0), EisInt(2, 0)) == EisInt(2, 0)
-    z = EisInt(4, -6)
-    assert eis_gcd(z, EisInt(0, 0)) == canonical_associate(z)
-    with pytest.raises(EisensteinError):
-        eis_gcd(EisInt(0, 0), EisInt(0, 0))
-
-
-@given(eis_nonzero, eis_nonzero)
-@settings(max_examples=200)
-def test_gcd_divides_both(a, b):
-    from galoiscensus.eisenstein import eis_exact_div
-
-    g = eis_gcd(a, b)
-    assert eis_exact_div(a, g) is not None
-    assert eis_exact_div(b, g) is not None
-
+# --- factorization ---
 
 def test_factor_examples():
     unit, primes = eis_factor(EisInt(6, 0))
@@ -241,18 +212,6 @@ def test_param_xy_equals_ring_multiplication():
             cube = alpha * alpha * alpha
             xq, xr = (d * cube).half_coords()  # product = (xq + xr sqrt(-3)) / 2
             assert param_xy(q, r, s, t) == (8 * xq, 8 * xr)
-
-
-def test_surface_family_examples():
-    assert surface_family_point(1, 1) == (-16, 0, 4)
-    assert surface_family_point(2, 1) == (-20, 18, 7)
-    assert surface_family_point(0, 0) == (0, 0, 0)
-
-
-@given(st.integers(-300, 300), st.integers(-300, 300))
-def test_surface_family_on_surface(s, t):
-    J, Y, I = surface_family_point(s, t)
-    assert J * J + 3 * Y * Y == 4 * I**3
 
 
 # --- the witness pipeline ---

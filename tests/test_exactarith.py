@@ -12,7 +12,6 @@ from galoiscensus.exactarith import (
     icbrt,
     is_prime,
     perfect_square,
-    squarefree_decompose,
 )
 
 
@@ -132,23 +131,9 @@ def test_is_prime_against_sieve():
         assert is_prime(n) == sieve[n]
 
 
-@pytest.mark.parametrize("n,uv", [(48, (3, 4)), (-50, (-2, 5)), (7, (7, 1)), (1, (1, 1))])
-def test_squarefree_examples(n, uv):
-    assert squarefree_decompose(n) == uv
-
-
 @pytest.mark.parametrize("n,uv", [(54, (2, 3)), (1, (1, 1)), (216, (1, 6)), (250, (2, 5))])
 def test_cubefree_examples(n, uv):
     assert cubefree_decompose(n) == uv
-
-
-@given(st.integers(min_value=-(10**5), max_value=10**5).filter(lambda n: n != 0))
-@settings(max_examples=300)
-def test_squarefree_invariants(n):
-    u, v = squarefree_decompose(n)
-    assert u * v * v == n and v > 0
-    assert (u > 0) == (n > 0)
-    assert all(e == 1 for _, e in factorize(u).factors)
 
 
 @given(st.integers(min_value=1, max_value=10**5))
@@ -160,8 +145,6 @@ def test_cubefree_invariants(n):
 
 
 def test_decompose_domain_errors():
-    with pytest.raises(ValueError):
-        squarefree_decompose(0)
     for bad in (0, -5):
         with pytest.raises(ValueError):
             cubefree_decompose(bad)

@@ -25,6 +25,7 @@ from galoiscensus.families import (
     gen_v4_biquadratic,
     _d4vc_prelude,
     _expand,
+    _member_line,
     _residue_span,
     _squarefree_u_values,
     d4vc_units,
@@ -73,7 +74,7 @@ def test_a4_family_members_and_validation():
     for m in fam:
         u = dict(m.params)["u"]
         v = dict(m.params)["v"]
-        assert disc_quartic(m.polynomial()) == (16 * (27 * u * v**4 + u**3)) ** 2
+        assert disc_quartic(MonicQuartic(*m.coeffs)) == (16 * (27 * u * v**4 + u**3)) ** 2
     rep = cross_validate(fam)
     assert rep.mismatch_count == 0
 
@@ -297,13 +298,13 @@ def test_cross_validate_many_chunks_keep_member_order(monkeypatch):
 
 # --- the d4vc route of the family command: pool units generate, validate
 # and render their own (u, v) ranges; gen_d4vc_family + cross_validate +
-# to_json is its oracle
+# json.dumps is its oracle
 
 def _oracle_output(H, delta):
     """The family command's output and exit code, from the whole-family API."""
     fam = gen_d4vc_family(H, delta)
     rep = cross_validate(fam)
-    lines = [m.to_json(classified=label) for m, label in zip(fam, rep.labels)]
+    lines = [_json_dumps_line(m, label) for m, label in zip(fam, rep.labels)]
     summary = {"family": "d4vc", "height": H, "delta": str(delta), **json.loads(rep.to_json())}
     lines.append(json.dumps(summary))
     return "\n".join(lines) + "\n", 1 if rep.mismatch_count else 0
@@ -391,7 +392,7 @@ def test_d4vc_planted_mismatch_same_on_both_routes(tmp_path, monkeypatch):
 
 
 def _json_dumps_line(member, classified=None):
-    """The member JSON line as json.dumps writes it: the oracle for to_json."""
+    """The member JSON line as json.dumps writes it: the oracle for _member_line."""
     payload = {"family": member.family, "params": dict(member.params), "coeffs": list(member.coeffs)}
     if classified is not None:
         payload["class"] = classified
@@ -403,15 +404,15 @@ def test_member_json_line_matches_json_dumps():
     for fam in (gen_d4vc_family(2 * 10**5, Fraction(1, 5))[:500], gen_v4_biquadratic(100),
                 gen_a4_family(5), gen_a3_family(-30, 30)):
         for m, label in zip(fam, ("D4", "reducible", None, "S4", "A3", "V4", "C4") * len(fam)):
-            assert m.to_json(classified=label) == _json_dumps_line(m, label)
-            assert m.to_json() == _json_dumps_line(m)
+            assert _member_line(m.family, m.params, m.coeffs, label) == _json_dumps_line(m, label)
+            assert _member_line(m.family, m.params, m.coeffs) == _json_dumps_line(m)
             families_seen.add(m.family)
     assert families_seen == {"d4vc", "v4-biquadratic", "a4", "a3"}
 
 
 def test_member_json_line():
     m = gen_a3_family(4, 4)[0]
-    payload = json.loads(m.to_json(classified="A3"))
+    payload = json.loads(_member_line(m.family, m.params, m.coeffs, "A3"))
     assert payload == {
         "family": "a3",
         "params": {"t": 4},

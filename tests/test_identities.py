@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from galoiscensus import identities
 from galoiscensus.classify import (
@@ -17,27 +16,18 @@ from galoiscensus.classify import (
 )
 from galoiscensus.identities import (
     STAR_INT64_WINDOW,
-    CurveSpec,
-    SurfaceSpec,
-    c4_curve_check,
     check_symmetry_identity,
-    curve_is_reducible,
-    curve_points,
     disc_F_identity,
     disc_F_suite,
     run_suites,
     star_suite,
     surface_eval,
-    surface_points,
     surface_suite,
     symmetry_suite,
     _star_block,
     _star_rhs,
     _star_sides,
 )
-from galoiscensus.exactarith import perfect_square
-
-small = st.integers(min_value=-30, max_value=30)
 
 
 # --- independent oracles for the library's fast routes
@@ -63,28 +53,8 @@ def check_star_identity(u: int, v: int, w: int, x: int, a: int, sign: int = 1) -
     return 64 * disc == factor * factor * _star_rhs(u, v, w, x, a, sign)
 
 
-def curve_points_by_y(spec: CurveSpec, xmax: int, ymax: int) -> list[tuple[int, int]]:
-    """Transposed enumeration (y-major), an independent oracle for curve_points."""
-    k, m = spec.shift(), spec.box_constant()
-    pts = set()
-    for y in range(0, ymax + 1):
-        t = y * y + m
-        if t < 0:
-            continue
-        root = perfect_square(t)
-        if root is None:
-            continue
-        for signed in {root, -root}:
-            num = signed + k
-            if num % 8 == 0 and abs(num // 8) <= xmax:
-                pts.add((num // 8, y))
-                pts.add((num // 8, -y))
-    return sorted(pts)
-
-
-def surface_eval_defining(spec: SurfaceSpec, a: int, c: int, d: int) -> int:
+def surface_eval_defining(I: int, J: int, a: int, c: int, d: int) -> int:
     """The defining form (I - 12d + 3ac)(96d + 3ac - 2I)^2 - (J + 27c^2 + 27a^2 d)^2."""
-    I, J = spec.I, spec.J
     return (I - 12 * d + 3 * a * c) * (96 * d + 3 * a * c - 2 * I) ** 2 - (
         J + 27 * c * c + 27 * a * a * d
     ) ** 2
@@ -259,80 +229,12 @@ def test_star_suite_window4():
     assert rep.cases_checked == 9**5 * 2
 
 
-# --- curves ---
-
-def test_curve_points_spec_box():
-    # the u=v=w=a=1, sign=+ curve: (8x-2)^2 - 100 = y^2 has the points
-    # x=-1 (y=0) and x=-3 (y=+-24) inside |x|<=10, |y|<=100
-    spec = CurveSpec(1, 1, 1, 1, 1)
-    assert curve_points(spec, 10, 100) == [(-3, -24), (-3, 24), (-1, 0)]
-
-
-def test_curve_points_reducible_case():
-    spec = CurveSpec(1, 1, 4, -1, 1)  # aw = -4 = -4v: degenerate to y = +-(8x-17)
-    pts = curve_points(spec, 2, 40)
-    assert len(pts) == 10
-    assert all(y == 8 * x - 17 or y == -(8 * x - 17) for x, y in pts)
-
-
-def test_curve_points_empty_box():
-    spec = CurveSpec(2, 1, 1, 3, 1)
-    assert curve_points(spec, 0, 0) == []
-
-
-@given(
-    st.integers(-6, 6).filter(bool), st.integers(-6, 6), st.integers(-6, 6),
-    st.integers(-6, 6), st.sampled_from((1, -1)),
-)
-@settings(max_examples=150, deadline=None)
-def test_curve_points_transposed_oracle(u, v, w, a, sign):
-    spec = CurveSpec(u, v, w, a, sign)
-    assert curve_points(spec, 30, 400) == curve_points_by_y(spec, 30, 400)
-
-
-def test_curve_is_reducible_examples():
-    assert curve_is_reducible(CurveSpec(1, 1, 4, -1, 1))
-    assert not curve_is_reducible(CurveSpec(1, 1, 1, 1, 1))
-    assert curve_is_reducible(CurveSpec(3, 0, 5, 0, 1))
-    assert curve_is_reducible(CurveSpec(3, 0, 5, 0, -1))
-    with pytest.raises(ValueError):
-        curve_is_reducible(CurveSpec(0, 1, 1, 1, 1))
-
-
-def test_curve_reducibility_matches_constant_vanishing():
-    for u, v, w, a in itertools.product(range(-4, 5), repeat=4):
-        if u == 0:
-            continue
-        for sign in (1, -1):
-            spec = CurveSpec(u, v, w, a, sign)
-            vanish = 4 * a * a * u * w * w + 64 * u * v * v + sign * 32 * a * u * v * w == 0
-            assert curve_is_reducible(spec) == vanish
-
-
-def test_c4_curve_check_examples():
-    spec = CurveSpec(1, 1, 4, -1, 1)
-    assert c4_curve_check(spec, 3, 7)  # (24-17)^2 = 49
-    assert not c4_curve_check(spec, 3, 8)
-    assert c4_curve_check(CurveSpec(1, 0, 0, 0, 1), 0, 0)
-
-
 # --- surfaces ---
 
 def test_surface_eval_examples():
-    spec = SurfaceSpec(144, -1728)
-    assert surface_eval(spec, 0, 8, 12) == 0  # X^4+8X+12 lies on its surface
-    assert surface_eval(spec, 0, 8, 13) != 0
-    assert surface_eval(SurfaceSpec(12, 0), 0, 0, 1) == 0  # X^4+1
-
-
-def test_surface_degenerate_rejected():
-    with pytest.raises(ValueError):
-        SurfaceSpec(0, 0)
-    with pytest.raises(ValueError):
-        SurfaceSpec(1, 2)  # 4*1^3 = 2^2
-    with pytest.raises(ValueError):
-        SurfaceSpec(9, -54)  # 4*729 = 54^2
-    SurfaceSpec(1, 1)  # 4 != 1, fine
+    assert surface_eval(144, -1728, 0, 8, 12) == 0  # X^4+8X+12 lies on its surface
+    assert surface_eval(144, -1728, 0, 8, 13) != 0
+    assert surface_eval(12, 0, 0, 0, 1) == 0  # X^4+1
 
 
 def test_surface_coefficient_form_matches_defining_form():
@@ -341,9 +243,8 @@ def test_surface_coefficient_form_matches_defining_form():
         I, J = rng.randint(-40, 40), rng.randint(-40, 40)
         if 4 * I**3 == J * J:
             continue
-        spec = SurfaceSpec(I, J)
         a, c, d = (rng.randint(-15, 15) for _ in range(3))
-        assert surface_eval(spec, a, c, d) == surface_eval_defining(spec, a, c, d)
+        assert surface_eval(I, J, a, c, d) == surface_eval_defining(I, J, a, c, d)
 
 
 def test_quartics_lie_on_their_surface():
@@ -351,20 +252,7 @@ def test_quartics_lie_on_their_surface():
         I, J = invariants_quartic(MonicQuartic(a, b, c, d))
         if 4 * I**3 == J * J:
             continue
-        assert surface_eval(SurfaceSpec(I, J), a, c, d) == 0
-
-
-def test_surface_points_examples():
-    assert (0, 8, 12) in surface_points(SurfaceSpec(144, -1728), 12)
-    assert (0, 0, 1) in surface_points(SurfaceSpec(12, 0), 1)
-    assert surface_points(SurfaceSpec(1, 1), 0) == []
-
-
-def test_surface_points_complete_via_eval():
-    spec = SurfaceSpec(12, 0)
-    pts = set(surface_points(spec, 4))
-    for a, c, d in itertools.product(range(-4, 5), repeat=3):
-        assert ((a, c, d) in pts) == (surface_eval(spec, a, c, d) == 0)
+        assert surface_eval(I, J, a, c, d) == 0
 
 
 # --- the auxiliary cubic discriminant ---

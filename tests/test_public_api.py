@@ -1,0 +1,76 @@
+"""Every public name of the package is reached by the program.
+
+The modules and perfbench are parsed with ``ast``, not imported.  A name in
+a module's ``__all__`` counts as reached when code reads it (as a name or an
+attribute) in another package module or in perfbench, or in its own module
+outside its own definition.  perfbench's tracer also reaches the attributes
+named by the strings of ``spans.TARGETS``.  Tests do not count: a name only
+tests call is library surface no command, suite or workload uses.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Public names kept although nothing in the program calls them.
+ALLOWED = {
+    "lattice_count_L": "the exact lattice counts of acceptance criterion 12",
+    "report_from_json": "the inverse of report_to_json, checked by the JSON round trip",
+}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _defines(node: ast.stmt, name: str) -> bool:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name == name
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def _reads(tree: ast.Module, skip: str | None = None) -> set[str]:
+    """Names and attributes read in ``tree``, outside the top-level
+    definition of ``skip``."""
+    names = set()
+    for top in tree.body:
+        if skip is not None and _defines(top, skip):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _assigned(tree: ast.Module, name: str) -> ast.expr | None:
+    """The value of the top-level assignment to ``name``, if there is one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and _defines(node, name):
+            return node.value
+    return None
+
+
+def _unreached() -> list[str]:
+    src = {p.name: _parse(p) for p in sorted((ROOT / "src" / "galoiscensus").glob("*.py"))}
+    bench = {p.name: _parse(p) for p in sorted((ROOT / "perfbench").glob("*.py"))}
+    targets = _assigned(bench["spans.py"], "TARGETS")
+    traced = {part for row in targets.elts for part in row.elts[2].value.split(".")}
+    bench_reads = set().union(traced, *map(_reads, bench.values()))
+    unreached = []
+    for name, tree in src.items():
+        outside = set().union(bench_reads, *(_reads(t) for n, t in src.items() if n != name))
+        names = _assigned(tree, "__all__")
+        for public in [e.value for e in names.elts] if names else []:
+            if public not in outside and public not in _reads(tree, skip=public):
+                unreached.append(public)
+    return unreached
+
+
+def test_every_public_name_is_reached():
+    unreached = _unreached()
+    assert [n for n in unreached if n not in ALLOWED] == []
+    assert sorted(ALLOWED) == sorted(n for n in unreached if n in ALLOWED), "stale ALLOWED entry"
