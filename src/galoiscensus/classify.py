@@ -43,6 +43,7 @@ __all__ = [
     "invariants_cubic_coeffs",
     "classify_cubic",
     "resolvent",
+    "resolvent_coeffs",
     "disc_quartic",
     "disc_quartic_coeffs",
     "disc_quartic_terms",
@@ -161,9 +162,17 @@ def classify_cubic(f: MonicCubic) -> CubicClass:
 
 
 def resolvent(f: MonicQuartic) -> MonicCubic:
-    """Cubic resolvent X^3 - b X^2 + (ac - 4d) X - (a^2 d - 4bd + c^2)."""
-    a, b, c, d = f.a, f.b, f.c, f.d
-    return MonicCubic(-b, a * c - 4 * d, -(a * a * d - 4 * b * d + c * c))
+    """The cubic resolvent of f, from ``resolvent_coeffs``."""
+    return MonicCubic(*resolvent_coeffs(f.a, f.b, f.c, f.d))
+
+
+def resolvent_coeffs(a, b, c, d):
+    """(p, q, r) of the cubic resolvent X^3 + pX^2 + qX + r of
+    X^4 + aX^3 + bX^2 + cX + d, which is
+    X^3 - b X^2 + (ac - 4d) X - (a^2 d - 4bd + c^2); its discriminant is
+    disc(f).  Works on ints and on broadcast int64 or object arrays; the
+    symmetry suite evaluates it on a (b, c, d) grid."""
+    return -b, a * c - 4 * d, -(a * a * d - 4 * b * d + c * c)
 
 
 def disc_quartic(f: MonicQuartic) -> int:
@@ -270,13 +279,19 @@ def integer_roots_monic_cubic(p: int, q: int, r: int) -> list[int]:
     error nears a unit: 1 in 20,000 random cubics at |coefficient| <= 10^12,
     0.1% at 10^13, 1% at 10^14, 12% at 10^15 and 74% at 10^16.
     """
+    return _integer_roots_and_D(p, q, r)[0]
+
+
+def _integer_roots_and_D(p: int, q: int, r: int) -> tuple[list[int], int]:
+    """(``integer_roots_monic_cubic(p, q, r)``, D) with the exact
+    D = 4I^3 - J^2 = 27 disc that the root search computes on the way."""
     I, J = invariants_cubic_coeffs(p, q, r)
     D = 4 * I * I * I - J * J
     if D == 0:
         if I == 0:
-            return [-p // 3]
+            return [-p // 3], D
         a = J // (2 * I)
-        return sorted({(a - p) // 3, (-2 * a - p) // 3})
+        return sorted({(a - p) // 3, (-2 * a - p) // 3}), D
     try:
         if D > 0:
             s = 2.0 * math.sqrt(float(I))
@@ -289,8 +304,8 @@ def integer_roots_monic_cubic(p: int, q: int, r: int) -> list[int]:
             ys = (u + float(I) / u,)
         xs = sorted((y - p) / 3 for y in ys)
     except OverflowError:
-        return _integer_roots_bisect(p, q, r)
-    return _certified_roots(p, q, r, xs)
+        return _integer_roots_bisect(p, q, r), D
+    return _certified_roots(p, q, r, xs), D
 
 
 def _certified_roots(p: int, q: int, r: int, xs: list[float]) -> list[int]:
@@ -469,15 +484,16 @@ def classify_quartic(f: MonicQuartic) -> QuarticClass:
     Order of tests: an integer root; the resolvent roots, which also decide
     a quadratic split; then square discriminant and resolvent roots split
     S4/A4/V4 from the D4/C4 branch; ``is_c4`` separates D4 and C4 by the
-    resolvent root x (unique in this branch).
+    resolvent root x (unique in this branch).  The discriminant is the
+    root search's exact D = 27 disc(resolvent) = 27 disc(f) over 27.
     """
     a, b, c, d = f.coeffs()
     if _integer_root(a, b, c, d) is not None:
         return QuarticClass(QuarticGroup.REDUCIBLE)
-    roots = resolvent_integer_roots(f)
+    roots, D = _integer_roots_and_D(*resolvent_coeffs(a, b, c, d))
     if _quadratic_split(a, b, c, d, roots) is not None:
         return QuarticClass(QuarticGroup.REDUCIBLE)
-    disc = disc_quartic(f)
+    disc = D // 27
     square = disc > 0 and perfect_square(disc) is not None
     if square:
         if roots:

@@ -5,6 +5,12 @@ An element m + n*zeta is stored as the integer pair (m, n); multiplication
 uses zeta^2 = -1 - zeta.  In half-coordinates (q, r) = (2m - n, n) the same
 element reads (q + r*sqrt(-3))/2 with q = r (mod 2), which is the shape the
 parametrization formulas are written in.
+
+The ring operations live once, on plain (m, n) int pairs; the frozen
+``EisInt`` wraps a pair for the witness record and its check.  The witness
+chain finds the cube part of x + y sqrt(-3) on pairs, from the factorization
+of the chain's z alone (the argument is in `_cube_root_part`), and builds an
+``EisInt`` only for the final d and alpha.
 """
 
 from __future__ import annotations
@@ -21,8 +27,6 @@ __all__ = [
     "EisensteinError",
     "WitnessError",
     "ParamWitness",
-    "eis_factor",
-    "eis_cubefree_decompose",
     "canonical_associate",
     "param_xy",
     "parametrize_cubic_witness",
@@ -33,6 +37,30 @@ class EisensteinError(ValueError):
     pass
 
 
+def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """(a0 + a1 zeta)(b0 + b1 zeta) on (m, n) pairs, with zeta^2 = -1 - zeta."""
+    (a0, a1), (b0, b1) = a, b
+    return a0 * b0 - a1 * b1, a0 * b1 + a1 * b0 - a1 * b1
+
+
+def _conj(a: tuple[int, int]) -> tuple[int, int]:
+    return a[0] - a[1], -a[1]
+
+
+def _norm(a: tuple[int, int]) -> int:
+    m, n = a
+    return m * m - m * n + n * n
+
+
+def _exact_div(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int] | None:
+    """a / b on (m, n) pairs when b != 0 divides a exactly, else None."""
+    nb = _norm(b)
+    m, n = _mul(a, _conj(b))
+    if m % nb or n % nb:
+        return None
+    return m // nb, n // nb
+
+
 @dataclass(frozen=True)
 class EisInt:
     """m + n*zeta with zeta = (-1 + sqrt(-3))/2."""
@@ -40,61 +68,33 @@ class EisInt:
     m: int
     n: int
 
-    def __add__(self, other: "EisInt") -> "EisInt":
-        return EisInt(self.m + other.m, self.n + other.n)
-
-    def __sub__(self, other: "EisInt") -> "EisInt":
-        return EisInt(self.m - other.m, self.n - other.n)
-
     def __mul__(self, other: "EisInt") -> "EisInt":
-        a, b, c, d = self.m, self.n, other.m, other.n
-        return EisInt(a * c - b * d, a * d + b * c - b * d)
-
-    def __neg__(self) -> "EisInt":
-        return EisInt(-self.m, -self.n)
+        return EisInt(*_mul((self.m, self.n), (other.m, other.n)))
 
     def __bool__(self) -> bool:
         return self.m != 0 or self.n != 0
 
     def conj(self) -> "EisInt":
-        return EisInt(self.m - self.n, -self.n)
+        return EisInt(*_conj((self.m, self.n)))
 
     def norm(self) -> int:
-        return self.m * self.m - self.m * self.n + self.n * self.n
+        return _norm((self.m, self.n))
 
     def half_coords(self) -> tuple[int, int]:
         """(q, r) with self = (q + r*sqrt(-3))/2; always q = r (mod 2)."""
         return 2 * self.m - self.n, self.n
-
-    def __str__(self) -> str:
-        return f"{self.m}{self.n:+d}*zeta"
-
-
-ONE = EisInt(1, 0)
-UNITS = (EisInt(1, 0), EisInt(0, 1), EisInt(-1, -1), EisInt(-1, 0), EisInt(0, -1), EisInt(1, 1))
-LAMBDA = EisInt(2, 1)  # canonical associate of 1 - zeta, the prime over 3
 
 
 def canonical_associate(z: EisInt) -> EisInt:
     """The unique associate of z != 0 with 0 <= n < m (the 60-degree sector)."""
     if not z:
         raise EisensteinError("zero has no canonical associate")
-    for u in UNITS:
-        w = z * u
-        if 0 <= w.n < w.m:
-            return w
+    m, n = z.m, z.n
+    for _ in range(6):
+        if 0 <= n < m:
+            return EisInt(m, n)
+        m, n = m - n, m  # times the unit 1 + zeta, of order 6
     raise AssertionError("unit orbit missed the canonical sector")  # pragma: no cover
-
-
-def eis_exact_div(a: EisInt, b: EisInt) -> EisInt | None:
-    """a / b when b divides a exactly, else None."""
-    if not b:
-        raise ZeroDivisionError("division by zero in Z[zeta]")
-    nb = b.norm()
-    num = a * b.conj()
-    if num.m % nb or num.n % nb:
-        return None
-    return EisInt(num.m // nb, num.n // nb)
 
 
 def _split_prime_above(p: int) -> EisInt:
@@ -108,59 +108,49 @@ def _split_prime_above(p: int) -> EisInt:
     raise AssertionError(f"no Eisenstein prime above {p}")  # pragma: no cover
 
 
-def _divide_out(z: EisInt, prime: EisInt) -> tuple[EisInt, int]:
-    """(z / prime^k, k) for the largest k with prime^k dividing z != 0."""
-    k = 0
-    while (quotient := eis_exact_div(z, prime)) is not None:
-        z, k = quotient, k + 1
-    return z, k
+def _cube_root_part(x: int, y: int, z: int) -> tuple[EisInt, EisInt]:
+    """(d, alpha) with x + y sqrt(-3) = d alpha^3, d cubefree in Z[zeta] and
+    alpha canonical, for the chain's coprime x, y with 2(x^2 + 3y^2) = u z^3
+    and u cubefree.
 
-
-def eis_factor(z: EisInt) -> tuple[EisInt, tuple[tuple[EisInt, int], ...]]:
-    """(unit, ((prime, exponent), ...)) with canonical primes, deterministic order.
-
-    Rational primes behave by residue mod 3: p = 3 ramifies as (1-zeta)^2 up
-    to a unit, p = 2 (mod 3) stays inert, and p = 1 (mod 3) splits into a
-    conjugate pair of norm-p primes.
+    The element's norm N = x^2 + 3y^2 = u z^3 / 2 reaches 6.5e10 at height
+    100, but only z (at most 2,654 there) needs factoring.  Each rational
+    prime p gives the element's exponents at the primes above it:
+    - p = 3 ramifies, 3 = -zeta^2 lambda^2 with N(lambda) = 3, so
+      v_lambda = v_3(N);
+    - p = 2 (mod 3) stays prime with N(p) = p^2, so v_p = v_p(N) / 2;
+    - p = 1 (mod 3) splits into pi and conj(pi) of norm p, and
+      v_pi + v_conj(pi) = v_p(N).
+    A rational prime p dividing the element divides x + y and 2y, so p = 2,
+    as gcd(x, y) = 1; 4 does not divide it, since 2 | y and 2 | x would
+    follow.  So v_lambda <= 1 (lambda^2 is an associate of 3), an inert p
+    has v_p <= 1, and at most one of pi and conj(pi) divides the element,
+    with exponent v_p(N); one exact division by pi picks which.  No cube of
+    a ramified or inert prime divides the element, and a split p has
+    v_p(N) = v_p(u) + 3 v_p(z) with v_p(u) <= 2, so its cube part is
+    pi^(v_p(z)).  An odd p | z has v_p(N) >= 3, so it is split.  Hence
+    alpha is the product of pi^(v_p(z)) over the odd p | z, built on (m, n)
+    pairs and canonicalized, N(alpha) is the odd part of z, and
+    d = element / alpha^3 is an exact division.  Both are unique, so they
+    equal what a full factorization of the element in Z[zeta] gives.
     """
-    if not z:
-        raise EisensteinError("cannot factor zero")
-    rest = z
-    found: list[tuple[EisInt, int]] = []
-    for p, _ in factorize(z.norm()).factors:
-        if p == 3:
-            primes = (LAMBDA,)
-        elif p % 3 == 2:
-            primes = (EisInt(p, 0),)
-        else:
-            pi = _split_prime_above(p)
-            primes = (pi, canonical_associate(pi.conj()))
-        for prime in primes:
-            rest, k = _divide_out(rest, prime)
-            if k:
-                found.append((prime, k))
-    if rest.norm() != 1:
-        raise AssertionError(f"non-unit cofactor {rest} left over")  # pragma: no cover
-    found.sort(key=lambda t: (t[0].norm(), t[0].m, t[0].n))
-    return rest, tuple(found)
-
-
-def eis_cubefree_decompose(z: EisInt) -> tuple[EisInt, EisInt]:
-    """z = d * alpha^3 with d cubefree; alpha is the canonical associate of
-    the extracted cube root and d = z / alpha^3 exactly."""
-    if not z:
-        raise EisensteinError("cannot decompose zero")
-    _, primes = eis_factor(z)
-    alpha = ONE
-    for prime, e in primes:
-        for _ in range(e // 3):
-            alpha = alpha * prime
-    alpha = canonical_associate(alpha) if alpha else ONE
-    cube = alpha * alpha * alpha
-    d = eis_exact_div(z, cube)
+    element = (x + y, 2 * y)
+    alpha = (1, 0)
+    for p, k in factorize(z).factors:
+        if p == 2:
+            continue
+        pi = _split_prime_above(p)
+        prime = (pi.m, pi.n)
+        if _exact_div(element, prime) is None:
+            prime = _conj(prime)
+        for _ in range(k):
+            alpha = _mul(alpha, prime)
+    alpha = canonical_associate(EisInt(*alpha))
+    root = (alpha.m, alpha.n)
+    d = _exact_div(element, _mul(_mul(root, root), root))
     if d is None:  # pragma: no cover
         raise AssertionError("cube part does not divide its source")
-    return d, alpha
+    return EisInt(*d), alpha
 
 
 def param_xy(q: int, r: int, s: int, t: int) -> tuple[int, int]:
@@ -222,6 +212,7 @@ class ParamWitness:
           v_p(N) = v_pi(d) + v_conj(pi)(d).  If v_p(N) < 3 both are below 3;
           otherwise exact division of d by pi^3 and by conj(pi)^3 decides.
         """
+        d, alpha = (self.d.m, self.d.n), (self.alpha.m, self.alpha.n)
         checks = [
             ("disc matches cubic", self.disc == disc_cubic(self.cubic)),
             ("Y = 3 sqrt(disc) > 0", self.Y > 0 and self.Y * self.Y == 9 * self.disc),
@@ -236,8 +227,7 @@ class ParamWitness:
             ("2(x^2+3y^2) = u z^3", 2 * (self.x**2 + 3 * self.y**2) == self.u * self.z**3),
             (
                 "x + y sqrt(-3) = d alpha^3",
-                EisInt(self.x + self.y, 2 * self.y)
-                == self.d * self.alpha * self.alpha * self.alpha,
+                _mul(_mul(_mul(d, alpha), alpha), alpha) == (self.x + self.y, 2 * self.y),
             ),
             ("d cubefree in Z[zeta]", _eis_is_cubefree(self.d)),
             ("(q, r) are half-coords of d", (self.q, self.r) == self.d.half_coords()),
@@ -294,7 +284,8 @@ def _eis_is_cubefree(z: EisInt) -> bool:
                 return False
             pi = _split_prime_above(p)
             for prime in (pi, pi.conj()):
-                if eis_exact_div(z, prime * prime * prime) is not None:
+                cube = prime * prime * prime
+                if _exact_div((z.m, z.n), (cube.m, cube.n)) is not None:
                     return False
     return True
 
@@ -321,7 +312,7 @@ def parametrize_cubic_witness(f: MonicCubic) -> ParamWitness:
         raise WitnessError("u v^2 does not divide 2I")  # unreachable if u cubefree
     x, y, z = J // g, Y // g, (2 * I) // g_tilde
 
-    d, alpha = eis_cubefree_decompose(EisInt(x + y, 2 * y))  # x + y sqrt(-3)
+    d, alpha = _cube_root_part(x, y, z)
     q, r = d.half_coords()
     s, t = alpha.half_coords()
     witness = ParamWitness(

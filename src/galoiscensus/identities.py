@@ -6,23 +6,28 @@ discriminant and the invariant surface g(a, c, d) = 0.
 Everything is checked with integer or rational arithmetic; the suites return
 a report listing every failing case (expected: none, these are identities).
 
-The star suite evaluates both sides of the discriminant factorization one u
-at a time, on a broadcast (v, w, x, a, sign) grid of 2 (2W + 1)^4 cells for
-the window W, through the same `_star_sides` a single case goes through.
-Failures are read from the grid in the order of the nested loop over u, v,
-w, x, a and then sign = +1 before -1.  One block per u keeps the memory to a
-few hundred kB at W = 6; a single 5-D grid would be 13 times larger.  Above
-the int64 cap below, each (u, v) is a block of its own.
+The symmetry, star and surface suites evaluate their window one block at a
+time, on broadcast numpy grids, through the same formulas a single case goes
+through: ``resolvent_coeffs`` and ``check_symmetry_identity``, `_star_sides`,
+``invariants_quartic_coeffs`` and ``surface_eval``.  A block holds one value
+of the first variable (a for symmetry and surface, u for star) and the whole
+grid of the others, so failures are read from it in the order of the nested
+loop over the variables.  One block per first variable keeps the memory to a
+few hundred kB at W = 6; a single grid would be 13 times larger.
 
-int64 safety of the star grid: numpy int64 wraps silently, so the window cap
-is proved, not measured.  Replace every variable by W, every coefficient by
-its absolute value and every minus by a plus: this majorant of an
-expression bounds its absolute value, and it is the sum of the |monomials|
-of the expression expanded as written, with no terms cancelled.  All majorants are integers >= 1 for
-W >= 1, so the majorant of a sum or product is at least that of each
-operand, and the majorant of a whole side bounds every partial result on
-the way, the Horner partials of the discriminant included.  For the
-discriminant side, disc(X^4 + 2a X^3 + 4b X^2 + 8c X + 16d), it is
+int64 safety of the grids: numpy int64 wraps silently, so the window caps
+are proved, not measured.  Replace every variable by a bound on its absolute
+value, every coefficient by its absolute value and every minus by a plus:
+this majorant of an expression bounds its absolute value, and it is the sum
+of the |monomials| of the expression expanded as written, with no terms
+cancelled.  All majorants are integers >= 1 for W >= 1, so the majorant of
+a sum or product is at least that of each operand, and the majorant of a
+whole expression bounds every partial result on the way, Horner partials
+included.  Above each cap the same blocks run on dtype=object arrays of
+Python ints, exact at any size.
+
+Star, with every variable bounded by the window W: for the discriminant
+side, disc(X^4 + 2a X^3 + 4b X^2 + 8c X + 16d), the majorant is
 
     128 W^15 + 768 W^14 + 8448 W^13 + 52480 W^12 + 180352 W^11
     + 399872 W^10 + 622592 W^9 + 604160 W^8 + 311296 W^7 + 65536 W^6,
@@ -30,8 +35,29 @@ discriminant side, disc(X^4 + 2a X^3 + 4b X^2 + 8c X + 16d), it is
 which is 4.49e18 < 2^63 at W = 12 but 1.37e19 > 2^63 at W = 13.  For the
 other side, 64 factor^2 RHS, it is 256 W^14 + 1024 W^13 + 13824 W^12
 + 46080 W^11 + 69888 W^10 + 53248 W^9 + 16384 W^8, 6.0e17 at W = 12.  So
-windows up to STAR_INT64_WINDOW = 12 run in int64; larger ones run the same
-blocks on dtype=object arrays of Python ints, exact at any size.
+windows up to STAR_INT64_WINDOW = 12 run in int64.  Above it the blocks hold
+Python ints, about 5 times the memory, so each (u, v) is a block of its own.
+
+Symmetry: the resolvent X^3 + pX^2 + qX + r has |p| <= W, |q| <= W^2 + 4W
+and |r| <= W^3 + 5W^2, so its roots satisfy |x| < B = `_symmetry_bound(W)`,
+and |x| <= X = B - 1 on the grid.  The resolvent ((x + p) x + q) x + r has
+majorant ((X + W) X + W^2 + 4W) X + W^3 + 5W^2.  The identity, evaluated
+only where the resolvent vanishes, has majorants
+(X^2 + 4W)(W^2 + 4W + 4X) for its left side, as e = b - x, and
+(XW + 2W)^2 for its right side.  The left side is the largest: 9.2227e18
+< 2^63 at W = 38,963 (X = 77,930) but 9.2237e18 > 2^63 at W = 38,964.
+So windows up to SYMMETRY_INT64_WINDOW = 38,963 run in int64; there the
+resolvent's majorant is only 8.9e14.  The block size, (2W + 1)^3 (2B - 1)
+cells, limits the window long before that: 890,625 cells at W = 12.
+
+Surface: I = 12d - 3ac + b^2 and J have majorants 4W^2 + 12W and
+38W^3 + 99W^2, and with these g = surface_eval(I, J, a, c, d), whose
+constant term includes the skip test's 4I^3 and J^2, has majorant
+
+    4616 W^6 + 26352 W^5 + 145476 W^4 + 345600 W^3,
+
+which is 9.08e18 < 2^63 at W = 353 but 9.23e18 > 2^63 at W = 354.  So
+windows up to SURFACE_INT64_WINDOW = 353 run in int64.
 """
 
 from __future__ import annotations
@@ -41,16 +67,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import (
-    MonicQuartic,
     disc_cubic_coeffs,
     disc_quartic_coeffs,
-    integer_roots_monic_cubic,
-    invariants_quartic,
-    resolvent,
+    fujiwara_bound,
+    invariants_quartic_coeffs,
+    resolvent_coeffs,
 )
 
 __all__ = [
     "STAR_INT64_WINDOW",
+    "SYMMETRY_INT64_WINDOW",
+    "SURFACE_INT64_WINDOW",
     "VerificationReport",
     "check_symmetry_identity",
     "surface_eval",
@@ -168,20 +195,49 @@ def disc_F_identity(q: int, r: int) -> bool:
 # ---------------------------------------------------------------------------
 # suites
 
+SYMMETRY_INT64_WINDOW = 38_963
+"""Largest symmetry_suite window evaluated in int64 (argued in the module docstring)."""
+
+
+def _symmetry_bound(window: int) -> int:
+    """B > |x| for every root x of every resolvent in the window: the
+    coefficients satisfy |p| <= W, |q| <= W^2 + 4W, |r| <= W^3 + 5W^2."""
+    return fujiwara_bound(window, window * window + 4 * window, window**3 + 5 * window * window)
+
+
+def _symmetry_block(a: int, axis: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(b, c, d, x, holds) at fixed a: the values of every cell of the
+    (b, c, d, x) grid axis^3 x xs where the resolvent vanishes at x, in the
+    grid's C order (b, c, d, then x ascending), and ``check_symmetry_identity``
+    at each of them, on arrays."""
+    b, c, d = axis.reshape(-1, 1, 1, 1), axis.reshape(-1, 1, 1), axis.reshape(-1, 1)
+    p, q, r = resolvent_coeffs(a, b, c, d)
+    bi, ci, di, xi = np.nonzero(((xs + p) * xs + q) * xs + r == 0)
+    b, c, d, x = axis[bi], axis[ci], axis[di], xs[xi]
+    return b, c, d, x, check_symmetry_identity(x, a, c, d, b - x)
+
+
 def symmetry_suite(window: int) -> VerificationReport:
     """Eq-(3.3) instances: every quartic of height <= window contributes one
-    case per integer root x of its resolvent, with e = b - x."""
+    case per integer root x of its resolvent, with e = b - x.
+
+    Each a is one block, `_symmetry_block` on the broadcast (b, c, d, x)
+    grid with |x| < `_symmetry_bound(window)`, which holds every root; a
+    cell where the resolvent vanishes is one case.  At window 6 that is
+    13^3 * 33 = 72,501 cells a block.  Up to SYMMETRY_INT64_WINDOW the
+    blocks are int64, above it Python ints.  Failures are listed in the
+    order a, b, c, d, then x ascending, as plain ints.
+    """
     rep = VerificationReport("symmetry", window, 0)
-    rng = range(-window, window + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    res = resolvent(MonicQuartic(a, b, c, d))
-                    for x in integer_roots_monic_cubic(res.a, res.b, res.c):
-                        rep.cases_checked += 1
-                        if not check_symmetry_identity(x, a, c, d, b - x):
-                            rep.failures.append({"coeffs": [a, b, c, d], "x": x})
+    dtype = np.int64 if window <= SYMMETRY_INT64_WINDOW else object
+    axis = np.arange(-window, window + 1, dtype=dtype)
+    bound = _symmetry_bound(window)
+    xs = np.arange(1 - bound, bound, dtype=dtype)
+    for a in range(-window, window + 1):
+        *cell, holds = _symmetry_block(a, axis, xs)
+        rep.cases_checked += holds.size
+        for b, c, d, x in zip(*(v[~holds].tolist() for v in cell)):
+            rep.failures.append({"coeffs": [a, b, c, d], "x": x})
     return rep
 
 
@@ -227,21 +283,39 @@ def disc_F_suite(window: int) -> VerificationReport:
     return rep
 
 
+SURFACE_INT64_WINDOW = 353
+"""Largest surface_suite window evaluated in int64 (argued in the module docstring)."""
+
+
+def _surface_block(a: int, axis: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(I, J, g) at fixed a on the (b, c, d) grid axis^3, with
+    g = surface_eval(I, J, a, c, d)."""
+    b, c, d = axis.reshape(-1, 1, 1), axis.reshape(-1, 1), axis
+    I, J = invariants_quartic_coeffs(a, b, c, d)
+    return I, J, surface_eval(I, J, a, c, d)
+
+
 def surface_suite(window: int) -> VerificationReport:
     """Every quartic of height <= window with nondegenerate invariants lies
-    on its own surface: g(a, c, d) = 0."""
+    on its own surface: g(a, c, d) = 0.
+
+    Each a is one block, `_surface_block` on the broadcast (b, c, d) grid;
+    cells with 4I^3 = J^2 are skipped.  Up to SURFACE_INT64_WINDOW the blocks
+    are int64, above it Python ints.  Failures are listed in the order a, b,
+    c, d, as plain ints.
+    """
     rep = VerificationReport("surface", window, 0)
-    rng = range(-window, window + 1)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    I, J = invariants_quartic(MonicQuartic(a, b, c, d))
-                    if 4 * I**3 == J * J:
-                        continue
-                    rep.cases_checked += 1
-                    if surface_eval(I, J, a, c, d) != 0:
-                        rep.failures.append({"coeffs": [a, b, c, d], "I": I, "J": J})
+    dtype = np.int64 if window <= SURFACE_INT64_WINDOW else object
+    axis = np.arange(-window, window + 1, dtype=dtype)
+    for a in range(-window, window + 1):
+        I, J, g = _surface_block(a, axis)
+        checked = 4 * I**3 != J * J
+        rep.cases_checked += int(np.count_nonzero(checked))
+        for bi, ci, di in np.argwhere(checked & (g != 0)).tolist():
+            rep.failures.append(
+                {"coeffs": [a, bi - window, ci - window, di - window],
+                 "I": int(I[bi, ci, di]), "J": int(J[bi, ci, di])}
+            )
     return rep
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,22 +8,88 @@ from hypothesis import given, settings, strategies as st
 from galoiscensus.census import list_a3_cubics
 from galoiscensus.classify import MonicCubic
 from galoiscensus.eisenstein import (
-    LAMBDA,
-    UNITS,
     EisInt,
     EisensteinError,
     WitnessError,
+    _cube_root_part,
     _eis_is_cubefree,
+    _split_prime_above,
     canonical_associate,
-    eis_cubefree_decompose,
-    eis_factor,
     param_xy,
     parametrize_cubic_witness,
 )
+from galoiscensus.exactarith import cubefree_decompose, factorize
 
 small = st.integers(min_value=-60, max_value=60)
 eis = st.builds(EisInt, small, small)
 eis_nonzero = eis.filter(bool)
+
+ONE = EisInt(1, 0)
+UNITS = (EisInt(1, 0), EisInt(0, 1), EisInt(-1, -1), EisInt(-1, 0), EisInt(0, -1), EisInt(1, 1))
+LAMBDA = EisInt(2, 1)  # canonical associate of 1 - zeta, the prime over 3
+
+
+# --- the oracle of the witness chain's cube root: a full factorization in Z[zeta]
+
+def eis_exact_div(a: EisInt, b: EisInt) -> EisInt | None:
+    """a / b when b divides a exactly, else None."""
+    nb = b.norm()
+    num = a * b.conj()
+    if num.m % nb or num.n % nb:
+        return None
+    return EisInt(num.m // nb, num.n // nb)
+
+
+def _divide_out(z: EisInt, prime: EisInt) -> tuple[EisInt, int]:
+    """(z / prime^k, k) for the largest k with prime^k dividing z != 0."""
+    k = 0
+    while (quotient := eis_exact_div(z, prime)) is not None:
+        z, k = quotient, k + 1
+    return z, k
+
+
+def eis_factor(z: EisInt) -> tuple[EisInt, tuple[tuple[EisInt, int], ...]]:
+    """(unit, ((prime, exponent), ...)) with canonical primes, deterministic order.
+
+    Rational primes behave by residue mod 3: p = 3 ramifies as (1-zeta)^2 up
+    to a unit, p = 2 (mod 3) stays inert, and p = 1 (mod 3) splits into a
+    conjugate pair of norm-p primes.
+    """
+    if not z:
+        raise EisensteinError("cannot factor zero")
+    rest = z
+    found: list[tuple[EisInt, int]] = []
+    for p, _ in factorize(z.norm()).factors:
+        if p == 3:
+            primes = (LAMBDA,)
+        elif p % 3 == 2:
+            primes = (EisInt(p, 0),)
+        else:
+            pi = _split_prime_above(p)
+            primes = (pi, canonical_associate(pi.conj()))
+        for prime in primes:
+            rest, k = _divide_out(rest, prime)
+            if k:
+                found.append((prime, k))
+    assert rest.norm() == 1, f"non-unit cofactor {rest} left over"
+    found.sort(key=lambda t: (t[0].norm(), t[0].m, t[0].n))
+    return rest, tuple(found)
+
+
+def eis_cubefree_decompose(z: EisInt) -> tuple[EisInt, EisInt]:
+    """z = d * alpha^3 with d cubefree; alpha is the canonical associate of
+    the extracted cube root and d = z / alpha^3 exactly."""
+    if not z:
+        raise EisensteinError("cannot decompose zero")
+    _, primes = eis_factor(z)
+    alpha = ONE
+    for prime, e in primes:
+        for _ in range(e // 3):
+            alpha = alpha * prime
+    alpha = canonical_associate(alpha)
+    d = eis_exact_div(z, alpha * alpha * alpha)
+    assert d is not None, "cube part does not divide its source"
+    return d, alpha
 
 
 # --- ring structure ---
@@ -130,8 +198,6 @@ def test_cubefree_examples():
 @given(eis_nonzero, eis_nonzero)
 @settings(max_examples=150, deadline=None)
 def test_cubefree_roundtrip(d0, a0):
-    from galoiscensus.eisenstein import _eis_is_cubefree
-
     z = d0 * a0 * a0 * a0
     d, alpha = eis_cubefree_decompose(z)
     assert d * alpha * alpha * alpha == z
@@ -254,3 +320,44 @@ def test_witness_all_a3_cubics_height12():
         w = parametrize_cubic_witness(MonicCubic(a, b, c))
         w.verify()
         assert w.u * (8 * w.z) ** 3 == 4 * (w.q**2 + 3 * w.r**2) * (w.s**2 + 3 * w.t**2) ** 3
+
+
+# --- the witness chain's cube root against the factoring oracle
+
+def test_witnesses_match_factoring_oracle_at_height100():
+    cubics = list_a3_cubics(100)
+    assert len(cubics) == 4946
+    for coeffs in cubics:
+        w = parametrize_cubic_witness(MonicCubic(*coeffs))
+        d, alpha = eis_cubefree_decompose(EisInt(w.x + w.y, 2 * w.y))
+        (q, r), (s, t) = d.half_coords(), alpha.half_coords()
+        oracle = dataclasses.replace(w, d=d, alpha=alpha, q=q, r=r, s=s, t=t)
+        assert w.to_json() == oracle.to_json()
+        # N(alpha) is the odd part of z, as the argument in _cube_root_part says
+        assert alpha.norm() * (w.z & -w.z) == w.z
+
+
+@given(st.one_of(eis_nonzero, with_cube, with_prime_powers))
+@settings(max_examples=400, deadline=None)
+def test_cube_root_part_matches_factoring(z):
+    # 2z = q + r sqrt(-3), and over g = gcd(q, r) it is a chain input:
+    # coprime x, y with 2(x^2 + 3y^2) = u v^3, u cubefree
+    q, r = z.half_coords()
+    g = math.gcd(q, r)
+    x, y = q // g, r // g
+    u, v = cubefree_decompose(2 * (x * x + 3 * y * y))
+    assert _cube_root_part(x, y, v) == eis_cubefree_decompose(EisInt(x + y, 2 * y))
+
+
+def test_witness_verify_rejects_a_wrong_cube_root():
+    # verify checks (d, alpha) by its own route: the product and N(d)
+    w = next(
+        w for w in (parametrize_cubic_witness(MonicCubic(*c)) for c in list_a3_cubics(30))
+        if w.alpha.norm() > 1
+    )
+    minus = EisInt(-w.alpha.m, -w.alpha.n)  # (-alpha)^3 = -alpha^3
+    with pytest.raises(WitnessError, match=r"x \+ y sqrt\(-3\) = d alpha\^3"):
+        dataclasses.replace(w, alpha=minus).verify()
+    whole = w.d * w.alpha * w.alpha * w.alpha  # d alpha^3 with alpha = 1: not cubefree
+    with pytest.raises(WitnessError, match="d cubefree in Z"):
+        dataclasses.replace(w, d=whole, alpha=EisInt(1, 0)).verify()

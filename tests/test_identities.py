@@ -10,12 +10,18 @@ from galoiscensus import identities
 from galoiscensus.classify import (
     MonicQuartic,
     disc_quartic_coeffs,
+    fujiwara_bound,
     integer_roots_monic_cubic,
     invariants_quartic,
+    invariants_quartic_coeffs,
     resolvent,
+    resolvent_coeffs,
 )
 from galoiscensus.identities import (
     STAR_INT64_WINDOW,
+    SURFACE_INT64_WINDOW,
+    SYMMETRY_INT64_WINDOW,
+    VerificationReport,
     check_symmetry_identity,
     disc_F_identity,
     disc_F_suite,
@@ -27,6 +33,9 @@ from galoiscensus.identities import (
     _star_block,
     _star_rhs,
     _star_sides,
+    _surface_block,
+    _symmetry_block,
+    _symmetry_bound,
 )
 
 
@@ -60,7 +69,30 @@ def surface_eval_defining(I: int, J: int, a: int, c: int, d: int) -> int:
     ) ** 2
 
 
+def symmetry_suite_by_quartic(window: int) -> VerificationReport:
+    """The symmetry suite one quartic at a time: the resolvent's integer roots
+    from the per-polynomial root search, each checked on ints."""
+    rep = VerificationReport("symmetry", window, 0)
+    for a, b, c, d in itertools.product(range(-window, window + 1), repeat=4):
+        res = resolvent(MonicQuartic(a, b, c, d))
+        for x in integer_roots_monic_cubic(res.a, res.b, res.c):
+            rep.cases_checked += 1
+            if not identities.check_symmetry_identity(x, a, c, d, b - x):
+                rep.failures.append({"coeffs": [a, b, c, d], "x": x})
+    return rep
 
+
+def surface_suite_by_quartic(window: int) -> VerificationReport:
+    """The surface suite one quartic at a time, on ints."""
+    rep = VerificationReport("surface", window, 0)
+    for a, b, c, d in itertools.product(range(-window, window + 1), repeat=4):
+        I, J = invariants_quartic(MonicQuartic(a, b, c, d))
+        if 4 * I**3 == J * J:
+            continue
+        rep.cases_checked += 1
+        if identities.surface_eval(I, J, a, c, d) != 0:
+            rep.failures.append({"coeffs": [a, b, c, d], "I": I, "J": J})
+    return rep
 
 
 def test_symmetry_examples():
@@ -80,6 +112,108 @@ def test_symmetry_holds_at_resolvent_roots():
 def test_symmetry_suite_window3():
     rep = symmetry_suite(3)
     assert rep.ok and rep.cases_checked > 0
+
+
+@pytest.mark.parametrize("window", range(5))
+def test_symmetry_suite_matches_quartic_oracle(window):
+    rep = symmetry_suite(window)
+    assert rep.to_json() == symmetry_suite_by_quartic(window).to_json()
+    assert rep.ok and rep.cases_checked > 0
+
+
+def _plant_symmetry_faults(monkeypatch):
+    """check_symmetry_identity made wrong on a few cells, on ints and arrays."""
+    true_check = identities.check_symmetry_identity
+
+    def broken_check(x, a, c, d, e):
+        wrong = ((a == 2) & (c == -1) & (x == -1)) | ((a == -3) & (d == 2))
+        return true_check(x, a, c, d, e) != wrong
+
+    monkeypatch.setattr(identities, "check_symmetry_identity", broken_check)
+
+
+@pytest.mark.parametrize("cap", [SYMMETRY_INT64_WINDOW, 0], ids=["int64", "object"])
+def test_symmetry_planted_faults_match_quartic_oracle(monkeypatch, cap):
+    monkeypatch.setattr(identities, "SYMMETRY_INT64_WINDOW", cap)
+    _plant_symmetry_faults(monkeypatch)
+    rep, oracle = symmetry_suite(3), symmetry_suite_by_quartic(3)
+    assert len(oracle.failures) == 12
+    assert rep.cases_checked == oracle.cases_checked == 577
+    assert rep.failures == oracle.failures
+    assert all(type(v) is int for case in rep.failures for v in [*case["coeffs"], case["x"]])
+    assert json.loads(rep.to_json()) == json.loads(oracle.to_json())
+
+
+def test_symmetry_bound_holds_every_root():
+    # the window's bound against the per-quartic bound of every resolvent
+    for window in range(0, 8):
+        bound = _symmetry_bound(window)
+        for a, b, c, d in itertools.product((-window, 0, window), repeat=4):
+            assert fujiwara_bound(*resolvent_coeffs(a, b, c, d)) <= bound
+    assert _symmetry_bound(6) == 17
+
+
+def _symmetry_majorant(window):
+    _Majorant.peak = 0
+    m, x = _Majorant(window), _Majorant(_symmetry_bound(window) - 1)
+    p, q, r = resolvent_coeffs(m, m, m, m)
+    resolvent_side = ((x + p) * x + q) * x + r
+    check_symmetry_identity(x, m, m, m, m - x)  # e = b - x
+    return int(resolvent_side), _Majorant.peak
+
+
+def test_symmetry_int64_cap_argument():
+    # the figures quoted in the identities module docstring
+    cap = SYMMETRY_INT64_WINDOW
+    for window in (1, 6, 100, cap, cap + 1):
+        w, x = window, _symmetry_bound(window) - 1
+        left = (x * x + 4 * w) * (w * w + 4 * w + 4 * x)
+        assert _symmetry_majorant(window)[1] == max(left, (x * w + 2 * w) ** 2)
+        assert _symmetry_majorant(window)[0] == ((x + w) * x + w * w + 4 * w) * x + w**3 + 5 * w * w
+    assert _symmetry_bound(cap) - 1 == 77_930
+    assert _symmetry_majorant(cap)[1] < 2**63 <= _symmetry_majorant(cap + 1)[1]
+    assert _symmetry_majorant(cap)[0] < 9 * 10**14
+
+
+def test_symmetry_int64_block_matches_object_block_at_cap():
+    # the extreme values of the cap window; (b, c, d) = (+-W, 0, 0) has the root x = b
+    cap = SYMMETRY_INT64_WINDOW
+    edge = _symmetry_bound(cap) - 1
+    axis = (-cap, -cap + 1, -1, 0, 1, cap - 1, cap)
+    xs = (-edge, -cap, -1, 0, 1, cap, edge)
+    for a in (cap, -cap, 0, 1):
+        fast = _symmetry_block(a, np.array(axis, dtype=np.int64), np.array(xs, dtype=np.int64))
+        exact = _symmetry_block(a, np.array(axis, dtype=object), np.array(xs, dtype=object))
+        assert fast[0].dtype == np.int64 and exact[0].dtype == object
+        assert fast[4].size > 0
+        for f, e in zip(fast, exact):
+            assert f.tolist() == e.tolist()
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "suite, block, cap",
+    [(symmetry_suite, "_symmetry_block", SYMMETRY_INT64_WINDOW),
+     (surface_suite, "_surface_block", SURFACE_INT64_WINDOW)],
+    ids=["symmetry", "surface"],
+)
+def test_grid_suites_select_object_dtype_above_cap(monkeypatch, suite, block, cap):
+    seen = []
+
+    def spy(a, axis, *rest):
+        seen.append((axis.dtype, axis.size, *(x.dtype for x in rest)))
+        raise _Stop
+
+    monkeypatch.setattr(identities, block, spy)
+    for window in (cap, cap + 1):
+        with pytest.raises(_Stop):
+            suite(window)
+    kinds = [np.dtype(np.int64), np.dtype(object)]
+    assert [s[0] for s in seen] == kinds and [s[1] for s in seen] == [2 * cap + 1, 2 * cap + 3]
+    assert all(set(s[2:]) <= {s[0]} for s in seen)
 
 
 def test_star_examples():
@@ -253,6 +387,65 @@ def test_quartics_lie_on_their_surface():
         if 4 * I**3 == J * J:
             continue
         assert surface_eval(I, J, a, c, d) == 0
+
+
+@pytest.mark.parametrize("window", range(5))
+def test_surface_suite_matches_quartic_oracle(window):
+    rep = surface_suite(window)
+    assert rep.to_json() == surface_suite_by_quartic(window).to_json()
+    assert rep.ok and rep.cases_checked == (0, 68, 586, 2320, 6416)[window]
+
+
+@pytest.mark.parametrize("cap", [SURFACE_INT64_WINDOW, 0], ids=["int64", "object"])
+def test_surface_planted_faults_match_quartic_oracle(monkeypatch, cap):
+    true_eval = identities.surface_eval
+
+    def broken_eval(I, J, a, c, d):
+        # the (0, 0, 1) cells include X^4 +- 2X^2 + 1, which are skipped
+        wrong = ((a == 2) & (c == -1) & (d == 3)) | ((a == 0) & (c == 0) & (d == 1))
+        return true_eval(I, J, a, c, d) + wrong
+
+    monkeypatch.setattr(identities, "SURFACE_INT64_WINDOW", cap)
+    monkeypatch.setattr(identities, "surface_eval", broken_eval)
+    rep, oracle = surface_suite(3), surface_suite_by_quartic(3)
+    assert len(oracle.failures) == 12
+    assert rep.cases_checked == oracle.cases_checked == 2320
+    assert rep.failures == oracle.failures
+    assert all(type(v) is int for case in rep.failures for v in [*case["coeffs"], case["I"], case["J"]])
+    assert json.loads(rep.to_json()) == json.loads(oracle.to_json())
+
+
+def _surface_majorant(window):
+    _Majorant.peak = 0
+    m = _Majorant(window)
+    I, J = invariants_quartic_coeffs(m, m, m, m)
+    g = surface_eval(I, J, m, m, m)
+    return int(I), int(J), int(g), _Majorant.peak
+
+
+def test_surface_int64_cap_argument():
+    # the polynomials quoted in the identities module docstring
+    for window in range(1, 20):
+        w = window
+        assert _surface_majorant(w) == (
+            4 * w**2 + 12 * w,
+            38 * w**3 + 99 * w**2,
+            4616 * w**6 + 26352 * w**5 + 145476 * w**4 + 345600 * w**3,
+            4616 * w**6 + 26352 * w**5 + 145476 * w**4 + 345600 * w**3,
+        )
+    assert _surface_majorant(SURFACE_INT64_WINDOW)[3] < 2**63
+    assert _surface_majorant(SURFACE_INT64_WINDOW + 1)[3] >= 2**63
+
+
+def test_surface_int64_block_matches_object_block_at_cap():
+    cap = SURFACE_INT64_WINDOW
+    axis = (-cap, -cap + 1, -1, 0, 1, cap - 1, cap)
+    for a in (cap, -cap, 0, 1):
+        fast = _surface_block(a, np.array(axis, dtype=np.int64))
+        exact = _surface_block(a, np.array(axis, dtype=object))
+        for f, e in zip(fast, exact):
+            assert f.dtype == np.int64 and e.dtype == object
+            assert f.tolist() == e.tolist()
 
 
 # --- the auxiliary cubic discriminant ---
