@@ -113,7 +113,7 @@ class VerificationReport:
 
 
 def check_symmetry_identity(x: int, a: int, c: int, d: int, e: int) -> bool:
-    """(x^2 - 4d)(a^2 - 4e) == (x a - 2c)^2."""
+    """(x^2 - 4d)(a^2 - 4e) == (x a - 2c)^2; elementwise on broadcast arrays."""
     return (x * x - 4 * d) * (a * a - 4 * e) == (x * a - 2 * c) ** 2
 
 
@@ -165,7 +165,8 @@ def _star_block(u: int, window: int, dtype, vs: range | None = None) -> tuple[np
 def surface_eval(I: int, J: int, a: int, c: int, d: int) -> int:
     """g(a, c, d) = c3 d^3 + c2 d^2 + c1 d + c0 with the fixed coefficient
     polynomials; zero exactly on quartics with invariants (I, J).  Meant for
-    nondegenerate invariants, 4I^3 != J^2; ``surface_suite`` skips the rest."""
+    nondegenerate invariants, 4I^3 != J^2; ``surface_suite`` skips the rest.
+    Works on ints and on broadcast int64 or object arrays."""
     c3 = -110592
     c2 = -729 * a**4 + 20736 * a * c + 13824 * I
     c1 = 162 * a * a * c * c - 54 * a * a * J - 432 * a * c * I - 432 * I * I
