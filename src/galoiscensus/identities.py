@@ -10,10 +10,13 @@ The symmetry, star and surface suites evaluate their window one block at a
 time, on broadcast numpy grids, through the same formulas a single case goes
 through: ``resolvent_coeffs`` and ``check_symmetry_identity``, `_star_sides`,
 ``invariants_quartic_coeffs`` and ``surface_eval``.  A block holds one value
-of the first variable (a for symmetry and surface, u for star) and the whole
-grid of the others, so failures are read from it in the order of the nested
-loop over the variables.  One block per first variable keeps the memory to a
-few hundred kB at W = 6; a single grid would be 13 times larger.
+of the first variable (u for star, a for surface, and (a, b) for symmetry,
+whose root axis x makes its grids longer) and the whole grid of the others,
+so failures are read from it in the order of the nested loop over the
+variables.  Such blocks keep the memory to a few hundred kB at W = 6; a
+single grid would be 13 times larger.  A symmetry block per a alone would
+hold (2W + 1)^3 (2B - 1) cells, 4.3e6 at W = 16, where it raised the peak
+RSS by 41 MB against 1.5 MB per (a, b), at the same speed.
 
 int64 safety of the grids: numpy int64 wraps silently, so the window caps
 are proved, not measured.  Replace every variable by a bound on its absolute
@@ -47,8 +50,8 @@ only where the resolvent vanishes, has majorants
 (XW + 2W)^2 for its right side.  The left side is the largest: 9.2227e18
 < 2^63 at W = 38,963 (X = 77,930) but 9.2237e18 > 2^63 at W = 38,964.
 So windows up to SYMMETRY_INT64_WINDOW = 38,963 run in int64; there the
-resolvent's majorant is only 8.9e14.  The block size, (2W + 1)^3 (2B - 1)
-cells, limits the window long before that: 890,625 cells at W = 12.
+resolvent's majorant is only 8.9e14.  Time limits the window long before
+that: it grows as W^5, 0.26 s at W = 12 and 1.2 s at W = 16.
 
 Surface: I = 12d - 3ac + b^2 and J have majorants 4W^2 + 12W and
 38W^3 + 99W^2, and with these g = surface_eval(I, J, a, c, d), whose
@@ -206,26 +209,26 @@ def _symmetry_bound(window: int) -> int:
     return fujiwara_bound(window, window * window + 4 * window, window**3 + 5 * window * window)
 
 
-def _symmetry_block(a: int, axis: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(b, c, d, x, holds) at fixed a: the values of every cell of the
-    (b, c, d, x) grid axis^3 x xs where the resolvent vanishes at x, in the
-    grid's C order (b, c, d, then x ascending), and ``check_symmetry_identity``
+def _symmetry_block(a: int, b: int, axis: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(c, d, x, holds) at fixed (a, b): the values of every cell of the
+    (c, d, x) grid axis^2 x xs where the resolvent vanishes at x, in the
+    grid's C order (c, d, then x ascending), and ``check_symmetry_identity``
     at each of them, on arrays."""
-    b, c, d = axis.reshape(-1, 1, 1, 1), axis.reshape(-1, 1, 1), axis.reshape(-1, 1)
+    c, d = axis.reshape(-1, 1, 1), axis.reshape(-1, 1)
     p, q, r = resolvent_coeffs(a, b, c, d)
-    bi, ci, di, xi = np.nonzero(((xs + p) * xs + q) * xs + r == 0)
-    b, c, d, x = axis[bi], axis[ci], axis[di], xs[xi]
-    return b, c, d, x, check_symmetry_identity(x, a, c, d, b - x)
+    ci, di, xi = np.nonzero(((xs + p) * xs + q) * xs + r == 0)
+    c, d, x = axis[ci], axis[di], xs[xi]
+    return c, d, x, check_symmetry_identity(x, a, c, d, b - x)
 
 
 def symmetry_suite(window: int) -> VerificationReport:
     """Eq-(3.3) instances: every quartic of height <= window contributes one
     case per integer root x of its resolvent, with e = b - x.
 
-    Each a is one block, `_symmetry_block` on the broadcast (b, c, d, x)
+    Each (a, b) is one block, `_symmetry_block` on the broadcast (c, d, x)
     grid with |x| < `_symmetry_bound(window)`, which holds every root; a
     cell where the resolvent vanishes is one case.  At window 6 that is
-    13^3 * 33 = 72,501 cells a block.  Up to SYMMETRY_INT64_WINDOW the
+    13^2 * 33 = 5,577 cells a block.  Up to SYMMETRY_INT64_WINDOW the
     blocks are int64, above it Python ints.  Failures are listed in the
     order a, b, c, d, then x ascending, as plain ints.
     """
@@ -234,11 +237,13 @@ def symmetry_suite(window: int) -> VerificationReport:
     axis = np.arange(-window, window + 1, dtype=dtype)
     bound = _symmetry_bound(window)
     xs = np.arange(1 - bound, bound, dtype=dtype)
-    for a in range(-window, window + 1):
-        *cell, holds = _symmetry_block(a, axis, xs)
-        rep.cases_checked += holds.size
-        for b, c, d, x in zip(*(v[~holds].tolist() for v in cell)):
-            rep.failures.append({"coeffs": [a, b, c, d], "x": x})
+    rng = range(-window, window + 1)
+    for a in rng:
+        for b in rng:
+            *cell, holds = _symmetry_block(a, b, axis, xs)
+            rep.cases_checked += holds.size
+            for c, d, x in zip(*(v[~holds].tolist() for v in cell)):
+                rep.failures.append({"coeffs": [a, b, c, d], "x": x})
     return rep
 
 

@@ -176,16 +176,16 @@ def test_symmetry_int64_cap_argument():
 
 
 def test_symmetry_int64_block_matches_object_block_at_cap():
-    # the extreme values of the cap window; (b, c, d) = (+-W, 0, 0) has the root x = b
+    # the extreme values of the cap window; (b, c, d) = (b, 0, 0) has the root x = b
     cap = SYMMETRY_INT64_WINDOW
     edge = _symmetry_bound(cap) - 1
     axis = (-cap, -cap + 1, -1, 0, 1, cap - 1, cap)
     xs = (-edge, -cap, -1, 0, 1, cap, edge)
-    for a in (cap, -cap, 0, 1):
-        fast = _symmetry_block(a, np.array(axis, dtype=np.int64), np.array(xs, dtype=np.int64))
-        exact = _symmetry_block(a, np.array(axis, dtype=object), np.array(xs, dtype=object))
+    for a, b in itertools.product((cap, -cap, 0, 1), (cap, -cap, 1)):
+        fast = _symmetry_block(a, b, np.array(axis, dtype=np.int64), np.array(xs, dtype=np.int64))
+        exact = _symmetry_block(a, b, np.array(axis, dtype=object), np.array(xs, dtype=object))
         assert fast[0].dtype == np.int64 and exact[0].dtype == object
-        assert fast[4].size > 0
+        assert fast[3].size > 0
         for f, e in zip(fast, exact):
             assert f.tolist() == e.tolist()
 
@@ -203,7 +203,8 @@ class _Stop(Exception):
 def test_grid_suites_select_object_dtype_above_cap(monkeypatch, suite, block, cap):
     seen = []
 
-    def spy(a, axis, *rest):
+    def spy(*args):
+        axis, *rest = [arg for arg in args if isinstance(arg, np.ndarray)]
         seen.append((axis.dtype, axis.size, *(x.dtype for x in rest)))
         raise _Stop
 
