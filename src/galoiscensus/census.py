@@ -783,9 +783,10 @@ def _journal_load(path: str, req: CensusRequest) -> dict[int, dict[str, int]]:
     A final line without its newline is a write torn by a crash: it is cut
     off the file, so its stripe is recomputed and appended.  Any other
     malformed line raises CensusError with its line number, and so does a
-    first line that is not the header of this request and KERNEL_VERSION,
-    a record with a negative count or counts that do not sum to its share
-    of the box, and a second record of a stripe (naming both lines).
+    first line, blank or not, that is not the header of this request and
+    KERNEL_VERSION, a record with a negative count or counts that do not sum
+    to its share of the box, and a second record of a stripe (naming both
+    lines).
     """
     done: dict[int, dict[str, int]] = {}
     seen: dict[int, int] = {}  # stripe -> line number
@@ -799,7 +800,7 @@ def _journal_load(path: str, req: CensusRequest) -> dict[int, dict[str, int]]:
     checksum, classes = req.checksum(), list(req.classes())
     cells = (2 * req.height + 1) ** (req.degree - 1)  # per a-stratum
     for lineno, raw in enumerate(data[:end].splitlines(), 1):
-        if not raw.strip():
+        if lineno > 1 and not raw.strip():
             continue
         try:
             rec = json.loads(raw)

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .exactarith import divisors, icbrt, is_prime, perfect_square
+from .exactarith import divisors, iroot, is_prime, perfect_square
 
 __all__ = [
     "MonicCubic",
@@ -42,7 +42,6 @@ __all__ = [
     "invariants_cubic",
     "invariants_cubic_coeffs",
     "classify_cubic",
-    "resolvent",
     "resolvent_coeffs",
     "disc_quartic",
     "disc_quartic_coeffs",
@@ -66,9 +65,6 @@ class MonicCubic:
     b: int
     c: int
 
-    def __call__(self, x: int) -> int:
-        return ((x + self.a) * x + self.b) * x + self.c
-
     def coeffs(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
@@ -81,9 +77,6 @@ class MonicQuartic:
     b: int
     c: int
     d: int
-
-    def __call__(self, x: int) -> int:
-        return (((x + self.a) * x + self.b) * x + self.c) * x + self.d
 
     def coeffs(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -161,11 +154,6 @@ def classify_cubic(f: MonicCubic) -> CubicClass:
     return CubicClass.S3
 
 
-def resolvent(f: MonicQuartic) -> MonicCubic:
-    """The cubic resolvent of f, from ``resolvent_coeffs``."""
-    return MonicCubic(*resolvent_coeffs(f.a, f.b, f.c, f.d))
-
-
 def resolvent_coeffs(a, b, c, d):
     """(p, q, r) of the cubic resolvent X^3 + pX^2 + qX + r of
     X^4 + aX^3 + bX^2 + cX + d, which is
@@ -241,7 +229,7 @@ def fujiwara_bound(p: int, q: int, r: int) -> int:
     """B > |x| for every complex root x of X^3 + pX^2 + qX + r, by Fujiwara's
     |x| <= 2 max(|p|, |q|^(1/2), |r|^(1/3)).  B grows with |q| and |r|, so
     upper bounds on them give a B for a whole family of cubics."""
-    return 2 * max(abs(p), math.isqrt(abs(q)) + 1, icbrt(abs(r)) + 1, 1) + 1
+    return 2 * max(abs(p), math.isqrt(abs(q)) + 1, iroot(abs(r), 3) + 1, 1) + 1
 
 
 def integer_roots_monic_cubic(p: int, q: int, r: int) -> list[int]:
@@ -398,8 +386,7 @@ def _integer_roots_bisect(p: int, q: int, r: int) -> list[int]:
 
 
 def resolvent_integer_roots(f: MonicQuartic) -> list[int]:
-    r = resolvent(f)
-    return integer_roots_monic_cubic(r.a, r.b, r.c)
+    return integer_roots_monic_cubic(*resolvent_coeffs(f.a, f.b, f.c, f.d))
 
 
 _ROOT_FILTER_PRIMES = (5, 7, 11, 13)

@@ -36,9 +36,7 @@ from .families import (
     member_units,
     validate_units,
 )
-from .identities import run_suites
-
-SUITE_NAMES = ("symmetry", "star", "discF", "surface")
+from .identities import SUITES, run_suites
 
 
 def _emit(blocks: list[str], path: str | None) -> None:
@@ -112,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the report here instead of stdout")
 
     p = sub.add_parser("verify-identities", help="run exact identity sweeps")
-    p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--out")
 
@@ -188,7 +186,7 @@ def _cmd_census(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     try:
         reports = run_suites(names, args.window)
     except ValueError as exc:
@@ -247,6 +245,8 @@ def _cmd_witness(args, parser) -> int:
     except WitnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a number beyond is_prime's exact range
+        parser.error(str(exc))
     print(witness.to_json())
     return 0
 

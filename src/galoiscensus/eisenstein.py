@@ -6,11 +6,10 @@ uses zeta^2 = -1 - zeta.  In half-coordinates (q, r) = (2m - n, n) the same
 element reads (q + r*sqrt(-3))/2 with q = r (mod 2), which is the shape the
 parametrization formulas are written in.
 
-The ring operations live once, on plain (m, n) int pairs; the frozen
-``EisInt`` wraps a pair for the witness record and its check.  The witness
-chain finds the cube part of x + y sqrt(-3) on pairs, from the factorization
-of the chain's z alone (the argument is in `_cube_root_part`), and builds an
-``EisInt`` only for the final d and alpha.
+Elements are plain (m, n) int pairs everywhere, the witness record's d and
+alpha included, and the ring operations live once, on those pairs.  The
+witness chain finds the cube part of x + y sqrt(-3) from the factorization
+of the chain's z alone (the argument is in `_cube_root_part`).
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ from .classify import CubicClass, MonicCubic, classify_cubic, disc_cubic, invari
 from .exactarith import cubefree_decompose, factorize
 
 __all__ = [
-    "EisInt",
     "EisensteinError",
     "WitnessError",
     "ParamWitness",
+    "half_coords",
     "canonical_associate",
     "param_xy",
     "parametrize_cubic_witness",
@@ -61,54 +60,35 @@ def _exact_div(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int] | None
     return m // nb, n // nb
 
 
-@dataclass(frozen=True)
-class EisInt:
-    """m + n*zeta with zeta = (-1 + sqrt(-3))/2."""
-
-    m: int
-    n: int
-
-    def __mul__(self, other: "EisInt") -> "EisInt":
-        return EisInt(*_mul((self.m, self.n), (other.m, other.n)))
-
-    def __bool__(self) -> bool:
-        return self.m != 0 or self.n != 0
-
-    def conj(self) -> "EisInt":
-        return EisInt(*_conj((self.m, self.n)))
-
-    def norm(self) -> int:
-        return _norm((self.m, self.n))
-
-    def half_coords(self) -> tuple[int, int]:
-        """(q, r) with self = (q + r*sqrt(-3))/2; always q = r (mod 2)."""
-        return 2 * self.m - self.n, self.n
+def half_coords(a: tuple[int, int]) -> tuple[int, int]:
+    """(q, r) with m + n zeta = (q + r sqrt(-3))/2; always q = r (mod 2)."""
+    return 2 * a[0] - a[1], a[1]
 
 
-def canonical_associate(z: EisInt) -> EisInt:
+def canonical_associate(z: tuple[int, int]) -> tuple[int, int]:
     """The unique associate of z != 0 with 0 <= n < m (the 60-degree sector)."""
-    if not z:
+    m, n = z
+    if m == n == 0:
         raise EisensteinError("zero has no canonical associate")
-    m, n = z.m, z.n
     for _ in range(6):
         if 0 <= n < m:
-            return EisInt(m, n)
+            return m, n
         m, n = m - n, m  # times the unit 1 + zeta, of order 6
     raise AssertionError("unit orbit missed the canonical sector")  # pragma: no cover
 
 
-def _split_prime_above(p: int) -> EisInt:
+def _split_prime_above(p: int) -> tuple[int, int]:
     """A prime element of norm p, for a rational prime p = 1 (mod 3)."""
     # q^2 + 3 r^2 = 4p with q = r (mod 2) gives (q + r sqrt(-3))/2 of norm p
     for r in range(1, math.isqrt(4 * p // 3) + 1):
         t = 4 * p - 3 * r * r
         q = math.isqrt(t)
         if q * q == t and (q - r) % 2 == 0:
-            return canonical_associate(EisInt((q + r) // 2, r))
+            return canonical_associate(((q + r) // 2, r))
     raise AssertionError(f"no Eisenstein prime above {p}")  # pragma: no cover
 
 
-def _cube_root_part(x: int, y: int, z: int) -> tuple[EisInt, EisInt]:
+def _cube_root_part(x: int, y: int, z: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """(d, alpha) with x + y sqrt(-3) = d alpha^3, d cubefree in Z[zeta] and
     alpha canonical, for the chain's coprime x, y with 2(x^2 + 3y^2) = u z^3
     and u cubefree.
@@ -129,28 +109,26 @@ def _cube_root_part(x: int, y: int, z: int) -> tuple[EisInt, EisInt]:
     a ramified or inert prime divides the element, and a split p has
     v_p(N) = v_p(u) + 3 v_p(z) with v_p(u) <= 2, so its cube part is
     pi^(v_p(z)).  An odd p | z has v_p(N) >= 3, so it is split.  Hence
-    alpha is the product of pi^(v_p(z)) over the odd p | z, built on (m, n)
-    pairs and canonicalized, N(alpha) is the odd part of z, and
+    alpha is the product of pi^(v_p(z)) over the odd p | z, canonicalized,
+    N(alpha) is the odd part of z, and
     d = element / alpha^3 is an exact division.  Both are unique, so they
     equal what a full factorization of the element in Z[zeta] gives.
     """
     element = (x + y, 2 * y)
     alpha = (1, 0)
-    for p, k in factorize(z).factors:
+    for p, k in factorize(z):
         if p == 2:
             continue
-        pi = _split_prime_above(p)
-        prime = (pi.m, pi.n)
+        prime = _split_prime_above(p)
         if _exact_div(element, prime) is None:
             prime = _conj(prime)
         for _ in range(k):
             alpha = _mul(alpha, prime)
-    alpha = canonical_associate(EisInt(*alpha))
-    root = (alpha.m, alpha.n)
-    d = _exact_div(element, _mul(_mul(root, root), root))
+    alpha = canonical_associate(alpha)
+    d = _exact_div(element, _mul(_mul(alpha, alpha), alpha))
     if d is None:  # pragma: no cover
         raise AssertionError("cube part does not divide its source")
-    return EisInt(*d), alpha
+    return d, alpha
 
 
 def param_xy(q: int, r: int, s: int, t: int) -> tuple[int, int]:
@@ -191,8 +169,8 @@ class ParamWitness:
     x: int
     y: int
     z: int
-    d: EisInt
-    alpha: EisInt
+    d: tuple[int, int]
+    alpha: tuple[int, int]
     q: int
     r: int
     s: int
@@ -212,7 +190,7 @@ class ParamWitness:
           v_p(N) = v_pi(d) + v_conj(pi)(d).  If v_p(N) < 3 both are below 3;
           otherwise exact division of d by pi^3 and by conj(pi)^3 decides.
         """
-        d, alpha = (self.d.m, self.d.n), (self.alpha.m, self.alpha.n)
+        d, alpha = self.d, self.alpha
         checks = [
             ("disc matches cubic", self.disc == disc_cubic(self.cubic)),
             ("Y = 3 sqrt(disc) > 0", self.Y > 0 and self.Y * self.Y == 9 * self.disc),
@@ -229,9 +207,9 @@ class ParamWitness:
                 "x + y sqrt(-3) = d alpha^3",
                 _mul(_mul(_mul(d, alpha), alpha), alpha) == (self.x + self.y, 2 * self.y),
             ),
-            ("d cubefree in Z[zeta]", _eis_is_cubefree(self.d)),
-            ("(q, r) are half-coords of d", (self.q, self.r) == self.d.half_coords()),
-            ("(s, t) are half-coords of alpha", (self.s, self.t) == self.alpha.half_coords()),
+            ("d cubefree in Z[zeta]", _eis_is_cubefree(d)),
+            ("(q, r) are half-coords of d", (self.q, self.r) == half_coords(d)),
+            ("(s, t) are half-coords of alpha", (self.s, self.t) == half_coords(alpha)),
             (
                 "16x from parametrization",
                 param_xy(self.q, self.r, self.s, self.t) == (16 * self.x, 16 * self.y),
@@ -260,8 +238,8 @@ class ParamWitness:
                 "x": self.x,
                 "y": self.y,
                 "z": self.z,
-                "d": [self.d.m, self.d.n],
-                "alpha": [self.alpha.m, self.alpha.n],
+                "d": list(self.d),
+                "alpha": list(self.alpha),
                 "q": self.q,
                 "r": self.r,
                 "s": self.s,
@@ -270,12 +248,13 @@ class ParamWitness:
         )
 
 
-def _eis_is_cubefree(z: EisInt) -> bool:
+def _eis_is_cubefree(z: tuple[int, int]) -> bool:
     """True iff no prime cube divides z, read off the factorization of N(z)
     (the argument is in ParamWitness.verify)."""
-    if not z:
+    norm = _norm(z)
+    if norm == 0:
         return False
-    for p, e in factorize(z.norm()).factors:
+    for p, e in factorize(norm):
         if p % 3 == 2:
             if e >= 6:
                 return False
@@ -283,9 +262,8 @@ def _eis_is_cubefree(z: EisInt) -> bool:
             if p == 3:
                 return False
             pi = _split_prime_above(p)
-            for prime in (pi, pi.conj()):
-                cube = prime * prime * prime
-                if _exact_div((z.m, z.n), (cube.m, cube.n)) is not None:
+            for prime in (pi, _conj(pi)):
+                if _exact_div(z, _mul(_mul(prime, prime), prime)) is not None:
                     return False
     return True
 
@@ -313,8 +291,8 @@ def parametrize_cubic_witness(f: MonicCubic) -> ParamWitness:
     x, y, z = J // g, Y // g, (2 * I) // g_tilde
 
     d, alpha = _cube_root_part(x, y, z)
-    q, r = d.half_coords()
-    s, t = alpha.half_coords()
+    q, r = half_coords(d)
+    s, t = half_coords(alpha)
     witness = ParamWitness(
         cubic=f, I=I, J=J, Y=Y, disc=disc, g=g, u=u, v=v, x=x, y=y, z=z,
         d=d, alpha=alpha, q=q, r=r, s=s, t=t,

@@ -1,26 +1,26 @@
 """Exact integer primitives: square tests, divisors, factorization, cubefree parts.
 
 Everything here is pure integer arithmetic on Python ints, so results are exact
-at any size.  No floating point is used anywhere.
+at any size, except that ``is_prime`` refuses n >= psi_13 (about 3.3e24)
+rather than guess.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "Factorization",
     "perfect_square",
-    "icbrt",
+    "iroot",
     "divisors",
     "is_prime",
     "factorize",
     "cubefree_decompose",
 ]
 
-# deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes: deterministic Miller-Rabin witnesses for all n < _MR_LIMIT
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981  # psi_13, the least strong pseudoprime to them
 
 _TRIAL_LIMIT = 10_000
 
@@ -33,21 +33,21 @@ def perfect_square(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def icbrt(n: int) -> int:
-    """Floor of the real cube root of n >= 0, exact at any size."""
+def iroot(n: int, k: int) -> int:
+    """The largest r >= 0 with r^k <= n, for n >= 0 and k >= 1, exact at any size."""
     if n < 0:
-        raise ValueError("icbrt requires n >= 0")
+        raise ValueError("iroot requires n >= 0")
     if n == 0:
         return 0
-    r = 1 << -(-n.bit_length() // 3)  # seed above the root
+    r = 1 << -(-n.bit_length() // k)  # seed above the root
     while True:
-        s = (2 * r + n // (r * r)) // 3  # integer Newton step, decreasing
+        s = ((k - 1) * r + n // r ** (k - 1)) // k  # integer Newton step, decreasing
         if s >= r:
             break
         r = s
-    while r**3 > n:
+    while r**k > n:
         r -= 1
-    while (r + 1) ** 3 <= n:
+    while (r + 1) ** k <= n:
         r += 1
     return r
 
@@ -69,13 +69,16 @@ def divisors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division by the primes up to 37, then deterministic Miller-Rabin;
-    exact for all inputs below 3.3e24.
+    """Trial division by the primes up to 37, then Miller-Rabin to the 13
+    prime bases 2..41; exact for all n below psi_13 = 3,317,044,064,679,887,
+    385,961,981 (Sorenson and Webster), and a ValueError at or above it.
 
     A composite n has a prime factor at most sqrt(n), so one below
     41^2 = 1681 has a prime factor at most 37, which the trial division
     finds: an n < 1681 that survives it is prime without Miller-Rabin.
     """
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is exact only below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -135,48 +138,26 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Signed prime factorization: sign * prod(p**e), primes strictly increasing."""
-
-    sign: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-        primes = [p for p, _ in self.factors]
-        if primes != sorted(set(primes)):
-            raise ValueError("primes must be strictly increasing")
-        if any(e < 1 for _, e in self.factors):
-            raise ValueError("exponents must be >= 1")
-
-    def value(self) -> int:
-        v = self.sign
-        for p, e in self.factors:
-            v *= p**e
-        return v
-
-
-def factorize(n: int) -> Factorization:
-    """Canonical factorization of nonzero n: trial division, then Brent rho.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The ((p, e), ...) with |n| = prod(p^e), primes ascending and e >= 1,
+    for nonzero n: trial division, then Brent rho.
 
     When the trial division stops at p with p^2 > n, every prime below p is
     divided out, so the cofactor n < p^2 has no prime factor below sqrt(n):
     it is 1 or a prime, and is recorded as it is.
     Only a cofactor left when the trial limit runs out is tested with
-    ``is_prime`` and split by ``_brent_rho``.
+    ``is_prime``, which raises ValueError from psi_13 on, and split by
+    ``_brent_rho``.
     """
     if n == 0:
         raise ValueError("cannot factorize zero")
-    sign = -1 if n < 0 else 1
     n = abs(n)
     counts: dict[int, int] = {}
     for p in range(2, _TRIAL_LIMIT + 1):
         if p * p > n:
             if n > 1:
                 counts[n] = 1
-            return Factorization(sign, tuple(counts.items()))
+            return tuple(counts.items())
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p
@@ -191,16 +172,15 @@ def factorize(n: int) -> Factorization:
         g = _brent_rho(m)
         stack.append(g)
         stack.append(m // g)
-    return Factorization(sign, tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 def cubefree_decompose(n: int) -> tuple[int, int]:
     """Write n = u * v**3 with u cubefree, for n >= 1."""
     if n < 1:
         raise ValueError("cubefree_decompose requires n >= 1")
-    fac = factorize(n)
     u, v = 1, 1
-    for p, e in fac.factors:
+    for p, e in factorize(n):
         u *= p ** (e % 3)
         v *= p ** (e // 3)
     return u, v

@@ -28,6 +28,7 @@ from .classify import (
     disc_quartic,
     resolvent_integer_roots,
 )
+from .exactarith import iroot
 
 __all__ = [
     "FamilyMember",
@@ -129,16 +130,6 @@ def _cong_range(lo: int, hi: int, residue: int, modulus: int) -> range:
     return range(start, hi + 1, modulus)
 
 
-def _iroot(n: int, k: int) -> int:
-    """The largest r >= 0 with r^k <= n, for n >= 0, exactly."""
-    r = int(math.exp(math.log(n) / k)) if n else 0
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
-
-
 def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group index and offset within its group of each element, for groups
     of the given sizes laid end to end."""
@@ -167,7 +158,7 @@ def _d4vc_prelude(H: int, p: int, q: int) -> tuple[np.ndarray, ...]:
     v_max = p * p * H / (q * q)  # v sqrt(u) <= delta^2 H
 
     # u <= H^(2 - 2 delta)  <=>  u^q <= H^(2q - 2p); v >= 16 caps u too
-    u_max = min(_iroot(H ** (2 * q - 2 * p), q), (p * p * H) ** 2 // (q**4 * 256))
+    u_max = min(iroot(H ** (2 * q - 2 * p), q), (p * p * H) ** 2 // (q**4 * 256))
     us = _squarefree_u_values(u_max)
     root_u = np.sqrt(us.astype(np.float64))
 

@@ -89,6 +89,7 @@ __all__ = [
     "star_suite",
     "disc_F_suite",
     "surface_suite",
+    "SUITES",
     "run_suites",
 ]
 
@@ -99,10 +100,6 @@ class VerificationReport:
     window: int
     cases_checked: int
     failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def to_json(self) -> str:
         return json.dumps(
@@ -325,7 +322,8 @@ def surface_suite(window: int) -> VerificationReport:
     return rep
 
 
-_SUITES = {
+# name -> (suite, default window); also the CLI's --suite choices
+SUITES = {
     "symmetry": (symmetry_suite, 6),
     "star": (star_suite, 6),
     "discF": (disc_F_suite, 50),
@@ -340,8 +338,8 @@ def run_suites(names: list[str], window: int | None = None) -> list[Verification
         raise ValueError(f"window must be >= 0, got {window}")
     reports = []
     for name in names:
-        if name not in _SUITES:
+        if name not in SUITES:
             raise ValueError(f"unknown identity suite {name!r}")
-        fn, default_window = _SUITES[name]
+        fn, default_window = SUITES[name]
         reports.append(fn(window if window is not None else default_window))
     return reports

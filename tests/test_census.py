@@ -483,7 +483,7 @@ def test_rad2_table():
     from galoiscensus.exactarith import factorize
 
     def rad2(n: int) -> int:
-        return math.prod(p ** ((e + 1) // 2) for p, e in factorize(n).factors)
+        return math.prod(p ** ((e + 1) // 2) for p, e in factorize(n))
 
     table = _rad2(140)
     assert not table.flags.writeable
@@ -717,6 +717,21 @@ def test_journal_rejects_other_kernels(tmp_path):
         run_census(req, journal_path=str(journal))
 
 
+def test_journal_blank_first_line_is_no_header(tmp_path):
+    # a blank line 1 is not skipped: records after it are never merged
+    # unchecked, and a journal holding only a newline never runs on without
+    # its header
+    journal = tmp_path / "census.journal"
+    req = CensusRequest(3, 6, workers=1)
+    run_census(req, journal_path=str(journal))
+    lines = journal.read_text().splitlines()
+    for text in ("\n".join(["", *lines[1:]]) + "\n", "\n"):
+        journal.write_text(text)
+        with pytest.raises(CensusError, match="line 1: no header"):
+            run_census(req, journal_path=str(journal))
+        assert journal.read_text() == text
+
+
 def test_journal_rejects_other_requests(tmp_path):
     journal = tmp_path / "census.journal"
     run_census(CensusRequest(3, 2, workers=1), journal_path=str(journal))
@@ -935,7 +950,7 @@ def test_loeschian_table_matches_prime_exponent_rule():
     table = _loeschian(20000)
     assert not table.flags.writeable
     for n in range(20001):
-        expected = n > 0 and all(e % 2 == 0 for p, e in factorize(n).factors if p % 3 == 2)
+        expected = n > 0 and all(e % 2 == 0 for p, e in factorize(n) if p % 3 == 2)
         assert bool(table[n]) == expected, n
 
 

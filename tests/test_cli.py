@@ -199,6 +199,16 @@ def test_param_witness_rejects_s3(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_param_witness_beyond_exact_primality_is_usage_error(capsys):
+    # X^3 + tX^2 + (t - 3)X - 1 is A3 with J = (2t - 3) I, so g = gcd(J, Y)
+    # is I = t^2 - 3t + 9, here 4.0e24 with a cofactor past psi_13
+    t = 2_000_000_000_009
+    with pytest.raises(SystemExit) as exc:
+        main(["param-witness", "--coeffs", f"{t},{t - 3},-1"])
+    assert exc.value.code == 2
+    assert "is_prime is exact only below" in capsys.readouterr().err
+
+
 def test_asym_constants(capsys):
     assert main(["asym", "--n", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)

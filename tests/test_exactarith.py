@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from galoiscensus import exactarith
 from galoiscensus.exactarith import (
-    Factorization,
     cubefree_decompose,
     divisors,
     factorize,
-    icbrt,
+    iroot,
     is_prime,
     perfect_square,
 )
@@ -69,15 +69,14 @@ def test_divisors_against_sieve_oracle():
     ],
 )
 def test_factorize_examples(n, sign, factors):
-    fac = factorize(n)
-    assert fac.sign == sign and fac.factors == factors
-    assert fac.value() == n
+    # the factors of |n|; the sign is the caller's
+    assert factorize(n) == factors
+    assert sign * math.prod(p**e for p, e in factors) == n
 
 
 def test_factorize_large_semiprime():
     p, q = 1_000_003, 998_244_353
-    fac = factorize(p * q)
-    assert fac.factors == ((p, 1), (q, 1))
+    assert factorize(p * q) == ((p, 1), (q, 1))
 
 
 def test_factorize_below_trial_limit_squared_skips_primality_work(monkeypatch):
@@ -94,8 +93,8 @@ def test_factorize_below_trial_limit_squared_skips_primality_work(monkeypatch):
         patch.setattr(exactarith, "_brent_rho", forbidden)
         facs = [factorize(n) for n in values]
     for n, fac in zip(values, facs):
-        assert fac.value() == n
-        assert all(is_prime(p) for p, _ in fac.factors)
+        assert math.prod(p**e for p, e in fac) == abs(n)
+        assert all(is_prime(p) for p, _ in fac)
 
 
 def test_factorize_rejects_zero():
@@ -103,21 +102,15 @@ def test_factorize_rejects_zero():
         factorize(0)
 
 
-def test_factorization_validates():
-    with pytest.raises(ValueError):
-        Factorization(1, ((3, 1), (2, 1)))
-    with pytest.raises(ValueError):
-        Factorization(1, ((2, 0),))
-    with pytest.raises(ValueError):
-        Factorization(2, ())
-
-
 @given(st.integers(min_value=2, max_value=10**6))
 @settings(max_examples=300)
 def test_factorize_reconstructs_with_prime_parts(n):
     fac = factorize(n)
-    assert fac.value() == n
-    assert all(is_prime(p) for p, _ in fac.factors)
+    assert math.prod(p**e for p, e in fac) == n
+    primes = [p for p, _ in fac]
+    assert primes == sorted(set(primes)), "primes strictly ascending"
+    assert all(e >= 1 for _, e in fac)
+    assert all(is_prime(p) for p in primes)
 
 
 def test_is_prime_against_sieve():
@@ -131,6 +124,23 @@ def test_is_prime_against_sieve():
         assert is_prime(n) == sieve[n]
 
 
+def test_is_prime_exact_range():
+    # psi_12, the least strong pseudoprime to the 12 prime bases 2..37, is
+    # composite; base 41 exposes it.  At psi_13, the least one to the 13
+    # prime bases 2..41, no answer is given.
+    psi12 = 318_665_857_834_031_151_167_461
+    assert psi12 == 399_165_290_221 * 798_330_580_441
+    assert not is_prime(psi12)
+    psi13 = 3_317_044_064_679_887_385_961_981
+    assert psi13 == 1_287_836_182_261 * 2_575_672_364_521
+    with pytest.raises(ValueError, match="exact only below"):
+        is_prime(psi13)
+    with pytest.raises(ValueError, match="exact only below"):
+        is_prime(psi13 + 1)
+    # the largest prime below psi_13 is psi_13 - 168
+    assert [n for n in range(psi13 - 200, psi13) if is_prime(n)][-1:] == [psi13 - 168]
+
+
 @pytest.mark.parametrize("n,uv", [(54, (2, 3)), (1, (1, 1)), (216, (1, 6)), (250, (2, 5))])
 def test_cubefree_examples(n, uv):
     assert cubefree_decompose(n) == uv
@@ -141,7 +151,7 @@ def test_cubefree_examples(n, uv):
 def test_cubefree_invariants(n):
     u, v = cubefree_decompose(n)
     assert u * v**3 == n and u > 0 and v > 0
-    assert all(e < 3 for _, e in factorize(u).factors)
+    assert all(e < 3 for _, e in factorize(u))
 
 
 def test_decompose_domain_errors():
@@ -150,7 +160,12 @@ def test_decompose_domain_errors():
             cubefree_decompose(bad)
 
 
-@given(st.integers(min_value=0, max_value=10**12))
-def test_icbrt(n):
-    r = icbrt(n)
-    assert r**3 <= n < (r + 1) ** 3
+@given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=1, max_value=7))
+def test_iroot(n, k):
+    r = iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
+def test_iroot_rejects_negative():
+    with pytest.raises(ValueError):
+        iroot(-1, 3)
