@@ -115,10 +115,6 @@ class ChelaConstant:
     k_n: Fraction
 
     @property
-    def value(self) -> float:
-        return self.closed_form
-
-    @property
     def agreement(self) -> float:
         return abs(self.appendix_form - self.closed_form)
 
@@ -188,5 +184,5 @@ def fit_reducible(reports: list[CensusReport]) -> FitReport:
     for rep in sorted(reports, key=lambda r: r.request.height):
         H = rep.request.height
         red = rep.counts["reducible"]
-        entries.append(FitEntry(H, red, red / (const.value * H ** (degree - 1))))
-    return FitReport(degree=degree, c_n=const.value, k_n=const.k_n, entries=tuple(entries))
+        entries.append(FitEntry(H, red, red / (const.closed_form * H ** (degree - 1))))
+    return FitReport(degree=degree, c_n=const.closed_form, k_n=const.k_n, entries=tuple(entries))

@@ -46,10 +46,9 @@ positive, so I(d) > 0 and |J(d)| <= isqrt(4 I(H)^3), since I grows with d:
 each (b, c) row holds one exact d-window with every cell of disc > 0.
 On seeded stripes the windows hold 32% / 27% / 18% of the cells at
 H = 60 / 150 / 400, against 22% / 21% / 17% with disc > 0.  Only the
-windows are evaluated, laid end to end in tiles of about 2^13 cells that
-reuse one set of scratch arrays per stripe, and every square is confirmed
-by integer squaring.  V4 and D4/C4 are read off the sparse root cells,
-where the discriminant is evaluated once per block.
+windows are evaluated, laid end to end in tiles of about 2^13 cells, and
+every square is confirmed by integer squaring.  V4 and D4/C4 are read off
+the sparse root cells, where the discriminant is evaluated once per block.
 
 The discriminants, the C4 test and the resolvent root bound are the
 classifier's functions; the stripes call them on int64 grids or Python ints.
@@ -116,18 +115,10 @@ QUARTIC_CLASSES = ("reducible", "S4", "A4", "D4", "V4", "C4")
 MAX_HEIGHT = {3: 5000, 4: 400}
 DEFAULT_TABLE_CAP = 2**31  # bytes
 
-# Version of the stripe kernels, recorded in each journal header.  Bump it
-# whenever a kernel changes, so that a resume never merges stripes counted
-# by other code.  2: quadratic splits from factor pairs, pruned resolvent
-# rows.  3: the classifier's discriminants, C4 test and root bound.
-# 4: resolvent roots enumerated from the symmetry identity, not divided out.
-# 5: the cubic A3 sweep in cache-sized tiles cut to the disc > 0 c-windows.
-# 6: quadratic splits from the resolvent root cells.  7: quartic stripes
-# in b-blocks, the square test cut to the disc > 0 d-windows.  The counts
-# never changed, but a journal names the code that counted it.  A move
-# that leaves every int64 value as it was keeps the version: the cubic I
-# and J0 taken from classify.invariants_cubic_coeffs did not bump it.
-# Journals written before the version was recorded carry none.
+# Version of the stripe kernels, recorded in each journal header: a resume
+# merges only stripes counted by the same version.  Bump it whenever a
+# kernel computes different int64 values; a change that leaves every value
+# as it was keeps the version.
 KERNEL_VERSION = 7
 
 
@@ -169,19 +160,13 @@ class CensusRequest:
 class CensusReport:
     request: CensusRequest
     counts: dict[str, int]
-    total: int
     wall_time_s: float
-    checksum: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.checksum:
-            self.checksum = self.request.checksum()
 
 
 # ---------------------------------------------------------------------------
 # vectorized primitives
 
-def _square_mask(v: np.ndarray, scratch=None) -> np.ndarray:
+def _square_mask(v: np.ndarray) -> np.ndarray:
     """Boolean mask of strictly positive perfect squares in an int64 array.
 
     One candidate root suffices for v <= 2^62, the kernels' range.  If
@@ -190,19 +175,14 @@ def _square_mask(v: np.ndarray, scratch=None) -> np.ndarray:
     <= 2^-21 of s, and rint gives s exactly.  The integer check r * r == v
     then decides, so a non-square is never accepted.  v <= 0 is raised to 1
     before the root, so r = 1 and r * r != v there.  Rounding and squaring
-    in place keep the temporaries to one float64 and one int64 array;
-    ``scratch``, an (int64, float64, bool) triple of v's shape, supplies
-    them and the result instead.
+    in place keep the temporaries to one float64 and one int64 array.
     """
-    if scratch is None:
-        scratch = (np.empty(v.shape, np.int64), np.empty(v.shape, np.float64), None)
-    r, f, out = scratch
-    np.maximum(v, 1, out=r)
-    np.sqrt(r, out=f)
+    r = np.maximum(v, 1)
+    f = np.sqrt(r)
     np.rint(f, out=f)
     np.copyto(r, f, casting="unsafe")
     np.multiply(r, r, out=r)
-    return np.equal(r, v, out=out)
+    return r == v
 
 
 @functools.cache
@@ -350,16 +330,15 @@ its b-values, so numpy's per-call cost is paid per block, not per b."""
 
 _WINDOW_TILE_CELLS = 2**13
 """Cells per tile of the quartic square test (up to one (b, c) row more
-are allowed).  Its int64, float64 and bool scratch arrays are allocated once
-per a-stratum and reused by every tile through ``out=``.  Per block, the
-square layer took 0.77 / 0.65 / 2.5 ms at H = 60 / 150 / 400 with 2^12-cell
-tiles, 0.68 / 0.56 / 1.65 ms with 2^13 and 0.70 / 0.53 / 1.42 ms with 2^14,
-whose scratch is twice as large."""
+are allowed).  Per block, the square layer took 0.77 / 0.65 / 2.5 ms at
+H = 60 / 150 / 400 with 2^12-cell tiles, 0.68 / 0.56 / 1.65 ms with 2^13
+and 0.70 / 0.53 / 1.42 ms with 2^14, whose temporaries are twice as
+large."""
 
 
-def _quartic_red_mask(a: int, b0: int, b1: int, height: int, pairs, out: np.ndarray) -> None:
-    """Mark in ``out``, a (b1 - b0, W, W) bool array, the cells of the block
-    b0 <= b < b1 with an integer root, and clear the others.
+def _quartic_red_mask(a: int, b0: int, b1: int, height: int, pairs) -> np.ndarray:
+    """(b1 - b0, W, W) bool mask, True at the cells of the block b0 <= b < b1
+    with an integer root.
 
     A root r != 0 divides d, so (r, s), s the cofactor's constant term, is
     in the ``_factor_pairs`` table; d = 0 has the root 0.  The quadratic
@@ -367,8 +346,8 @@ def _quartic_red_mask(a: int, b0: int, b1: int, height: int, pairs, out: np.ndar
     2H^3 + H^2 + H in absolute value (c), far inside int64.
     """
     H, W = height, 2 * height + 1
-    out.fill(False)
-    out[:, :, H] = True  # d = 0: root 0
+    red = np.zeros((b1 - b0, W, W), dtype=bool)
+    red[:, :, H] = True  # d = 0: root 0
 
     # (X - r)(X^3 + pX^2 + qX + s): p = a + r and q = b + r p, then
     # c = s - r q and d = -r s
@@ -377,7 +356,8 @@ def _quartic_red_mask(a: int, b0: int, b1: int, height: int, pairs, out: np.ndar
         b = np.arange(b0, b1, dtype=np.int64)[:, None]
         cc = ss - rr * (b + rr * (a + rr))
         bi, k = np.nonzero(np.abs(cc) <= H)
-        out.reshape(-1)[(bi * W + cc[bi, k] + H) * W + dd[k] + H] = True
+        red.reshape(-1)[(bi * W + cc[bi, k] + H) * W + dd[k] + H] = True
+    return red
 
 
 @functools.cache
@@ -550,28 +530,17 @@ def _quartic_d_windows(a: int, b0: int, b1: int, height: int):
     return np.maximum(np.maximum(lo, -i0 // g + 1), -H), np.minimum(hi, H)
 
 
-def _tile_scratch(cells: int):
-    """Scratch arrays for ``_quartic_square_cells`` tiles of up to ``cells``
-    cells: the offsets 0..cells-1, two int64 rows, a float64 and a bool row."""
-    return (
-        np.arange(cells, dtype=np.int64),
-        np.empty((2, cells), dtype=np.int64),
-        np.empty(cells, dtype=np.float64),
-        np.empty(cells, dtype=bool),
-    )
-
-
-def _quartic_square_cells(a: int, b0: int, b1: int, height: int, scratch) -> np.ndarray:
+def _quartic_square_cells(a: int, b0: int, b1: int, height: int) -> np.ndarray:
     """Ascending block-flat indices of the cells of the block b0 <= b < b1
     whose discriminant is a positive square.
 
     Only the rows' ``_quartic_d_windows`` are evaluated.  Their cells are
     laid end to end and cut into tiles of whole rows, a new tile at each
     row starting past a multiple of _WINDOW_TILE_CELLS, so a tile holds
-    fewer than _WINDOW_TILE_CELLS + W cells, the size of ``scratch``
-    (``_tile_scratch``).  The Horner terms of ``disc_quartic_terms`` are
-    taken once per row and repeated along it; the Horner steps are those
-    of ``disc_quartic_coeffs``, run in the scratch arrays.
+    fewer than _WINDOW_TILE_CELLS + W cells.  The Horner terms of
+    ``disc_quartic_terms`` are taken once per row and repeated along it;
+    the Horner steps are those of ``disc_quartic_coeffs``, run in place on
+    one array per tile.
     """
     H, W = height, 2 * height + 1
     lo, hi = _quartic_d_windows(a, b0, b1, H)
@@ -582,31 +551,28 @@ def _quartic_square_cells(a: int, b0: int, b1: int, height: int, scratch) -> np.
     end = np.cumsum(n)
     off = lo + n - end  # a cell's d is off[row] + its position in the layout
     cuts = np.searchsorted(end - n, np.arange(0, int(n.sum()), _WINDOW_TILE_CELLS)).tolist()
-    pos, ints, f, mask = scratch
     hits = [np.zeros(0, dtype=np.int64)]
     for r0, r1 in zip(cuts, cuts[1:] + [rows.size]):
         if r0 == r1:
             continue
         p0 = int(end[r0] - n[r0])
-        m = int(end[r1 - 1]) - p0
-        run, (v, w) = n[r0:r1], ints[:, :m]
+        run = n[r0:r1]
         d = np.repeat(off[r0:r1], run)
-        d += pos[:m]
-        d += p0
-        np.multiply(d, 256, out=v)
+        d += np.arange(p0, int(end[r1 - 1]), dtype=np.int64)
+        v = d * 256
         v += np.repeat(t2[r0:r1], run)
         v *= d
         v += np.repeat(t1[r0:r1], run)
         v *= d
         v += np.repeat(t0[r0:r1], run)
-        k = np.flatnonzero(_square_mask(v, (w, f[:m], mask[:m])))
+        k = np.flatnonzero(_square_mask(v))
         if k.size:
             row = rows[r0 + np.searchsorted(end[r0:r1], p0 + k, side="right")]
             hits.append(row * W + d[k] + H)
     return np.concatenate(hits)
 
 
-def _quartic_block_counts(a: int, b0: int, b1: int, height: int, red: np.ndarray, scratch):
+def _quartic_block_counts(a: int, b0: int, b1: int, height: int, red: np.ndarray):
     """Counts (reducible, S4, A4, D4, V4, C4) over the block b0 <= b < b1.
 
     ``red`` is the block's (b1 - b0, W, W) reducible mask; the split root
@@ -623,7 +589,7 @@ def _quartic_block_counts(a: int, b0: int, b1: int, height: int, red: np.ndarray
     red[cells[split]] = True
     n_red = int(np.count_nonzero(red))
 
-    sq = _quartic_square_cells(a, b0, b1, H, scratch)
+    sq = _quartic_square_cells(a, b0, b1, H)
     n_sq = int(np.count_nonzero(~red[sq]))
 
     # the irreducible root cells: V4 where the disc is a square, else D4/C4;
@@ -731,23 +697,17 @@ def _stripe_job(degree: int, height: int, a: int, table: np.ndarray | None = Non
     when one is given, else from the factor pairs (``direct``).
     """
     H, W = height, 2 * height + 1
-    pairs = _factor_pairs(H) if table is None else None
+    pairs, irred = (_factor_pairs(H), None) if table is None else (None, table[a + H])
     if degree == 3:
-        red = _cubic_red_mask(a, H, pairs) if table is None else ~table[a + H]
+        red = _cubic_red_mask(a, H, pairs) if irred is None else ~irred
         classes, acc = CUBIC_CLASSES, _cubic_stripe_counts(a, H, red)
     else:
         classes, acc = QUARTIC_CLASSES, [0] * len(QUARTIC_CLASSES)
         nb = max(1, _BLOCK_CELLS // (W * W))
-        # one mask and one set of tile scratch arrays serve every block
-        red, scratch = np.empty((nb, W, W), dtype=bool), _tile_scratch(_WINDOW_TILE_CELLS + W)
         for b0 in range(-H, H + 1, nb):
             b1 = min(b0 + nb, H + 1)
-            mask = red[: b1 - b0]
-            if table is None:
-                _quartic_red_mask(a, b0, b1, H, pairs, mask)
-            else:
-                np.invert(table[a + H, b0 + H : b1 + H], out=mask)
-            acc = [x + y for x, y in zip(acc, _quartic_block_counts(a, b0, b1, H, mask, scratch))]
+            red = _quartic_red_mask(a, b0, b1, H, pairs) if irred is None else ~irred[b0 + H : b1 + H]
+            acc = [x + y for x, y in zip(acc, _quartic_block_counts(a, b0, b1, H, red))]
     factor = 1 if a == 0 else 2
     return a, {k: v * factor for k, v in zip(classes, acc)}
 
@@ -900,7 +860,7 @@ def run_census(req: CensusRequest, journal_path: str | None = None, progress=Non
     if total != expected:
         raise CensusError(f"counts sum to {total}, box holds {expected}")
     wall = time.perf_counter() - t_start
-    return CensusReport(request=req, counts=counts, total=total, wall_time_s=wall)
+    return CensusReport(request=req, counts=counts, wall_time_s=wall)
 
 
 def list_a3_cubics(height: int) -> list[tuple[int, int, int]]:
@@ -922,28 +882,32 @@ def list_a3_cubics(height: int) -> list[tuple[int, int, int]]:
 
 def report_to_json(report: CensusReport) -> str:
     req = report.request
+    counts = {k: report.counts[k] for k in req.classes()}
     payload = {
         "degree": req.degree,
         "height": req.height,
         "strategy": req.strategy,
-        "counts": {k: report.counts[k] for k in req.classes()},
-        "total": report.total,
+        "counts": counts,
+        "total": sum(counts.values()),
         "wall_time_s": report.wall_time_s,
-        "checksum": report.checksum,
+        "checksum": req.checksum(),
     }
     return json.dumps(payload)
 
 
 def report_from_json(text: str) -> CensusReport:
+    """The report of ``report_to_json``.  Its total and checksum are derived
+    fields, so a payload whose ``total`` is not the sum of its counts, or
+    whose ``checksum`` is not its request's, raises CensusError."""
     payload = json.loads(text)
     req = CensusRequest(degree=payload["degree"], height=payload["height"], strategy=payload["strategy"])
-    return CensusReport(
-        request=req,
-        counts=dict(payload["counts"]),
-        total=payload["total"],
-        wall_time_s=payload["wall_time_s"],
-        checksum=payload["checksum"],
-    )
+    counts = dict(payload["counts"])
+    checksum, total = req.checksum(), sum(counts.values())
+    if payload["checksum"] != checksum:
+        raise CensusError(f"report checksum {payload['checksum']} is not its request's {checksum}")
+    if payload["total"] != total:
+        raise CensusError(f"report total {payload['total']} is not the sum {total} of its counts")
+    return CensusReport(request=req, counts=counts, wall_time_s=payload["wall_time_s"])
 
 
 def report_to_csv(report: CensusReport) -> str:

@@ -134,6 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_classify(args, parser) -> int:
     n = 3 if args.degree == 3 else 4
     coeffs = _parse_coeffs(args.coeffs, n, parser)
+    if max(abs(t) for t in coeffs) > 10**6:
+        # the classifier's input contract; past it, the root scan may
+        # trial-divide d up to sqrt(d)
+        parser.error(f"coefficients must satisfy |coefficient| <= 10^6, got {args.coeffs}")
     if args.degree == 3:
         f = MonicCubic(*coeffs)
         label = classify_cubic(f).value
@@ -255,7 +259,7 @@ def _cmd_asym(args, parser) -> int:
     const = chela_constant_c(args.n)
     payload = {
         "n": args.n,
-        "c_n": const.value,
+        "c_n": const.closed_form,
         "c_n_appendix_form": const.appendix_form,
         "form_agreement": const.agreement,
         "k_n": [const.k_n.numerator, const.k_n.denominator],

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .classify import CubicClass, MonicCubic, classify_cubic, disc_cubic, invariants_cubic
 from .exactarith import cubefree_decompose, factorize
@@ -225,27 +225,10 @@ class ParamWitness:
                 raise WitnessError(f"witness invariant failed: {name}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "cubic": list(self.cubic.coeffs()),
-                "I": self.I,
-                "J": self.J,
-                "Y": self.Y,
-                "disc": self.disc,
-                "g": self.g,
-                "u": self.u,
-                "v": self.v,
-                "x": self.x,
-                "y": self.y,
-                "z": self.z,
-                "d": list(self.d),
-                "alpha": list(self.alpha),
-                "q": self.q,
-                "r": self.r,
-                "s": self.s,
-                "t": self.t,
-            }
-        )
+        """One JSON object of the fields in declaration order; the cubic as
+        its coefficient list, d and alpha as [m, n]."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps({**record, "cubic": list(self.cubic.coeffs())})
 
 
 def _eis_is_cubefree(z: tuple[int, int]) -> bool:

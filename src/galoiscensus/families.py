@@ -71,8 +71,7 @@ class CrossValidationReport:
     members_checked: int = 0
     mismatches: list = field(default_factory=list)
     exceptions: list = field(default_factory=list)  # side condition not met; recorded, not failed
-    classes: dict = field(default_factory=dict)
-    labels: list = field(default_factory=list)  # per-member, in input order
+    classes: dict = field(default_factory=dict)  # label -> members, by first occurrence
 
     @property
     def mismatch_count(self) -> int:
@@ -396,8 +395,9 @@ _CHUNK = 1024
 the estimated members of a d4vc pair range (d4vc_units).  A chunk goes out
 as a list of plain tuples, which pickle and unpickle in under half the time
 of the dataclasses; a d4vc range goes out as four short numpy slices, and
-its worker generates the members.  A unit comes back as its labels, its
-JSON lines joined into one string, and its mismatch and exception entries.
+its worker generates the members.  A unit comes back as its class tally,
+its JSON lines joined into one string, and its mismatch and exception
+entries.
 Units of about 1024 members keep each reply near 200 kB at d4vc(6e5, 1/5)
 and leave dozens of units to balance the workers."""
 
@@ -453,16 +453,17 @@ def _validate_d4vc(params: tuple, coeffs: tuple[int, ...], expected: tuple[str, 
     return True, ""
 
 
-def _check_unit(unit: tuple) -> tuple[list[str], str, list[dict], list[dict]]:
+def _check_unit(unit: tuple) -> tuple[Counter, str, list[dict], list[dict]]:
     """Generate one pool unit's members, then classify, validate and render
     each; a unit is (make_rows, args), and make_rows(*args) yields member
-    fields.  Returns the labels, the JSON lines joined by newlines and the
-    mismatch and exception entries, in member order."""
+    fields.  Returns the members per label (keys in first-occurrence
+    order), the JSON lines joined by newlines and the mismatch and
+    exception entries, in member order."""
     make_rows, args = unit
-    labels, lines, mismatches, exceptions = [], [], [], []
+    tally, lines, mismatches, exceptions = Counter(), [], [], []
     for family, params, coeffs, expected in make_rows(*args):
         label, ok, exception, note = _check_member(family, params, coeffs, expected)
-        labels.append(label)
+        tally[label] += 1
         lines.append(_member_line(family, params, coeffs, label))
         if exception or not ok:
             entry = {
@@ -473,7 +474,7 @@ def _check_unit(unit: tuple) -> tuple[list[str], str, list[dict], list[dict]]:
                 "note": note,
             }
             (exceptions if exception else mismatches).append(entry)
-    return labels, "\n".join(lines), mismatches, exceptions
+    return tally, "\n".join(lines), mismatches, exceptions
 
 
 def member_units(members: list[FamilyMember], workers: int = 1) -> Iterator[tuple]:
@@ -496,19 +497,19 @@ def validate_units(units: Iterable[tuple],
     rest are taken as the pool submits them."""
     units = iter(units)
     head = list(islice(units, max(workers, 1)))
-    report, texts = CrossValidationReport(), []
+    report, texts, classes = CrossValidationReport(), [], Counter()
     pool = ProcessPoolExecutor(len(head)) if len(head) > 1 else None
     with pool or nullcontext():
-        for labels, text, mismatches, exceptions in (pool.map if pool else map)(
+        for tally, text, mismatches, exceptions in (pool.map if pool else map)(
             _check_unit, chain(head, units)
         ):
-            report.labels += labels
+            classes.update(tally)
+            report.members_checked += sum(tally.values())
             report.mismatches += mismatches
             report.exceptions += exceptions
             if text:
                 texts.append(text)
-    report.members_checked = len(report.labels)
-    report.classes = dict(Counter(report.labels))
+    report.classes = dict(classes)
     return report, texts
 
 

@@ -201,7 +201,7 @@ def test_criterion_12_asymptotics():
     req = CensusRequest(4, 150)
     counts = {"reducible": 75327434, "S4": 8128593894, "A4": 60954,
               "D4": 4501148, "V4": 45953, "C4": 11818}
-    rep = CensusReport(request=req, counts=counts, total=sum(counts.values()), wall_time_s=0.0)
+    rep = CensusReport(request=req, counts=counts, wall_time_s=0.0)
     fit = fit_reducible([rep])
     assert abs(fit.entries[0].ratio - 1.019) <= 1e-3
 

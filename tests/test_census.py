@@ -49,7 +49,7 @@ def _oracle_counts(degree: int, height: int) -> dict[str, int]:
 def test_cubic_height1_hand_enumeration():
     report = run_census(CensusRequest(3, 1, workers=1))
     assert report.counts == {"reducible": 15, "S3": 12, "A3": 0}
-    assert report.total == 27
+    assert sum(report.counts.values()) == 27
 
 
 @pytest.mark.parametrize("height", [0, 1, 2, 4, 6])
@@ -84,10 +84,10 @@ def _dense_square_block(a: int, b0: int, b1: int, height: int) -> np.ndarray:
 def _square_cells(a: int, b0: int, b1: int, height: int) -> np.ndarray:
     """The kernel's square cells of the block b0 <= b < b1, checked to be
     ascending and in the block, scattered into a (b1 - b0, W, W) grid."""
-    from galoiscensus.census import _WINDOW_TILE_CELLS, _quartic_square_cells, _tile_scratch
+    from galoiscensus.census import _quartic_square_cells
 
     W = 2 * height + 1
-    sq = _quartic_square_cells(a, b0, b1, height, _tile_scratch(_WINDOW_TILE_CELLS + W))
+    sq = _quartic_square_cells(a, b0, b1, height)
     assert np.all(np.diff(sq) > 0) and np.all((sq >= 0) & (sq < (b1 - b0) * W * W)), (a, b0, b1)
     grid = np.zeros((b1 - b0, W, W), dtype=bool)
     grid.reshape(-1)[sq] = True
@@ -129,13 +129,10 @@ def _root_grids(a: int, b: int, height: int):
 
 
 def _linear_block(a: int, b0: int, b1: int, height: int) -> np.ndarray:
-    """The block's linear-factor mask, as ``_stripe_job`` fills it."""
+    """The block's linear-factor mask, as ``_stripe_job`` takes it."""
     from galoiscensus.census import _factor_pairs, _quartic_red_mask
 
-    W = 2 * height + 1
-    red = np.ones((b1 - b0, W, W), dtype=bool)  # the kernel clears it first
-    _quartic_red_mask(a, b0, b1, height, _factor_pairs(height), red)
-    return red
+    return _quartic_red_mask(a, b0, b1, height, _factor_pairs(height))
 
 
 def _reducible_block(a: int, b0: int, b1: int, height: int) -> np.ndarray:
@@ -173,11 +170,9 @@ def _assert_kernel_labels(a: int, b: int, height: int, cells) -> None:
 
 def _block_counts(a: int, b0: int, b1: int, height: int):
     """The kernel's class counts of the block b0 <= b < b1 (``direct`` mask)."""
-    from galoiscensus.census import _WINDOW_TILE_CELLS, _quartic_block_counts, _tile_scratch
+    from galoiscensus.census import _quartic_block_counts
 
-    W = 2 * height + 1
-    red = _linear_block(a, b0, b1, height)
-    return _quartic_block_counts(a, b0, b1, height, red, _tile_scratch(_WINDOW_TILE_CELLS + W))
+    return _quartic_block_counts(a, b0, b1, height, _linear_block(a, b0, b1, height))
 
 
 def test_quartic_stripe_grids_match_classifier_at_height12():
@@ -549,7 +544,7 @@ def test_irreducible_table_bit_counts():
     assert int(t4.sum()) == 0  # X^4 alone, reducible
     t4 = build_irreducible_table(4, 2)
     direct = run_census(CensusRequest(4, 2, workers=1))
-    irr_direct = direct.total - direct.counts["reducible"]
+    irr_direct = sum(direct.counts.values()) - direct.counts["reducible"]
     assert int(t4.sum()) == irr_direct
 
 
@@ -746,6 +741,16 @@ def test_report_json_roundtrip_byte_identical():
     assert text == again
     parsed = json.loads(text)
     assert list(parsed["counts"]) == ["reducible", "S4", "A4", "D4", "V4", "C4"]
+
+
+def test_report_from_json_rejects_derived_fields_that_disagree():
+    text = report_to_json(run_census(CensusRequest(3, 2, workers=1)))
+    payload = json.loads(text)
+    for key, value in (("checksum", CensusRequest(3, 3).checksum()), ("total", payload["total"] + 1)):
+        bad = dict(payload, **{key: value})
+        with pytest.raises(ValueError, match=key):
+            report_from_json(json.dumps(bad))
+    assert report_to_json(report_from_json(text)) == text
 
 
 def test_report_csv_shape():

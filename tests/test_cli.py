@@ -34,6 +34,30 @@ def test_classify_non_integer_coeffs(capsys):
     assert exc.value.code == 2
 
 
+def test_classify_rejects_coefficients_past_the_contract(monkeypatch, capsys):
+    # d = 5.005e19 is 0 mod 5 * 7 * 11 * 13, so every root filter passes and
+    # the divisor scan of d would trial-divide up to 7e9; it must never start
+    def no_classify(f):
+        raise AssertionError(f"classified {f}")
+
+    monkeypatch.setattr(cli, "classify_quartic", no_classify)
+    monkeypatch.setattr(cli, "classify_cubic", no_classify)
+    for argv in (["--degree", "4", "--coeffs", "0,0,0,50050000000000000000"],
+                 ["--degree", "3", "--coeffs=-1000001,0,0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", *argv])
+        assert exc.value.code == 2, argv
+        assert "|coefficient| <= 10^6" in capsys.readouterr().err
+
+
+def test_classify_at_the_contract_bound(capsys):
+    assert main(["classify", "--degree", "4", "--coeffs", "0,0,0,1000000"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["V4", "disc = 256000000000000000000", "I = 12000000, J = 0"]
+    assert main(["classify", "--degree", "3", "--coeffs=-1000000,0,1000000", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["coeffs"] == [-1000000, 0, 1000000]
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["census", "--degree", "3", "--height", "2", "--frobnicate"])

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from galoiscensus.census import list_a3_cubics
 from galoiscensus.classify import MonicCubic
+from galoiscensus.cli import main
 from galoiscensus.eisenstein import (
     EisensteinError,
+    ParamWitness,
     WitnessError,
     _conj,
     _cube_root_part,
@@ -300,7 +302,7 @@ def test_witness_rejects_non_a3():
         parametrize_cubic_witness(MonicCubic(0, -1, 0))  # reducible
 
 
-def test_witness_json_fields():
+def test_witness_json_fields(capsys):
     w = parametrize_cubic_witness(MonicCubic(1, -2, -1))
     payload = json.loads(w.to_json())
     assert payload["cubic"] == [1, -2, -1]
@@ -309,6 +311,13 @@ def test_witness_json_fields():
         "cubic", "I", "J", "Y", "disc", "g", "u", "v", "x", "y", "z",
         "d", "alpha", "q", "r", "s", "t",
     }
+    assert list(payload) == [f.name for f in dataclasses.fields(ParamWitness)]
+    # the whole line, byte for byte
+    assert main(["param-witness", "--coeffs", "1,-2,-1"]) == 0
+    assert capsys.readouterr().out == (
+        '{"cubic": [1, -2, -1], "I": 7, "J": -7, "Y": 21, "disc": 49, "g": 7, "u": 7, "v": 1, '
+        '"x": -1, "y": 3, "z": 2, "d": [2, 6], "alpha": [1, 0], "q": -2, "r": 6, "s": 2, "t": 0}\n'
+    )
 
 
 def test_witness_all_a3_cubics_height12():
