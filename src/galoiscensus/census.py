@@ -2,7 +2,8 @@
 
 The coefficient box [-H, H]^deg is enumerated in stripes, one per a-stratum
 (fixed a), and every tuple in a stripe is classified with vectorized int64
-kernels.  A cubic stripe is one (b, c) grid.  A quartic stripe is walked in
+kernels (the cubic square sweep runs in exact float64 and confirms in
+int64).  A cubic stripe is one (b, c) grid.  A quartic stripe is walked in
 blocks of consecutive b, each a (b, c, d) grid of about 2^17 cells (8 b at
 H = 60, one from H = 128 on), and each layer runs as one vectorised pass
 over all of a block's b-values.  The X -> -X symmetry
@@ -24,7 +25,9 @@ Two interchangeable strategies:
 
 Both strategies run the same stripe job and the same result loop, which
 merges counts, appends each stripe to the optional journal and reports
-progress.
+progress.  A pool task is a run of consecutive strata of about 2^22 cells
+in all, so the pool's per-task cost is not paid on every short stratum;
+its results still come back, and are journaled, one stratum at a time.
 
 The cubic A3 sweep tests squares only on the (a, b) rows where
 I = a^2 - 3b is a positive Loeschian number (x^2 + xy + y^2), which the
@@ -32,7 +35,11 @@ paper's identity 27 disc = 4I^3 - J^2 requires of any square discriminant.
 A square discriminant is also positive, so J^2 < 4I^3 with J = J0 + 27c
 confines each such row to one c-window, whose ends come from isqrt(4I^3)
 taken in Python ints.  The sweep walks cache-sized tiles of consecutive
-rows, each spanning the union of its rows' windows.
+rows, each spanning the union of its rows' windows.  A tile's discriminants
+are evaluated in place on one float64 array, exactly, and its square roots
+taken in place; the few cells whose root is an integer are confirmed in
+int64, and only the confirmed ones are looked up in the reducible mask.
+The A3 cells come back sparsely, as b-rows and c values.
 
 The quartic resolvent roots are enumerated from the paper's symmetry
 identity: for each candidate x, only the multiples of rad2(|K(x)|) in two
@@ -65,9 +72,12 @@ square-root guesses.  The d-windows have I(H) <= 4H^2 + 12H, so
 4 I(H)^3 < 1.1e18 < 2^62 at the cap, within ``_isqrt``'s exact domain, and
 |J(0)| <= 11H^3 + 27H^2 with slope |72b - 27a^2| <= 27H^2 + 72H.  The cubic
 discriminant's partial results are bounded the same way, by
-5 H^4 + 22 H^3 + 27 H^2, safe far beyond the cubic cap of 5000.  There
-the sweep's tiles are small, and the stripe's reducible mask, the only
-full (b, c) grid, takes 100 MB.  Heights above the caps are
+5 H^4 + 22 H^3 + 27 H^2, safe in int64 far beyond the cubic cap of 5000.
+float64 safety: at the cap that bound is 3.13e15 < 2^53, so every partial
+result of the cubic sweep's float64 Horner steps is an integer that float64
+holds exactly, and each step rounds to itself.  At the cap the sweep's
+tiles are small, and the stripe's reducible mask, the only full (b, c)
+grid, takes 100 MB.  Heights above the caps are
 rejected rather than risk silent wraparound or swapping.
 """
 
@@ -76,6 +86,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -87,6 +98,7 @@ import numpy as np
 
 from .classify import (
     disc_cubic_coeffs,
+    disc_cubic_terms,
     disc_quartic_coeffs,
     disc_quartic_terms,
     fujiwara_bound,
@@ -226,13 +238,13 @@ def _cubic_red_mask(a: int, height: int, pairs) -> np.ndarray:
 
 
 _TILE_CELLS = 2**15
-"""Cells per tile of the cubic A3 sweep.  Each int64 temporary of a tile
-takes 256 KB, and the discriminant and square test keep about five such
-arrays (with their float64 and bool companions) alive at once, so a tile's
-working set of about 1.5 MB stays inside a 2 MB per-core L2 cache.  With
-the same windows, tiles of 512 rows (2.6 MB per temporary at H = 500) made
-the sweep 2.7x slower at H = 500 and 1.8x at H = 2000, bound by memory
-traffic; 2^14 and 2^16 tiles were up to 35% slower than 2^15."""
+"""Cells per tile of the cubic A3 sweep.  A tile keeps three arrays alive
+at once: the float64 discriminants, square-rooted in place (256 KB), their
+rint (256 KB) and the bool candidate mask (32 KB), about 0.55 MB inside a
+2 MB per-core L2 cache.  Over every fifth stratum at H = 500 (serial CPU
+time, 2-core x86-64 box), 2^13 / 2^14 / 2^16 / 2^17-cell tiles were 41% /
+11% / 15% / 68% slower than 2^15; at H = 2000, where tiles hold 8 rows,
+2^16 and 2^17 were 8% and 10% faster."""
 
 
 @functools.cache
@@ -286,34 +298,72 @@ def _cubic_c_window(a: int, height: int, rows: np.ndarray) -> tuple[np.ndarray, 
     return np.maximum(-((s + j0) // 27), -H), np.minimum((s - j0) // 27, H)
 
 
-def _cubic_a3_blocks(a: int, height: int, red: np.ndarray):
-    """Yield (rows, c0, mask): the A3 cells (square discriminant, not
-    reducible) of a tile of the (b, c) grid, at the ascending b-row indices
-    ``rows`` and columns c = c0, c0 + 1, ... of ``mask``.
+def _cubic_disc_tile(t1: np.ndarray, t0: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The float64 discriminants (-27 c + t1) c + t0 of a tile, for the
+    float64 row terms t1, t0 of ``disc_cubic_terms`` as (rows, 1) columns and
+    a row of c values: each Horner step runs in place on the one array."""
+    v = np.multiply(c, -27.0, out=np.empty((t1.shape[0], c.size)))
+    v += t1
+    v *= c
+    v += t0
+    return v
+
+
+def _cubic_a3_cells(a: int, height: int, red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, c): the A3 cells (square discriminant, not reducible) of the
+    (b, c) grid, as b-row indices b + H and c values in lexicographic order.
 
     Only rows that ``_cubic_a3_rows`` keeps and whose ``_cubic_c_window`` is
     non-empty are swept.  A tile is a run of up to _TILE_CELLS // (2H + 1)
     such rows and spans the union of their windows, a plain column slice.
+    Per tile, the discriminant (-27 c + t1) c + t0, with the row terms of
+    ``disc_cubic_terms``, is evaluated in place on one float64 array and
+    its square root taken in place; the candidates are the cells whose root
+    is an integer (NaN, from disc < 0, never is).  Each candidate is then
+    confirmed in int64 by ``disc_cubic_coeffs``: disc > 0 and r * r = disc
+    for r = int(sqrt).  The reducible mask is read at the confirmed cells
+    alone.
+
+    The float64 values are exact.  Every partial value of the Horner steps
+    is an integer of absolute value at most 5 H^4 + 22 H^3 + 27 H^2 (the
+    int64 bound of the module docstring), 3.13e15 < 2^53 at the cubic cap,
+    so each step rounds to itself.  A true square k^2 then has the correctly
+    rounded root k exactly, so no A3 cell is missed; a non-square whose root
+    rounds to an integer fails the integer check.
     """
     H = height
     rows = _cubic_a3_rows(a, H)
     lo, hi = _cubic_c_window(a, H, rows)
     keep = lo <= hi
     rows, lo, hi = rows[keep], lo[keep], hi[keep]
+    t1, t0 = (t.astype(np.float64)[:, None] for t in disc_cubic_terms(a, rows - H))
     step = max(1, _TILE_CELLS // (2 * H + 1))
-    for k in range(0, rows.size, step):
-        rr = rows[k : k + step]
-        c0, c1 = int(lo[k : k + step].min()), int(hi[k : k + step].max())
-        c = np.arange(c0, c1 + 1, dtype=np.int64)
-        disc = disc_cubic_coeffs(a, (rr - H)[:, None], c)
-        yield rr, c0, _square_mask(disc) & ~red[rr, c0 + H : c1 + H + 1]
+    ks, cs, roots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    with np.errstate(invalid="ignore"):  # sqrt(disc < 0) is NaN
+        for k in range(0, rows.size, step):
+            c0, c1 = int(lo[k : k + step].min()), int(hi[k : k + step].max())
+            v = _cubic_disc_tile(t1[k : k + step], t0[k : k + step], np.arange(c0, c1 + 1, dtype=np.float64))
+            np.sqrt(v, out=v)
+            hit = np.flatnonzero(v == np.rint(v))
+            i, j = np.divmod(hit, c1 - c0 + 1)
+            ks.append(i + k)
+            cs.append(j + c0)
+            roots.append(v.reshape(-1)[hit])
+    ri, c, r = (np.concatenate(parts) for parts in (ks, cs, roots))
+    rows = rows[ri]
+    v = disc_cubic_coeffs(a, rows - H, c)
+    r = r.astype(np.int64)
+    ok = (v > 0) & (r * r == v)
+    rows, c = rows[ok], c[ok]
+    ok = ~red[rows, c + H]
+    return rows[ok], c[ok]
 
 
 def _cubic_stripe_counts(a: int, height: int, red: np.ndarray):
     """(reducible, S3, A3) counts over the (b, c) grid for fixed a."""
     W = 2 * height + 1
     n_red = int(np.count_nonzero(red))
-    n_a3 = sum(int(np.count_nonzero(mask)) for _, _, mask in _cubic_a3_blocks(a, height, red))
+    n_a3 = _cubic_a3_cells(a, height, red)[0].size
     n_s3 = W * W - n_red - n_a3
     return n_red, n_s3, n_a3
 
@@ -712,12 +762,39 @@ def _stripe_job(degree: int, height: int, a: int, table: np.ndarray | None = Non
     return a, {k: v * factor for k, v in zip(classes, acc)}
 
 
+_RUN_CELLS = 2**22
+"""Cells per pool task, unless one stratum alone holds more.  A task is a
+run of consecutive strata, so the pool's per-task cost (pickling, a future,
+a wakeup of the parent) is paid once per run: runs of 4 strata at cubic
+H = 500 and of 2 at quartic H = 60, single strata from cubic H = 1024 and
+quartic H = 80 on.  A run never holds more than len(todo) // (4 workers)
+strata, so each worker still takes about four tasks or more and the last
+ones end close together."""
+
+
+def _runs(todo: list[int], degree: int, height: int, workers: int) -> list[list[int]]:
+    """``todo`` cut in order into runs of n consecutive strata (the last may
+    be shorter), n = max(1, min(_RUN_CELLS // W^(degree - 1),
+    len(todo) // (4 workers)))."""
+    per_stratum = (2 * height + 1) ** (degree - 1)
+    n = max(1, min(_RUN_CELLS // per_stratum, len(todo) // (4 * workers)))
+    return [todo[i : i + n] for i in range(0, len(todo), n)]
+
+
+def _run_job(degree: int, height: int, run: list[int]) -> list[tuple[int, dict[str, int]]]:
+    """The ``_stripe_job`` result of each stratum of ``run``, in order."""
+    return [_stripe_job(degree, height, a) for a in run]
+
+
 def _stripe_results(req: CensusRequest, todo: list[int], stack: contextlib.ExitStack):
     """Iterator of (a, counts) over the stripes in ``todo``.
 
     ``table`` runs in this process, since its table is not sent to workers;
     ``direct`` runs on a process pool (entered on ``stack``) unless one
-    worker or one stripe makes a pool pointless.
+    worker or one stripe makes a pool pointless.  Both in-process paths
+    take one stratum per step.  A pool task is a run of strata from
+    ``_runs``, whose results are yielded one stratum at a time as each run
+    completes.
     """
     degree, H = req.degree, req.height
     if req.strategy == "table":
@@ -727,10 +804,10 @@ def _stripe_results(req: CensusRequest, todo: list[int], stack: contextlib.ExitS
     if workers == 1 or len(todo) <= 1:
         return (_stripe_job(degree, H, a) for a in todo)
     pool = ProcessPoolExecutor(max_workers=workers)
-    # on an error or interrupt, drop the stripes no worker has started
+    # on an error or interrupt, drop the runs no worker has started
     stack.callback(pool.shutdown, wait=True, cancel_futures=True)
-    futs = [pool.submit(_stripe_job, degree, H, a) for a in todo]
-    return (fut.result() for fut in as_completed(futs))
+    futs = [pool.submit(_run_job, degree, H, run) for run in _runs(todo, degree, H, workers)]
+    return (res for fut in as_completed(futs) for res in fut.result())
 
 
 # ---------------------------------------------------------------------------
@@ -870,10 +947,8 @@ def list_a3_cubics(height: int) -> list[tuple[int, int, int]]:
     pairs = _factor_pairs(H)
     out: list[tuple[int, int, int]] = []
     for a in range(-H, H + 1):
-        red = _cubic_red_mask(a, H, pairs)
-        for rows, c0, mask in _cubic_a3_blocks(a, H, red):
-            for bi, ci in np.argwhere(mask):
-                out.append((a, int(rows[bi]) - H, c0 + int(ci)))
+        rows, c = _cubic_a3_cells(a, H, _cubic_red_mask(a, H, pairs))
+        out += zip(itertools.repeat(a), (rows - H).tolist(), c.tolist())
     return out
 
 

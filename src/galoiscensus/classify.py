@@ -39,6 +39,7 @@ __all__ = [
     "FactorWitness",
     "disc_cubic",
     "disc_cubic_coeffs",
+    "disc_cubic_terms",
     "invariants_cubic",
     "invariants_cubic_coeffs",
     "classify_cubic",
@@ -121,14 +122,26 @@ def disc_cubic(f: MonicCubic) -> int:
     return disc_cubic_coeffs(f.a, f.b, f.c)
 
 
+def disc_cubic_terms(a, b):
+    """(t1, t0): the discriminant of X^3 + aX^2 + bX + c is the quadratic
+    (-27 c + t1) c + t0 in c, with t1 = 18ab - 4a^3 and t0 = (a^2 - 4b) b^2.
+
+    The cubic census computes them once per b-row and runs the Horner steps
+    over that row's c-window itself.
+    """
+    return 18 * a * b - 4 * a * a * a, (a * a - 4 * b) * b * b
+
+
 def disc_cubic_coeffs(a, b, c):
     """Discriminant of X^3 + aX^2 + bX + c from raw coefficients, as a
-    quadratic in c: (a^2 b^2 - 4b^3) + (18ab - 4a^3) c - 27c^2.
+    quadratic in c by Horner: (-27 c + t1) c + t0 with (t1, t0) from
+    ``disc_cubic_terms``.
 
     Works on ints, Fractions and broadcast int64 arrays; the cubic census
-    passes a column of b and a row of c.
+    confirms its sparse square candidates with it.
     """
-    return (a * a - 4 * b) * b * b + (18 * a * b - 4 * a * a * a) * c - 27 * c * c
+    t1, t0 = disc_cubic_terms(a, b)
+    return (-27 * c + t1) * c + t0
 
 
 def invariants_cubic_coeffs(a, b, c):
@@ -595,34 +608,35 @@ def frobenius_cycle_type(f: MonicCubic | MonicQuartic, p: int) -> tuple[int, ...
     Then f mod p is squarefree, so deg gcd(f, X^p - X) counts its roots in
     F_p, which are its e1 linear factors.  The other n - e1 degrees carry no
     linear factor: 0, 2 or 3 of them form at most one factor, and 4 form
-    (2, 2) exactly when all four roots lie in F_(p^2), i.e. when
-    deg gcd(f, X^(p^2) - X) = 4, and (4,) otherwise.
+    (2, 2) exactly when all four roots lie in F_(p^2), that is when the
+    squarefree f divides X^(p^2) - X, or X^(p^2) = X mod f, and (4,)
+    otherwise.
 
     All arithmetic is in F_p[X] / F for the quartic F = f, or F = X f for a
     cubic, so both degrees share one code path; the root 0 that X adds is
-    dropped from the count unless f(0) = 0 mod p.  X^p mod F is built left
-    to right by squaring and shifting.  X^(p^2) mod F is then xp(xp) for
-    xp = X^p mod F, by Horner: g -> g^p is a ring map of F_p[X] / F that
-    fixes F_p, so (X^p)^p = xp(X)^p = xp(X^p) = xp(xp).  Products accumulate
-    unreduced in Python ints and are folded to degree 3 along the rows
-    X^4, X^5, X^6 mod F, then reduced mod p once per coefficient: every
-    value stays an exact integer.
+    dropped from the count unless f(0) = 0 mod p.  The discriminant test
+    runs on the coefficients reduced mod p, since disc(f) = disc(f mod p)
+    mod p.  X^p mod F is built left to right by squaring and shifting.
+    X^(p^2) mod F is then xp(xp) for xp = X^p mod F, by Horner: g -> g^p is
+    a ring map of F_p[X] / F that fixes F_p, so (X^p)^p = xp(X)^p =
+    xp(X^p) = xp(xp).  Products accumulate unreduced in Python ints and are
+    folded to degree 3 along the rows X^4, X^5, X^6 mod F, then reduced mod
+    p once per coefficient: every value stays an exact integer.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     quartic = isinstance(f, MonicQuartic)
-    disc = disc_quartic(f) if quartic else disc_cubic(f)
+    coeffs, rows = _p_frame(f, p)
+    disc = disc_quartic_coeffs(*coeffs) if quartic else disc_cubic_coeffs(*coeffs[:3])
     if disc % p == 0:
         raise ValueError(f"p={p} divides the discriminant")
-    coeffs, rows = _p_frame(f, p)
     xp = _p_xpow(rows, p)
     linear = _p_root_count(coeffs, xp, p)
     if not quartic and coeffs[2]:  # f(0) != 0 mod p: the root 0 is X's alone
         linear -= 1
     rest = len(f.coeffs()) - linear
     if rest == 4:
-        quadratic_roots = _p_root_count(coeffs, _p_compose(xp, rows, p), p)
-        return (2, 2) if quadratic_roots == 4 else (4,)
+        return (2, 2) if _p_compose(xp, rows, p) == (0, 1, 0, 0) else (4,)
     return (1,) * linear + ((rest,) if rest else ())
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from contextlib import nullcontext
@@ -286,9 +287,22 @@ def _cmd_asym(args, parser) -> int:
     return 0
 
 
+def _join_negative_coeffs(argv: list[str]) -> list[str]:
+    """argv with ``--coeffs V`` written as ``--coeffs=V`` wherever V starts
+    with a minus sign and a digit: argparse would read such a separate
+    value, a list whose first coefficient is negative, as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--coeffs" and re.match(r"-\d", arg):
+            out[-1] = f"--coeffs={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_coeffs(sys.argv[1:] if argv is None else argv))
     handlers = {
         "classify": _cmd_classify,
         "census": _cmd_census,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galoiscensus import census
 from galoiscensus.census import (
     KERNEL_VERSION,
     QUARTIC_CLASSES,
@@ -438,7 +439,6 @@ def _stratum_labels(a: int, height: int) -> dict[str, int]:
 def test_quartic_blocks_and_tiles_match_classifier(monkeypatch, per_block):
     # blocks of 1, 2, 3 and 2H + 1 b-values (2 and 3 do not divide 2H + 1 =
     # 25), tiles of three rows: the a-stratum counts equal the classifier's
-    from galoiscensus import census
     from galoiscensus.census import _stripe_job
 
     H, W = 12, 25
@@ -461,8 +461,6 @@ def test_quartic_blocks_and_tiles_match_classifier(monkeypatch, per_block):
 
 @pytest.mark.parametrize("per_block", [1, 2, 3, "all"])
 def test_quartic_blocks_and_tiles_match_table_at_height20(monkeypatch, per_block):
-    from galoiscensus import census
-
     H, W = 20, 41
     nb = W if per_block == "all" else per_block
     table = run_census(CensusRequest(4, H, strategy="table", workers=1)).counts
@@ -588,10 +586,17 @@ def test_journal_torn_tail_is_recomputed(tmp_path):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_journal_after_interrupt_holds_whole_records(tmp_path, workers):
     # Ctrl-C after k stripes: the journal keeps the header and exactly the k
-    # records written so far, each a whole line, and a resume completes it
-    req = CensusRequest(3, 12, workers=workers)
-    full = run_census(CensusRequest(3, 12, workers=1))
-    for k in (1, 5):
+    # records written so far, each a whole line, and a resume completes it.
+    # Two workers take runs of 5 strata here, so k = 1 and k = 7 stop inside
+    # a run and the rest of that run is recomputed on resume
+    from galoiscensus.census import _runs
+
+    H = 40
+    req = CensusRequest(3, H, workers=workers)
+    full = run_census(CensusRequest(3, H, workers=1))
+    if workers > 1:
+        assert len(_runs(list(range(H + 1)), 3, H, workers)[0]) == 5
+    for k in (1, 7):
         journal = tmp_path / f"interrupted-{k}.journal"
 
         def progress(done, total):
@@ -610,7 +615,7 @@ def test_journal_after_interrupt_holds_whole_records(tmp_path, workers):
 
         resumed = run_census(req, journal_path=str(journal))
         assert resumed.counts == full.counts
-        assert len(journal.read_text().splitlines()) == 1 + 13
+        assert len(journal.read_text().splitlines()) == 1 + H + 1
 
 
 def _count_fsyncs(monkeypatch) -> list[int]:
@@ -863,18 +868,17 @@ def _dense_a3_rows(a: int, H: int, red: np.ndarray, rows: np.ndarray) -> np.ndar
     return _square_mask(disc) & ~red[rows]
 
 
-def _tiles(a: int, H: int, red: np.ndarray):
-    """The sweep's tiles, checked for ascending disjoint rows and in-box,
-    in-budget shapes."""
-    from galoiscensus.census import _TILE_CELLS, _cubic_a3_blocks
+def _a3_cells(a: int, H: int, red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep's sparse A3 cells (b-row indices, c), checked to be in the
+    box, in strictly ascending (b, c) order and off the reducible mask."""
+    from galoiscensus.census import _cubic_a3_cells
 
-    seen = []
-    for rows, c0, mask in _cubic_a3_blocks(a, H, red):
-        assert mask.shape[0] == rows.size <= max(1, _TILE_CELLS // (2 * H + 1))
-        assert -H <= c0 and c0 + mask.shape[1] - 1 <= H
-        seen += rows.tolist()
-        yield rows, c0, mask
-    assert seen == sorted(set(seen))
+    rows, c = _cubic_a3_cells(a, H, red)
+    assert rows.dtype == c.dtype == np.int64 and rows.shape == c.shape
+    assert np.all((rows >= 0) & (rows <= 2 * H) & (np.abs(c) <= H))
+    assert np.all(np.diff(rows * (2 * H + 1) + c) > 0)
+    assert not red[rows, c + H].any()
+    return rows, c
 
 
 def test_cubic_row_filter_matches_dense_sweep(monkeypatch):
@@ -883,23 +887,28 @@ def test_cubic_row_filter_matches_dense_sweep(monkeypatch):
     # three rows per tile, so every stripe runs many tiles with their own c0
     H, W = 60, 121
     monkeypatch.setattr("galoiscensus.census._TILE_CELLS", 3 * W)
+    tiles, tile = [], census._cubic_disc_tile
+
+    def counted_tile(t1, t0, c):
+        tiles.append(t1.shape[0])
+        return tile(t1, t0, c)
+
+    monkeypatch.setattr(census, "_cubic_disc_tile", counted_tile)
     pairs = _factor_pairs(H)
-    n_tiles = 0
     for a in range(-H, H + 1):
         red = _cubic_red_mask(a, H, pairs)
         dense = _dense_a3_rows(a, H, red, np.arange(W))
-        tiled = np.zeros_like(dense)
-        for rows, c0, mask in _tiles(a, H, red):
-            tiled[rows, c0 + H : c0 + H + mask.shape[1]] = mask
-            n_tiles += 1
-        assert np.array_equal(tiled, dense), a
-    assert n_tiles > 10 * W
+        rows, c = _a3_cells(a, H, red)
+        sparse = np.zeros_like(dense)
+        sparse[rows, c + H] = True
+        assert np.array_equal(sparse, dense), a
+    assert len(tiles) > 10 * W and max(tiles) == 3
 
 
 @pytest.mark.parametrize("height", [1200, 5000])
 def test_cubic_tiles_match_dense_rows_at_large_heights(height):
     # the full dense grid is too large here: sampled rows of seeded stripes
-    # are swept densely one at a time and compared with the tiles' rows
+    # are swept densely one at a time and compared with the sparse cells
     from galoiscensus.census import _cubic_a3_rows, _cubic_red_mask, _factor_pairs
 
     H, W = height, 2 * height + 1
@@ -907,18 +916,55 @@ def test_cubic_tiles_match_dense_rows_at_large_heights(height):
     pairs = _factor_pairs(H)
     for a in [0, H, rng.randint(1, H - 1)]:
         red = _cubic_red_mask(a, H, pairs)
-        sample = set(rng.sample(range(W), 20) + rng.sample(_cubic_a3_rows(a, H).tolist(), 40))
-        tiled = {}  # the sampled rows and the rows with an A3 cell
-        for rows, c0, mask in _tiles(a, H, red):
-            for i, bi in enumerate(rows.tolist()):
-                if bi in sample or mask[i].any():
-                    tiled[bi] = np.zeros(W, dtype=bool)
-                    tiled[bi][c0 + H : c0 + H + mask.shape[1]] = mask[i]
-        hits = [bi for bi, row in tiled.items() if row.any()]
+        rows, c = _a3_cells(a, H, red)
+        hits = sorted(set(rows.tolist()))
         assert hits, a
+        sample = set(rng.sample(range(W), 20) + rng.sample(_cubic_a3_rows(a, H).tolist(), 40))
         for bi in sorted(sample | set(rng.sample(hits, min(20, len(hits))))):
+            sparse = np.zeros(W, dtype=bool)
+            sparse[c[rows == bi] + H] = True
             dense = _dense_a3_rows(a, H, red, np.array([bi]))[0]
-            assert np.array_equal(tiled.get(bi, np.zeros(W, dtype=bool)), dense), (a, bi)
+            assert np.array_equal(sparse, dense), (a, bi)
+
+
+def test_cubic_float_tile_is_exact_at_the_cap():
+    # every float64 discriminant of a tile equals the Python-int one at the
+    # cap H = 5000: at the corners and centre of the box, and on seeded cells
+    from galoiscensus.census import _cubic_disc_tile
+    from galoiscensus.classify import disc_cubic, disc_cubic_terms
+
+    H = 5000
+    rng = random.Random(53)
+    edges = [-H, 0, H]
+    cases = [(a, edges, edges) for a in edges]
+    cases += [(rng.randint(-H, H), rng.sample(range(-H, H + 1), 25), rng.sample(range(-H, H + 1), 40)) for _ in range(8)]
+    largest = 0
+    for a, bs, cs in cases:
+        t1, t0 = (t.astype(np.float64)[:, None] for t in disc_cubic_terms(a, np.array(bs, dtype=np.int64)))
+        v = _cubic_disc_tile(t1, t0, np.array(cs, dtype=np.float64))
+        for i, b in enumerate(bs):
+            for j, c in enumerate(cs):
+                exact = disc_cubic(MonicCubic(a, b, c))
+                assert v[i, j] == exact and int(v[i, j]) == exact, (a, b, c)
+                largest = max(largest, abs(exact))
+    assert 2**50 < largest < 2**53
+
+
+def test_pool_runs_partition_todo_within_the_cell_budget():
+    from galoiscensus.census import _RUN_CELLS, _runs
+
+    # the documented run lengths on two workers
+    for degree, H, n in [(3, 500, 4), (4, 60, 2), (3, 1024, 1), (4, 80, 1), (3, 12, 1)]:
+        assert {len(run) for run in _runs(list(range(H + 1)), degree, H, 2)[:-1]} <= {n}, (degree, H)
+        assert len(_runs(list(range(H + 1)), degree, H, 2)[0]) == n, (degree, H)
+    for degree, H, workers in [(3, 500, 2), (3, 500, 7), (4, 60, 2), (3, 40, 2), (4, 400, 3), (3, 0, 2)]:
+        cells = (2 * H + 1) ** (degree - 1)
+        for todo in (list(range(H + 1)), [a for a in range(H + 1) if a % 7 != 3]):
+            runs = _runs(todo, degree, H, workers)
+            assert [a for run in runs for a in run] == todo
+            assert all(run for run in runs)
+            assert all(len(run) == 1 or len(run) * cells <= _RUN_CELLS for run in runs)
+            assert all(len(run) <= max(1, len(todo) // (4 * workers)) for run in runs)
 
 
 def test_cubic_c_window_edges_in_python_ints():

@@ -58,6 +58,16 @@ def test_classify_at_the_contract_bound(capsys):
     assert payload["coeffs"] == [-1000000, 0, 1000000]
 
 
+def test_classify_takes_a_negative_first_coefficient_as_a_separate_value(capsys):
+    argv = ["classify", "--degree", "3", "--coeffs", "-1000000,0,1000000", "--format", "json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["coeffs"] == [-1000000, 0, 1000000]
+    assert main(["classify", "--degree", "4", "--coeffs", "-1,0,0,1"]) == 0
+    separate = capsys.readouterr().out
+    assert main(["classify", "--degree", "4", "--coeffs=-1,0,0,1"]) == 0
+    assert capsys.readouterr().out == separate
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["census", "--degree", "3", "--height", "2", "--frobnicate"])
@@ -216,6 +226,12 @@ def test_param_witness(capsys):
     assert main(["param-witness", "--coeffs", "1,-2,-1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["u"] == 7 and payload["z"] == 2
+
+
+def test_param_witness_takes_a_negative_first_coefficient_as_a_separate_value(capsys):
+    assert main(["param-witness", "--coeffs", "-1,-2,1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["cubic"] == [-1, -2, 1] and payload["disc"] == 49
 
 
 def test_param_witness_rejects_s3(capsys):
