@@ -86,7 +86,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -947,8 +946,8 @@ def list_a3_cubics(height: int) -> list[tuple[int, int, int]]:
     pairs = _factor_pairs(H)
     out: list[tuple[int, int, int]] = []
     for a in range(-H, H + 1):
-        rows, c = _cubic_a3_cells(a, H, _cubic_red_mask(a, H, pairs))
-        out += zip(itertools.repeat(a), (rows - H).tolist(), c.tolist())
+        rows, cs = _cubic_a3_cells(a, H, _cubic_red_mask(a, H, pairs))
+        out += [(a, b, c) for b, c in zip((rows - H).tolist(), cs.tolist())]
     return out
 
 

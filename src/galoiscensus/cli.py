@@ -288,12 +288,13 @@ def _cmd_asym(args, parser) -> int:
 
 
 def _join_negative_coeffs(argv: list[str]) -> list[str]:
-    """argv with ``--coeffs V`` written as ``--coeffs=V`` wherever V starts
-    with a minus sign and a digit: argparse would read such a separate
-    value, a list whose first coefficient is negative, as an option."""
+    """argv with ``--coeffs V`` (or an abbreviation such as ``--coef V``)
+    written as ``--coeffs=V`` wherever V starts with a minus sign and a
+    digit: argparse would read such a separate value, a list whose first
+    coefficient is negative, as an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--coeffs" and re.match(r"-\d", arg):
+        if out and len(out[-1]) > 2 and "--coeffs".startswith(out[-1]) and re.match(r"-\d", arg):
             out[-1] = f"--coeffs={arg}"
         else:
             out.append(arg)

@@ -64,8 +64,9 @@ def test_classify_takes_a_negative_first_coefficient_as_a_separate_value(capsys)
     assert json.loads(capsys.readouterr().out)["coeffs"] == [-1000000, 0, 1000000]
     assert main(["classify", "--degree", "4", "--coeffs", "-1,0,0,1"]) == 0
     separate = capsys.readouterr().out
-    assert main(["classify", "--degree", "4", "--coeffs=-1,0,0,1"]) == 0
-    assert capsys.readouterr().out == separate
+    for argv in (["--coeffs=-1,0,0,1"], ["--coef", "-1,0,0,1"]):
+        assert main(["classify", "--degree", "4", *argv]) == 0
+        assert capsys.readouterr().out == separate, argv
 
 
 def test_unknown_flag_rejected():
