@@ -955,8 +955,8 @@ def test_pool_runs_partition_todo_within_the_cell_budget():
 
     # the documented run lengths on two workers
     for degree, H, n in [(3, 500, 4), (4, 60, 2), (3, 1024, 1), (4, 80, 1), (3, 12, 1)]:
-        assert {len(run) for run in _runs(list(range(H + 1)), degree, H, 2)[:-1]} <= {n}, (degree, H)
-        assert len(_runs(list(range(H + 1)), degree, H, 2)[0]) == n, (degree, H)
+        runs = _runs(list(range(H + 1)), degree, H, 2)
+        assert {len(run) for run in runs[:-1]} <= {n} and len(runs[0]) == n, (degree, H)
     for degree, H, workers in [(3, 500, 2), (3, 500, 7), (4, 60, 2), (3, 40, 2), (4, 400, 3), (3, 0, 2)]:
         cells = (2 * H + 1) ** (degree - 1)
         for todo in (list(range(H + 1)), [a for a in range(H + 1) if a % 7 != 3]):
