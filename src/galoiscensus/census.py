@@ -17,17 +17,18 @@ Two interchangeable strategies:
   marking products of lower-degree factors restricted to the stripe (for
   quartics, the linear factors; the stripe adds the quadratic splits read
   off its resolvent roots); memory is O(H^2) regardless of height.
-* ``table``: a global irreducibility bit table is built first by marking all
-  products with inner coefficient ranges doubled, then shared read-only by
+* ``table``: a global irreducibility bit table is built first by clearing
+  every product of lower-degree factors in the box, then shared read-only by
   the classification pass, in this process (the table is not sent to
   workers).  Memory is O(H^degree); it exists as a cross-check of the
   direct strategy and is capped accordingly.
 
-Both strategies run the same stripe job and the same result loop, which
-merges counts, appends each stripe to the optional journal and reports
-progress.  A pool task is a run of consecutive strata of about 2^22 cells
-in all, so the pool's per-task cost is not paid on every short stratum;
-its results still come back, and are journaled, one stratum at a time.
+Both strategies map one stripe job over the strata, serially or on a
+process pool, and feed one result loop, which merges counts, appends each
+stripe to the optional journal and reports progress.  A pool task is a
+chunk of consecutive strata of about 2^22 cells in all, so the pool's
+per-task cost is not paid on every short stratum.  Results come back in
+stratum order on every path, so a journal's records do too.
 
 The cubic A3 sweep tests squares only on the (a, b) rows where
 I = a^2 - 3b is a positive Loeschian number (x^2 + xy + y^2), which the
@@ -90,7 +91,7 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,7 @@ from .classify import (
     invariants_cubic_coeffs,
     invariants_quartic_coeffs,
     is_c4,
+    resolvent_root_bound,
 )
 
 __all__ = [
@@ -422,7 +424,7 @@ def _rad2(height: int) -> np.ndarray:
     far becomes odd, which gives p^ceil(e/2).
     """
     H = height
-    n_max = H * H + 4 * H + 4 * fujiwara_bound(H, H * H + 4 * H, H**3 + 5 * H * H) + 4
+    n_max = H * H + 4 * H + 4 * resolvent_root_bound(H) + 4
     n = np.arange(n_max + 1, dtype=np.int64)
     spf = n.copy()  # smallest prime factor; spf[k] == k marks k prime
     for p in range(2, math.isqrt(n_max) + 1):
@@ -662,12 +664,33 @@ def _quartic_block_counts(a: int, b0: int, b1: int, height: int, red: np.ndarray
 # ---------------------------------------------------------------------------
 # irreducibility tables (the reference enumeration's product marking)
 
+def _clear_products(flat: np.ndarray, height: int, *coeffs) -> None:
+    """Set ``flat``, a C-order table over the box [-H, H]^n, to False at every
+    tuple of ``coeffs`` (X^(n-1) first; int64 arrays, broadcast together, or
+    ints) that lies in the box."""
+    H, W = height, 2 * height + 1
+    ok, idx = True, 0
+    for c in coeffs:
+        ok = ok & (np.abs(c) <= H)
+        idx = idx * W + (c + H)
+    flat[idx[ok]] = False
+
+
 def build_irreducible_table(degree: int, height: int) -> np.ndarray:
     """Bit table over the coefficient box: True iff the tuple is irreducible.
 
-    Built by marking every product of lower-degree monic factors, with the
-    inner linear-coefficient ranges doubled to [-2H, 2H]; divide-out bounds
-    show this covers every factor of a height-H polynomial.  A table over
+    Built by clearing every product of lower-degree monic factors that lies
+    in the box, one loop body per factor shape.  A reducible tuple has a
+    factor X + t or, as a quartic, a split (X^2 + pX + q)(X^2 + rX + s),
+    ordered so that p <= r.  The root -t divides the constant term, or is 0
+    when that is 0, so |t| <= H, and the cofactor's constant term s has
+    |ts| <= H.  A split without a root has qs = d != 0, so 0 < |q| <= H and
+    |qs| <= H.  Also 2p <= p + r = a <= H, and p >= -2H: p <= -2H - 1 would
+    give r = a - p >= H + 1 and |pr| >= (2H + 1)(H + 1) > 3H >= |b - q - s|.
+    Each loop runs over these t, or p and q, with the cofactor's constant
+    term s over the columns and the product's a over the rows (the quartic
+    X + t loop runs over a, and its rows hold b); the factors' other
+    coefficients follow.  Every tuple cleared is a product.  A table over
     DEFAULT_TABLE_CAP bytes is refused.
     """
     if degree not in (3, 4):
@@ -678,59 +701,33 @@ def build_irreducible_table(degree: int, height: int) -> np.ndarray:
             f"table for degree {degree}, height {height} needs {W**degree} bytes, "
             f"over the cap {DEFAULT_TABLE_CAP}"
         )
-    if degree == 3:
-        irred = np.ones((W, W, W), dtype=bool)
-        irred[:, :, H] = False
-        flat = irred.reshape(-1)
-        p = np.arange(-2 * H, 2 * H + 1, dtype=np.int64)[:, None]
-        q = np.arange(-H, H + 1, dtype=np.int64)[None, :]
-        for t in range(-H, H + 1):
-            A = t + p
-            B = t * p + q
-            C = t * q
-            ok = (np.abs(A) <= H) & (np.abs(B) <= H) & (np.abs(C) <= H)
-            if np.any(ok):
-                idx = ((np.broadcast_to(A, ok.shape)[ok] + H) * W + (B[ok] + H)) * W + (
-                    np.broadcast_to(C, ok.shape)[ok] + H
-                )
-                flat[idx] = False
-        return irred
-
-    irred = np.ones((W, W, W, W), dtype=bool)
-    irred[:, :, :, H] = False
+    irred = np.ones((W,) * degree, dtype=bool)
     flat = irred.reshape(-1)
-    inner_lin = np.arange(-2 * H, 2 * H + 1, dtype=np.int64)[:, None]
-    inner_const = np.arange(-H, H + 1, dtype=np.int64)[None, :]
-    # (X + t)(X^3 + pX^2 + qX + s): q columns, s rows
+    box = np.arange(-H, H + 1, dtype=np.int64)
+    col = box[:, None]
+
+    def consts(k: int) -> np.ndarray:
+        """The row of s in the box with |k s| <= H (every s for k = 0)."""
+        m = H // abs(k) if k else H
+        return box[None, H - m : H + m + 1]
+
+    if degree == 3:
+        # (X + t)(X^2 + pX + q), p = a - t
+        for t in range(-H, H + 1):
+            q = consts(t)
+            _clear_products(flat, H, col, t * (col - t) + q, t * q)
+        return irred
+    # (X + t)(X^3 + pX^2 + qX + s), p = a - t and q = b - tp
     for t in range(-H, H + 1):
-        for p in range(-2 * H, 2 * H + 1):
-            A = t + p
-            if abs(A) > H:
-                continue
-            B = t * p + inner_lin
-            C = t * inner_lin + inner_const
-            D = t * inner_const
-            ok = (np.abs(B) <= H) & (np.abs(C) <= H) & (np.abs(D) <= H)
-            if np.any(ok):
-                idx = (
-                    ((A + H) * W + (np.broadcast_to(B, ok.shape)[ok] + H)) * W
-                    + (C[ok] + H)
-                ) * W + (np.broadcast_to(D, ok.shape)[ok] + H)
-                flat[idx] = False
-    # (X^2 + pX + q)(X^2 + rX + s): r columns, s rows
-    for p in range(-2 * H, 2 * H + 1):
-        for q in range(-H, H + 1):
-            A = p + inner_lin
-            B = q + inner_const + p * inner_lin
-            C = p * inner_const + q * inner_lin
-            D = q * inner_const
-            ok = (np.abs(A) <= H) & (np.abs(B) <= H) & (np.abs(C) <= H) & (np.abs(D) <= H)
-            if np.any(ok):
-                idx = (
-                    ((np.broadcast_to(A, ok.shape)[ok] + H) * W + (B[ok] + H)) * W
-                    + (C[ok] + H)
-                ) * W + (np.broadcast_to(D, ok.shape)[ok] + H)
-                flat[idx] = False
+        s = consts(t)
+        for a in range(-H, H + 1):
+            _clear_products(flat, H, a, col, t * (col - t * (a - t)) + s, t * s)
+    # (X^2 + pX + q)(X^2 + rX + s), r = a - p
+    for p in range(-2 * H, H // 2 + 1):
+        r = col - p
+        for q in (*range(-H, 0), *range(1, H + 1)):
+            s = consts(q)
+            _clear_products(flat, H, col, q + s + p * r, p * s + q * r, q * s)
     return irred
 
 
@@ -763,50 +760,41 @@ def _stripe_job(degree: int, height: int, a: int, table: np.ndarray | None = Non
 
 _RUN_CELLS = 2**22
 """Cells per pool task, unless one stratum alone holds more.  A task is a
-run of consecutive strata, so the pool's per-task cost (pickling, a future,
-a wakeup of the parent) is paid once per run: runs of 4 strata at cubic
-H = 500 and of 2 at quartic H = 60, single strata from cubic H = 1024 and
-quartic H = 80 on.  A run never holds more than len(todo) // (4 workers)
-strata, so each worker still takes about four tasks or more and the last
-ones end close together."""
+chunk of consecutive strata, so the pool's per-task cost (pickling, a
+future, a wakeup of the parent) is paid once per chunk: chunks of 4 strata
+at cubic H = 500 and of 2 at quartic H = 60, single strata from cubic
+H = 1024 and quartic H = 80 on.  A chunk never holds more than
+len(todo) // (4 workers) strata, so each worker still takes about four
+tasks or more and the last ones end close together."""
 
 
-def _runs(todo: list[int], degree: int, height: int, workers: int) -> list[list[int]]:
-    """``todo`` cut in order into runs of n consecutive strata (the last may
-    be shorter), n = max(1, min(_RUN_CELLS // W^(degree - 1),
-    len(todo) // (4 workers)))."""
+def _run_length(degree: int, height: int, n_todo: int, workers: int) -> int:
+    """Strata per pool task: max(1, min(_RUN_CELLS // W^(degree - 1),
+    n_todo // (4 workers)))."""
     per_stratum = (2 * height + 1) ** (degree - 1)
-    n = max(1, min(_RUN_CELLS // per_stratum, len(todo) // (4 * workers)))
-    return [todo[i : i + n] for i in range(0, len(todo), n)]
-
-
-def _run_job(degree: int, height: int, run: list[int]) -> list[tuple[int, dict[str, int]]]:
-    """The ``_stripe_job`` result of each stratum of ``run``, in order."""
-    return [_stripe_job(degree, height, a) for a in run]
+    return max(1, min(_RUN_CELLS // per_stratum, n_todo // (4 * workers)))
 
 
 def _stripe_results(req: CensusRequest, todo: list[int], stack: contextlib.ExitStack):
-    """Iterator of (a, counts) over the stripes in ``todo``.
+    """Iterator of (a, counts) over the stripes in ``todo``, in that order.
 
-    ``table`` runs in this process, since its table is not sent to workers;
-    ``direct`` runs on a process pool (entered on ``stack``) unless one
-    worker or one stripe makes a pool pointless.  Both in-process paths
-    take one stratum per step.  A pool task is a run of strata from
-    ``_runs``, whose results are yielded one stratum at a time as each run
-    completes.
+    One job, ``_stripe_job`` with the request's degree, height and table, is
+    mapped over ``todo``: by the builtin ``map`` in this process, or by a
+    process pool's ``map`` (entered on ``stack``) in chunks of
+    ``_run_length`` strata.  ``table`` runs in this process, since its table
+    is not sent to workers, and so does ``direct`` when one worker or one
+    stripe makes a pool pointless.  With no stripe to run, no table is built.
     """
     degree, H = req.degree, req.height
-    if req.strategy == "table":
-        table = build_irreducible_table(degree, H)
-        return (_stripe_job(degree, H, a, table) for a in todo)
+    table = build_irreducible_table(degree, H) if req.strategy == "table" and todo else None
+    job = functools.partial(_stripe_job, degree, H, table=table)
     workers = req.workers or os.cpu_count() or 1
-    if workers == 1 or len(todo) <= 1:
-        return (_stripe_job(degree, H, a) for a in todo)
+    if table is not None or workers == 1 or len(todo) <= 1:
+        return map(job, todo)
     pool = ProcessPoolExecutor(max_workers=workers)
-    # on an error or interrupt, drop the runs no worker has started
+    # on an error or interrupt, drop the chunks no worker has started
     stack.callback(pool.shutdown, wait=True, cancel_futures=True)
-    futs = [pool.submit(_run_job, degree, H, run) for run in _runs(todo, degree, H, workers)]
-    return (res for fut in as_completed(futs) for res in fut.result())
+    return pool.map(job, todo, chunksize=_run_length(degree, H, len(todo), workers))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ __all__ = [
     "is_c4",
     "classify_quartic",
     "fujiwara_bound",
+    "resolvent_root_bound",
     "integer_roots_monic_cubic",
     "frobenius_cycle_type",
 ]
@@ -243,6 +244,14 @@ def fujiwara_bound(p: int, q: int, r: int) -> int:
     |x| <= 2 max(|p|, |q|^(1/2), |r|^(1/3)).  B grows with |q| and |r|, so
     upper bounds on them give a B for a whole family of cubics."""
     return 2 * max(abs(p), math.isqrt(abs(q)) + 1, iroot(abs(r), 3) + 1, 1) + 1
+
+
+def resolvent_root_bound(height: int) -> int:
+    """B > |x| for every root x of the resolvent X^3 + pX^2 + qX + r
+    (``resolvent_coeffs``) of every monic quartic of height <= H: there
+    |p| <= H, |q| <= H^2 + 4H and |r| <= H^3 + 5H^2."""
+    H = height
+    return fujiwara_bound(H, H * H + 4 * H, H**3 + 5 * H * H)
 
 
 def integer_roots_monic_cubic(p: int, q: int, r: int) -> list[int]:

@@ -64,26 +64,24 @@ def _progress_printer(label: str):
     """Census progress callback: done/total, stripes/s and an ETA on stderr,
     at most once a second (and at the end).
 
-    The rate counts only the stripes finished since the printer was made.
-    Each call reports one more stripe, so the first call's ``done - 1``
-    stripes came from a journal.
+    The clock and the stripe count start at the first call, so the rate
+    counts only the stripes finished after it: neither the set-up before the
+    first stripe (such as the ``table`` strategy's table) nor stripes
+    resumed from a journal.  The first line has no rate yet.
     """
-    start = time.monotonic()
-    state = {"last": 0.0, "resumed": None}
+    state = {"last": 0.0}
 
     def cb(done: int, total: int) -> None:
         now = time.monotonic()
-        if state["resumed"] is None:
-            state["resumed"] = done - 1
+        if "start" not in state:
+            state.update(start=now, base=done)
         if done == total or now - state["last"] > 1.0:
             state["last"] = now
-            rate = (done - state["resumed"]) / max(now - start, 1e-9)
-            eta = (total - done) / rate
-            print(
-                f"{label}: {done}/{total} stripes, {rate:.2f} stripes/s, ETA {eta:.0f} s",
-                file=sys.stderr,
-                flush=True,
-            )
+            line = f"{label}: {done}/{total} stripes"
+            if done > state["base"]:
+                rate = (done - state["base"]) / max(now - state["start"], 1e-9)
+                line += f", {rate:.2f} stripes/s, ETA {(total - done) / rate:.0f} s"
+            print(line, file=sys.stderr, flush=True)
 
     return cb
 

@@ -42,9 +42,10 @@ windows up to STAR_INT64_WINDOW = 12 run in int64.  Above it the blocks hold
 Python ints, about 5 times the memory, so each (u, v) is a block of its own.
 
 Symmetry: the resolvent X^3 + pX^2 + qX + r has |p| <= W, |q| <= W^2 + 4W
-and |r| <= W^3 + 5W^2, so its roots satisfy |x| < B = `_symmetry_bound(W)`,
-and |x| <= X = B - 1 on the grid.  The resolvent ((x + p) x + q) x + r has
-majorant ((X + W) X + W^2 + 4W) X + W^3 + 5W^2.  The identity, evaluated
+and |r| <= W^3 + 5W^2, so its roots satisfy |x| < B =
+`resolvent_root_bound(W)`, and |x| <= X = B - 1 on the grid.  The
+resolvent ((x + p) x + q) x + r has majorant
+((X + W) X + W^2 + 4W) X + W^3 + 5W^2.  The identity, evaluated
 only where the resolvent vanishes, has majorants
 (X^2 + 4W)(W^2 + 4W + 4X) for its left side, as e = b - x, and
 (XW + 2W)^2 for its right side.  The left side is the largest: 9.2227e18
@@ -72,9 +73,9 @@ import numpy as np
 from .classify import (
     disc_cubic_coeffs,
     disc_quartic_coeffs,
-    fujiwara_bound,
     invariants_quartic_coeffs,
     resolvent_coeffs,
+    resolvent_root_bound,
 )
 
 __all__ = [
@@ -200,12 +201,6 @@ SYMMETRY_INT64_WINDOW = 38_963
 """Largest symmetry_suite window evaluated in int64 (argued in the module docstring)."""
 
 
-def _symmetry_bound(window: int) -> int:
-    """B > |x| for every root x of every resolvent in the window: the
-    coefficients satisfy |p| <= W, |q| <= W^2 + 4W, |r| <= W^3 + 5W^2."""
-    return fujiwara_bound(window, window * window + 4 * window, window**3 + 5 * window * window)
-
-
 def _symmetry_block(a: int, b: int, axis: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, ...]:
     """(c, d, x, holds) at fixed (a, b): the values of every cell of the
     (c, d, x) grid axis^2 x xs where the resolvent vanishes at x, in the
@@ -223,7 +218,7 @@ def symmetry_suite(window: int) -> VerificationReport:
     case per integer root x of its resolvent, with e = b - x.
 
     Each (a, b) is one block, `_symmetry_block` on the broadcast (c, d, x)
-    grid with |x| < `_symmetry_bound(window)`, which holds every root; a
+    grid with |x| < `resolvent_root_bound(window)`, which holds every root; a
     cell where the resolvent vanishes is one case.  At window 6 that is
     13^2 * 33 = 5,577 cells a block.  Up to SYMMETRY_INT64_WINDOW the
     blocks are int64, above it Python ints.  Failures are listed in the
@@ -232,7 +227,7 @@ def symmetry_suite(window: int) -> VerificationReport:
     rep = VerificationReport("symmetry", window, 0)
     dtype = np.int64 if window <= SYMMETRY_INT64_WINDOW else object
     axis = np.arange(-window, window + 1, dtype=dtype)
-    bound = _symmetry_bound(window)
+    bound = resolvent_root_bound(window)
     xs = np.arange(1 - bound, bound, dtype=dtype)
     rng = range(-window, window + 1)
     for a in rng:

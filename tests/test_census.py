@@ -553,6 +553,18 @@ def test_irreducible_table_matches_witness_scan():
         assert bool(table[a + 3, b + 3, c + 3, d + 3]) == expected
 
 
+@pytest.mark.parametrize("degree, heights", [(3, range(0, 9)), (4, range(0, 5))])
+def test_irreducible_table_matches_classifier(degree, heights):
+    for H in heights:
+        table = build_irreducible_table(degree, H)
+        for coeffs in itertools.product(range(-H, H + 1), repeat=degree):
+            if degree == 3:
+                expected = classify_cubic(MonicCubic(*coeffs)).value != "reducible"
+            else:
+                expected = reducibility_witness(MonicQuartic(*coeffs)) is None
+            assert bool(table[tuple(c + H for c in coeffs)]) == expected, coeffs
+
+
 def test_journal_resume(tmp_path):
     for strategy in ("direct", "table"):
         journal = tmp_path / f"{strategy}.journal"
@@ -568,6 +580,18 @@ def test_journal_resume(tmp_path):
         resumed = run_census(req, journal_path=str(journal))
         assert resumed.counts == full.counts
         assert len(journal.read_text().strip().splitlines()) == 1 + 7
+
+
+def test_complete_journal_builds_no_table(tmp_path, monkeypatch):
+    journal = tmp_path / "census.journal"
+    req = CensusRequest(3, 6, strategy="table", workers=1)
+    full = run_census(req, journal_path=str(journal))
+
+    def no_table(degree, height):
+        raise AssertionError("every stripe is in the journal")
+
+    monkeypatch.setattr(census, "build_irreducible_table", no_table)
+    assert run_census(req, journal_path=str(journal)).counts == full.counts
 
 
 def test_journal_torn_tail_is_recomputed(tmp_path):
@@ -587,15 +611,15 @@ def test_journal_torn_tail_is_recomputed(tmp_path):
 def test_journal_after_interrupt_holds_whole_records(tmp_path, workers):
     # Ctrl-C after k stripes: the journal keeps the header and exactly the k
     # records written so far, each a whole line, and a resume completes it.
-    # Two workers take runs of 5 strata here, so k = 1 and k = 7 stop inside
-    # a run and the rest of that run is recomputed on resume
-    from galoiscensus.census import _runs
+    # Two workers take chunks of 5 strata here, so k = 1 and k = 7 stop
+    # inside a chunk and the rest of that chunk is recomputed on resume
+    from galoiscensus.census import _run_length
 
     H = 40
     req = CensusRequest(3, H, workers=workers)
     full = run_census(CensusRequest(3, H, workers=1))
     if workers > 1:
-        assert len(_runs(list(range(H + 1)), 3, H, workers)[0]) == 5
+        assert _run_length(3, H, H + 1, workers) == 5
     for k in (1, 7):
         journal = tmp_path / f"interrupted-{k}.journal"
 
@@ -951,20 +975,35 @@ def test_cubic_float_tile_is_exact_at_the_cap():
 
 
 def test_pool_runs_partition_todo_within_the_cell_budget():
-    from galoiscensus.census import _RUN_CELLS, _runs
+    import contextlib
 
-    # the documented run lengths on two workers
+    from galoiscensus.census import _RUN_CELLS, _run_length, _stripe_results
+
+    # the documented chunk lengths on two workers
     for degree, H, n in [(3, 500, 4), (4, 60, 2), (3, 1024, 1), (4, 80, 1), (3, 12, 1)]:
-        runs = _runs(list(range(H + 1)), degree, H, 2)
-        assert {len(run) for run in runs[:-1]} <= {n} and len(runs[0]) == n, (degree, H)
+        assert _run_length(degree, H, H + 1, 2) == n, (degree, H)
     for degree, H, workers in [(3, 500, 2), (3, 500, 7), (4, 60, 2), (3, 40, 2), (4, 400, 3), (3, 0, 2)]:
         cells = (2 * H + 1) ** (degree - 1)
         for todo in (list(range(H + 1)), [a for a in range(H + 1) if a % 7 != 3]):
-            runs = _runs(todo, degree, H, workers)
-            assert [a for run in runs for a in run] == todo
-            assert all(run for run in runs)
-            assert all(len(run) == 1 or len(run) * cells <= _RUN_CELLS for run in runs)
-            assert all(len(run) <= max(1, len(todo) // (4 * workers)) for run in runs)
+            n = _run_length(degree, H, len(todo), workers)
+            assert n >= 1
+            assert n == 1 or n * cells <= _RUN_CELLS
+            assert n <= max(1, len(todo) // (4 * workers))
+    # the pool yields each stratum of a gapped todo once, in order
+    todo = [a for a in range(41) if a % 7 != 3]
+    with contextlib.ExitStack() as stack:
+        results = _stripe_results(CensusRequest(3, 40, workers=2), todo, stack)
+        assert [a for a, _ in results] == todo
+
+
+def test_pooled_journal_equals_serial_journal(tmp_path):
+    # results arrive in stratum order on every path, so a fresh journal
+    # written by two workers is byte-identical to a serial one
+    journals = {}
+    for workers in (1, 2):
+        journals[workers] = tmp_path / f"workers-{workers}.journal"
+        run_census(CensusRequest(4, 30, workers=workers), journal_path=str(journals[workers]))
+    assert journals[1].read_bytes() == journals[2].read_bytes()
 
 
 def test_cubic_c_window_edges_in_python_ints():

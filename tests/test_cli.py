@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from galoiscensus import cli
+from galoiscensus import census, cli
 from galoiscensus.cli import main
 from galoiscensus.families import validate_units
 
@@ -98,13 +99,35 @@ def test_progress_rate_excludes_resumed_stripes(monkeypatch, capsys):
     clock = iter([100.0, 102.0, 102.5, 104.0])
     monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
     progress = cli._progress_printer("census")
-    progress(31, 61)  # 30 stripes came from the journal; one took 2 s
-    progress(32, 61)  # within a second of the last line: not printed
-    progress(33, 61)
+    progress(31, 61)  # 30 stripes came from the journal; the clock starts here
+    progress(32, 61)
+    progress(33, 61)  # within a second of the last line: not printed
+    progress(34, 61)
     assert capsys.readouterr().err.splitlines() == [
-        "census: 31/61 stripes, 0.50 stripes/s, ETA 60 s",
-        "census: 33/61 stripes, 0.75 stripes/s, ETA 37 s",
+        "census: 31/61 stripes",
+        "census: 32/61 stripes, 0.50 stripes/s, ETA 58 s",
+        "census: 34/61 stripes, 0.75 stripes/s, ETA 36 s",
     ]
+
+
+def test_progress_rate_excludes_table_build(monkeypatch, capsys):
+    # the clock starts at the first stripe, after the table is built
+    build = census.build_irreducible_table
+
+    def slow_build(degree, height):
+        time.sleep(1.5)
+        return build(degree, height)
+
+    monkeypatch.setattr(census, "build_irreducible_table", slow_build)
+    argv = ["census", "--degree", "3", "--height", "3", "--strategy", "table", "--threads", "1"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "census: 1/4 stripes" and lines[-1].startswith("census: 4/4 stripes, ")
+    rates = [float(line.split(", ")[1].split()[0]) for line in lines[1:]]
+    assert rates and min(rates) > 5  # 4 stripes / 1.5 s if the build counted
+
+    assert main(["census", "--degree", "3", "--height", "0", "--threads", "1"]) == 0
+    assert capsys.readouterr().err.splitlines() == ["census: 1/1 stripes"]
 
 
 def test_census_csv_to_file(tmp_path, capsys):

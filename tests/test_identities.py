@@ -15,6 +15,7 @@ from galoiscensus.classify import (
     invariants_quartic,
     invariants_quartic_coeffs,
     resolvent_coeffs,
+    resolvent_root_bound,
 )
 from galoiscensus.identities import (
     STAR_INT64_WINDOW,
@@ -34,7 +35,6 @@ from galoiscensus.identities import (
     _star_sides,
     _surface_block,
     _symmetry_block,
-    _symmetry_bound,
 )
 
 
@@ -143,15 +143,15 @@ def test_symmetry_planted_faults_match_quartic_oracle(monkeypatch, cap):
 def test_symmetry_bound_holds_every_root():
     # the window's bound against the per-quartic bound of every resolvent
     for window in range(0, 8):
-        bound = _symmetry_bound(window)
+        bound = resolvent_root_bound(window)
         for a, b, c, d in itertools.product((-window, 0, window), repeat=4):
             assert fujiwara_bound(*resolvent_coeffs(a, b, c, d)) <= bound
-    assert _symmetry_bound(6) == 17
+    assert resolvent_root_bound(6) == 17
 
 
 def _symmetry_majorant(window):
     _Majorant.peak = 0
-    m, x = _Majorant(window), _Majorant(_symmetry_bound(window) - 1)
+    m, x = _Majorant(window), _Majorant(resolvent_root_bound(window) - 1)
     p, q, r = resolvent_coeffs(m, m, m, m)
     resolvent_side = ((x + p) * x + q) * x + r
     check_symmetry_identity(x, m, m, m, m - x)  # e = b - x
@@ -162,11 +162,11 @@ def test_symmetry_int64_cap_argument():
     # the figures quoted in the identities module docstring
     cap = SYMMETRY_INT64_WINDOW
     for window in (1, 6, 100, cap, cap + 1):
-        w, x = window, _symmetry_bound(window) - 1
+        w, x = window, resolvent_root_bound(window) - 1
         left = (x * x + 4 * w) * (w * w + 4 * w + 4 * x)
         assert _symmetry_majorant(window)[1] == max(left, (x * w + 2 * w) ** 2)
         assert _symmetry_majorant(window)[0] == ((x + w) * x + w * w + 4 * w) * x + w**3 + 5 * w * w
-    assert _symmetry_bound(cap) - 1 == 77_930
+    assert resolvent_root_bound(cap) - 1 == 77_930
     assert _symmetry_majorant(cap)[1] < 2**63 <= _symmetry_majorant(cap + 1)[1]
     assert _symmetry_majorant(cap)[0] < 9 * 10**14
 
@@ -174,7 +174,7 @@ def test_symmetry_int64_cap_argument():
 def test_symmetry_int64_block_matches_object_block_at_cap():
     # the extreme values of the cap window; (b, c, d) = (b, 0, 0) has the root x = b
     cap = SYMMETRY_INT64_WINDOW
-    edge = _symmetry_bound(cap) - 1
+    edge = resolvent_root_bound(cap) - 1
     axis = (-cap, -cap + 1, -1, 0, 1, cap - 1, cap)
     xs = (-edge, -cap, -1, 0, 1, cap, edge)
     for a, b in itertools.product((cap, -cap, 0, 1), (cap, -cap, 1)):
