@@ -34,9 +34,10 @@ The cubic A3 sweep tests squares only on the (a, b) rows where
 I = a^2 - 3b is a positive Loeschian number (x^2 + xy + y^2), which the
 paper's identity 27 disc = 4I^3 - J^2 requires of any square discriminant.
 A square discriminant is also positive, so J^2 < 4I^3 with J = J0 + 27c
-confines each such row to one c-window, whose ends come from isqrt(4I^3)
-taken in Python ints.  The sweep walks cache-sized tiles of consecutive
-rows, each spanning the union of its rows' windows.  A tile's discriminants
+confines each such row to one c-window, whose ends come from 2 I sqrt(I)
+in float64, widened by at most one cell per end.  The sweep walks
+cache-sized tiles of consecutive rows, each spanning the union of its
+rows' windows.  A tile's discriminants
 are evaluated in place on one float64 array, exactly, and its square roots
 taken in place; the few cells whose root is an integer are confirmed in
 int64, and only the confirmed ones are looked up in the reducible mask.
@@ -281,21 +282,24 @@ def _cubic_a3_rows(a: int, height: int) -> np.ndarray:
 
 
 def _cubic_c_window(a: int, height: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): per b-row index in ``rows``, the c-interval where disc >= 0.
+    """(lo, hi): per b-row index in ``rows``, a c-interval holding every cell
+    with disc >= 0, and at most one cell more at each end, of disc < 0.
 
-    27 disc = 4I^3 - J^2 with J = J0 + 27c and J0 = 2a^3 - 9ab, so disc > 0
-    needs |J| <= s = isqrt(4I^3), that is c in
-    [ceil((-s - J0) / 27), floor((s - J0) / 27)], cut to [-H, H].  Every cell
-    in it has disc >= 0 (the s end itself may give disc = 0, which the square
-    test rejects), and every cell outside it has disc < 0.  4I^3 outgrows
-    int64 once H passes about 1135, so s is taken in Python ints.  s itself
-    is at most 2 (H^2 + 3H)^1.5 and |J0| at most 2H^3 + 9H^2, both below
-    2^38 at the cubic cap, so the window ends are exact in int64.  hi < lo
-    marks an empty window.
+    27 disc = 4I^3 - J^2 with J = J0 + 27c and J0 = 2a^3 - 9ab, so disc >= 0
+    needs |J| <= S = isqrt(4I^3).  The window is
+    [ceil((-s - J0) / 27), floor((s - J0) / 27)], cut to [-H, H], for
+    s = ceil(2 I sqrt(I)) taken in float64.  The rows have 1 <= I <= H^2 + 3H
+    < 2^25 at the cubic cap, and the float 2 I sqrt(I) < 2^38.5 is within
+    relative error 2^-52 (two roundings) of sqrt(4I^3), so within
+    2^-13.5 < 10^-4: S <= s <= S + 2.  A c that s adds to the exact window
+    has |J| > S, so J^2 > 4I^3 and disc < 0, which the square test rejects;
+    as J steps by 27, s adds at most one c per end.
+    s and |J0| <= 2H^3 + 9H^2 are below 2^38 at the cap, so the window ends
+    are exact in int64.  hi < lo marks an empty window.
     """
     H = height
     i, j0 = invariants_cubic_coeffs(a, rows - H, 0)
-    s = np.array([math.isqrt(4 * v**3) for v in i.tolist()], dtype=np.int64)
+    s = np.ceil(2 * i * np.sqrt(i)).astype(np.int64)
     return np.maximum(-((s + j0) // 27), -H), np.minimum((s - j0) // 27, H)
 
 
@@ -321,16 +325,15 @@ def _cubic_a3_cells(a: int, height: int, red: np.ndarray) -> tuple[np.ndarray, n
     ``disc_cubic_terms``, is evaluated in place on one float64 array and
     its square root taken in place; the candidates are the cells whose root
     is an integer (NaN, from disc < 0, never is).  Each candidate is then
-    confirmed in int64 by ``disc_cubic_coeffs``: disc > 0 and r * r = disc
-    for r = int(sqrt).  The reducible mask is read at the confirmed cells
-    alone.
+    confirmed by ``_square_mask`` on its int64 ``disc_cubic_coeffs``.  The
+    reducible mask is read at the confirmed cells alone.
 
     The float64 values are exact.  Every partial value of the Horner steps
     is an integer of absolute value at most 5 H^4 + 22 H^3 + 27 H^2 (the
     int64 bound of the module docstring), 3.13e15 < 2^53 at the cubic cap,
     so each step rounds to itself.  A true square k^2 then has the correctly
     rounded root k exactly, so no A3 cell is missed; a non-square whose root
-    rounds to an integer fails the integer check.
+    rounds to an integer fails the int64 square test.
     """
     H = height
     rows = _cubic_a3_rows(a, H)
@@ -339,7 +342,7 @@ def _cubic_a3_cells(a: int, height: int, red: np.ndarray) -> tuple[np.ndarray, n
     rows, lo, hi = rows[keep], lo[keep], hi[keep]
     t1, t0 = (t.astype(np.float64)[:, None] for t in disc_cubic_terms(a, rows - H))
     step = max(1, _TILE_CELLS // (2 * H + 1))
-    ks, cs, roots = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    ks, cs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     with np.errstate(invalid="ignore"):  # sqrt(disc < 0) is NaN
         for k in range(0, rows.size, step):
             c0, c1 = int(lo[k : k + step].min()), int(hi[k : k + step].max())
@@ -349,12 +352,8 @@ def _cubic_a3_cells(a: int, height: int, red: np.ndarray) -> tuple[np.ndarray, n
             i, j = np.divmod(hit, c1 - c0 + 1)
             ks.append(i + k)
             cs.append(j + c0)
-            roots.append(v.reshape(-1)[hit])
-    ri, c, r = (np.concatenate(parts) for parts in (ks, cs, roots))
-    rows = rows[ri]
-    v = disc_cubic_coeffs(a, rows - H, c)
-    r = r.astype(np.int64)
-    ok = (v > 0) & (r * r == v)
+    rows, c = rows[np.concatenate(ks)], np.concatenate(cs)
+    ok = _square_mask(disc_cubic_coeffs(a, rows - H, c))
     rows, c = rows[ok], c[ok]
     ok = ~red[rows, c + H]
     return rows[ok], c[ok]
@@ -419,28 +418,18 @@ def _rad2(height: int) -> np.ndarray:
     n_max = H^2 + 4H + 4B + 4 bounds |K| = |a^2 - 4b + 4x| for every stripe
     and every resolvent root candidate |x| <= B, the stripes' largest
     Fujiwara bound.  Keyed by H alone, the table is built once per process.
-    A smallest-prime-factor sieve feeds one pass per prime factor: dividing
-    out p multiplies the result by p exactly when the exponent of p read so
-    far becomes odd, which gives p^ceil(e/2).
+    Write n = s^2 k with k squarefree, s^2 the largest square dividing n:
+    each p^e of n has e = 2 v_p(s) + v_p(k) with v_p(k) <= 1, so
+    ceil(e / 2) = v_p(s) + v_p(k) and rad2(n) = s k = n / s.  s is found by
+    marking the multiples of d^2 with d for d = 2, 3, ... in turn, so the
+    last mark, the largest d, wins.
     """
     H = height
     n_max = H * H + 4 * H + 4 * resolvent_root_bound(H) + 4
-    n = np.arange(n_max + 1, dtype=np.int64)
-    spf = n.copy()  # smallest prime factor; spf[k] == k marks k prime
-    for p in range(2, math.isqrt(n_max) + 1):
-        if spf[p] == p:
-            view = spf[p * p :: p]
-            np.minimum(view, p, out=view)
-    rem, rad = n.copy(), np.ones_like(n)
-    rem[0] = 1
-    last, odd = np.zeros_like(n), np.zeros(n.shape, dtype=bool)
-    while (rem > 1).any():
-        p = spf[rem]  # 1 once rem is used up
-        odd = (p > 1) & ((p != last) | ~odd)
-        rad *= np.where(odd, p, 1)
-        rem //= p
-        last = p
-    rad[0] = 0
+    s = np.ones(n_max + 1, dtype=np.int64)
+    for d in range(2, math.isqrt(n_max) + 1):
+        s[d * d :: d * d] = d
+    rad = np.arange(n_max + 1, dtype=np.int64) // s
     rad.flags.writeable = False  # one cached copy is shared by every stripe
     return rad
 

@@ -96,31 +96,21 @@ class CrossValidationReport:
 def _squarefree_u_values(u_max: int) -> np.ndarray:
     """Squarefree u = 12 (mod 18) up to u_max, by sieving k with u = 12 + 18k.
 
-    9 never divides such u, and 4 | u exactly when k is even; odd primes
-    p >= 5 contribute the residue class k = -12/18 (mod p^2).
+    9 never divides such u, and 4 | u exactly when k is even.  For m >= 5
+    prime to 6, m^2 | u exactly when k = -12/18 (mod m^2), so clearing that
+    class for every such m <= sqrt(u_max) leaves the squarefree u.  No prime
+    sieve is needed: if m is composite, m^2 | u gives p^2 | u for each prime
+    p | m, so m clears only u that p clears already.
     """
     if u_max < 12:
         return np.zeros(0, dtype=np.int64)
-    n_k = (u_max - 12) // 18 + 1
-    flags = np.ones(n_k, dtype=bool)
+    flags = np.ones((u_max - 12) // 18 + 1, dtype=bool)
     flags[0::2] = False  # k even <=> 4 | u
-    limit = math.isqrt(u_max)
-    if limit >= 5:
-        sieve = np.ones(limit + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(limit) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        for p in np.nonzero(sieve)[0]:
-            p = int(p)
-            if p < 5:
-                continue
-            p2 = p * p
-            k0 = (-12 * pow(18, -1, p2)) % p2
-            if k0 < n_k:
-                flags[k0::p2] = False
-    ks = np.nonzero(flags)[0]
-    return 12 + 18 * ks.astype(np.int64)
+    for m in range(5, math.isqrt(u_max) + 1):
+        if math.gcd(m, 6) == 1:
+            m2 = m * m
+            flags[-12 * pow(18, -1, m2) % m2 :: m2] = False
+    return 12 + 18 * np.flatnonzero(flags).astype(np.int64)
 
 
 def _cong_range(lo: int, hi: int, residue: int, modulus: int) -> range:

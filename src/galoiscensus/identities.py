@@ -10,13 +10,16 @@ The symmetry, star and surface suites evaluate their window one block at a
 time, on broadcast numpy grids, through the same formulas a single case goes
 through: ``resolvent_coeffs`` and ``check_symmetry_identity``, `_star_sides`,
 ``invariants_quartic_coeffs`` and ``surface_eval``.  A block holds one value
-of the first variable (u for star, a for surface, and (a, b) for symmetry,
-whose root axis x makes its grids longer) and the whole grid of the others,
-so failures are read from it in the order of the nested loop over the
-variables.  Such blocks keep the memory to a few hundred kB at W = 6; a
-single grid would be 13 times larger.  A symmetry block per a alone would
-hold (2W + 1)^3 (2B - 1) cells, 4.3e6 at W = 16, where it raised the peak
-RSS by 41 MB against 1.5 MB per (a, b), at the same speed.
+of the first variable (a for surface) or of the first two ((u, v) for star,
+and (a, b) for symmetry, whose root axis x makes its grids longer) and the
+whole grid of the others, so failures are read from it in the order of the
+nested loop over the variables.  Such blocks keep the memory to a few
+hundred kB at W = 6; a single grid would be at least 13 times larger.  A
+symmetry block per a alone would hold (2W + 1)^3 (2B - 1) cells, 4.3e6 at
+W = 16, where it raised the peak RSS by 41 MB against 1.5 MB per (a, b),
+at the same speed.  Star blocks per (u, v) serve both dtypes; blocks per u alone
+took as long at W = 6 and 12 and longer at W = 10, 0.56-0.69 s against
+0.40-0.46 s (best of 5, three runs, 2-core x86-64 box).
 
 int64 safety of the grids: numpy int64 wraps silently, so the window caps
 are proved, not measured.  Replace every variable by a bound on its absolute
@@ -38,8 +41,8 @@ side, disc(X^4 + 2a X^3 + 4b X^2 + 8c X + 16d), the majorant is
 which is 4.49e18 < 2^63 at W = 12 but 1.37e19 > 2^63 at W = 13.  For the
 other side, 64 factor^2 RHS, it is 256 W^14 + 1024 W^13 + 13824 W^12
 + 46080 W^11 + 69888 W^10 + 53248 W^9 + 16384 W^8, 6.0e17 at W = 12.  So
-windows up to STAR_INT64_WINDOW = 12 run in int64.  Above it the blocks hold
-Python ints, about 5 times the memory, so each (u, v) is a block of its own.
+windows up to STAR_INT64_WINDOW = 12 run in int64, and larger ones on the
+same blocks of Python ints.
 
 Symmetry: the resolvent X^3 + pX^2 + qX + r has |p| <= W, |q| <= W^2 + 4W
 and |r| <= W^3 + 5W^2, so its roots satisfy |x| < B =
@@ -152,14 +155,12 @@ STAR_INT64_WINDOW = 12
 _STAR_SIGNS = (1, -1)
 
 
-def _star_block(u: int, window: int, dtype, vs: range | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides at fixed u on the (v, w, x, a, sign) grid of the window,
-    with sign = (+1, -1) on the last axis; v runs over ``vs``, by default
-    the whole window."""
+def _star_block(u: int, v: int, window: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides at fixed (u, v) on the (w, x, a, sign) grid of the window,
+    with sign = (+1, -1) on the last axis."""
     r = np.arange(-window, window + 1, dtype=dtype)
     n = r.size
-    v = r if vs is None else np.arange(vs.start, vs.stop, dtype=dtype)
-    v, w, x, a = v.reshape(-1, 1, 1, 1, 1), r.reshape(n, 1, 1, 1), r.reshape(n, 1, 1), r.reshape(n, 1)
+    w, x, a = r.reshape(n, 1, 1, 1), r.reshape(n, 1, 1), r.reshape(n, 1)
     return _star_sides(u, v, w, x, a, np.array(_STAR_SIGNS, dtype=dtype))
 
 
@@ -243,27 +244,22 @@ def star_suite(window: int) -> VerificationReport:
     """The cleared-denominator discriminant factorization on the full
     (u, v, w, x, a) window, both signs.
 
-    Each u is one block: `_star_sides` on the broadcast (v, w, x, a, sign)
-    grid, in int64 up to STAR_INT64_WINDOW.  Above it the blocks hold
-    Python ints, about 5 times the memory, so each (u, v) is its own block:
-    at window 13 one u then raises the peak RSS by 19 MB, not 357 MB.
-    Failures are listed in the loop order u, v, w, x, a, sign = +1 before
-    -1, as plain ints.
+    Each (u, v) is one block: `_star_sides` on the broadcast
+    (w, x, a, sign) grid, in int64 up to STAR_INT64_WINDOW and in Python
+    ints above it.  Failures are listed in the loop order u, v, w, x, a,
+    sign = +1 before -1, as plain ints.
     """
     rep = VerificationReport("star", window, 0)
+    dtype = np.int64 if window <= STAR_INT64_WINDOW else object
     rng = range(-window, window + 1)
-    if window <= STAR_INT64_WINDOW:
-        dtype, v_blocks = np.int64, [rng]
-    else:
-        dtype, v_blocks = object, [range(v, v + 1) for v in rng]
     for u in rng:
-        for vs in v_blocks:
-            lhs, rhs = _star_block(u, window, dtype, vs)
+        for v in rng:
+            lhs, rhs = _star_block(u, v, window, dtype)
             bad = lhs != rhs
             rep.cases_checked += bad.size
-            for vi, wi, xi, ai, si in np.argwhere(bad).tolist():
+            for wi, xi, ai, si in np.argwhere(bad).tolist():
                 rep.failures.append(
-                    {"u": u, "v": vs[vi], "w": wi - window, "x": xi - window,
+                    {"u": u, "v": v, "w": wi - window, "x": xi - window,
                      "a": ai - window, "sign": _STAR_SIGNS[si]}
                 )
     return rep

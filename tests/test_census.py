@@ -1007,8 +1007,9 @@ def test_pooled_journal_equals_serial_journal(tmp_path):
 
 
 def test_cubic_c_window_edges_in_python_ints():
-    # the window ends hold disc >= 0 and their outer neighbours disc <= 0,
-    # evaluated in Python ints, including rows where 4 I^3 outgrows int64
+    # the float window holds the exact window from isqrt(4 I^3), taken in
+    # Python ints, and exceeds it by at most one c per end; its outer
+    # neighbours hold disc <= 0, including rows where 4 I^3 outgrows int64
     from galoiscensus.census import _cubic_a3_rows, _cubic_c_window
     from galoiscensus.classify import disc_cubic_coeffs
 
@@ -1021,15 +1022,17 @@ def test_cubic_c_window_edges_in_python_ints():
             lo, hi = _cubic_c_window(a, H, np.array(pick, dtype=np.int64))
             for bi, lo_c, hi_c in zip(pick, lo.tolist(), hi.tolist()):
                 b = bi - H
-                wide += 4 * (a * a - 3 * b) ** 3 > 2**63
+                i, j0 = a * a - 3 * b, 2 * a**3 - 9 * a * b
+                wide += 4 * i**3 > 2**63
+                s = math.isqrt(4 * i**3)
+                exact_lo, exact_hi = max(-((s + j0) // 27), -H), min((s - j0) // 27, H)
                 if lo_c - 1 >= -H:
                     assert disc_cubic_coeffs(a, b, lo_c - 1) <= 0, (H, a, b)
                 if hi_c + 1 <= H:
                     assert disc_cubic_coeffs(a, b, hi_c + 1) <= 0, (H, a, b)
-                if lo_c <= hi_c:
-                    non_empty += 1
-                    assert disc_cubic_coeffs(a, b, lo_c) >= 0, (H, a, b)
-                    assert disc_cubic_coeffs(a, b, hi_c) >= 0, (H, a, b)
+                assert exact_lo - 1 <= lo_c <= exact_lo, (H, a, b)
+                assert exact_hi <= hi_c <= exact_hi + 1, (H, a, b)
+                non_empty += exact_lo <= exact_hi
     assert wide > 20 and non_empty > 100
 
 

@@ -226,12 +226,12 @@ def test_star_scaled_agrees_with_fraction_route():
     window = 3
     rng = range(-window, window + 1)
     cells = 0
-    for u in rng:
-        lhs, rhs = _star_block(u, window, np.int64)
+    for u, v in itertools.product(rng, repeat=2):
+        lhs, rhs = _star_block(u, v, window, np.int64)
         holds = lhs == rhs
-        for v, w, x, a in itertools.product(rng, repeat=4):
+        for w, x, a in itertools.product(rng, repeat=3):
             for si, sign in enumerate((1, -1)):
-                cell = (v + window, w + window, x + window, a + window, si)
+                cell = (w + window, x + window, a + window, si)
                 assert holds[cell] == check_star_identity(u, v, w, x, a, sign)
                 cells += 1
     assert cells == 33_614
@@ -324,27 +324,26 @@ def test_star_int64_blocks_match_object_blocks_at_cap():
     cap = STAR_INT64_WINDOW
     seeded = random.Random(11).sample(range(-cap + 1, cap), 2)
     for u in (cap, -cap, 0, *seeded):
-        for side, exact in zip(_star_block(u, cap, np.int64), _star_block(u, cap, object)):
-            assert side.dtype == np.int64 and exact.dtype == object
-            assert (side.astype(object) == exact).all()
+        for v in range(-cap, cap + 1):
+            for side, exact in zip(_star_block(u, v, cap, np.int64), _star_block(u, v, cap, object)):
+                assert side.dtype == np.int64 and exact.dtype == object
+                assert (side.astype(object) == exact).all()
 
 
 def test_star_suite_selects_object_dtype_above_cap(monkeypatch):
     seen = []
 
-    def spy(u, window, dtype, vs):
-        seen.append((dtype, len(vs)))
+    def spy(u, v, window, dtype):
+        seen.append((u, v, dtype))
         return np.zeros(1, dtype=dtype), np.zeros(1, dtype=dtype)
 
     monkeypatch.setattr(identities, "_star_block", spy)
-    star_suite(STAR_INT64_WINDOW)
-    # int64: one block per u, over every v
-    assert set(seen) == {(np.int64, 2 * STAR_INT64_WINDOW + 1)}
-    assert len(seen) == 2 * STAR_INT64_WINDOW + 1
-    seen.clear()
-    star_suite(STAR_INT64_WINDOW + 1)
-    # object: one block per (u, v)
-    assert set(seen) == {(object, 1)} and len(seen) == (2 * STAR_INT64_WINDOW + 3) ** 2
+    for window, dtype in ((STAR_INT64_WINDOW, np.int64), (STAR_INT64_WINDOW + 1, object)):
+        seen.clear()
+        star_suite(window)
+        # one block per (u, v), in loop order, int64 up to the cap
+        rng = range(-window, window + 1)
+        assert seen == [(u, v, dtype) for u in rng for v in rng]
 
 
 def test_star_suite_object_route(monkeypatch):
