@@ -17,9 +17,9 @@ nested loop over the variables.  Such blocks keep the memory to a few
 hundred kB at W = 6; a single grid would be at least 13 times larger.  A
 symmetry block per a alone would hold (2W + 1)^3 (2B - 1) cells, 4.3e6 at
 W = 16, where it raised the peak RSS by 41 MB against 1.5 MB per (a, b),
-at the same speed.  Star blocks per (u, v) serve both dtypes; blocks per u alone
-took as long at W = 6 and 12 and longer at W = 10, 0.56-0.69 s against
-0.40-0.46 s (best of 5, three runs, 2-core x86-64 box).
+at the same speed.  Star blocks per (u, v) serve both dtypes; blocks per
+u alone took as long at W = 6 and 12 and longer at W = 10, 0.56-0.69 s
+against 0.40-0.46 s (best of 5, three runs, 2-core x86-64 box).
 
 int64 safety of the grids: numpy int64 wraps silently, so the window caps
 are proved, not measured.  Replace every variable by a bound on its absolute
