@@ -4,9 +4,9 @@ The coefficient box [-H, H]^deg is enumerated in stripes, one per a-stratum
 (fixed a), and every tuple in a stripe is classified with vectorized int64
 kernels (the cubic square sweep runs in exact float64 and confirms in
 int64).  A cubic stripe is one (b, c) grid.  A quartic stripe is walked in
-blocks of consecutive b, each a (b, c, d) grid of about 2^17 cells (8 b at
-H = 60, one from H = 128 on), and each layer runs as one vectorised pass
-over all of a block's b-values.  The X -> -X symmetry
+blocks of consecutive b, each a (b, c, d) grid of about 2^18 cells (17 b at
+H = 60, 2 at H = 150, one from H = 181 on), and each layer runs as one
+vectorised pass over all of a block's b-values.  The X -> -X symmetry
 (a,b,c,d) -> (-a,b,-c,d) halves the work exactly as in the per-sign
 doubling of the reference enumeration: the a = 0 stratum is counted once,
 a >= 1 strata twice.
@@ -54,13 +54,27 @@ with I = 12d + b^2 - 3ac and J linear in d.  A square discriminant is
 positive, so I(d) > 0 and |J(d)| <= isqrt(4 I(H)^3), since I grows with d:
 each (b, c) row holds one exact d-window with every cell of disc > 0.
 On seeded stripes the windows hold 32% / 27% / 18% of the cells at
-H = 60 / 150 / 400, against 22% / 21% / 17% with disc > 0.  Only the
-windows are evaluated, laid end to end in tiles of about 2^13 cells, and
-every square is confirmed by integer squaring.  V4 and D4/C4 are read off
-the sparse root cells, where the discriminant is evaluated once per block.
+H = 60 / 150 / 400, against 22% / 21% / 17% with disc > 0.  As for cubics,
+a square discriminant also makes I(d) Loeschian, and I(d) = I0 + 12d
+keeps each row in one class mod 12, so the Loeschian d of a row's window
+are one contiguous slice of a per-process table of the Loeschian numbers
+up to 4H^2 + 12H, sorted by class.  Over every stratum at H = 60 the
+windows hold 31% of the cells and the slices 13%.  Only the slices are
+evaluated, laid end to end in tiles of about 2^13 cells, and every square
+is confirmed by integer squaring.  V4 and D4/C4 are read off the sparse
+root cells, where the discriminant is evaluated once per block.
 
-The discriminants, the C4 test and the resolvent root bound are the
+D4 and C4 are split in int64 too.  With K = a^2 - 4b + 4x at the root x,
+the symmetry identity (x^2 - 4d) K = t^2 turns the classifier's two square
+tests into one: C4 exactly when w = 0 or w disc is a positive square, for
+w = K, or w = x^2 - 4d where K = 0.  w disc is a positive square iff w and
+disc share a sign and, with g = gcd(|w|, |disc|), the coprime |w| / g and
+|disc| / g are both squares, so the product is never formed.
+
+The discriminants, the invariants and the resolvent root bound are the
 classifier's functions; the stripes call them on int64 grids or Python ints.
+The C4 test is ``classify.is_c4`` in that int64 form, with ``is_c4`` as its
+oracle in the tests.
 
 int64 safety: the largest intermediate is the quartic discriminant.  Each
 partial result of its Horner evaluation ((256 d + t2) d + t1) d + t0 is a
@@ -72,7 +86,9 @@ bounded by 1069 * H^6 < 2^62 for H <= 400, and the reducible mask by
 ends |K| (x^2 + 4H) stay below 1.1e11 too, exact in float64 for the
 square-root guesses.  The d-windows have I(H) <= 4H^2 + 12H, so
 4 I(H)^3 < 1.1e18 < 2^62 at the cap, within ``_isqrt``'s exact domain, and
-|J(0)| <= 11H^3 + 27H^2 with slope |72b - 27a^2| <= 27H^2 + 72H.  The cubic
+|J(0)| <= 11H^3 + 27H^2 with slope |72b - 27a^2| <= 27H^2 + 72H.  The
+D4/C4 split forms w alone, |w| <= (H + H^2 / 4)^2 + 4H < 1.7e9, and the
+quotients of |disc| < 2^62, inside ``_square_mask``'s domain.  The cubic
 discriminant's partial results are bounded the same way, by
 5 H^4 + 22 H^3 + 27 H^2, safe in int64 far beyond the cubic cap of 5000.
 float64 safety: at the cap that bound is 3.13e15 < 2^53, so every partial
@@ -105,7 +121,6 @@ from .classify import (
     fujiwara_bound,
     invariants_cubic_coeffs,
     invariants_quartic_coeffs,
-    is_c4,
     resolvent_root_bound,
 )
 
@@ -373,17 +388,27 @@ def _cubic_stripe_counts(a: int, height: int, red: np.ndarray):
 # (b, c, d) grid with block-flat cell index (i W + c + H) W + d + H for the
 # i-th b of the block
 
-_BLOCK_CELLS = 2**17
-"""Cells (b, c, d) per block of a quartic a-stratum: 8 b-values at H = 60,
-one from H = 128 on.  A block runs each layer as one vectorised pass over
-its b-values, so numpy's per-call cost is paid per block, not per b."""
+_BLOCK_CELLS = 2**18
+"""Cells (b, c, d) per block of a quartic a-stratum: 17 b-values at H = 60,
+2 at H = 150, one from H = 181 on.  A block runs each layer as one
+vectorised pass over its b-values, so numpy's per-call cost is paid per
+block, not per b; with the square test on Loeschian slices that cost
+dominates at H = 60.  Serial stripe CPU (the least of 4 rotated repeats per
+stratum, summed; 2-core x86-64 box) over every stratum at H = 60 read
+1.15 / 0.90 / 0.89 s with 2^17 / 2^18 / 2^19-cell blocks, and over every
+tenth stratum at H = 150 3.14 / 2.23 / 1.64 s.  The traced allocation peak
+per stripe at H = 60 was 0.7 / 1.3 / 2.4 MB, which the worker's peak RSS
+pays, so 2^19 is not taken."""
 
 _WINDOW_TILE_CELLS = 2**13
 """Cells per tile of the quartic square test (up to one (b, c) row more
-are allowed).  Per block, the square layer took 0.77 / 0.65 / 2.5 ms at
-H = 60 / 150 / 400 with 2^12-cell tiles, 0.68 / 0.56 / 1.65 ms with 2^13
-and 0.70 / 0.53 / 1.42 ms with 2^14, whose temporaries are twice as
-large."""
+are allowed).  On the Loeschian slices, with 2^18-cell blocks, serial
+stripe CPU read 0.95 / 0.90 / 0.89 / 0.93 s with 2^12 / 2^13 / 2^14 /
+2^15-cell tiles over every stratum at H = 60 (2^13 and 2^14 tied at
+0.74 s in a rerun), 2.31 / 2.23 / 2.18 / 2.31 s over every tenth stratum
+at H = 150, and 7.9 / 7.2 / 6.9 / 6.4 s over 5 strata at H = 400.  2^14
+gains only above H = 60 and raised the traced allocation peak per stripe
+at H = 150 from 0.72 to 0.97 MB."""
 
 
 def _quartic_red_mask(a: int, b0: int, b1: int, height: int, pairs) -> np.ndarray:
@@ -539,8 +564,9 @@ def _quartic_resolvent_roots(a: int, b0: int, b1: int, height: int):
 
 
 def _quartic_d_windows(a: int, b0: int, b1: int, height: int):
-    """(lo, hi): per (b, c) row of the block, row index (b - b0) W + c + H, a
-    d-interval holding every cell with disc > 0.  hi < lo marks an empty one.
+    """(lo, hi, i0): per (b, c) row of the block, row index (b - b0) W + c + H,
+    a d-interval holding every cell with disc > 0 (hi < lo marks an empty
+    one), and the row's I(0).
 
     27 disc = 4I^3 - J^2, where I and J are linear in d and I grows with it
     (slope 12; ``invariants_quartic_coeffs``).  disc > 0 needs I(d) > 0, so
@@ -567,29 +593,56 @@ def _quartic_d_windows(a: int, b0: int, b1: int, height: int):
     us = np.maximum(u, 1)
     lo = np.where(u > 0, -((big - m) // us), -H)
     hi = np.where(u > 0, (m + big) // us, np.where(np.abs(j0) <= big, H, -H - 1))
-    return np.maximum(np.maximum(lo, -i0 // g + 1), -H), np.minimum(hi, H)
+    return np.maximum(np.maximum(lo, -i0 // g + 1), -H), np.minimum(hi, H), i0
+
+
+@functools.cache
+def _loeschian_keys(height: int) -> tuple[np.ndarray, int]:
+    """(keys, M): read-only ascending int64 keys (n mod 12) M + (n div 12),
+    one per Loeschian n in 1..4H^2 + 12H, with M = (4H^2 + 12H) div 12 + 1.
+
+    A (b, c) row's I(d) = I0 + 12 d stays in the class r = I0 mod 12, and
+    its n = I(d) has the key r M + I0 div 12 + d: a row's d-window is one
+    key interval, its Loeschian d one contiguous slice.  The 12 classes of
+    the ascending ``_loeschian`` hits are concatenated in order, so the keys
+    come out sorted with no sort.  Keyed by H alone, built once per process.
+    """
+    n_max = 4 * height * height + 12 * height
+    n = np.flatnonzero(_loeschian(n_max))
+    m = n_max // 12 + 1
+    r = n % 12
+    keys = np.concatenate([n[r == k] // 12 + k * m for k in range(12)])
+    keys.flags.writeable = False  # one cached copy is shared by every stripe
+    return keys, m
 
 
 def _quartic_square_cells(a: int, b0: int, b1: int, height: int) -> np.ndarray:
     """Ascending block-flat indices of the cells of the block b0 <= b < b1
     whose discriminant is a positive square.
 
-    Only the rows' ``_quartic_d_windows`` are evaluated.  Their cells are
-    laid end to end and cut into tiles of whole rows, a new tile at each
-    row starting past a multiple of _WINDOW_TILE_CELLS, so a tile holds
-    fewer than _WINDOW_TILE_CELLS + W cells.  The Horner terms of
-    ``disc_quartic_terms`` are taken once per row and repeated along it;
-    the Horner steps are those of ``disc_quartic_coeffs``, run in place on
-    one array per tile.
+    27 disc = 4I^3 - J^2, so a positive square disc makes I(d) Loeschian
+    (the argument of ``_cubic_a3_rows``), and I(d) <= I(H) <= 4H^2 + 12H.
+    Only the d of each row's ``_quartic_d_windows`` whose I(d) is Loeschian
+    are evaluated: the row's slice of ``_loeschian_keys``, found by two
+    binary searches.  The slices are laid end to end and cut into tiles of
+    whole rows, a new tile at each row starting past a multiple of
+    _WINDOW_TILE_CELLS, so a tile holds fewer than _WINDOW_TILE_CELLS + W
+    cells.  The Horner terms of ``disc_quartic_terms`` are taken once per
+    row and repeated along it; the Horner steps are those of
+    ``disc_quartic_coeffs``, run in place on one array per tile.
     """
     H, W = height, 2 * height + 1
-    lo, hi = _quartic_d_windows(a, b0, b1, H)
-    rows = np.flatnonzero(lo <= hi)
-    lo, n = lo[rows], (hi - lo + 1)[rows]
+    lo, hi, i0 = _quartic_d_windows(a, b0, b1, H)
+    keys, m = _loeschian_keys(H)
+    base = i0 % 12 * m + i0 // 12  # the key of d = 0
+    first = np.searchsorted(keys, base + lo)
+    n = np.searchsorted(keys, base + hi, side="right") - first  # <= 0 when hi < lo
+    rows = np.flatnonzero(n > 0)
+    base, first, n = base[rows], first[rows], n[rows]
     b, c = np.divmod(rows, W)
     t2, t1, t0 = disc_quartic_terms(a, b + b0, c - H)
     end = np.cumsum(n)
-    off = lo + n - end  # a cell's d is off[row] + its position in the layout
+    off = first + n - end  # a cell's key is keys[off[row] + its position in the layout]
     cuts = np.searchsorted(end - n, np.arange(0, int(n.sum()), _WINDOW_TILE_CELLS)).tolist()
     hits = [np.zeros(0, dtype=np.int64)]
     for r0, r1 in zip(cuts, cuts[1:] + [rows.size]):
@@ -597,8 +650,10 @@ def _quartic_square_cells(a: int, b0: int, b1: int, height: int) -> np.ndarray:
             continue
         p0 = int(end[r0] - n[r0])
         run = n[r0:r1]
-        d = np.repeat(off[r0:r1], run)
-        d += np.arange(p0, int(end[r1 - 1]), dtype=np.int64)
+        slot = np.repeat(off[r0:r1], run)
+        slot += np.arange(p0, int(end[r1 - 1]), dtype=np.int64)
+        d = keys[slot]
+        d -= np.repeat(base[r0:r1], run)
         v = d * 256
         v += np.repeat(t2[r0:r1], run)
         v *= d
@@ -612,6 +667,30 @@ def _quartic_square_cells(a: int, b0: int, b1: int, height: int) -> np.ndarray:
     return np.concatenate(hits)
 
 
+def _c4_mask(a: int, b: np.ndarray, d: np.ndarray, x: np.ndarray, disc: np.ndarray) -> np.ndarray:
+    """The C4 cells among the D4/C4 cells (b, d, resolvent root x, disc) of
+    an a-stratum, in int64: the census's form of ``classify.is_c4``.
+
+    ``is_c4`` asks that (x^2 - 4d) disc and K disc both be squares, with
+    K = a^2 - 4b + 4x.  At a root x the symmetry identity gives
+    (x^2 - 4d) K = t^2 with t = xa - 2c.  For K != 0, (x^2 - 4d) disc =
+    (t / K)^2 K disc is 0 when t = 0 and otherwise a square exactly when
+    K disc is, so only K disc is left; for K = 0 the identity forces t = 0,
+    K disc = 0 is a square, and only (x^2 - 4d) disc is left.  So with
+    w = K, or x^2 - 4d where K = 0, C4 holds exactly when w = 0 or w disc
+    is a positive square.  With g = gcd(|w|, |disc|) (disc != 0), w disc is
+    a positive square iff w and disc share a sign and the coprime |w| / g
+    and |disc| / g are squares.
+
+    int64: |disc| < 2^62 at the cap, and |w| <= (H + H^2 / 4)^2 + 4H, about
+    1.6e9 (K = 0 puts x at b - a^2 / 4), so only w itself is ever formed.
+    """
+    K = a * a - 4 * b + 4 * x
+    w = np.where(K != 0, K, x * x - 4 * d)
+    g = np.gcd(w, disc)
+    return (w == 0) | (((w > 0) == (disc > 0)) & _square_mask(np.abs(w) // g) & _square_mask(np.abs(disc) // g))
+
+
 def _quartic_block_counts(a: int, b0: int, b1: int, height: int, red: np.ndarray):
     """Counts (reducible, S4, A4, D4, V4, C4) over the block b0 <= b < b1.
 
@@ -620,8 +699,8 @@ def _quartic_block_counts(a: int, b0: int, b1: int, height: int, red: np.ndarray
     irreducible quartic's resolvent is separable with 0, 1 or 3 integer
     roots.  The discriminant is evaluated at the irreducible root cells:
     V4 are those with a square one, D4/C4 the others, listed once each with
-    their one root.  A4 are the other irreducible cells of
-    ``_quartic_square_cells``, and S4 the rest.
+    their one root and split by ``_c4_mask``.  A4 are the other irreducible
+    cells of ``_quartic_square_cells``, and S4 the rest.
     """
     H, W = height, 2 * height + 1
     cells, roots, split = _quartic_resolvent_roots(a, b0, b1, H)
@@ -632,8 +711,7 @@ def _quartic_block_counts(a: int, b0: int, b1: int, height: int, red: np.ndarray
     sq = _quartic_square_cells(a, b0, b1, H)
     n_sq = int(np.count_nonzero(~red[sq]))
 
-    # the irreducible root cells: V4 where the disc is a square, else D4/C4;
-    # the C4 products outgrow int64, so test in Python ints
+    # the irreducible root cells: V4 where the disc is a square, else D4/C4
     keep = ~red[cells]
     cells, roots = cells[keep], roots[keep]
     bc, d = np.divmod(cells, W)
@@ -643,8 +721,7 @@ def _quartic_block_counts(a: int, b0: int, b1: int, height: int, red: np.ndarray
     square = _square_mask(disc)
     n_v4 = len(set(cells[square].tolist()))
     keep = ~square
-    args = zip(b[keep].tolist(), d[keep].tolist(), roots[keep].tolist(), disc[keep].tolist())
-    n_c4 = sum(is_c4(a, *arg) for arg in args)
+    n_c4 = int(np.count_nonzero(_c4_mask(a, b[keep], d[keep], roots[keep], disc[keep])))
     n_d4 = int(np.count_nonzero(keep)) - n_c4
     n_s4 = red.size - n_red - n_sq - n_d4 - n_c4
     return n_red, n_s4, n_sq - n_v4, n_d4, n_v4, n_c4

@@ -17,7 +17,8 @@ every formula below handles instantly.
 
 The census stripes evaluate the discriminants here on int64 grids (they
 accept broadcast int64 arrays as well as ints and Fractions), and call
-``is_c4`` and ``fujiwara_bound`` on Python ints: one copy of each formula.
+``fujiwara_bound`` on Python ints: one copy of each formula.  The census
+splits D4 from C4 with an int64 form of ``is_c4``, which is its oracle.
 """
 
 from __future__ import annotations
@@ -480,7 +481,11 @@ def reducibility_witness(f: MonicQuartic) -> FactorWitness | None:
 def is_c4(a: int, b: int, d: int, x: int, disc: int) -> bool:
     """D4/C4 split of an irreducible X^4 + aX^3 + bX^2 + cX + d with non-square
     ``disc`` and resolvent root ``x``: C4 exactly when both (x^2 - 4d) disc
-    and (a^2 - 4(b - x)) disc are perfect squares."""
+    and (a^2 - 4(b - x)) disc are perfect squares.
+
+    The classifier's own test, in Python ints.  The census splits its cells
+    with ``census._c4_mask``, an int64 form derived from the symmetry
+    identity, and the tests hold that form to this one cell by cell."""
     return (
         perfect_square((x * x - 4 * d) * disc) is not None
         and perfect_square((a * a - 4 * (b - x)) * disc) is not None

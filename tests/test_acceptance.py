@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Criteria 2 and 3 are
-long exhaustive enumerations (on a 2-core machine: 31 s measured on 2
+long exhaustive enumerations (on a 2-core machine: 13 s measured on 2
 workers for the quartic census at H=150; 38 s measured on 2 workers for
 the cubic census at H=2000) and only run when CENSUS_EXTENDED=1 is set (they resume from a
 stripe journal if one is provided via CENSUS_JOURNAL_DIR).

@@ -369,7 +369,7 @@ def _assert_windows_cover(a: int, b0: int, b1: int, height: int) -> tuple[int, i
     from galoiscensus.census import _quartic_d_windows
 
     H, W = height, 2 * height + 1
-    lo, hi = _quartic_d_windows(a, b0, b1, H)
+    lo, hi, _ = _quartic_d_windows(a, b0, b1, H)
     assert lo.shape == hi.shape == ((b1 - b0) * W,)
     d = np.arange(-H, H + 1, dtype=np.int64)
     inside = (d >= lo[:, None]) & (d <= hi[:, None])
@@ -424,6 +424,144 @@ def test_quartic_square_cells_match_dense_grid_on_seeded_stripes(height):
         assert np.array_equal(got, _dense_square_block(a, b, b + 1, H)), (a, b)
         found += int(got.sum())
     assert found > 0
+
+
+def test_quartic_square_cells_match_dense_grid_with_one_row_tiles(monkeypatch):
+    # a tile per row puts a tile edge at every Loeschian slice boundary
+    monkeypatch.setattr(census, "_WINDOW_TILE_CELLS", 1)
+    for H in range(21):
+        for a in range(-H, H + 1):
+            got = _square_cells(a, -H, H + 1, H)
+            assert np.array_equal(got, _dense_square_block(a, -H, H + 1, H)), (H, a)
+
+
+def test_positive_square_disc_has_loeschian_i_up_to_height12():
+    # the lemma behind the square test's slices, over every cell of the
+    # box: a positive square disc has I(d) Loeschian and at most 4H^2 + 12H
+    from galoiscensus.census import _loeschian, _square_mask
+    from galoiscensus.classify import invariants_quartic_coeffs
+
+    for H in range(13):
+        v = np.arange(-H, H + 1, dtype=np.int64)
+        a, b, c, d = np.meshgrid(v, v, v, v, indexing="ij", sparse=True)
+        sq = _square_mask(disc_quartic_coeffs(a, b, c, d))
+        i = np.broadcast_to(invariants_quartic_coeffs(a, b, c, d)[0], sq.shape)[sq]
+        assert np.all((i >= 1) & (i <= 4 * H * H + 12 * H)), H
+        assert _loeschian(4 * H * H + 12 * H)[i].all(), H
+
+
+def test_loeschian_keys_list_the_loeschian_numbers_by_class():
+    from galoiscensus.census import _loeschian, _loeschian_keys
+
+    for H in (0, 1, 5, 60):
+        n_max = 4 * H * H + 12 * H
+        keys, m = _loeschian_keys(H)
+        assert not keys.flags.writeable and m == n_max // 12 + 1
+        assert np.all(np.diff(keys) > 0), H
+        r, q = np.divmod(keys, m)
+        n = np.sort(q * 12 + r)
+        assert np.all(r < 12) and np.array_equal(n, np.flatnonzero(_loeschian(n_max))), H
+
+
+def _d4c4_cells(a: int, b0: int, b1: int, height: int):
+    """(b, c, d, x, disc) of the irreducible resolvent root cells of the
+    block b0 <= b < b1 with a non-square disc, as ``_quartic_block_counts``
+    selects them: the cells the D4/C4 split decides."""
+    from galoiscensus.census import _quartic_resolvent_roots, _square_mask
+
+    H, W = height, 2 * height + 1
+    cells, x, _ = _quartic_resolvent_roots(a, b0, b1, H)
+    keep = ~_reducible_block(a, b0, b1, H).reshape(-1)[cells]
+    cells, x = cells[keep], x[keep]
+    bc, d = np.divmod(cells, W)
+    b, c = np.divmod(bc, W)
+    b, c, d = b + b0, c - H, d - H
+    disc = disc_quartic_coeffs(a, b, c, d)
+    keep = ~_square_mask(disc)
+    return b[keep], c[keep], d[keep], x[keep], disc[keep]
+
+
+def _assert_c4_mask_matches_is_c4(a: int, b0: int, b1: int, height: int) -> Counter:
+    """The int64 split against ``is_c4`` on Python ints, cell by cell, on the
+    block's D4/C4 cells; returns a tally of the cases the split covers."""
+    from galoiscensus.census import _c4_mask
+
+    b, c, d, x, disc = _d4c4_cells(a, b0, b1, height)
+    got = _c4_mask(a, b, d, x, disc)
+    want = np.array([is_c4(a, *v) for v in zip(b.tolist(), d.tolist(), x.tolist(), disc.tolist())], dtype=bool)
+    bad = np.flatnonzero(got != want)
+    assert not bad.size, [(a, int(b[k]), int(c[k]), int(d[k]), int(x[k])) for k in bad[:5]]
+    K, t = a * a - 4 * b + 4 * x, x * a - 2 * c
+    tally = {"cells": got.size, "C4": got.sum(), "D4": (~got).sum()}
+    tally |= {"K = 0": (K == 0).sum(), "t = 0, K != 0": ((t == 0) & (K != 0)).sum(), "K < 0": (K < 0).sum()}
+    return Counter({k: int(v) for k, v in tally.items()})
+
+
+def test_c4_mask_matches_is_c4_on_every_cell_up_to_height12():
+    seen: Counter[str] = Counter()
+    for H in range(13):
+        for a in range(-H, H + 1):
+            seen += _assert_c4_mask_matches_is_c4(a, -H, H + 1, H)
+    assert all(seen[k] for k in ("C4", "D4", "K = 0", "t = 0, K != 0", "K < 0")), seen
+
+
+def test_c4_mask_matches_is_c4_on_every_stratum_at_height60():
+    # every cell the H = 60 census splits, a >= 0 (each stratum one block)
+    H = 60
+    seen: Counter[str] = Counter()
+    for a in range(H + 1):
+        seen += _assert_c4_mask_matches_is_c4(a, -H, H + 1, H)
+    assert seen["cells"] == 257371 and seen["K = 0"] == 48095, seen
+    assert seen["t = 0, K != 0"] == 34213 and seen["K < 0"] == 39039, seen
+    assert seen["C4"] and seen["D4"], seen
+
+
+@pytest.mark.parametrize("height", [150, 400])
+def test_c4_mask_matches_is_c4_on_seeded_stripes(height):
+    # the stripes of test_quartic_resolvent_roots_match_oracle_on_seeded_stripes
+    H = height
+    rng = random.Random(height)
+    stripes = [(H, H), (-H, -H), (H, -H), (-H, H), (0, 0)]
+    stripes += [(rng.randint(-H, H), rng.randint(-H, H)) for _ in range(15)]
+    seen: Counter[str] = Counter()
+    for a, b in stripes:
+        seen += _assert_c4_mask_matches_is_c4(a, b, b + 1, H)
+    assert seen["cells"] > 0 and seen["D4"] > 0, seen
+
+
+def test_c4_mask_exact_at_height_cap():
+    # extreme (a, b, x, d) at H = 400, where w reaches its bound, against
+    # discs up to 2^62 in size, many making w disc a square: the int64 gcd
+    # split equals "w = 0 or w disc a positive square" in Python ints
+    from galoiscensus.census import _c4_mask
+    from galoiscensus.exactarith import factorize
+
+    H, X = 400, 805
+    rows = []
+    for a, b, x, d in itertools.product((-H, -H + 1, 0, 1, H - 1, H), (-H, 0, H), (-X, -1, 0, 1, X), (-H, 0, H)):
+        rows.append((a, b, x, d))
+        if a % 2 == 0:
+            rows.append((a, b, b - a * a // 4, d))  # K = 0
+    cases = []
+    for a, b, x, d in rows:
+        K = a * a - 4 * b + 4 * x
+        w = K if K else x * x - 4 * d
+        core = math.prod(p for p, e in factorize(abs(w)) if e % 2) if w else 1
+        discs = [2**62 - 1, -(2**62) + 1, 1, -1]
+        for f in (abs(w), core):
+            if f:
+                m = math.isqrt((2**62 - 1) // f)
+                discs += [f * m * m, -f * m * m, f * m * m - 1, f, f * (m - 1) ** 2]
+        cases += [(a, b, x, d, s * v) for v in discs for s in (1, -1) if v]
+    want = []
+    for a, b, x, d, disc in cases:
+        K = a * a - 4 * b + 4 * x
+        w = K if K else x * x - 4 * d
+        want.append(w == 0 or (w * disc > 0 and math.isqrt(w * disc) ** 2 == w * disc))
+    # a as an int64 array too, so every product is formed in int64
+    a, b, x, d, disc = (np.array(col, dtype=np.int64) for col in zip(*cases))
+    assert _c4_mask(a, b, d, x, disc).tolist() == want
+    assert sum(want) > 50 and len(want) - sum(want) > 50
 
 
 def _stratum_labels(a: int, height: int) -> dict[str, int]:
@@ -836,7 +974,7 @@ def test_quartic_kernel_exact_at_height_cap():
         has_root, root_val, _ = _root_grids(a, b, H)
         assert np.array_equal(_square_cells(a, b, b + 1, H)[0], _square_mask(disc)), (a, b)
         _assert_windows_cover(a, b, b + 1, H)
-        lo, hi = _quartic_d_windows(a, b, b + 1, H)
+        lo, hi, _ = _quartic_d_windows(a, b, b + 1, H)
         for c in [-H, H, *rng.sample(range(-H, H + 1), 30)]:
             ends = (int(lo[c + H]), int(hi[c + H]))
             assert (ends if ends[0] <= ends[1] else None) == _d_window(a, b, c, H), (a, b, c)
