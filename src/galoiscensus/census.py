@@ -34,14 +34,14 @@ The cubic A3 sweep tests squares only on the (a, b) rows where
 I = a^2 - 3b is a positive Loeschian number (x^2 + xy + y^2), which the
 paper's identity 27 disc = 4I^3 - J^2 requires of any square discriminant.
 A square discriminant is also positive, so J^2 < 4I^3 with J = J0 + 27c
-confines each such row to one c-window, whose ends come from 2 I sqrt(I)
-in float64, widened by at most one cell per end.  The sweep walks
-cache-sized tiles of consecutive rows, each spanning the union of its
-rows' windows.  A tile's discriminants
-are evaluated in place on one float64 array, exactly, and its square roots
-taken in place; the few cells whose root is an integer are confirmed in
-int64, and only the confirmed ones are looked up in the reducible mask.
-The A3 cells come back sparsely, as b-rows and c values.
+confines each such row to one c-window (``_j_window``), whose ends come
+from 2 I sqrt(I) in float64, widened by at most one cell per end.  The
+sweep walks cache-sized tiles of consecutive rows, each spanning the union
+of its rows' windows.  A tile's discriminants are evaluated in place on
+one float64 array, exactly, and its square roots taken in place; the few
+cells whose root is an integer are confirmed in int64, and only the
+confirmed ones are looked up in the reducible mask.  The A3 cells come
+back sparsely, as b-rows and c values.
 
 The quartic resolvent roots are enumerated from the paper's symmetry
 identity: for each candidate x, only the multiples of rad2(|K(x)|) in two
@@ -51,14 +51,14 @@ quadratic split, so the reducible mask marks only linear factors.
 
 The quartic square test uses the same identity 27 disc = 4I^3 - J^2, now
 with I = 12d + b^2 - 3ac and J linear in d.  A square discriminant is
-positive, so I(d) > 0 and |J(d)| <= isqrt(4 I(H)^3), since I grows with d:
-each (b, c) row holds one exact d-window with every cell of disc > 0.
-On seeded stripes the windows hold 32% / 27% / 18% of the cells at
-H = 60 / 150 / 400, against 22% / 21% / 17% with disc > 0.  As for cubics,
-a square discriminant also makes I(d) Loeschian, and I(d) = I0 + 12d
-keeps each row in one class mod 12, so the Loeschian d of a row's window
-are one contiguous slice of a per-process table of the Loeschian numbers
-up to 4H^2 + 12H, sorted by class.  Over every stratum at H = 60 the
+positive, so I(d) > 0 and |J(d)| <= 2 I(H)^(3/2), since I grows with d:
+each (b, c) row holds one d-window, by the cubic's rule, with every cell
+of disc > 0.  On seeded stripes the windows hold 32% / 27% / 18% of the
+cells at H = 60 / 150 / 400, against 22% / 21% / 17% with disc > 0.  As
+for cubics, a square discriminant also makes I(d) Loeschian, and
+I(d) = I0 + 12d keeps each row in one class mod 12, so the Loeschian d of
+a row's window are one contiguous slice of a per-process table of the
+Loeschian numbers up to 4H^2 + 12H, sorted by class.  Over every stratum at H = 60 the
 windows hold 31% of the cells and the slices 13%.  Only the slices are
 evaluated, laid end to end in tiles of about 2^13 cells, and every square
 is confirmed by integer squaring.  V4 and D4/C4 are read off the sparse
@@ -81,22 +81,26 @@ partial result of its Horner evaluation ((256 d + t2) d + t1) d + t0 is a
 sub-sum of its monomials, possibly divided by powers of c or d, so it has
 degree at most 6 and absolute coefficients summing to at most 1069: it is
 bounded by 1069 * H^6 < 2^62 for H <= 400, and the reducible mask by
-2H^3 + H^2 + H.  The resolvent candidates have |x| <= 805 at the cap, so
-|t| <= 805 * 400 + 800 and t^2 < 1.1e11; |K| <= 164820, so the |t|-range
-ends |K| (x^2 + 4H) stay below 1.1e11 too, exact in float64 for the
-square-root guesses.  The d-windows have I(H) <= 4H^2 + 12H, so
-4 I(H)^3 < 1.1e18 < 2^62 at the cap, within ``_isqrt``'s exact domain, and
-|J(0)| <= 11H^3 + 27H^2 with slope |72b - 27a^2| <= 27H^2 + 72H.  The
+2H^3 + H^2 + H.  The resolvent candidates have |x| <= 804 at the cap, so
+|t| <= 804 * 400 + 800 and t^2 < 1.1e11; |K| <= 164816, so the |t|-range
+ends |K| (x^2 + 4H) stay below 1.1e11 too.  The d-windows have
+|J(0)| <= 11H^3 + 27H^2 with slope |J(1) - J(0)| <= 27H^2 + 72H.  The
 D4/C4 split forms w alone, |w| <= (H + H^2 / 4)^2 + 4H < 1.7e9, and the
 quotients of |disc| < 2^62, inside ``_square_mask``'s domain.  The cubic
 discriminant's partial results are bounded the same way, by
 5 H^4 + 22 H^3 + 27 H^2, safe in int64 far beyond the cubic cap of 5000.
 float64 safety: at the cap that bound is 3.13e15 < 2^53, so every partial
 result of the cubic sweep's float64 Horner steps is an integer that float64
-holds exactly, and each step rounds to itself.  At the cap the sweep's
-tiles are small, and the stripe's reducible mask, the only full (b, c)
-grid, takes 100 MB.  Heights above the caps are
-rejected rather than risk silent wraparound or swapping.
+holds exactly, and each step rounds to itself.  The window ends are float
+guesses with a proven error: a c- or d-window's r = ceil(2 i sqrt(i)) has
+i <= H^2 + 3H or 4H^2 + 12H, below 2^25, so it lies within
+[isqrt(4 i^3), isqrt(4 i^3) + 2] (``_j_window``).  The resolvent |t|-range
+ends, floor and ceil of sqrt(v) for integers 0 <= v < 1.1e11 < 2^52, are
+exact: float64 holds v, a square's root is exact, and any other root is
+at least 1 / (2 sqrt(v) + 1), over half an ulp, from every integer.  At
+the cap the sweep's tiles are small, and the stripe's reducible mask, the
+only full (b, c) grid, takes 100 MB.  Heights above the caps are rejected
+rather than risk silent wraparound or swapping.
 """
 
 from __future__ import annotations
@@ -296,26 +300,28 @@ def _cubic_a3_rows(a: int, height: int) -> np.ndarray:
     return np.flatnonzero(_loeschian(H * H + 3 * H)[np.maximum(i, 0)])
 
 
-def _cubic_c_window(a: int, height: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): per b-row index in ``rows``, a c-interval holding every cell
-    with disc >= 0, and at most one cell more at each end, of disc < 0.
+def _j_window(i_top, j0, slope, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): per row, the t in [-H, H] with |j0 + slope t| <= r, for
+    r = ceil(2 i sqrt(i)) taken in float64 at i = i_top >= 0; hi < lo marks
+    an empty window.  Arguments are int64 arrays or ints, broadcast together.
 
-    27 disc = 4I^3 - J^2 with J = J0 + 27c and J0 = 2a^3 - 9ab, so disc >= 0
-    needs |J| <= S = isqrt(4I^3).  The window is
-    [ceil((-s - J0) / 27), floor((s - J0) / 27)], cut to [-H, H], for
-    s = ceil(2 I sqrt(I)) taken in float64.  The rows have 1 <= I <= H^2 + 3H
-    < 2^25 at the cubic cap, and the float 2 I sqrt(I) < 2^38.5 is within
-    relative error 2^-52 (two roundings) of sqrt(4I^3), so within
-    2^-13.5 < 10^-4: S <= s <= S + 2.  A c that s adds to the exact window
-    has |J| > S, so J^2 > 4I^3 and disc < 0, which the square test rejects;
-    as J steps by 27, s adds at most one c per end.
-    s and |J0| <= 2H^3 + 9H^2 are below 2^38 at the cap, so the window ends
-    are exact in int64.  hi < lo marks an empty window.
+    27 disc = 4I^3 - J^2, so a cell with disc >= 0 and I <= i_top has
+    |J| <= S = isqrt(4 i_top^3).  For 0 <= i < 2^25 the float 2 i sqrt(i)
+    < 2^38.5 is within relative error 2^-52 (two roundings) of sqrt(4i^3),
+    so within 2^-13.5: S <= r <= S + 2.  The window holds every such cell; a
+    t that r adds has |J| > S, so disc < 0, and as J steps by |slope| >= 9
+    (the cubic's 27, or a multiple of 9 for quartics) there is at most one
+    per end.  slope = 0 gives every t when |j0| <= r, else none.  r and the
+    ends are exact in int64: r < 2^39.
     """
     H = height
-    i, j0 = invariants_cubic_coeffs(a, rows - H, 0)
-    s = np.ceil(2 * i * np.sqrt(i)).astype(np.int64)
-    return np.maximum(-((s + j0) // 27), -H), np.minimum((s - j0) // 27, H)
+    r = np.ceil(2 * i_top * np.sqrt(i_top)).astype(np.int64)
+    # read with u = |slope| > 0 as u t in [m - r, m + r]
+    u, m = np.abs(slope), np.where(slope < 0, j0, -j0)
+    us = np.maximum(u, 1)
+    lo = np.where(u > 0, -((r - m) // us), -H)
+    hi = np.where(u > 0, (m + r) // us, np.where(np.abs(j0) <= r, H, -H - 1))
+    return np.maximum(lo, -H), np.minimum(hi, H)
 
 
 def _cubic_disc_tile(t1: np.ndarray, t0: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -333,13 +339,14 @@ def _cubic_a3_cells(a: int, height: int, red: np.ndarray) -> tuple[np.ndarray, n
     """(rows, c): the A3 cells (square discriminant, not reducible) of the
     (b, c) grid, as b-row indices b + H and c values in lexicographic order.
 
-    Only rows that ``_cubic_a3_rows`` keeps and whose ``_cubic_c_window`` is
-    non-empty are swept.  A tile is a run of up to _TILE_CELLS // (2H + 1)
-    such rows and spans the union of their windows, a plain column slice.
-    Per tile, the discriminant (-27 c + t1) c + t0, with the row terms of
-    ``disc_cubic_terms``, is evaluated in place on one float64 array and
-    its square root taken in place; the candidates are the cells whose root
-    is an integer (NaN, from disc < 0, never is).  Each candidate is then
+    Only rows that ``_cubic_a3_rows`` keeps and whose c-window (the
+    ``_j_window`` at the row's I) is non-empty are swept.  A tile is a run
+    of up to _TILE_CELLS // (2H + 1) such rows and spans the union of their
+    windows, a plain column slice.  Per tile, the discriminant
+    (-27 c + t1) c + t0, with the row terms of ``disc_cubic_terms``, is
+    evaluated in place on one float64 array and its square root taken in
+    place; the candidates are the cells whose root is an integer (NaN, from
+    disc < 0, never is).  Each candidate is then
     confirmed by ``_square_mask`` on its int64 ``disc_cubic_coeffs``.  The
     reducible mask is read at the confirmed cells alone.
 
@@ -352,7 +359,9 @@ def _cubic_a3_cells(a: int, height: int, red: np.ndarray) -> tuple[np.ndarray, n
     """
     H = height
     rows = _cubic_a3_rows(a, H)
-    lo, hi = _cubic_c_window(a, H, rows)
+    i, j0 = invariants_cubic_coeffs(a, rows - H, 0)
+    slope = invariants_cubic_coeffs(a, 0, 1)[1] - invariants_cubic_coeffs(a, 0, 0)[1]  # of J in c
+    lo, hi = _j_window(i, j0, slope, H)
     keep = lo <= hi
     rows, lo, hi = rows[keep], lo[keep], hi[keep]
     t1, t0 = (t.astype(np.float64)[:, None] for t in disc_cubic_terms(a, rows - H))
@@ -459,29 +468,6 @@ def _rad2(height: int) -> np.ndarray:
     return rad
 
 
-def _isqrt(v: np.ndarray) -> np.ndarray:
-    """floor(sqrt(v)) of int64 v in [0, 2^62): a float guess, corrected in ints.
-
-    Let s = floor(sqrt(v)) < 2^31.  float64(v) = v (1 + e1) and its rounded
-    square root g = sqrt(float64(v)) (1 + e2), |e1|, |e2| <= 2^-53, so g is
-    within relative error 2^-52 of sqrt(v), |g - sqrt(v)| < 2^31 * 2^-52 =
-    2^-21, and floor(g) <= s + 1.  One integer step down (r^2 > v) takes
-    s + 1 to s; r <= 2^31, so r^2 stays below 2^63.
-
-    No step up is needed: g >= s.  Take s >= 1 (v = 0 gives g = 0).
-    Rounding to nearest is monotone and s^2 <= v, so float64(v) >=
-    fl(s^2) >= s^2 (1 - e) with e = 2^-53, and since sqrt(1 - e) >=
-    1 - e/2 - e^2/2, sqrt(float64(v)) >= s - s (2^-54 + 2^-107).  For s
-    a power of 2, s^2 is a float, so float64(v) >= s^2 and g >= s.
-    Otherwise 2^k < s < 2^(k+1) for some k <= 30, the float below s is
-    s - 2^(k-52), and s (2^-54 + 2^-107) < 2^(k-53): the true root is
-    nearer s than that float, so it rounds to s or above.
-    """
-    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
-    r -= r * r > v
-    return r
-
-
 def _quartic_resolvent_roots(a: int, b0: int, b1: int, height: int):
     """The resolvent root cells of the block b0 <= b < b1 as 1-D arrays: the
     block-flat cell index, the integer root x, and a split flag.
@@ -529,10 +515,8 @@ def _quartic_resolvent_roots(a: int, b0: int, b1: int, height: int):
     # |t| in [lo, hi] from t^2 = K (x^2 - 4d) over |d| <= H; hi < lo if none
     e1, e2 = K * (x * x - 4 * H), K * (x * x + 4 * H)
     top = np.maximum(e1, e2)
-    hi = np.where(top < 0, -1, _isqrt(np.maximum(top, 0)))
-    bot = np.maximum(np.minimum(e1, e2), 0)
-    lo = _isqrt(bot)
-    lo += lo * lo < bot
+    hi = np.where(top < 0, -1, np.floor(np.sqrt(np.maximum(top, 0)))).astype(np.int64)
+    lo = np.ceil(np.sqrt(np.maximum(np.minimum(e1, e2), 0))).astype(np.int64)
     # t >= 0 and t < 0, each cut to the c-window [xa - 2H, xa + 2H]
     tlo = np.concatenate([np.maximum(lo, ax - 2 * H), np.maximum(-hi, ax - 2 * H)])
     thi = np.concatenate([np.minimum(hi, ax + 2 * H), np.minimum(-np.maximum(lo, 1), ax + 2 * H)])
@@ -568,32 +552,21 @@ def _quartic_d_windows(a: int, b0: int, b1: int, height: int):
     a d-interval holding every cell with disc > 0 (hi < lo marks an empty
     one), and the row's I(0).
 
-    27 disc = 4I^3 - J^2, where I and J are linear in d and I grows with it
-    (slope 12; ``invariants_quartic_coeffs``).  disc > 0 needs I(d) > 0, so
-    d > -I(0) / 12, and J(d)^2 < 4I(d)^3 <= 4I(H)^3, so
-    |J(d)| <= isqrt(4I(H)^3) =: S, a d-interval from the ends of
-    J(0) + s d in [-S, S], with s = J(1) - J(0) = 72b - 27a^2 (every d, or
-    none, when s = 0).  The ends are exact integers; the window is a
-    superset, and the square test rejects its cells with disc <= 0.
-
-    int64: I(H) <= 4H^2 + 12H, so 4I(H)^3 < 1.1e18 < 2^62 at the cap
-    H = 400 and S < 1.1e9; |J(0)| <= 11H^3 + 27H^2 and |s| <= 27H^2 + 72H,
-    so every end stays far inside int64.
+    I and J are linear in d, I growing with it (``invariants_quartic_coeffs``;
+    the slopes are read per b at c = 0).  disc > 0 needs I(d) > 0, so
+    d > -I(0) / g, the exact lower bound that keeps a row's Loeschian keys in
+    its class; and I(d) <= I(H), so the ``_j_window`` at max(I(H), 0) holds
+    every such cell.  int64: I(H) <= 4H^2 + 12H < 2^25, |J(0)| <= 11H^3 +
+    27H^2 and |J(1) - J(0)| <= 27H^2 + 72H at the cap.
     """
     H = height
     b = np.arange(b0, b1, dtype=np.int64)[:, None]
-    c = np.arange(-H, H + 1, dtype=np.int64)[None, :]
-    i0, j0 = (v.reshape(-1) for v in invariants_quartic_coeffs(a, b, c, 0))
-    i1, j1 = (v.reshape(-1) for v in invariants_quartic_coeffs(a, b, c, 1))
-    g, s = i1 - i0, j1 - j0
-    top = np.maximum(i0 + H * g, 0)  # I(H), or 0 when I <= 0 on the whole row
-    big = _isqrt(4 * top * top * top)
-    # |j0 + s d| <= big, read with u = |s| > 0 as u d in [m - big, m + big]
-    u, m = np.abs(s), np.where(s < 0, j0, -j0)
-    us = np.maximum(u, 1)
-    lo = np.where(u > 0, -((big - m) // us), -H)
-    hi = np.where(u > 0, (m + big) // us, np.where(np.abs(j0) <= big, H, -H - 1))
-    return np.maximum(np.maximum(lo, -i0 // g + 1), -H), np.minimum(hi, H), i0
+    i0, j0 = invariants_quartic_coeffs(a, b, np.arange(-H, H + 1, dtype=np.int64), 0)
+    (ib0, jb0), (ib1, jb1) = (invariants_quartic_coeffs(a, b, 0, d) for d in (0, 1))
+    g = ib1 - ib0
+    lo, hi = _j_window(np.maximum(i0 + H * g, 0), j0, jb1 - jb0, H)
+    lo = np.maximum(lo, -i0 // g + 1)
+    return lo.reshape(-1), hi.reshape(-1), i0.reshape(-1)
 
 
 @functools.cache
@@ -867,6 +840,19 @@ def _stripe_results(req: CensusRequest, todo: list[int], stack: contextlib.ExitS
 # journal: a header line binding it to the request and the kernel version,
 # then one line per stripe
 
+def _check_counts(counts, req: CensusRequest, share: int, where: str) -> None:
+    """Raise CensusError, its message led by ``where``, unless ``counts`` is a
+    dict of the request's classes, in order, to ints >= 0 summing to ``share``."""
+    if not (
+        isinstance(counts, dict)
+        and list(counts) == list(req.classes())
+        and all(type(v) is int for v in counts.values())
+    ):
+        raise CensusError(f"{where} counts {counts!r} are not ints keyed by {', '.join(req.classes())}")
+    if min(counts.values()) < 0 or sum(counts.values()) != share:
+        raise CensusError(f"{where} counts {counts} must be >= 0 and sum to its {share} cells")
+
+
 def _journal_load(path: str, req: CensusRequest) -> dict[int, dict[str, int]]:
     """The stripe records of the journal at ``path`` (empty if there is none).
 
@@ -874,9 +860,8 @@ def _journal_load(path: str, req: CensusRequest) -> dict[int, dict[str, int]]:
     off the file, so its stripe is recomputed and appended.  Any other
     malformed line raises CensusError with its line number, and so does a
     first line, blank or not, that is not the header of this request and
-    KERNEL_VERSION, a record with a negative count or counts that do not sum
-    to its share of the box, and a second record of a stripe (naming both
-    lines).
+    KERNEL_VERSION, a record whose counts fail ``_check_counts`` against its
+    share of the box, and a second record of a stripe (naming both lines).
     """
     done: dict[int, dict[str, int]] = {}
     seen: dict[int, int] = {}  # stripe -> line number
@@ -887,7 +872,7 @@ def _journal_load(path: str, req: CensusRequest) -> dict[int, dict[str, int]]:
         end = data.rfind(b"\n") + 1
         if end < len(data):
             fh.truncate(end)
-    checksum, classes = req.checksum(), list(req.classes())
+    checksum = req.checksum()
     cells = (2 * req.height + 1) ** (req.degree - 1)  # per a-stratum
     for lineno, raw in enumerate(data[:end].splitlines(), 1):
         if lineno > 1 and not raw.strip():
@@ -914,21 +899,10 @@ def _journal_load(path: str, req: CensusRequest) -> dict[int, dict[str, int]]:
                 )
             continue
         a, part = rec.get("stripe"), rec.get("counts")
-        if not (
-            type(a) is int
-            and 0 <= a <= req.height
-            and isinstance(part, dict)
-            and list(part) == classes
-            and all(type(v) is int for v in part.values())
-        ):
+        if not (type(a) is int and 0 <= a <= req.height):
             text = raw[:80].decode(errors="replace")
             raise CensusError(f"journal {path} line {lineno}: malformed record {text!r}")
-        share = cells if a == 0 else 2 * cells
-        if min(part.values()) < 0 or sum(part.values()) != share:
-            raise CensusError(
-                f"journal {path} line {lineno}: stripe {a} counts {part} "
-                f"must be >= 0 and sum to its {share} cells"
-            )
+        _check_counts(part, req, cells if a == 0 else 2 * cells, f"journal {path} line {lineno}: stripe {a}")
         if a in seen:
             raise CensusError(f"journal {path} lines {seen[a]} and {lineno}: both record stripe {a}")
         seen[a] = lineno
@@ -1024,15 +998,18 @@ def report_to_json(report: CensusReport) -> str:
 
 
 def report_from_json(text: str) -> CensusReport:
-    """The report of ``report_to_json``.  Its total and checksum are derived
-    fields, so a payload whose ``total`` is not the sum of its counts, or
-    whose ``checksum`` is not its request's, raises CensusError."""
+    """The report of ``report_to_json``.  A payload whose request is invalid,
+    whose counts fail ``_check_counts`` against the whole box, or whose
+    derived ``total`` or ``checksum`` disagrees with them raises CensusError."""
     payload = json.loads(text)
     req = CensusRequest(degree=payload["degree"], height=payload["height"], strategy=payload["strategy"])
-    counts = dict(payload["counts"])
-    checksum, total = req.checksum(), sum(counts.values())
+    req.validate()
+    counts = payload["counts"]
+    checksum = req.checksum()
     if payload["checksum"] != checksum:
         raise CensusError(f"report checksum {payload['checksum']} is not its request's {checksum}")
+    _check_counts(counts, req, (2 * req.height + 1) ** req.degree, "report")
+    total = sum(counts.values())
     if payload["total"] != total:
         raise CensusError(f"report total {payload['total']} is not the sum {total} of its counts")
     return CensusReport(request=req, counts=counts, wall_time_s=payload["wall_time_s"])

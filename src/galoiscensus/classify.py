@@ -219,7 +219,8 @@ def invariants_quartic_coeffs(a, b, c, d):
     27 * disc = 4 I^3 - J^2.  Both are linear in d, I with slope 12.
 
     Works on ints, Fractions and broadcast int64 arrays; the quartic census
-    evaluates them per (b, c) row at d = 0 and d = 1.
+    evaluates them at d = 0 per (b, c) row, and at d = 0 and 1 per b for
+    the slopes.
     """
     i = 12 * d - 3 * a * c + b * b
     j = 72 * b * d + 9 * a * b * c - 27 * c * c - 27 * a * a * d - 2 * b**3

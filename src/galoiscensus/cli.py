@@ -1,7 +1,8 @@
 """Command-line entry point wiring the library together.
 
 Exit codes: 0 success, 1 validation failure (any mismatch or identity
-failure in the emitted report), 2 usage error.  Data goes to stdout (or
+failure in the emitted report), 2 usage error, which includes an --out or
+--journal path that cannot be opened or written.  Data goes to stdout (or
 --out); progress and diagnostics go to stderr only.
 """
 
@@ -40,14 +41,31 @@ from .families import (
 from .identities import SUITES, run_suites
 
 
-def _emit(blocks: list[str], path: str | None) -> None:
+def _check_writable(parser: argparse.ArgumentParser, *paths: str | None) -> None:
+    """A usage error naming the first of ``paths`` (an --out or --journal)
+    that cannot be opened for appending, raised before any work starts.  A
+    missing file is created empty; an existing one is left as it is."""
+    for path in filter(None, paths):
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            parser.error(f"cannot write {path}: {exc.strerror}")
+
+
+def _emit(blocks: list[str], path: str | None, parser: argparse.ArgumentParser) -> None:
     """Write each block and a newline to ``path``, or to stdout; a block that
-    already ends in a newline gets no second one, so both give the same bytes."""
-    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
-        for block in blocks:
-            out.write(block)
-            if not block.endswith("\n"):
-                out.write("\n")
+    already ends in a newline gets no second one, so both give the same bytes.
+    An OSError on ``path`` is a usage error naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+            for block in blocks:
+                out.write(block)
+                if not block.endswith("\n"):
+                    out.write("\n")
+    except OSError as exc:
+        if not path:
+            raise
+        parser.error(f"cannot write {path}: {exc.strerror}")
 
 
 def _parse_coeffs(raw: str, expected: int, parser: argparse.ArgumentParser) -> list[int]:
@@ -184,7 +202,7 @@ def _cmd_census(args, parser) -> int:
     except CensusError as exc:
         parser.error(str(exc))
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
-    _emit([text], args.out)
+    _emit([text], args.out, parser)
     return 0
 
 
@@ -199,7 +217,7 @@ def _cmd_verify(args, parser) -> int:
         "suites": [json.loads(r.to_json()) for r in reports],
         "failures": failures,
     }
-    _emit([json.dumps(payload)], args.out)
+    _emit([json.dumps(payload)], args.out, parser)
     return 1 if failures else 0
 
 
@@ -230,7 +248,7 @@ def _cmd_family(args, parser) -> int:
     summary = json.loads(report.to_json())
     summary_line = {"family": args.name, "height": args.height, "delta": str(delta), **summary}
     texts.append(json.dumps(summary_line))
-    _emit(texts, args.out)
+    _emit(texts, args.out, parser)
     elapsed = time.perf_counter() - start
     print(
         f"family {args.name}: {report.members_checked} members, "
@@ -302,6 +320,7 @@ def _join_negative_coeffs(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_coeffs(sys.argv[1:] if argv is None else argv))
+    _check_writable(parser, getattr(args, "journal", None), getattr(args, "out", None))
     handlers = {
         "classify": _cmd_classify,
         "census": _cmd_census,

@@ -4,6 +4,7 @@ import math
 import os
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -920,6 +921,25 @@ def test_report_from_json_rejects_derived_fields_that_disagree():
     assert report_to_json(report_from_json(text)) == text
 
 
+def test_report_from_json_rejects_impossible_reports():
+    # each payload keeps its total and checksum consistent, so only the
+    # count or request check can refuse it; the first one used to load and
+    # then make report_to_csv raise KeyError
+    payload = json.loads(report_to_json(run_census(CensusRequest(3, 1, workers=1))))
+    cases = [
+        ({"reducible": 15, "S3": 10, "A4": 2}, {}, "not ints keyed by reducible, S3, A3"),
+        ({"reducible": 15, "S3": 12, "A3": 0.0}, {}, "not ints"),
+        ({"reducible": 15, "S3": 13, "A3": -1}, {}, "must be >= 0"),
+        ({"reducible": 15, "S3": 13, "A3": 0}, {}, "sum to its 27 cells"),
+        (payload["counts"], {"degree": 5}, "degree must be 3 or 4"),
+    ]
+    for counts, fields, message in cases:
+        bad = dict(payload, counts=counts, total=sum(counts.values()), **fields)
+        bad["checksum"] = CensusRequest(bad["degree"], 1).checksum()
+        with pytest.raises(CensusError, match=message):
+            report_from_json(json.dumps(bad))
+
+
 def test_report_csv_shape():
     rep = run_census(CensusRequest(3, 1, workers=1))
     lines = report_to_csv(rep).strip().splitlines()
@@ -942,28 +962,15 @@ def test_list_a3_cubics_matches_classifier(monkeypatch):
         assert len(found) == run_census(CensusRequest(3, H, workers=1)).counts["A3"]
 
 
-def _d_window(a: int, b: int, c: int, height: int) -> tuple[int, int]:
-    """The (b, c) row's d-window in Python ints, straight from its
-    definition: I(d) > 0 and |J(d)| <= isqrt(4 I(H)^3), cut to [-H, H];
-    (lo, hi), or None when no d qualifies."""
-    from galoiscensus.classify import invariants_quartic
-
-    H = height
-    big = math.isqrt(4 * max(invariants_quartic(MonicQuartic(a, b, c, H)).I, 0) ** 3)
-    inv = [invariants_quartic(MonicQuartic(a, b, c, d)) for d in range(-H, H + 1)]
-    ok = [d for d, (i, j) in zip(range(-H, H + 1), inv) if i > 0 and abs(j) <= big]
-    return (ok[0], ok[-1]) if ok else None
-
-
 def test_quartic_kernel_exact_at_height_cap():
     # int64 range claims hold at the documented cap H=400: grid values must
     # equal exact Python-int arithmetic on sampled cells.  The disc grid is
     # the classifier's own formula on int64 arrays, so its comparison checks
     # that the int64 evaluation does not overflow; sympy checks the formula
-    # itself in test_classify.  The d-windows equal their Python-int
-    # derivation, cover every disc > 0 cell, and the sparse square cells
-    # equal the dense grid's.
-    from galoiscensus.census import _quartic_d_windows, _square_mask
+    # itself in test_classify.  The d-windows cover every disc > 0 cell (their
+    # float ends are bounded in test_j_window_brackets_the_exact_window), and
+    # the sparse square cells equal the dense grid's.
+    from galoiscensus.census import _square_mask
     from galoiscensus.classify import disc_quartic, resolvent_integer_roots
 
     H = 400
@@ -974,10 +981,6 @@ def test_quartic_kernel_exact_at_height_cap():
         has_root, root_val, _ = _root_grids(a, b, H)
         assert np.array_equal(_square_cells(a, b, b + 1, H)[0], _square_mask(disc)), (a, b)
         _assert_windows_cover(a, b, b + 1, H)
-        lo, hi, _ = _quartic_d_windows(a, b, b + 1, H)
-        for c in [-H, H, *rng.sample(range(-H, H + 1), 30)]:
-            ends = (int(lo[c + H]), int(hi[c + H]))
-            assert (ends if ends[0] <= ends[1] else None) == _d_window(a, b, c, H), (a, b, c)
         for _ in range(120):
             c = rng.randint(-H, H)
             d = rng.randint(-H, H)
@@ -1144,34 +1147,81 @@ def test_pooled_journal_equals_serial_journal(tmp_path):
     assert journals[1].read_bytes() == journals[2].read_bytes()
 
 
-def test_cubic_c_window_edges_in_python_ints():
-    # the float window holds the exact window from isqrt(4 I^3), taken in
-    # Python ints, and exceeds it by at most one c per end; its outer
-    # neighbours hold disc <= 0, including rows where 4 I^3 outgrows int64
-    from galoiscensus.census import _cubic_a3_rows, _cubic_c_window
-    from galoiscensus.classify import disc_cubic_coeffs
+def _assert_j_windows(height: int, rows, disc) -> int:
+    """``_j_window`` on rows (i_top, j0, slope, *coeffs) of Python ints,
+    against the exact window {t in [-H, H] : |j0 + slope t| <= S},
+    S = isqrt(4 i_top^3): it contains the exact window, exceeds it by at most
+    one t per end where slope != 0 (and holds every t or none where slope =
+    0), and disc(*coeffs, t) <= 0 at its outer neighbours in the box.
+    Returns the number of rows whose exact window is non-empty."""
+    from galoiscensus.census import _j_window
+
+    H = height
+    i_top, j0, slope = (np.array([row[k] for row in rows], dtype=np.int64) for k in range(3))
+    lo, hi = _j_window(i_top, j0, slope, H)
+    non_empty = 0
+    for (i, j, s, *coeffs), l, h in zip(rows, lo.tolist(), hi.tolist()):
+        S = math.isqrt(4 * i**3)
+        if s == 0:
+            assert (l, h) == (-H, H) if abs(j) <= S else (l > h or abs(j) <= S + 2), (H, i, j, coeffs)
+            continue
+        ends = sorted([Fraction(-S - j, s), Fraction(S - j, s)])
+        exact_lo, exact_hi = max(math.ceil(ends[0]), -H), min(math.floor(ends[1]), H)
+        assert exact_lo - 1 <= l and h <= exact_hi + 1, (H, i, j, s, coeffs)
+        if exact_lo <= exact_hi:
+            assert l <= exact_lo and exact_hi <= h, (H, i, j, s, coeffs)
+            non_empty += 1
+        for t in (l - 1, h + 1):
+            if l <= h and -H <= t <= H:
+                assert disc(*coeffs, t) <= 0, (H, coeffs, t)
+    return non_empty
+
+
+def test_j_window_brackets_the_exact_window():
+    # both census degrees' windows come from _j_window's float r; checked
+    # against isqrt(4 I^3) in Python ints.  Cubic rows: I and J0 at c = 0,
+    # slope 27, sampled up to the cap, including rows where 4 I^3 outgrows
+    # int64.  Quartic rows: max(I(H), 0), J(0) and J(1) - J(0) of every
+    # (a >= 0, b, c) row for H <= 20, and at the cap the corner stripes of
+    # test_quartic_kernel_exact_at_height_cap and the slope-0 rows (a, b) =
+    # (4, 6) and (32, 384), where 72b = 27a^2
+    from galoiscensus.census import _cubic_a3_rows, _j_window
+    from galoiscensus.classify import disc_cubic_coeffs, invariants_cubic_coeffs, invariants_quartic_coeffs
 
     rng = random.Random(27)
     wide = non_empty = 0
     for H in [1, 7, 60, 500, 1200, 5000]:
+        rows = []
         for a in {0, H, -H, rng.randint(-H, H)}:
-            rows = _cubic_a3_rows(a, H).tolist()
-            pick = sorted({rows[0], rows[-1], *rng.sample(rows, min(40, len(rows)))})
-            lo, hi = _cubic_c_window(a, H, np.array(pick, dtype=np.int64))
-            for bi, lo_c, hi_c in zip(pick, lo.tolist(), hi.tolist()):
-                b = bi - H
-                i, j0 = a * a - 3 * b, 2 * a**3 - 9 * a * b
+            bs = _cubic_a3_rows(a, H).tolist()
+            for b in sorted({bs[0], bs[-1], *rng.sample(bs, min(40, len(bs)))}):
+                i, j0 = invariants_cubic_coeffs(a, b - H, 0)
+                rows.append((i, j0, 27, a, b - H))
                 wide += 4 * i**3 > 2**63
-                s = math.isqrt(4 * i**3)
-                exact_lo, exact_hi = max(-((s + j0) // 27), -H), min((s - j0) // 27, H)
-                if lo_c - 1 >= -H:
-                    assert disc_cubic_coeffs(a, b, lo_c - 1) <= 0, (H, a, b)
-                if hi_c + 1 <= H:
-                    assert disc_cubic_coeffs(a, b, hi_c + 1) <= 0, (H, a, b)
-                assert exact_lo - 1 <= lo_c <= exact_lo, (H, a, b)
-                assert exact_hi <= hi_c <= exact_hi + 1, (H, a, b)
-                non_empty += exact_lo <= exact_hi
+        non_empty += _assert_j_windows(H, rows, disc_cubic_coeffs)
     assert wide > 20 and non_empty > 100
+
+    def quartic_row(a, b, c, H):
+        (i_top, _), (_, j0), (_, j1) = (invariants_quartic_coeffs(a, b, c, d) for d in (H, 0, 1))
+        return max(i_top, 0), j0, j1 - j0, a, b, c
+
+    slopes = Counter()
+    for H in range(21):
+        rows = [quartic_row(a, b, c, H) for a in range(H + 1) for b in range(-H, H + 1) for c in range(-H, H + 1)]
+        slopes.update((row[2] > 0) - (row[2] < 0) for row in rows)
+        non_empty += _assert_j_windows(H, rows, disc_quartic_coeffs)
+    H = 400
+    stripes = [(400, -400), (399, 397), (0, -400), (255, -33), (4, 6), (32, 384)]
+    rows = [quartic_row(a, b, c, H) for a, b in stripes for c in range(-H, H + 1)]
+    slopes.update((row[2] > 0) - (row[2] < 0) for row in rows)
+    assert _assert_j_windows(H, rows, disc_quartic_coeffs) > 2000
+    assert min(slopes[-1], slopes[0], slopes[1]) > 1000, slopes
+
+    # r itself, the hi of a window with j0 = 0 and slope 1, is within
+    # [S, S + 2] at every i of the quartic range at the cap, in int64
+    i = np.arange(4 * H * H + 12 * H + 1, dtype=np.int64)
+    r = _j_window(i, 0, 1, 2**40)[1]
+    assert ((r + 1) ** 2 > 4 * i**3).all() and (np.maximum(r - 2, 0) ** 2 <= 4 * i**3).all()
 
 
 def test_loeschian_table_matches_prime_exponent_rule():
@@ -1201,26 +1251,23 @@ def test_square_mask_matches_isqrt(values):
     assert got.tolist() == [_is_positive_square(v) for v in values]
 
 
-def test_isqrt_matches_math_isqrt():
-    # over the whole documented domain [0, 2^62): the float guess may be one
-    # above floor(sqrt(v)) near the top, never below it (the proof in the
-    # docstring), so s^2 - 1, s^2 and s^2 + 1 for s near each 2^e with
-    # e = 26..31 are checked in full
-    from galoiscensus.census import _isqrt
+def test_float_sqrt_ends_exact_on_the_resolvent_domain():
+    # the resolvent |t|-range ends are the float64 floor and ceil of sqrt(v)
+    # for integers 0 <= v <= |K| (x^2 + 4H), exact below 2^52; checked at
+    # s^2 - 1, s^2 and s^2 + 1 for every s up to the domain top at the cap,
+    # with |x| < B and |K| <= H^2 + 4H + 4B
+    from galoiscensus.classify import resolvent_root_bound
 
-    values = [0, 1, 2, 3, 4, 2**53 - 1, 2**53, 2**53 + 1, 2**62 - 1]
-    near = [*range(1, 50), *range(94906262, 94906266)]
-    near += [s for e in range(26, 32) for s in range(2**e - 3000, 2**e + 3001)]
-    for s in near:
-        values += [s * s - 1, s * s, s * s + 1]
-    values = [v for v in values if v < 2**62]
-    rng = random.Random(53)
-    values += [rng.randrange(2**53) for _ in range(1000)]
-    values += [rng.randrange(2**62) for _ in range(1000)]
-    for s in (rng.randrange(2**27, 2**31) for _ in range(300)):
-        values += [s * s - 1, s * s, min(s * s + 1, 2**62 - 1)]
-    got = _isqrt(np.array(values, dtype=np.int64))
-    assert got.tolist() == [math.isqrt(v) for v in values]
+    H = 400
+    B = resolvent_root_bound(H)
+    top = (H * H + 4 * H + 4 * B) * (B * B + 4 * H)
+    assert top < 2**52
+    s = np.arange(1, math.isqrt(top) + 2, dtype=np.int64) ** 2
+    v = np.concatenate([[0], s - 1, s, s + 1])
+    floor = np.array([math.isqrt(n) for n in v.tolist()], dtype=np.int64)
+    root = np.sqrt(v)
+    assert np.array_equal(np.floor(root).astype(np.int64), floor)
+    assert np.array_equal(np.ceil(root).astype(np.int64), floor + (floor * floor < v))
 
 
 def test_square_mask_edge_cases():

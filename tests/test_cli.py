@@ -157,6 +157,41 @@ def test_census_height_cap_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--degree", "3", "--height", "2", "--threads", "1", "--journal", "{dir}"],
+        ["census", "--degree", "3", "--height", "2", "--threads", "1", "--out", "{dir}/missing/x.json"],
+        ["family", "--name", "a3", "--height", "2", "--out", "{dir}/missing/x"],
+        ["verify-identities", "--suite", "star", "--window", "1", "--out", "{dir}/missing/x"],
+    ],
+)
+def test_unwritable_journal_or_out_is_usage_error_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    for name in ("run_census", "run_suites", "gen_a3_family"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"cannot write {argv[-1]}" in capsys.readouterr().err
+
+
+def test_out_write_error_is_usage_error(monkeypatch, capsys):
+    # an error while writing the report, after the probe opened the path,
+    # is a usage error too
+    def full(path, *args, **kwargs):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(cli, "open", full, raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli._emit(["x"], "report.json", cli.build_parser())
+    assert exc.value.code == 2
+    assert "cannot write report.json: No space left on device" in capsys.readouterr().err
+
+
 def test_verify_identities_ok(capsys):
     assert main(["verify-identities", "--suite", "discF", "--window", "8"]) == 0
     payload = json.loads(capsys.readouterr().out)
