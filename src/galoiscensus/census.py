@@ -176,8 +176,8 @@ class CensusRequest:
     def validate(self) -> None:
         if self.degree not in (3, 4):
             raise CensusError(f"degree must be 3 or 4, got {self.degree}")
-        if self.height < 0:
-            raise CensusError("height must be >= 0")
+        if type(self.height) is not int or self.height < 0:
+            raise CensusError(f"height must be an int >= 0, got {self.height!r}")
         if self.height > MAX_HEIGHT[self.degree]:
             raise CensusError(
                 f"height {self.height} exceeds the int64-safe cap "
@@ -317,10 +317,13 @@ def _j_window(i_top, j0, slope, height: int) -> tuple[np.ndarray, np.ndarray]:
     H = height
     r = np.ceil(2 * i_top * np.sqrt(i_top)).astype(np.int64)
     # read with u = |slope| > 0 as u t in [m - r, m + r]
-    u, m = np.abs(slope), np.where(slope < 0, j0, -j0)
+    u, m = np.abs(slope), -np.sign(slope) * j0
     us = np.maximum(u, 1)
-    lo = np.where(u > 0, -((r - m) // us), -H)
-    hi = np.where(u > 0, (m + r) // us, np.where(np.abs(j0) <= r, H, -H - 1))
+    lo, hi = -((r - m) // us), (m + r) // us
+    flat = u == 0
+    if flat.any():  # the cubic's slope is never 0: skip the masks there
+        lo = np.where(flat, np.where(np.abs(j0) <= r, -H, H + 1), lo)
+        hi = np.where(flat, H, hi)
     return np.maximum(lo, -H), np.minimum(hi, H)
 
 

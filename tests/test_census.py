@@ -932,6 +932,7 @@ def test_report_from_json_rejects_impossible_reports():
         ({"reducible": 15, "S3": 13, "A3": -1}, {}, "must be >= 0"),
         ({"reducible": 15, "S3": 13, "A3": 0}, {}, "sum to its 27 cells"),
         (payload["counts"], {"degree": 5}, "degree must be 3 or 4"),
+        (payload["counts"], {"height": "1"}, "height must be an int >= 0, got '1'"),
     ]
     for counts, fields, message in cases:
         bad = dict(payload, counts=counts, total=sum(counts.values()), **fields)
