@@ -559,8 +559,7 @@ def _quartic_d_windows(a: int, b0: int, b1: int, height: int):
     the slopes are read per b at c = 0).  disc > 0 needs I(d) > 0, so
     d > -I(0) / g, the exact lower bound that keeps a row's Loeschian keys in
     its class; and I(d) <= I(H), so the ``_j_window`` at max(I(H), 0) holds
-    every such cell.  int64: I(H) <= 4H^2 + 12H < 2^25, |J(0)| <= 11H^3 +
-    27H^2 and |J(1) - J(0)| <= 27H^2 + 72H at the cap.
+    every such cell (the module docstring bounds its int64 values).
     """
     H = height
     b = np.arange(b0, b1, dtype=np.int64)[:, None]
@@ -1007,14 +1006,12 @@ def report_from_json(text: str) -> CensusReport:
     payload = json.loads(text)
     req = CensusRequest(degree=payload["degree"], height=payload["height"], strategy=payload["strategy"])
     req.validate()
-    counts = payload["counts"]
-    checksum = req.checksum()
+    checksum, counts = req.checksum(), payload["counts"]
     if payload["checksum"] != checksum:
         raise CensusError(f"report checksum {payload['checksum']} is not its request's {checksum}")
     _check_counts(counts, req, (2 * req.height + 1) ** req.degree, "report")
-    total = sum(counts.values())
-    if payload["total"] != total:
-        raise CensusError(f"report total {payload['total']} is not the sum {total} of its counts")
+    if payload["total"] != sum(counts.values()):
+        raise CensusError(f"report total {payload['total']} is not the sum {sum(counts.values())} of its counts")
     return CensusReport(request=req, counts=counts, wall_time_s=payload["wall_time_s"])
 
 
