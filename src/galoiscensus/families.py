@@ -52,18 +52,16 @@ class FamilyMember:
     expected: tuple[str, ...]
 
 
-def _member_line(family: str, params: tuple, coeffs: tuple[int, ...],
-                 classified: str | None = None) -> str:
-    """A member's JSON line, byte-identical to ``json.dumps`` of
-    {"family", "params" (as a dict), "coeffs" (as a list)[, "class"]}.
-
-    Built from a template: the family, parameter names and class labels
-    are plain identifiers, which JSON quotes without escapes, and the
-    values are ints, which it writes as ``str`` does."""
+def _member_line(family: str, params: tuple, n_coeffs: int) -> str:
+    """The %-template of a member's JSON line, to be filled with the values
+    of its "%d" parameters, its n_coeffs coefficients and its class label.
+    Filled, it is byte-identical to ``json.dumps`` of {"family", "params"
+    (as a dict), "coeffs" (as a list), "class"}: the family, parameter
+    names and labels are plain identifiers, which JSON quotes without
+    escapes, and the values are ints, which it writes as ``%d`` does."""
     params = ", ".join([f'"{k}": {v}' for k, v in params])
-    coeffs = ", ".join(map(str, coeffs))
-    label = "" if classified is None else f', "class": "{classified}"'
-    return f'{{"family": "{family}", "params": {{{params}}}, "coeffs": [{coeffs}]{label}}}'
+    coeffs = ", ".join(["%d"] * n_coeffs)
+    return f'{{"family": "{family}", "params": {{{params}}}, "coeffs": [{coeffs}], "class": "%s"}}'
 
 
 @dataclass
@@ -159,14 +157,21 @@ def _d4vc_prelude(H: int, p: int, q: int) -> tuple[np.ndarray, ...]:
 
 # the work of scanning one (u, v) pair for candidates, counted in members:
 # at d4vc(6e5, 1/5) the scan takes about 0.2 us a pair, and a member about
-# 30 us: 4 us to generate, 26 us to classify, validate and render
-_PAIR_COST = 1 / 128
+# 13 us: 1.5 us to generate, 10.5 us to classify, 1 us to validate and render
+_PAIR_COST = 1 / 64
+
+# the largest height whose d4vc intermediates fit in int64; see _d4vc_columns
+_MAX_HEIGHT = 3 * 10**9
+
+_D4VC_PARAMS = ("u", "v", "w", "x", "a")
+_D4VC_EXPECTED = ("D4", "V4", "C4")
 
 
 def d4vc_units(height: int, delta: Fraction = Fraction(1, 5)) -> list[tuple]:
     """gen_d4vc_family(height, delta) as pool units for validate_units:
     consecutive ranges of its (u, v) pair list, of about _CHUNK estimated
-    members each, whose members _d4vc_rows generates.
+    members each, which _d4vc_unit generates, classifies, validates and
+    renders column-wise.
 
     A pair's x and a windows hold about L/18 residues each, with
     L = delta H / (v sqrt(u)), and its w range about v/36, so the pair
@@ -174,10 +179,13 @@ def d4vc_units(height: int, delta: Fraction = Fraction(1, 5)) -> list[tuple]:
     estimate plus _PAIR_COST, and a cut may fall inside one u's v range:
     at (6e5, 1/5) u = 30 alone holds 10.6% of the members.  The estimate
     only places the cuts; the ranges partition the pair list whatever it
-    says.  Height and delta are checked here, before any unit runs.
+    says.  Height (at most _MAX_HEIGHT) and delta are checked here, before
+    anything is allocated or any unit runs.
     """
     if height < 0:
         raise ValueError(f"height must be >= 0, got {height}")
+    if height > _MAX_HEIGHT:
+        raise ValueError(f"height {height} exceeds the int64-safe d4vc cap {_MAX_HEIGHT}")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     H, p, q = height, delta.numerator, delta.denominator
@@ -195,26 +203,32 @@ def d4vc_units(height: int, delta: Fraction = Fraction(1, 5)) -> list[tuple]:
         s, e = int(np.searchsorted(ends, lo, side="right")), int(np.searchsorted(starts, hi))
         first, last = np.maximum(starts[s:e], lo), np.minimum(ends[s:e], hi)
         args = (H, p, q, us[s:e], root_u[s:e], j_lo[s:e] + first - starts[s:e], last - first)
-        units.append((_d4vc_rows, args))
+        units.append((_d4vc_unit, args))
     return units
 
 
+def _d4vc_columns(H: int, p: int, q: int, us, root_u, j_lo, n_v) -> tuple[np.ndarray, ...]:
+    """The u, v, w, x, a, b, c, d int64 columns of the d4vc members whose u
+    is in us and v in 4 + 6 (j_lo + [0, n_v)), in member order; the last
+    four are the coefficients (a, b, c, d), from 4d = x^2 - u v^2,
+    4(b - x) = a^2 - u w^2 and 2c = x a - u v w, exact as all five
+    parameters are even.
+
+    int64: a member has x, a <= delta^2 H + delta^2 sqrt(H)/2 < H + sqrt(H)/2,
+    so u v^2 < x^2, u w^2 < a^2 and u v w < x a stay below
+    (H + sqrt(H)/2)^2 < 9.001e18 < 2^63 up to _MAX_HEIGHT = 3e9, and so
+    do u v and u w, which are below u v^2."""
+    u, v, w, x, a = _d4vc_block(us, root_u, j_lo, n_v, H, p, q)
+    assert not ((u | v | w | x | a) & 1).any()
+    return u, v, w, x, a, x + (a * a - u * w * w) // 4, (x * a - u * v * w) // 2, (x * x - u * v * v) // 4
+
+
 def _d4vc_rows(H: int, p: int, q: int, us, root_u, j_lo, n_v):
-    """The fields (family, params, coeffs, expected) of the d4vc members
-    whose u is in us and v in 4 + 6 (j_lo + [0, n_v)), in their order."""
-    mu, mv, mw, mx, ma = _d4vc_block(us, root_u, j_lo, n_v, H, p, q)
-    # all five are even, so the divisions below are exact
-    assert not ((mu | mv | mw | mx | ma) & 1).any()
+    """The fields (family, params, coeffs, expected) of the members of
+    _d4vc_columns, in their order: the per-member view of the oracle route."""
     tail = (("H", H), ("delta_num", p), ("delta_den", q))
-    expected = ("D4", "V4", "C4")
-    for u, v_, w_, x_, a_ in zip(mu.tolist(), mv.tolist(), mw.tolist(), mx.tolist(), ma.tolist()):
-        yield (
-            "d4vc",
-            (("u", u), ("v", v_), ("w", w_), ("x", x_), ("a", a_)) + tail,
-            (a_, x_ + (a_ * a_ - u * w_ * w_) // 4, (x_ * a_ - u * v_ * w_) // 2,
-             (x_ * x_ - u * v_ * v_) // 4),
-            expected,
-        )
+    for row in zip(*[col.tolist() for col in _d4vc_columns(H, p, q, us, root_u, j_lo, n_v)]):
+        yield "d4vc", (*zip(_D4VC_PARAMS, row), *tail), row[4:], _D4VC_EXPECTED
 
 
 def _d4vc_block(us, root_u, j_lo, n_v, H: int, p: int, q: int) -> tuple[np.ndarray, ...]:
@@ -309,13 +323,15 @@ def gen_d4vc_family(height: int, delta: Fraction = Fraction(1, 5)) -> list[Famil
 
     How the work is split.  _d4vc_prelude lists the (u, v) pairs once:
     the u sieve, sqrt(u) and each u's v range, all cheap.  d4vc_units cuts
-    that list into consecutive ranges, and _d4vc_rows turns one range into
-    its members.  This function is the concatenation of all the ranges, in
-    one process; the ``family`` command runs the same ranges as pool units,
-    each generated, validated and rendered in a worker (validate_units).
+    that list into consecutive ranges, and _d4vc_columns turns one range
+    into its members' int64 columns.  This function reads them member by
+    member (_d4vc_rows), range after range, in one process: it is the
+    oracle of the ``family`` command, which runs the same ranges as pool
+    units (_d4vc_unit), each generated, checked as columns, classified and
+    rendered in a worker.
     """
-    return [FamilyMember(*row) for make_rows, args in d4vc_units(height, delta)
-            for row in make_rows(*args)]
+    return [FamilyMember(*row) for _, args in d4vc_units(height, delta)
+            for row in _d4vc_rows(*args)]
 
 
 def gen_v4_biquadratic(height: int) -> list[FamilyMember]:
@@ -382,12 +398,12 @@ def gen_a3_family(t_lo: int, t_hi: int) -> list[FamilyMember]:
 
 _CHUNK = 1024
 """Most members per pool unit: a chunk of a member list (member_units), or
-the estimated members of a d4vc pair range (d4vc_units).  A chunk goes out
-as a list of plain tuples, which pickle and unpickle in under half the time
-of the dataclasses; a d4vc range goes out as four short numpy slices, and
-its worker generates the members.  A unit comes back as its class tally,
-its JSON lines joined into one string, and its mismatch and exception
-entries.
+the estimated members of a d4vc pair range (d4vc_units).  A unit is
+(fn, args).  A chunk goes out as a list of plain tuples, which pickle and
+unpickle in under half the time of the dataclasses; a d4vc range goes out
+as four short numpy slices, and its worker generates the members.  A unit
+comes back as its class tally, its JSON lines joined into one string, and
+its mismatch and exception entries.
 Units of about 1024 members keep each reply near 200 kB at d4vc(6e5, 1/5)
 and leave dozens of units to balance the workers."""
 
@@ -443,28 +459,67 @@ def _validate_d4vc(params: tuple, coeffs: tuple[int, ...], expected: tuple[str, 
     return True, ""
 
 
-def _check_unit(unit: tuple) -> tuple[Counter, str, list[dict], list[dict]]:
-    """Generate one pool unit's members, then classify, validate and render
-    each; a unit is (make_rows, args), and make_rows(*args) yields member
-    fields.  Returns the members per label (keys in first-occurrence
-    order), the JSON lines joined by newlines and the mismatch and
-    exception entries, in member order."""
-    make_rows, args = unit
+def _entry(family: str, params: tuple, coeffs: tuple[int, ...], label: str, note: str) -> dict:
+    """A mismatch or exception entry of the report."""
+    return {"family": family, "params": dict(params), "coeffs": list(coeffs),
+            "class": label, "note": note}
+
+
+def _check_rows(rows: list[tuple]) -> tuple[Counter, str, list[dict], list[dict]]:
+    """The unit function of member_units: classify, validate and render
+    each member, given as its fields (family, params, coeffs, expected)."""
     tally, lines, mismatches, exceptions = Counter(), [], [], []
-    for family, params, coeffs, expected in make_rows(*args):
+    for family, params, coeffs, expected in rows:
         label, ok, exception, note = _check_member(family, params, coeffs, expected)
         tally[label] += 1
-        lines.append(_member_line(family, params, coeffs, label))
+        lines.append(_member_line(family, params, len(coeffs)) % (*coeffs, label))
         if exception or not ok:
-            entry = {
-                "family": family,
-                "params": dict(params),
-                "coeffs": list(coeffs),
-                "class": label,
-                "note": note,
-            }
-            (exceptions if exception else mismatches).append(entry)
+            (exceptions if exception else mismatches).append(
+                _entry(family, params, coeffs, label, note))
     return tally, "\n".join(lines), mismatches, exceptions
+
+
+def _d4vc_flags(H: int, x, a, b, c, d) -> np.ndarray:
+    """The members of the columns that fail a family predicate of
+    _validate_d4vc: 0 < 4d < H, 0 < 4(b - x) < H, 0 < 2c < H, |coefficient|
+    <= H, 3 | every coefficient and 9 does not divide d.  int64 as in
+    _d4vc_columns: 4d < x^2 and 4(b - x) < a^2."""
+    four_d, four_e, two_c = 4 * d, 4 * (b - x), 2 * c
+    ok = (0 < four_d) & (four_d < H) & (0 < four_e) & (four_e < H) & (0 < two_c) & (two_c < H)
+    for t in (a, b, c, d):
+        ok &= (np.abs(t) <= H) & (t % 3 == 0)
+    return ~(ok & (d % 9 != 0))
+
+
+def _d4vc_unit(H: int, p: int, q: int, us, root_u, j_lo, n_v) -> tuple:
+    """The unit function of d4vc_units, column-wise: the members' columns
+    and family predicates as int64 arrays, then one loop that classifies
+    each member and fills one line template.  Only members flagged by
+    _d4vc_flags or classified outside D4/V4/C4 go through _validate_d4vc,
+    which gives each mismatch its note as on the per-member route."""
+    cols = _d4vc_columns(H, p, q, us, root_u, j_lo, n_v)
+    flags = _d4vc_flags(H, *cols[3:])
+    tail = (("H", H), ("delta_num", p), ("delta_den", q))
+    line = _member_line("d4vc", (*[(k, "%d") for k in _D4VC_PARAMS], *tail), 4)
+    labels, lines, mismatches = [], [], []
+    for u, v, w, x, a, b, c, d, flag in zip(*[col.tolist() for col in cols], flags.tolist()):
+        label = classify_quartic(MonicQuartic(a, b, c, d)).group.value
+        labels.append(label)
+        lines.append(line % (u, v, w, x, a, a, b, c, d, label))
+        if flag or label not in _D4VC_EXPECTED:
+            params = (*zip(_D4VC_PARAMS, (u, v, w, x, a)), *tail)
+            ok, note = _validate_d4vc(params, (a, b, c, d), _D4VC_EXPECTED, label)
+            if not ok:
+                mismatches.append(_entry("d4vc", params, (a, b, c, d), label, note))
+    return Counter(labels), "\n".join(lines), mismatches, []
+
+
+def _check_unit(unit: tuple) -> tuple[Counter, str, list[dict], list[dict]]:
+    """Run one pool unit (fn, args): fn(*args) returns the members per label
+    (keys in first-occurrence order), their JSON lines joined by newlines
+    and the mismatch and exception entries, in member order."""
+    fn, args = unit
+    return fn(*args)
 
 
 def member_units(members: list[FamilyMember], workers: int = 1) -> Iterator[tuple]:
@@ -474,7 +529,7 @@ def member_units(members: list[FamilyMember], workers: int = 1) -> Iterator[tupl
     at the first ones, so the rest never sit in their copies of this heap."""
     size = min(_CHUNK, max(256, -(-len(members) // workers)))
     for i in range(0, len(members), size):
-        yield iter, ([(m.family, m.params, m.coeffs, m.expected) for m in members[i : i + size]],)
+        yield _check_rows, ([(m.family, m.params, m.coeffs, m.expected) for m in members[i : i + size]],)
 
 
 def validate_units(units: Iterable[tuple],

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from galoiscensus import census, cli
+from galoiscensus import census, cli, families
 from galoiscensus.cli import main
 from galoiscensus.families import validate_units
 
@@ -376,3 +376,11 @@ def test_census_table_strategy(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["strategy"] == "table"
     assert payload["counts"]["D4"] == 188
+
+
+def test_family_d4vc_height_past_int64_cap_is_usage_error(capsys):
+    height = families._MAX_HEIGHT + 1
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--name", "d4vc", "--height", str(height)])
+    assert exc.value.code == 2
+    assert f"height {height} exceeds" in capsys.readouterr().err

@@ -169,3 +169,27 @@ def test_iroot(n, k):
 def test_iroot_rejects_negative():
     with pytest.raises(ValueError):
         iroot(-1, 3)
+
+
+def _iroot_bisect(n, k):
+    """The largest r >= 0 with r^k <= n, by doubling and bisection."""
+    lo, hi = 0, 1
+    while hi**k <= n:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid**k <= n else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 20, 52, 53, 100, 1000, 5000])
+def test_iroot_matches_bisection_at_and_around_exact_powers(k):
+    # k on both sides of the float seed (k > 4), roots on both sides of the
+    # 52 bits past which the seed is shifted, n kept to about 2e5 bits
+    rng = random.Random(k)
+    roots = [1, 2, 3, 10, 2**52 - 1, 2**52, 2**52 + 1, 2**53 + 1, 10**20 + 7, 3**100,
+             rng.getrandbits(150) | 1]
+    for r in (r for r in roots if r.bit_length() * k <= 2 * 10**5):
+        n = r**k
+        for m in (n - 1, n, n + 1):
+            assert iroot(m, k) == _iroot_bisect(m, k), (r, k, m - n)

@@ -1,5 +1,7 @@
 import functools
 import json
+import math
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -23,7 +25,12 @@ from galoiscensus.families import (
     gen_a4_family,
     gen_d4vc_family,
     gen_v4_biquadratic,
+    _check_rows,
+    _d4vc_columns,
+    _d4vc_flags,
     _d4vc_prelude,
+    _d4vc_rows,
+    _d4vc_unit,
     _expand,
     _member_line,
     _residue_span,
@@ -363,7 +370,7 @@ def test_d4vc_many_tiny_units_keep_member_order(tmp_path, monkeypatch):
     monkeypatch.setattr(families, "_CHUNK", 1)
     H, delta = 10**5, Fraction(1, 5)
     units = d4vc_units(H, delta)
-    sizes = [sum(1 for _ in make_rows(*args)) for make_rows, args in units]
+    sizes = [len(_d4vc_columns(*args)[0]) for _, args in units]
     assert len(units) > 100 and 0 in sizes and sum(sizes) == 315
     assert sum(1 for unit in _unit_pairs(units) if unit and unit[0][0] == 30) > 1
     expected = _oracle_output(H, delta)
@@ -396,28 +403,143 @@ def test_d4vc_planted_mismatch_same_on_both_routes(tmp_path, monkeypatch):
         assert _route_output(tmp_path, H, delta, workers) == expected
 
 
-def _json_dumps_line(member, classified=None):
+def _plant(monkeypatch, name, target, change):
+    """Patch families.<name>, which returns int64 columns led by u, v, w, x,
+    a, so that change(columns, hit) alters the member whose (u, v, w, x, a)
+    is target; both routes generate through the patched function."""
+    real = getattr(families, name)
+
+    def patched(*args):
+        cols = [col.copy() for col in real(*args)]
+        hit = np.logical_and.reduce([col == t for col, t in zip(cols, target)])
+        change(cols, hit)
+        return tuple(cols)
+
+    monkeypatch.setattr(families, name, patched)
+
+
+def _nine_divides_d(cols, hit):
+    cols[7][hit] -= cols[7][hit] % 9
+
+
+def _four_d_above_h(cols, hit):
+    cols[3][hit] += 18 * 100  # x up by 1800 keeps x = 12 (mod 18), and x^2 - u v^2 > H
+
+
+@pytest.mark.parametrize(
+    "name, change, note",
+    [("_d4vc_columns", _nine_divides_d, "9 divides d (Eisenstein at 3 fails)"),
+     ("_d4vc_block", _four_d_above_h, "range predicate failed")],
+)
+def test_d4vc_planted_predicate_failure_same_on_both_routes(tmp_path, monkeypatch, name, change, note):
+    # one member fails a family predicate, and a patched classifier calls
+    # every member D4, so only the predicate can flag it: the same mismatch
+    # entry, lines and exit 1 from the oracle and from the route, serial and
+    # on a pool of several units
+    H, delta = 10**5, Fraction(1, 5)
+    member = gen_d4vc_family(H, delta)[100]
+    assert member.coeffs[3] % 9 and member.coeffs[3] > 9
+    target = [value for _, value in member.params[:5]]
+    _plant(monkeypatch, name, target, change)
+    d4 = SimpleNamespace(group=SimpleNamespace(value="D4"))
+    monkeypatch.setattr(families, "classify_quartic", lambda f: d4)
+    monkeypatch.setattr(families, "_CHUNK", 32)
+    expected = _oracle_output(H, delta)
+    summary = json.loads(expected[0].splitlines()[-1])
+    assert expected[1] == 1 and summary["mismatch_count"] == 1
+    (entry,) = summary["mismatches"]
+    assert entry["note"] == note and entry["class"] == "D4"
+    assert entry["params"]["u"] == target[0] and entry["coeffs"] != list(member.coeffs)
+    assert len(d4vc_units(H, delta)) > 2
+    for workers in (1, 2):
+        assert _route_output(tmp_path, H, delta, workers) == expected
+
+
+def test_d4vc_unit_matches_the_per_member_route():
+    # every unit's tally, lines and entries, column-wise and member by member
+    for H, delta in ((10**5, Fraction(1, 5)), (400, Fraction(1, 2)), (100, Fraction(1, 5))):
+        for _, args in d4vc_units(H, delta):
+            assert _d4vc_unit(*args) == _check_rows(list(_d4vc_rows(*args)))
+
+
+def test_d4vc_flags_match_the_member_predicates():
+    # members moved across one predicate each, cyclically: a member is
+    # flagged exactly when _validate_d4vc fails it with a class in D4/V4/C4,
+    # and each move fails the predicate it aims at
+    H = 2 * 10**5
+    rows = [row for _, args in d4vc_units(H, Fraction(1, 5)) for row in _d4vc_rows(*args)][:400]
+    up = 9 * -(-H // 36)  # 4 (t + up) >= H, and up keeps t mod 9
+    moves = [
+        (lambda a, b, c, d: (a, b, c, d), ""),
+        (lambda a, b, c, d: (a, b, c, d + up), "range predicate failed"),
+        (lambda a, b, c, d: (a, b, c, d % 9 - 9), "range predicate failed"),
+        (lambda a, b, c, d: (a, b + up, c, d), "range predicate failed"),
+        (lambda a, b, c, d: (a, b, c + 2 * up, d), "range predicate failed"),
+        (lambda a, b, c, d: (a + 3 * (H // 3 + 1), b, c, d), "height exceeded"),
+        (lambda a, b, c, d: (a + 1, b, c, d), "coefficients not all divisible by 3"),
+        (lambda a, b, c, d: (a, b, c, d - d % 9), "9 divides d (Eisenstein at 3 fails)"),
+    ]
+    moved = []
+    for i, (_, params, coeffs, expected) in enumerate(rows):
+        move, note = moves[i % len(moves)]
+        moved.append((dict(params)["x"], *move(*coeffs)))
+        ok, got = families._validate_d4vc(params, moved[-1][1:], expected, "D4")
+        assert (ok, got) == (not note, note), (params, coeffs, note)
+    flags = _d4vc_flags(H, *np.array(moved, dtype=np.int64).T)
+    assert flags.tolist() == [i % len(moves) != 0 for i in range(len(rows))]
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 5000), Fraction(2501, 5000), Fraction(1, 10000)])
+def test_d4vc_units_are_fast_at_extreme_deltas(delta):
+    # the u bound H^(2 - 2 delta) is an iroot of index up to 10^4
+    start = time.perf_counter()
+    d4vc_units(600_000, delta)
+    assert time.perf_counter() - start < 1
+
+
+def test_d4vc_height_cap(monkeypatch):
+    cap = families._MAX_HEIGHT
+    # the columns' products stay below (H + sqrt(H)/2)^2 (see _d4vc_columns)
+    assert (cap + math.isqrt(cap) // 2 + 1) ** 2 < 2**63
+
+    def prelude(*args):
+        raise AssertionError("the prelude ran")
+
+    monkeypatch.setattr(families, "_d4vc_prelude", prelude)
+    with pytest.raises(ValueError, match=f"height {cap + 1} exceeds"):
+        d4vc_units(cap + 1)
+    with pytest.raises(AssertionError, match="the prelude ran"):
+        d4vc_units(cap)  # the cap itself passes the check
+
+
+def _json_dumps_line(member, classified):
     """The member JSON line as json.dumps writes it: the oracle for _member_line."""
-    payload = {"family": member.family, "params": dict(member.params), "coeffs": list(member.coeffs)}
-    if classified is not None:
-        payload["class"] = classified
-    return json.dumps(payload)
+    return json.dumps({"family": member.family, "params": dict(member.params),
+                       "coeffs": list(member.coeffs), "class": classified})
 
 
 def test_member_json_line_matches_json_dumps():
     families_seen = set()
     for fam in (gen_d4vc_family(2 * 10**5, Fraction(1, 5))[:500], gen_v4_biquadratic(100),
                 gen_a4_family(5), gen_a3_family(-30, 30)):
-        for m, label in zip(fam, ("D4", "reducible", None, "S4", "A3", "V4", "C4") * len(fam)):
-            assert _member_line(m.family, m.params, m.coeffs, label) == _json_dumps_line(m, label)
-            assert _member_line(m.family, m.params, m.coeffs) == _json_dumps_line(m)
+        for m, label in zip(fam, ("D4", "reducible", "S4", "A3", "V4", "C4") * len(fam)):
+            line = _member_line(m.family, m.params, len(m.coeffs))
+            assert line % (*m.coeffs, label) == _json_dumps_line(m, label)
             families_seen.add(m.family)
     assert families_seen == {"d4vc", "v4-biquadratic", "a4", "a3"}
 
 
+def test_member_json_line_template_takes_the_open_params_first():
+    m = gen_d4vc_family(10**5, Fraction(1, 5))[7]
+    params = dict(m.params)
+    line = _member_line("d4vc", [(k, "%d") for k in "uvwxa"] + list(m.params)[5:], 4)
+    filled = line % (*(params[k] for k in "uvwxa"), *m.coeffs, "D4")
+    assert filled == _json_dumps_line(m, "D4")
+
+
 def test_member_json_line():
     m = gen_a3_family(4, 4)[0]
-    payload = json.loads(_member_line(m.family, m.params, m.coeffs, "A3"))
+    payload = json.loads(_member_line(m.family, m.params, len(m.coeffs)) % (*m.coeffs, "A3"))
     assert payload == {
         "family": "a3",
         "params": {"t": 4},
