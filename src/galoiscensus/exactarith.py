@@ -2,8 +2,8 @@
 
 Everything here is pure integer arithmetic on Python ints, so results are exact
 at any size, except that ``is_prime`` refuses n >= psi_13 (about 3.3e24)
-rather than guess.  The one float is ``iroot``'s first guess for k > 4, which
-integer steps then correct.
+rather than guess.  The one float is ``iroot``'s first guess, which integer
+steps then correct.
 """
 
 from __future__ import annotations
@@ -37,25 +37,21 @@ def perfect_square(n: int) -> int | None:
 def iroot(n: int, k: int) -> int:
     """The largest r >= 0 with r^k <= n, for n >= 0 and k >= 1, exact at any size.
 
-    Integer Newton steps from above the root fall to its floor.  For k <= 4
-    they start from the power of two at most 2x above the root.  For larger
-    k that seed would take about k ln 2 steps, so they start from the float
-    2^(log2(n) / k), shifted past 52 bits and rounded up (``math.log2``
-    reads a big int by its top bits), after one step that lifts any seed to
-    at least the floor (AM-GM); then they fall quadratically.  Small k stay
-    off the float path: a census worker's first libm call costs it about
-    0.3 MB of RSS.  The last two loops make the result exact."""
+    Integer Newton steps from above the root fall to its floor.  They start
+    from the float 2^(log2(n) / k), shifted past 52 bits and rounded up
+    (``math.log2`` reads a big int by its top bits), after one step that
+    lifts any seed to at least the floor (AM-GM); then they fall
+    quadratically, where a power-of-two seed would take about k ln 2 steps.
+    The last two loops make the result exact."""
     if n < 0:
         raise ValueError("iroot requires n >= 0")
     if n == 0:
         return 0
-    if k <= 4:
-        r = 1 << -(-n.bit_length() // k)
-    else:
-        log_root = math.log2(n) / k
-        t = max(int(log_root) - 52, 0)
-        r = int(2.0 ** (log_root - t) * (1 + 2.0**-40) + 1) << t
-        r = ((k - 1) * r + n // r ** (k - 1)) // k
+    t = n.bit_length() // k - 52
+    if t < 0:
+        t = 0
+    r = int(2.0 ** (math.log2(n) / k - t) * (1 + 2.0**-40) + 1) << t
+    r = ((k - 1) * r + n // r ** (k - 1)) // k
     while True:
         s = ((k - 1) * r + n // r ** (k - 1)) // k  # integer Newton step, decreasing
         if s >= r:

@@ -440,6 +440,8 @@ def _check_member(family: str, params: tuple, coeffs: tuple[int, ...],
 
 def _validate_d4vc(params: tuple, coeffs: tuple[int, ...], expected: tuple[str, ...],
                    label: str) -> tuple[bool, str]:
+    """The d4vc member contract, first failing predicate's note first.
+    _d4vc_flags encodes the same predicates as int64 masks: change both."""
     params = dict(params)
     H, x = params["H"], params["x"]
     a, b, c, d = coeffs
@@ -481,9 +483,10 @@ def _check_rows(rows: list[tuple]) -> tuple[Counter, str, list[dict], list[dict]
 
 def _d4vc_flags(H: int, x, a, b, c, d) -> np.ndarray:
     """The members of the columns that fail a family predicate of
-    _validate_d4vc: 0 < 4d < H, 0 < 4(b - x) < H, 0 < 2c < H, |coefficient|
-    <= H, 3 | every coefficient and 9 does not divide d.  int64 as in
-    _d4vc_columns: 4d < x^2 and 4(b - x) < a^2."""
+    _validate_d4vc, the same contract as masks (change both): 0 < 4d < H,
+    0 < 4(b - x) < H, 0 < 2c < H, |coefficient| <= H, 3 | every coefficient
+    and 9 does not divide d.  int64 as in _d4vc_columns: 4d < x^2 and
+    4(b - x) < a^2."""
     four_d, four_e, two_c = 4 * d, 4 * (b - x), 2 * c
     ok = (0 < four_d) & (four_d < H) & (0 < four_e) & (four_e < H) & (0 < two_c) & (two_c < H)
     for t in (a, b, c, d):
@@ -506,7 +509,7 @@ def _d4vc_unit(H: int, p: int, q: int, us, root_u, j_lo, n_v) -> tuple:
         label = classify_quartic(MonicQuartic(a, b, c, d)).group.value
         labels.append(label)
         lines.append(line % (u, v, w, x, a, a, b, c, d, label))
-        if flag or label not in _D4VC_EXPECTED:
+        if flag or label not in _D4VC_EXPECTED:  # the gate; the note is _validate_d4vc's
             params = (*zip(_D4VC_PARAMS, (u, v, w, x, a)), *tail)
             ok, note = _validate_d4vc(params, (a, b, c, d), _D4VC_EXPECTED, label)
             if not ok:

@@ -184,8 +184,8 @@ def _iroot_bisect(n, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 20, 52, 53, 100, 1000, 5000])
 def test_iroot_matches_bisection_at_and_around_exact_powers(k):
-    # k on both sides of the float seed (k > 4), roots on both sides of the
-    # 52 bits past which the seed is shifted, n kept to about 2e5 bits
+    # small and large k, roots on both sides of the 52 bits past which the
+    # float seed is shifted, n kept to about 2e5 bits
     rng = random.Random(k)
     roots = [1, 2, 3, 10, 2**52 - 1, 2**52, 2**52 + 1, 2**53 + 1, 10**20 + 7, 3**100,
              rng.getrandbits(150) | 1]
