@@ -970,13 +970,21 @@ def run_census(req: CensusRequest, journal_path: str | None = None, progress=Non
 
 
 def list_a3_cubics(height: int) -> list[tuple[int, int, int]]:
-    """All (a, b, c) with |a|,|b|,|c| <= height classifying A3, lexicographic."""
+    """All (a, b, c) with |a|,|b|,|c| <= height classifying A3, lexicographic.
+
+    Only the strata a >= 0 are swept: -f(-X) = X^3 - a X^2 + b X - c has
+    f's splitting field, so (a, b, c) is A3 exactly when (-a, b, -c) is, and
+    stratum -a is stratum a with c negated, re-sorted by (b, c)."""
     CensusRequest(3, height).validate()
     H = height
     pairs = _factor_pairs(H)
+    strata = [_cubic_a3_cells(a, H, _cubic_red_mask(a, H, pairs)) for a in range(H + 1)]
     out: list[tuple[int, int, int]] = []
     for a in range(-H, H + 1):
-        rows, cs = _cubic_a3_cells(a, H, _cubic_red_mask(a, H, pairs))
+        rows, cs = strata[abs(a)]
+        if a < 0:
+            order = np.lexsort((-cs, rows))
+            rows, cs = rows[order], -cs[order]
         out += [(a, b, c) for b, c in zip((rows - H).tolist(), cs.tolist())]
     return out
 

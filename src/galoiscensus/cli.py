@@ -14,7 +14,7 @@ import os
 import re
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 
 from .asymptotics import chela_constant_c, fit_reducible
@@ -52,20 +52,31 @@ def _check_writable(parser: argparse.ArgumentParser, *paths: str | None) -> None
             parser.error(f"cannot write {path}: {exc.strerror}")
 
 
-def _emit(blocks: list[str], path: str | None, parser: argparse.ArgumentParser) -> None:
-    """Write each block and a newline to ``path``, or to stdout; a block that
-    already ends in a newline gets no second one, so both give the same bytes.
-    An OSError on ``path`` is a usage error naming it."""
+@contextmanager
+def _output(path: str | None, parser: argparse.ArgumentParser):
+    """A function that writes a block and a newline to ``path``, or to
+    stdout; a block that already ends in a newline gets no second one, so
+    both give the same bytes.  An OSError on ``path`` (opening, any write,
+    closing) is a usage error naming it."""
+
+    def guard(fn, *args):
+        try:
+            return fn(*args)
+        except OSError as exc:
+            if not path:
+                raise
+            parser.error(f"cannot write {path}: {exc.strerror}")
+
+    out = guard(lambda: open(path, "w", encoding="utf-8")) if path else sys.stdout
     try:
-        with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
-            for block in blocks:
-                out.write(block)
-                if not block.endswith("\n"):
-                    out.write("\n")
-    except OSError as exc:
-        if not path:
-            raise
-        parser.error(f"cannot write {path}: {exc.strerror}")
+        yield lambda block: guard(out.write, block if block.endswith("\n") else block + "\n")
+    except BaseException:
+        if path:
+            with suppress(OSError):  # the with-block's own error goes on
+                out.close()
+        raise
+    if path:
+        guard(out.close)
 
 
 def _parse_coeffs(raw: str, expected: int, parser: argparse.ArgumentParser) -> list[int]:
@@ -201,8 +212,8 @@ def _cmd_census(args, parser) -> int:
         report = run_census(req, journal_path=args.journal, progress=_progress_printer("census"))
     except CensusError as exc:
         parser.error(str(exc))
-    text = report_to_json(report) if args.format == "json" else report_to_csv(report)
-    _emit([text], args.out, parser)
+    with _output(args.out, parser) as write:
+        write(report_to_json(report) if args.format == "json" else report_to_csv(report))
     return 0
 
 
@@ -217,7 +228,8 @@ def _cmd_verify(args, parser) -> int:
         "suites": [json.loads(r.to_json()) for r in reports],
         "failures": failures,
     }
-    _emit([json.dumps(payload)], args.out, parser)
+    with _output(args.out, parser) as write:
+        write(json.dumps(payload))
     return 1 if failures else 0
 
 
@@ -244,11 +256,10 @@ def _cmd_family(args, parser) -> int:
             units = member_units(gen_a3_family(-args.height, args.height), workers)
     except ValueError as exc:
         parser.error(str(exc))
-    report, texts = validate_units(units, workers)
-    summary = json.loads(report.to_json())
-    summary_line = {"family": args.name, "height": args.height, "delta": str(delta), **summary}
-    texts.append(json.dumps(summary_line))
-    _emit(texts, args.out, parser)
+    with _output(args.out, parser) as write:
+        report = validate_units(units, workers, write)
+        summary = json.loads(report.to_json())
+        write(json.dumps({"family": args.name, "height": args.height, "delta": str(delta), **summary}))
     elapsed = time.perf_counter() - start
     print(
         f"family {args.name}: {report.members_checked} members, "

@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -163,6 +163,8 @@ _PAIR_COST = 1 / 64
 # the largest height whose d4vc intermediates fit in int64; see _d4vc_columns
 _MAX_HEIGHT = 3 * 10**9
 
+_PLAN_PAIRS = 2**14
+
 _D4VC_PARAMS = ("u", "v", "w", "x", "a")
 _D4VC_EXPECTED = ("D4", "V4", "C4")
 
@@ -177,10 +179,12 @@ def d4vc_units(height: int, delta: Fraction = Fraction(1, 5)) -> list[tuple]:
     L = delta H / (v sqrt(u)), and its w range about v/36, so the pair
     holds about (delta H)^2 / (11664 u v) members.  Ranges are cut by that
     estimate plus _PAIR_COST, and a cut may fall inside one u's v range:
-    at (6e5, 1/5) u = 30 alone holds 10.6% of the members.  The estimate
-    only places the cuts; the ranges partition the pair list whatever it
-    says.  Height (at most _MAX_HEIGHT) and delta are checked here, before
-    anything is allocated or any unit runs.
+    at (6e5, 1/5) u = 30 alone holds 10.6% of the members.  The running
+    estimate is built twice, one block of _PLAN_PAIRS pairs at a time:
+    for its total, then for the cuts.  It only places the cuts; the ranges
+    partition the pair list whatever it says.  Height (at most _MAX_HEIGHT)
+    and delta are checked here, before anything is allocated or any unit
+    runs.
     """
     if height < 0:
         raise ValueError(f"height must be >= 0, got {height}")
@@ -190,21 +194,36 @@ def d4vc_units(height: int, delta: Fraction = Fraction(1, 5)) -> list[tuple]:
         raise ValueError("delta must lie in (0, 1)")
     H, p, q = height, delta.numerator, delta.denominator
     us, root_u, j_lo, n_v = _d4vc_prelude(H, p, q)
-    iu, j = _expand(n_v)
-    work = np.cumsum((p * H / q) ** 2 / (11664.0 * us[iu] * (4 + 6 * (j_lo[iu] + j))) + _PAIR_COST)
-    total = float(work[-1]) if work.size else 0.0
-    n_units = max(1, math.ceil(total / _CHUNK))
-    cuts = [0, *np.searchsorted(work, total * np.arange(1, n_units) / n_units).tolist(), iu.size]
     ends = np.cumsum(n_v)
     starts = ends - n_v
-    units = []
-    for lo, hi in zip(cuts, cuts[1:]):
+    n_pairs = int(n_v.sum())
+
+    def span(lo, hi):
         # the u whose pairs meet [lo, hi), each cut down to its share
         s, e = int(np.searchsorted(ends, lo, side="right")), int(np.searchsorted(starts, hi))
         first, last = np.maximum(starts[s:e], lo), np.minimum(ends[s:e], hi)
-        args = (H, p, q, us[s:e], root_u[s:e], j_lo[s:e] + first - starts[s:e], last - first)
-        units.append((_d4vc_unit, args))
-    return units
+        return us[s:e], root_u[s:e], j_lo[s:e] + first - starts[s:e], last - first
+
+    def running(run, lo):  # the running estimate over a block, from run
+        u, _, j0, n = span(lo, lo + _PLAN_PAIRS)
+        iu, j = _expand(n)
+        work = (p * H / q) ** 2 / (11664.0 * u[iu] * (4 + 6 * (j0[iu] + j))) + _PAIR_COST
+        work[0] += run
+        return np.cumsum(work)
+
+    blocks = range(0, n_pairs, _PLAN_PAIRS)
+    total = 0.0
+    for lo in blocks:
+        total = float(running(total, lo)[-1])
+    n_units = max(1, math.ceil(total / _CHUNK))
+    shares, cuts, run = total * np.arange(1, n_units) / n_units, [0], 0.0
+    for lo in blocks:
+        work = running(run, lo)
+        mine = shares[(run < shares) & (shares <= work[-1])]
+        cuts += (lo + np.searchsorted(work, mine)).tolist()
+        run = float(work[-1])
+    cuts.append(n_pairs)
+    return [(_d4vc_unit, (H, p, q, *span(lo, hi))) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _d4vc_columns(H: int, p: int, q: int, us, root_u, j_lo, n_v) -> tuple[np.ndarray, ...]:
@@ -535,17 +554,18 @@ def member_units(members: list[FamilyMember], workers: int = 1) -> Iterator[tupl
         yield _check_rows, ([(m.family, m.params, m.coeffs, m.expected) for m in members[i : i + size]],)
 
 
-def validate_units(units: Iterable[tuple],
-                   workers: int = 1) -> tuple[CrossValidationReport, list[str]]:
+def validate_units(units: Iterable[tuple], workers: int = 1,
+                   write: Callable[[str], object] | None = None) -> CrossValidationReport:
     """Run every unit through _check_unit, on a pool of up to ``workers``
     processes when there is more than one unit, and merge the results in
-    unit order.  Returns the report and the non-empty JSON-line blocks of
-    the units, in order.  Serial and pooled runs share the unit function.
-    Only the first ``workers`` units are taken before the pool forks; the
-    rest are taken as the pool submits them."""
+    unit order; returns the report.  Each unit's non-empty block of JSON
+    lines goes to ``write``, if given, as the pool yields it.  Serial and
+    pooled runs share the unit function.  Only the first ``workers`` units
+    are taken before the pool forks; the rest are taken as the pool
+    submits them."""
     units = iter(units)
     head = list(islice(units, max(workers, 1)))
-    report, texts, classes = CrossValidationReport(), [], Counter()
+    report, classes = CrossValidationReport(), Counter()
     pool = ProcessPoolExecutor(len(head)) if len(head) > 1 else None
     with pool or nullcontext():
         for tally, text, mismatches, exceptions in (pool.map if pool else map)(
@@ -555,12 +575,13 @@ def validate_units(units: Iterable[tuple],
             report.members_checked += sum(tally.values())
             report.mismatches += mismatches
             report.exceptions += exceptions
-            if text:
-                texts.append(text)
+            if text and write:
+                write(text)
     report.classes = dict(classes)
-    return report, texts
+    return report
 
 
 def cross_validate(members: list[FamilyMember], workers: int = 1) -> CrossValidationReport:
-    """Classify every member and tally mismatches against the family contract."""
-    return validate_units(member_units(members, workers), workers)[0]
+    """Classify every member and tally mismatches against the family
+    contract; each unit's member lines are dropped as it is merged."""
+    return validate_units(member_units(members, workers), workers)

@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import pytest
@@ -187,9 +188,21 @@ def test_out_write_error_is_usage_error(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "open", full, raising=False)
     with pytest.raises(SystemExit) as exc:
-        cli._emit(["x"], "report.json", cli.build_parser())
+        with cli._output("report.json", cli.build_parser()) as write:
+            write("x")
     assert exc.value.code == 2
     assert "cannot write report.json: No space left on device" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_write_error_mid_stream_is_usage_error(monkeypatch, capsys):
+    # --out opens, then a write of the member lines fails: a usage error,
+    # reported once, with no summary line
+    monkeypatch.setattr(families, "_CHUNK", 64)
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--name", "a3", "--height", "300", "--threads", "1", "--out", "/dev/full"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.count("cannot write /dev/full: No space left on device") == 1
 
 
 def test_verify_identities_ok(capsys):
@@ -241,9 +254,9 @@ def test_family_summary_reports_time_and_rate(monkeypatch, capsys):
 def test_family_threads_zero_uses_every_core(monkeypatch, capsys):
     seen = []
 
-    def spy(units, workers=1):
+    def spy(units, workers=1, write=None):
         seen.append(workers)
-        return validate_units(units, workers=1)
+        return validate_units(units, 1, write)
 
     monkeypatch.setattr(cli, "validate_units", spy)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -283,8 +284,9 @@ def test_cross_validate_parallel_matches_serial():
         100,
         FamilyMember("v4-biquadratic", (("b", 0), ("t", 1), ("H", 2)), (0, 0, 0, 2), ("V4",)),
     )
-    serial, serial_blocks = validate_units(member_units(fam, 1), 1)
-    parallel, parallel_blocks = validate_units(member_units(fam, 2), 2)
+    serial_blocks, parallel_blocks = [], []
+    serial = validate_units(member_units(fam, 1), 1, serial_blocks.append)
+    parallel = validate_units(member_units(fam, 2), 2, parallel_blocks.append)
     assert serial.members_checked == parallel.members_checked == 901
     assert len(serial.exceptions) == 1 and serial.exceptions[0]["params"] == {"u": 30, "v": 3}
     assert [m["coeffs"] for m in serial.mismatches] == [[0, 0, 0, 2]]
@@ -299,8 +301,9 @@ def test_cross_validate_many_chunks_keep_member_order(monkeypatch):
     # chunks of 7 members: results must come back in member order
     monkeypatch.setattr(families, "_CHUNK", 7)
     fam = gen_a4_family(17) + gen_v4_biquadratic(200) + gen_a3_family(-20, 20)
-    serial, serial_blocks = validate_units(member_units(fam, 1), 1)
-    parallel, parallel_blocks = validate_units(member_units(fam, 2), 2)
+    serial_blocks, parallel_blocks = [], []
+    serial = validate_units(member_units(fam, 1), 1, serial_blocks.append)
+    parallel = validate_units(member_units(fam, 2), 2, parallel_blocks.append)
     assert len(fam) > 256 and "\n".join(parallel_blocks) == "\n".join(serial_blocks)
     assert len(serial_blocks) > 2 and parallel.classes == serial.classes
     assert parallel.exceptions == serial.exceptions and parallel.mismatches == serial.mismatches
@@ -362,6 +365,67 @@ def test_d4vc_units_partition_the_pair_list(monkeypatch, chunk, H, delta):
         assert len(pairs) == 1
     elif chunk < 1 and iu.size:
         assert [] in pairs  # pairs of more estimated members than a unit leave empty ranges
+
+
+def _plan(units):
+    """The (u, j) pair columns of d4vc units laid end to end, and the index
+    of the first pair of every unit but the first."""
+    us, js, sizes = [], [], []
+    for _, (_, _, _, u, _, j_lo, n_v) in units:
+        iu, j = _expand(n_v)
+        us.append(u[iu])
+        js.append(j_lo[iu] + j)
+        sizes.append(iu.size)
+    return np.concatenate(us), np.concatenate(js), np.cumsum(sizes)[:-1].tolist()
+
+
+def test_d4vc_units_plan_in_bounded_memory(monkeypatch):
+    # the estimate is evaluated block by block; estimating every pair at
+    # once peaks at 21 MB here
+    H = 10**6
+    tracemalloc.start()
+    try:
+        units = d4vc_units(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+    # the units cover the pair list in order, cut where the whole list's
+    # running estimate first reaches each unit's share
+    us, _, j_lo, n_v = _d4vc_prelude(H, 1, 5)
+    iu, j = _expand(n_v)
+    work = np.cumsum((H / 5) ** 2 / (11664.0 * us[iu] * (4 + 6 * (j_lo[iu] + j))) + families._PAIR_COST)
+    n_units = math.ceil(work[-1] / families._CHUNK)
+    plan_u, plan_j, cuts = _plan(units)
+    assert len(units) == n_units > 200
+    assert np.array_equal(plan_u, us[iu]) and np.array_equal(plan_j, j_lo[iu] + j)
+    assert cuts == np.searchsorted(work, work[-1] * np.arange(1, n_units) / n_units).tolist()
+    # blocks of any size place the same cuts
+    expected = _plan(d4vc_units(2 * 10**5))
+    monkeypatch.setattr(families, "_PLAN_PAIRS", 7)
+    got = _plan(d4vc_units(2 * 10**5))
+    assert got[2] == expected[2] and np.array_equal(got[0], expected[0])
+
+
+def test_family_writes_each_unit_as_it_finishes(tmp_path, monkeypatch):
+    # the parent writes a unit's lines before the next unit runs, so --out
+    # already holds the earlier units' lines when the last one starts
+    out = tmp_path / "d4vc.jsonl"
+    seen = []
+    real = families._check_unit
+
+    def check(unit):
+        seen.append(out.read_bytes())
+        return real(unit)
+
+    monkeypatch.setattr(families, "_check_unit", check)
+    monkeypatch.setattr(families, "_CHUNK", 64)
+    assert main(["family", "--name", "d4vc", "--height", str(10**5), "--threads", "1",
+                 "--out", str(out)]) == 0
+    final = out.read_bytes()
+    assert len(seen) > 3 and seen[0] == b""
+    assert all(final.startswith(text) for text in seen)
+    assert 0 < len(seen[-2]) < len(seen[-1]) < len(final)
 
 
 def test_d4vc_many_tiny_units_keep_member_order(tmp_path, monkeypatch):
