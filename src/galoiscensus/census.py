@@ -982,10 +982,8 @@ def list_a3_cubics(height: int) -> list[tuple[int, int, int]]:
     out: list[tuple[int, int, int]] = []
     for a in range(-H, H + 1):
         rows, cs = strata[abs(a)]
-        if a < 0:
-            order = np.lexsort((-cs, rows))
-            rows, cs = rows[order], -cs[order]
-        out += [(a, b, c) for b, c in zip((rows - H).tolist(), cs.tolist())]
+        cells = zip((rows - H).tolist(), cs.tolist())
+        out += [(a, b, c) for b, c in (sorted((b, -c) for b, c in cells) if a < 0 else cells)]
     return out
 
 
