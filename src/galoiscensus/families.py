@@ -156,8 +156,9 @@ def _d4vc_prelude(H: int, p: int, q: int) -> tuple[np.ndarray, ...]:
 
 
 # the work of scanning one (u, v) pair for candidates, counted in members:
-# at d4vc(6e5, 1/5) the scan takes about 0.2 us a pair, and a member about
-# 13 us: 1.5 us to generate, 10.5 us to classify, 1 us to validate and render
+# at d4vc(6e5, 1/5) the scan takes 0.2-0.35 us a pair, and a member 9.5-12
+# us: 1.3-1.6 us to generate, 6-8 us to classify, the rest to validate and
+# render.  1/32 and 1/40 balanced the units no better than 1/64.
 _PAIR_COST = 1 / 64
 
 # the largest height whose d4vc intermediates fit in int64; see _d4vc_columns
@@ -547,8 +548,9 @@ def _check_unit(unit: tuple) -> tuple[Counter, str, list[dict], list[dict]]:
 def member_units(members: list[FamilyMember], workers: int = 1) -> Iterator[tuple]:
     """Pool units for validate_units: chunks of at most _CHUNK members, as
     many as the workers where that leaves at least 256 members a chunk.
-    The chunks are built lazily, as the pool takes them: its workers fork
-    at the first ones, so the rest never sit in their copies of this heap."""
+    The chunks are built by a generator, but ``Executor.map`` submits every
+    unit before it yields the first result: the workers fork at the first
+    chunk, and the parent builds all the others right after the fork."""
     size = min(_CHUNK, max(256, -(-len(members) // workers)))
     for i in range(0, len(members), size):
         yield _check_rows, ([(m.family, m.params, m.coeffs, m.expected) for m in members[i : i + size]],)
@@ -561,8 +563,9 @@ def validate_units(units: Iterable[tuple], workers: int = 1,
     unit order; returns the report.  Each unit's non-empty block of JSON
     lines goes to ``write``, if given, as the pool yields it.  Serial and
     pooled runs share the unit function.  Only the first ``workers`` units
-    are taken before the pool forks; the rest are taken as the pool
-    submits them."""
+    are taken before the pool forks.  ``Executor.map`` submits every unit
+    before it yields the first result, so the parent takes all the others
+    right after the fork and holds each until a worker has taken it."""
     units = iter(units)
     head = list(islice(units, max(workers, 1)))
     report, classes = CrossValidationReport(), Counter()
