@@ -421,18 +421,18 @@ def resolvent_integer_roots(f: MonicQuartic) -> list[int]:
 
 _ROOT_FILTER_PRIMES = (5, 7, 11, 13, 17, 19)
 """Primes at which a quartic with no root mod p is certified to have no
-integer root.  They certify 99.0% of the d4vc(6e5, 1/5) members (95.2%
-with 5 to 13), so 699 of its 73,084 scan the divisors of d.  3 is left out
-because every d4vc member is X^4 mod 3; 23 would cut the scans to 190 for
-another 280 KB, and measured no faster."""
+integer root.  They certify 99.0% of the d4vc(6e5, 1/5) members, so 699 of
+its 73,084 scan the divisors of d.  3 is left out because every d4vc member
+is X^4 mod 3; 23 would cut the scans to 190 for another 280 KB, and measured
+no faster."""
 
 
 @functools.cache
 def _root_tables() -> tuple[tuple[int, bytes], ...]:
     """(p, table) for each filter prime: table[((a p + b) p + c) p + d] is 1
     exactly when X^4 + aX^3 + bX^2 + cX + d has a root mod p, for residues
-    a, b, c, d mod p.  For each root t, one pass over the p^3 residues
-    (a, b, c) marks the d = -(((t + a) t + b) t + c) t.  Built on first use,
+    a, b, c, d mod p.  For each residue t, one pass over the p^3 residues
+    (a, b, c) marks the d = -(((t + a) t + b) t + c) t that make t a root.  Built on first use,
     never at import: about 260 KB and a few ms."""
     tables = []
     for p in _ROOT_FILTER_PRIMES:

@@ -158,8 +158,8 @@ def _d4vc_prelude(H: int, p: int, q: int) -> tuple[np.ndarray, ...]:
 # the work of scanning one (u, v) pair for candidates, counted in members:
 # at d4vc(6e5, 1/5) the scan takes 0.2-0.35 us a pair, and a member 9.5-12
 # us: 1.3-1.6 us to generate, 6-8 us to classify, the rest to validate and
-# render.  With 1/32 the largest unit takes 1.7 times the median's CPU
-# (2.1 with 1/64), and the last units, rich in pairs, no longer trail.
+# render.  The last units hold the most pairs: with 1/32 the largest unit
+# takes 1.7 times the median unit's CPU, against 2.1 with 1/64.
 _PAIR_COST = 1 / 32
 
 # the largest height whose d4vc intermediates fit in int64; see _d4vc_columns
