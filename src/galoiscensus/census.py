@@ -2,8 +2,7 @@
 
 The coefficient box [-H, H]^deg is enumerated in stripes, one per a-stratum
 (fixed a), and every tuple in a stripe is classified with vectorized int64
-kernels (the cubic square sweep runs in exact float64 and confirms in
-int64).  A cubic stripe is one (b, c) grid.  A quartic stripe is walked in
+kernels.  A cubic stripe is one (b, c) grid.  A quartic stripe is walked in
 blocks of consecutive b, each a (b, c, d) grid of about 2^18 cells (17 b at
 H = 60, 2 at H = 150, one from H = 181 on), and each layer runs as one
 vectorised pass over all of a block's b-values.  The X -> -X symmetry
@@ -30,18 +29,11 @@ chunk of consecutive strata of about 2^22 cells in all, so the pool's
 per-task cost is not paid on every short stratum.  Results come back in
 stratum order on every path, so a journal's records do too.
 
-The cubic A3 sweep tests squares only on the (a, b) rows where
-I = a^2 - 3b is a positive Loeschian number (x^2 + xy + y^2), which the
-paper's identity 27 disc = 4I^3 - J^2 requires of any square discriminant.
-A square discriminant is also positive, so J^2 < 4I^3 with J = J0 + 27c
-confines each such row to one c-window (``_j_window``), whose ends come
-from 2 I sqrt(I) in float64, widened by at most one cell per end.  The
-sweep walks cache-sized tiles of consecutive rows, each spanning the union
-of its rows' windows.  A tile's discriminants are evaluated in place on
-one float64 array, exactly, and its square roots taken in place; the few
-cells whose root is an integer are confirmed in int64, and only the
-confirmed ones are looked up in the reducible mask.  The A3 cells come
-back sparsely, as b-rows and c values.
+The cubic A3 cells are built, not searched.  By the identity
+27 disc = 4I^3 - J^2, a square disc = y^2 > 0 on the row (a, b) makes
+(J + 3y sqrt(-3)) / 2 an element of Z[zeta] of norm I^3, a unit times a
+product of three elements of norm I; each stratum multiplies those out
+(2.8M products at H = 500) and reads the reducible mask at the matches.
 
 The quartic resolvent roots are enumerated from the paper's symmetry
 identity: for each candidate x, only the multiples of rad2(|K(x)|) in two
@@ -52,10 +44,10 @@ quadratic split, so the reducible mask marks only linear factors.
 The quartic square test uses the same identity 27 disc = 4I^3 - J^2, now
 with I = 12d + b^2 - 3ac and J linear in d.  A square discriminant is
 positive, so I(d) > 0 and |J(d)| <= 2 I(H)^(3/2), since I grows with d:
-each (b, c) row holds one d-window, by the cubic's rule, with every cell
+each (b, c) row holds one d-window (``_j_window``), with every cell
 of disc > 0.  On seeded stripes the windows hold 32% / 27% / 18% of the
-cells at H = 60 / 150 / 400, against 22% / 21% / 17% with disc > 0.  As
-for cubics, a square discriminant also makes I(d) Loeschian, and
+cells at H = 60 / 150 / 400, against 22% / 21% / 17% with disc > 0.  A
+square discriminant also makes I(d) Loeschian, and
 I(d) = I0 + 12d keeps each row in one class mod 12, so the Loeschian d of
 a row's window are one contiguous slice of a per-process table of the
 Loeschian numbers up to 4H^2 + 12H, sorted by class.  Over every stratum at H = 60 the
@@ -87,20 +79,18 @@ ends |K| (x^2 + 4H) stay below 1.1e11 too.  The d-windows have
 |J(0)| <= 11H^3 + 27H^2 with slope |J(1) - J(0)| <= 27H^2 + 72H.  The
 D4/C4 split forms w alone, |w| <= (H + H^2 / 4)^2 + 4H < 1.7e9, and the
 quotients of |disc| < 2^62, inside ``_square_mask``'s domain.  The cubic
-discriminant's partial results are bounded the same way, by
-5 H^4 + 22 H^3 + 27 H^2, safe in int64 far beyond the cubic cap of 5000.
-float64 safety: at the cap that bound is 3.13e15 < 2^53, so every partial
-result of the cubic sweep's float64 Horner steps is an integer that float64
-holds exactly, and each step rounds to itself.  The window ends are float
-guesses with a proven error: a c- or d-window's r = ceil(2 i sqrt(i)) has
-i <= H^2 + 3H or 4H^2 + 12H, below 2^25, so it lies within
-[isqrt(4 i^3), isqrt(4 i^3) + 2] (``_j_window``).  The resolvent |t|-range
-ends, floor and ceil of sqrt(v) for integers 0 <= v < 1.1e11 < 2^52, are
-exact: float64 holds v, a square's root is exact, and any other root is
-at least 1 / (2 sqrt(v) + 1), over half an ulp, from every integer.  At
-the cap the sweep's tiles are small, and the stripe's reducible mask, the
-only full (b, c) grid, takes 100 MB.  Heights above the caps are rejected
-rather than risk silent wraparound or swapping.
+A3 route has I <= H^2 + 3H: its product components stay below 1.5e11 and
+every partial result of ``_mul`` below 1e12 (``_cubic_norm_cubes``),
+|J| <= 2 I^1.5 < 2.6e11, |J - J0| < 5.1e11, and the cell keys below W^2.
+float64 safety: a d-window's r = ceil(2 i sqrt(i)) has i <= 4H^2 + 12H,
+below 2^25, so it lies within [isqrt(4 i^3), isqrt(4 i^3) + 2]
+(``_j_window``).  The resolvent |t|-range ends and the cubic elements'
+|u|-range ends, floor and ceil of sqrt(v) for integers 0 <= v < 1.1e11, are
+exact: float64 holds v, a square's root is exact, and any other root is at
+least 1 / (2 sqrt(v) + 1), over half an ulp, from every integer.  At the
+cap the cubic stripe's reducible mask, its only full (b, c) grid, takes
+100 MB.  Heights above the caps are rejected rather than risk silent
+wraparound or swapping.
 """
 
 from __future__ import annotations
@@ -118,8 +108,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (
-    disc_cubic_coeffs,
-    disc_cubic_terms,
     disc_quartic_coeffs,
     disc_quartic_terms,
     fujiwara_bound,
@@ -127,6 +115,8 @@ from .classify import (
     invariants_quartic_coeffs,
     resolvent_root_bound,
 )
+from .eisenstein import _mul
+from .families import _expand
 
 __all__ = [
     "CensusError",
@@ -258,132 +248,113 @@ def _cubic_red_mask(a: int, height: int, pairs) -> np.ndarray:
     return red
 
 
-_TILE_CELLS = 2**15
-"""Cells per tile of the cubic A3 sweep.  A tile keeps three arrays alive
-at once: the float64 discriminants, square-rooted in place (256 KB), their
-rint (256 KB) and the bool candidate mask (32 KB), about 0.55 MB inside a
-2 MB per-core L2 cache.  Over every fifth stratum at H = 500 (serial CPU
-time, 2-core x86-64 box), 2^13 / 2^14 / 2^16 / 2^17-cell tiles were 41% /
-11% / 15% / 68% slower than 2^15; at H = 2000, where tiles hold 8 rows,
-2^16 and 2^17 were 8% and 10% faster."""
-
-
 @functools.cache
-def _loeschian(n_max: int) -> np.ndarray:
-    """Read-only bool table over 0..n_max: True at n > 0 iff n = x^2 + xy + y^2.
+def _multisets(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, p, k): read-only int16 index columns.  (i, j) lists the pairs
+    i <= j < r by j, so pair p = j (j + 1) / 2 + i; (p, k) lists the
+    multisets i <= j <= k < r by k.  A group of s <= r elements takes the
+    first C(s + 1, 2) pairs and C(s + 2, 3) triples.  Built on first use;
+    the largest, for groups of up to 64 (the cap needs 48), is 190 KB."""
+    t = np.arange(r)
+    j, i = np.nonzero(t <= t[:, None])
+    k, p = np.nonzero(j <= t[:, None])
+    cols = tuple(v.astype(np.int16) for v in (i, j, p, k))
+    for v in cols:
+        v.flags.writeable = False  # one cached copy is shared by every stripe
+    return cols
 
-    These are the norms of Z[zeta_3].  Every one has a representation with
-    x >= y >= 0 (the six units and conjugation move any element into that
-    sector), so the table marks those.
+
+def _cubic_norm_cubes(a: int, height: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, m, n): elements m + n zeta of norm I^3 on the b-row indices
+    b + H with I = a^2 - 3b > 0: every beta of norm I^3 with 3 | n and
+    2m - n = J0 (mod 3), J0 = 2a^3 - 9ab, or for 3 | a beta or -beta.
+
+    By unique factorization, beta is a unit times a product of three
+    elements of norm I (a split p^e of I gives pi^k conj(pi)^(3e - k),
+    k = k1 + k2 + k3 with k_i <= e; the other primes' parts are cubes).  So
+    per row the multisets of three elements, one per associate class of
+    norm I, are multiplied out by ``eisenstein._mul`` on int64 columns, the
+    pairs first, indexed by ``_multisets``.  The elements are listed in
+    half-coordinates (u, v) = (2m - n, n), u^2 + 3v^2 = 4N: per v, u steps
+    by 6 between the float64 ceil and floor of sqrt(4 I - 3v^2) at the
+    rows' extreme I, exact as for the resolvent t-ranges.
+    - 3 does not divide a, nor I: of the associates of an element of norm I
+      or I^3 only +-beta have 3 | n, and one, the primary one, m = a
+      (mod 3).  The elements are the primary ones (3 | v, u = -a mod 3), and
+      so are their products and each beta with 2m - n = -m = J0 (mod 3).
+    - 3 | a, and I: the elements are the sector u > v >= 0.  The ramified
+      prime's cube, an associate of 3, divides each product, so all its
+      associates have 3 | n; its rotations by 1, zeta and zeta^2 are listed.
+    int64 at the cap, I < 2.6e7: components of norm N stay within
+    2 sqrt(N / 3), below 5.8e3, 3e7 and 1.5e11 for elements, pairs and
+    products; |u| < 1.1e4, and every partial result of ``_mul`` < 1e12.
     """
-    table = np.zeros(n_max + 1, dtype=bool)
-    x = np.arange(math.isqrt(n_max) + 1, dtype=np.int64)
-    for y in range(1, math.isqrt(n_max // 3) + 1):
-        n = x[y:] * (x[y:] + y) + y * y
-        table[n[n <= n_max]] = True
-    table[x[1:] ** 2] = True  # y = 0
-    table.flags.writeable = False  # one cached copy is shared by every stripe
-    return table
+    H, W = height, 2 * height + 1
+    b_top = min(H, (a * a - 1) // 3)  # the rows with I > 0 have b <= b_top
+    i_lo, i_hi = (invariants_cubic_coeffs(a, b, 0)[0] for b in (b_top, -H))
+    t = math.isqrt(4 * i_hi // 27)  # 27 t^2 <= 4N for v = 3t; v < u gives v^2 < N
+    v = 3 * np.arange(-t, t + 1, dtype=np.int64) if a % 3 else np.arange(math.isqrt(i_hi) + 1, dtype=np.int64)
+    w = 3 * v * v
+    s_hi = np.floor(np.sqrt(4 * i_hi - w)).astype(np.int64)
+    s_lo = np.ceil(np.sqrt(np.maximum(4 * i_lo - w, 0))).astype(np.int64)
+    if a % 3:  # u of either sign
+        lo, hi, v = np.concatenate([s_lo, -s_hi]), np.concatenate([s_hi, -s_lo]), np.concatenate([v, v])
+    else:
+        lo, hi = np.maximum(s_lo, v + 1), s_hi
+    lo += (3 * (v & 1) + 4 * (-a % 3) - lo) % 6  # u = v (mod 2) and u = -a (mod 3)
+    g, k = _expand(np.maximum((hi - lo) // 6 + 1, 0))
+    v, u = v[g], lo[g] + 6 * k
+    row = (a * a - (u * u + 3 * v * v) // 4) // 3 + H
+    # stable sorts here and for the cell keys: numpy's default sort touches
+    # about 0.4 MB more code, which every worker's peak RSS would keep
+    order = np.argsort(row, kind="stable")
+    m, n, row = (u + v)[order] // 2, v[order], row[order]
 
-
-def _cubic_a3_rows(a: int, height: int) -> np.ndarray:
-    """Ascending b-row indices b + H where an A3 cubic X^3 + aX^2 + bX + c can lie.
-
-    27 disc = 4I^3 - J^2 with I = a^2 - 3b and J = 2a^3 - 9ab + 27c, so
-    disc = y^2 > 0 gives 4I^3 = J^2 + 3(3y)^2, a norm from Z[zeta_3].  Then
-    I > 0 and every prime = 2 (mod 3) divides 4I^3, hence I, to an even
-    power: I is Loeschian.  The condition does not involve c.
-    """
-    H = height
-    b = np.arange(-H, H + 1, dtype=np.int64)
-    i, _ = invariants_cubic_coeffs(a, b, 0)  # at most H^2 + 3H
-    return np.flatnonzero(_loeschian(H * H + 3 * H)[np.maximum(i, 0)])
-
-
-def _j_window(i_top, j0, slope, height: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi): per row, the t in [-H, H] with |j0 + slope t| <= r, for
-    r = ceil(2 i sqrt(i)) taken in float64 at i = i_top >= 0; hi < lo marks
-    an empty window.  Arguments are int64 arrays or ints, broadcast together.
-
-    27 disc = 4I^3 - J^2, so a cell with disc >= 0 and I <= i_top has
-    |J| <= S = isqrt(4 i_top^3).  For 0 <= i < 2^25 the float 2 i sqrt(i)
-    < 2^38.5 is within relative error 2^-52 (two roundings) of sqrt(4i^3),
-    so within 2^-13.5: S <= r <= S + 2.  The window holds every such cell; a
-    t that r adds has |J| > S, so disc < 0, and as J steps by |slope| >= 9
-    (the cubic's 27, or a multiple of 9 for quartics) there is at most one
-    per end.  slope = 0 gives every t when |j0| <= r, else none.  r and the
-    ends are exact in int64: r < 2^39.
-    """
-    H = height
-    r = np.ceil(2 * i_top * np.sqrt(i_top)).astype(np.int64)
-    # read with u = |slope| > 0 as u t in [m - r, m + r]
-    u, m = np.abs(slope), -np.sign(slope) * j0
-    us = np.maximum(u, 1)
-    lo, hi = -((r - m) // us), (m + r) // us
-    flat = u == 0
-    if flat.any():  # the cubic's slope is never 0: skip the masks there
-        lo = np.where(flat, np.where(np.abs(j0) <= r, -H, H + 1), lo)
-        hi = np.where(flat, H, hi)
-    return np.maximum(lo, -H), np.minimum(hi, H)
-
-
-def _cubic_disc_tile(t1: np.ndarray, t0: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The float64 discriminants (-27 c + t1) c + t0 of a tile, for the
-    float64 row terms t1, t0 of ``disc_cubic_terms`` as (rows, 1) columns and
-    a row of c values: each Horner step runs in place on the one array."""
-    v = np.multiply(c, -27.0, out=np.empty((t1.shape[0], c.size)))
-    v += t1
-    v *= c
-    v += t0
-    return v
+    r = np.bincount(row, minlength=W)
+    start = np.cumsum(r) - r
+    pi, pj, tp, tk = _multisets(1 << (int(r.max()) - 1).bit_length())
+    n_pairs = r * (r + 1) // 2
+    g, k = _expand(n_pairs)
+    e, f = start[g] + pi[k], start[g] + pj[k]
+    pm, pn = _mul((m[e], n[e]), (m[f], n[f]))
+    row, k = _expand(n_pairs * (r + 2) // 3)
+    e, f = (np.cumsum(n_pairs) - n_pairs)[row] + tp[k], start[row] + tk[k]
+    m, n = _mul((pm[e], pn[e]), (m[f], n[f]))
+    if a % 3 == 0:
+        m, n, row = np.concatenate([m, -n, n - m]), np.concatenate([n, m - n, -m]), np.concatenate([row] * 3)
+    return row, m, n
 
 
 def _cubic_a3_cells(a: int, height: int, red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows, c): the A3 cells (square discriminant, not reducible) of the
     (b, c) grid, as b-row indices b + H and c values in lexicographic order.
 
-    Only rows that ``_cubic_a3_rows`` keeps and whose c-window (the
-    ``_j_window`` at the row's I) is non-empty are swept.  A tile is a run
-    of up to _TILE_CELLS // (2H + 1) such rows and spans the union of their
-    windows, a plain column slice.  Per tile, the discriminant
-    (-27 c + t1) c + t0, with the row terms of ``disc_cubic_terms``, is
-    evaluated in place on one float64 array and its square root taken in
-    place; the candidates are the cells whose root is an integer (NaN, from
-    disc < 0, never is).  Each candidate is then
-    confirmed by ``_square_mask`` on its int64 ``disc_cubic_coeffs``.  The
-    reducible mask is read at the confirmed cells alone.
-
-    The float64 values are exact.  Every partial value of the Horner steps
-    is an integer of absolute value at most 5 H^4 + 22 H^3 + 27 H^2 (the
-    int64 bound of the module docstring), 3.13e15 < 2^53 at the cubic cap,
-    so each step rounds to itself.  A true square k^2 then has the correctly
-    rounded root k exactly, so no A3 cell is missed; a non-square whose root
-    rounds to an integer fails the int64 square test.
+    With I = a^2 - 3b and J = J0 + 27c, 27 disc = 4I^3 - J^2.  A cell with
+    disc = y^2 > 0 gives beta = m + n zeta of norm I^3 with 2m - n = J and
+    n = 3y (J = y mod 2).  Conversely a beta of norm I^3 with
+    2m - n = J0 + 27c, |c| <= H, has 27 disc = 3n^2, so disc = (n / 3)^2;
+    n = 0 is a repeated root, which the reducible mask holds.  So the cells
+    are the c = (J - J0) / 27 in range of the ``_cubic_norm_cubes``, with
+    J = 2m - n, and J = -(2m - n) too for 3 | a (27 | J0), deduplicated by
+    sorting their keys row W + c + H.  |J - J0| < 5.1e11 at the cap.
     """
-    H = height
-    rows = _cubic_a3_rows(a, H)
-    i, j0 = invariants_cubic_coeffs(a, rows - H, 0)
-    slope = invariants_cubic_coeffs(a, 0, 1)[1] - invariants_cubic_coeffs(a, 0, 0)[1]  # of J in c
-    lo, hi = _j_window(i, j0, slope, H)
-    keep = lo <= hi
-    rows, lo, hi = rows[keep], lo[keep], hi[keep]
-    t1, t0 = (t.astype(np.float64)[:, None] for t in disc_cubic_terms(a, rows - H))
-    step = max(1, _TILE_CELLS // (2 * H + 1))
-    ks, cs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    with np.errstate(invalid="ignore"):  # sqrt(disc < 0) is NaN
-        for k in range(0, rows.size, step):
-            c0, c1 = int(lo[k : k + step].min()), int(hi[k : k + step].max())
-            v = _cubic_disc_tile(t1[k : k + step], t0[k : k + step], np.arange(c0, c1 + 1, dtype=np.float64))
-            np.sqrt(v, out=v)
-            hit = np.flatnonzero(v == np.rint(v))
-            i, j = np.divmod(hit, c1 - c0 + 1)
-            ks.append(i + k)
-            cs.append(j + c0)
-    rows, c = rows[np.concatenate(ks)], np.concatenate(cs)
-    ok = _square_mask(disc_cubic_coeffs(a, rows - H, c))
-    rows, c = rows[ok], c[ok]
-    ok = ~red[rows, c + H]
-    return rows[ok], c[ok]
+    H, W = height, 2 * height + 1
+    row, m, n = _cubic_norm_cubes(a, H)
+    j0 = invariants_cubic_coeffs(a, np.arange(-H, H + 1, dtype=np.int64), 0)[1][row]
+    d = 2 * m - n - j0
+    c = d // 27
+    ok = c * 27 == d
+    row, c = row[ok], c[ok]
+    if a % 3 == 0:  # -J - J0 = -(J - J0) - 2 J0
+        row, c = np.concatenate([row, row]), np.concatenate([c, -c - 2 * (j0[ok] // 27)])
+    ok = np.abs(c) <= H
+    key = row[ok] * W + c[ok] + H
+    key.sort(kind="stable")
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    rows, c = np.divmod(key[first], W)
+    ok = ~red[rows, c]
+    return rows[ok], c[ok] - H
 
 
 def _cubic_stripe_counts(a: int, height: int, red: np.ndarray):
@@ -550,6 +521,33 @@ def _quartic_resolvent_roots(a: int, b0: int, b1: int, height: int):
     return tuple(np.concatenate([v.reshape(-1) for v in parts]) for parts in (cells, roots, split))
 
 
+def _j_window(i_top, j0, slope, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): per row, the t in [-H, H] with |j0 + slope t| <= r, for
+    r = ceil(2 i sqrt(i)) taken in float64 at i = i_top >= 0; hi < lo marks
+    an empty window.  Arguments are int64 arrays or ints, broadcast together.
+
+    27 disc = 4I^3 - J^2, so a cell with disc >= 0 and I <= i_top has
+    |J| <= S = isqrt(4 i_top^3).  For 0 <= i < 2^25 the float 2 i sqrt(i)
+    < 2^38.5 is within relative error 2^-52 (two roundings) of sqrt(4i^3),
+    so within 2^-13.5: S <= r <= S + 2.  The window holds every such cell; a
+    t that r adds has |J| > S, so disc < 0, and as J steps by |slope| >= 9
+    (a multiple of 9 for quartics) there is at most one per end.  slope = 0
+    gives every t when |j0| <= r, else none.  r and the ends are exact in
+    int64: r < 2^39.
+    """
+    H = height
+    r = np.ceil(2 * i_top * np.sqrt(i_top)).astype(np.int64)
+    # read with u = |slope| > 0 as u t in [m - r, m + r]
+    u, m = np.abs(slope), -np.sign(slope) * j0
+    us = np.maximum(u, 1)
+    lo, hi = -((r - m) // us), (m + r) // us
+    flat = u == 0
+    if flat.any():  # most blocks have no slope 0: skip the masks there
+        lo = np.where(flat, np.where(np.abs(j0) <= r, -H, H + 1), lo)
+        hi = np.where(flat, H, hi)
+    return np.maximum(lo, -H), np.minimum(hi, H)
+
+
 def _quartic_d_windows(a: int, b0: int, b1: int, height: int):
     """(lo, hi, i0): per (b, c) row of the block, row index (b - b0) W + c + H,
     a d-interval holding every cell with disc > 0 (hi < lo marks an empty
@@ -569,6 +567,24 @@ def _quartic_d_windows(a: int, b0: int, b1: int, height: int):
     lo, hi = _j_window(np.maximum(i0 + H * g, 0), j0, jb1 - jb0, H)
     lo = np.maximum(lo, -i0 // g + 1)
     return lo.reshape(-1), hi.reshape(-1), i0.reshape(-1)
+
+
+@functools.cache
+def _loeschian(n_max: int) -> np.ndarray:
+    """Read-only bool table over 0..n_max: True at n > 0 iff n = x^2 + xy + y^2.
+
+    These are the norms of Z[zeta_3].  Every one has a representation with
+    x >= y >= 0 (the six units and conjugation move any element into that
+    sector), so the table marks those.
+    """
+    table = np.zeros(n_max + 1, dtype=bool)
+    x = np.arange(math.isqrt(n_max) + 1, dtype=np.int64)
+    for y in range(1, math.isqrt(n_max // 3) + 1):
+        n = x[y:] * (x[y:] + y) + y * y
+        table[n[n <= n_max]] = True
+    table[x[1:] ** 2] = True  # y = 0
+    table.flags.writeable = False  # one cached copy is shared by every stripe
+    return table
 
 
 @functools.cache
@@ -595,8 +611,9 @@ def _quartic_square_cells(a: int, b0: int, b1: int, height: int) -> np.ndarray:
     """Ascending block-flat indices of the cells of the block b0 <= b < b1
     whose discriminant is a positive square.
 
-    27 disc = 4I^3 - J^2, so a positive square disc makes I(d) Loeschian
-    (the argument of ``_cubic_a3_rows``), and I(d) <= I(H) <= 4H^2 + 12H.
+    27 disc = 4I^3 - J^2, so disc = y^2 > 0 gives 4I^3 = J^2 + 3(3y)^2, a
+    norm from Z[zeta_3]: I(d) > 0 and every prime = 2 (mod 3) divides I(d)
+    to an even power, so I(d) is Loeschian, and I(d) <= I(H) <= 4H^2 + 12H.
     Only the d of each row's ``_quartic_d_windows`` whose I(d) is Loeschian
     are evaluated: the row's slice of ``_loeschian_keys``, found by two
     binary searches.  The slices are laid end to end and cut into tiles of

@@ -16,8 +16,9 @@ All user-facing coefficients are ordinary Python ints, so nothing here can
 overflow; the documented input contract is |coefficient| <= 10**6, which
 every formula below handles instantly.
 
-The census stripes evaluate the discriminants here on int64 grids (they
-accept broadcast int64 arrays as well as ints and Fractions), and call
+The census stripes evaluate the quartic discriminant and the invariants
+here on int64 grids (they accept broadcast int64 arrays as well as ints and
+Fractions), and call
 ``fujiwara_bound`` on Python ints: one copy of each formula.  The census
 splits D4 from C4 with an int64 form of ``is_c4``, which is its oracle.
 """
@@ -44,7 +45,6 @@ __all__ = [
     "FactorWitness",
     "disc_cubic",
     "disc_cubic_coeffs",
-    "disc_cubic_terms",
     "invariants_cubic",
     "invariants_cubic_coeffs",
     "classify_cubic",
@@ -128,26 +128,10 @@ def disc_cubic(f: MonicCubic) -> int:
     return disc_cubic_coeffs(f.a, f.b, f.c)
 
 
-def disc_cubic_terms(a, b):
-    """(t1, t0): the discriminant of X^3 + aX^2 + bX + c is the quadratic
-    (-27 c + t1) c + t0 in c, with t1 = 18ab - 4a^3 and t0 = (a^2 - 4b) b^2.
-
-    The cubic census computes them once per b-row and runs the Horner steps
-    over that row's c-window itself.
-    """
-    return 18 * a * b - 4 * a * a * a, (a * a - 4 * b) * b * b
-
-
 def disc_cubic_coeffs(a, b, c):
-    """Discriminant of X^3 + aX^2 + bX + c from raw coefficients, as a
-    quadratic in c by Horner: (-27 c + t1) c + t0 with (t1, t0) from
-    ``disc_cubic_terms``.
-
-    Works on ints, Fractions and broadcast int64 arrays; the cubic census
-    confirms its sparse square candidates with it.
-    """
-    t1, t0 = disc_cubic_terms(a, b)
-    return (-27 * c + t1) * c + t0
+    """Discriminant of X^3 + aX^2 + bX + c from raw coefficients, by Horner
+    in c; works on ints, Fractions and broadcast int64 arrays."""
+    return (-27 * c + 18 * a * b - 4 * a * a * a) * c + (a * a - 4 * b) * b * b
 
 
 def invariants_cubic_coeffs(a, b, c):

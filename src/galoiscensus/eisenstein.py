@@ -37,7 +37,7 @@ class EisensteinError(ValueError):
 
 
 def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """(a0 + a1 zeta)(b0 + b1 zeta) on (m, n) pairs, with zeta^2 = -1 - zeta."""
+    """(a0 + a1 zeta)(b0 + b1 zeta) on (m, n) pairs of ints or int64 arrays."""
     (a0, a1), (b0, b1) = a, b
     return a0 * b0 - a1 * b1, a0 * b1 + a1 * b0 - a1 * b1
 

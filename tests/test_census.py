@@ -948,11 +948,8 @@ def test_report_csv_shape():
     assert lines[1:] == ["reducible,15", "S3,12", "A3,0"]
 
 
-def test_list_a3_cubics_matches_classifier(monkeypatch):
-    # H=6 runs one tile per stripe; at H=20 two-row tiles make c0 vary
-    for H, tile_cells in [(6, None), (20, 2 * 41)]:
-        if tile_cells:
-            monkeypatch.setattr("galoiscensus.census._TILE_CELLS", tile_cells)
+def test_list_a3_cubics_matches_classifier():
+    for H in (6, 20):
         found = list_a3_cubics(H)
         expected = [
             (a, b, c)
@@ -961,6 +958,14 @@ def test_list_a3_cubics_matches_classifier(monkeypatch):
         ]
         assert found == expected
         assert len(found) == run_census(CensusRequest(3, H, workers=1)).counts["A3"]
+
+
+def test_list_a3_cubics_at_height100_is_pinned():
+    # the 4,946 A3 cubics of the algebra workload, pinned byte for byte
+    import hashlib
+
+    digest = hashlib.md5(repr(list_a3_cubics(100)).encode()).hexdigest()
+    assert digest == "7f4402066c47a7f631f420b15f3c5b07"
 
 
 def test_quartic_kernel_exact_at_height_cap():
@@ -994,13 +999,22 @@ def test_quartic_kernel_exact_at_height_cap():
                 assert int(root_val[c + H, d + H]) in roots
 
 
+def _loeschian_rows(a: int, H: int) -> list[int]:
+    """The b-row indices b + H whose I = a^2 - 3b is a positive Loeschian number."""
+    from galoiscensus.census import _loeschian
+
+    i = a * a - 3 * (np.arange(2 * H + 1) - H)
+    return np.flatnonzero(_loeschian(H * H + 3 * H)[np.maximum(i, 0)]).tolist()
+
+
 def test_cubic_kernel_exact_at_large_height():
     # the kernel's disc rows and reducible mask equal exact Python ints at
-    # the cap, and no b-row the A3 filter drops holds a positive square disc.
-    # The disc rows are the classifier's own formula on int64 arrays, so
-    # their comparison checks that the int64 evaluation does not overflow;
-    # sympy checks the formula itself in test_classify.
-    from galoiscensus.census import _cubic_a3_rows, _cubic_red_mask, _factor_pairs
+    # the cap; the A3 construction lists elements on exactly the b-rows whose
+    # I is a positive Loeschian number, and no other b-row holds a positive
+    # square disc.  The disc rows are the classifier's own formula on int64
+    # arrays, so their comparison checks that the int64 evaluation does not
+    # overflow; sympy checks the formula itself in test_classify.
+    from galoiscensus.census import _cubic_norm_cubes, _cubic_red_mask, _factor_pairs
     from galoiscensus.classify import disc_cubic, disc_cubic_coeffs
 
     H, W = 5000, 10001
@@ -1015,7 +1029,8 @@ def test_cubic_kernel_exact_at_large_height():
             assert int(disc[i, c + H]) == disc_cubic(f)
             assert bool(red[bi, c + H]) == (classify_cubic(f).value == "reducible")
 
-    kept = set(_cubic_a3_rows(a, H).tolist())
+    kept = set(_cubic_norm_cubes(a, H)[0].tolist())
+    assert kept == set(_loeschian_rows(a, H))
     dropped = sorted(set(range(W)) - kept)
     assert kept and dropped
     for bi in rng.sample(dropped, 40):
@@ -1025,7 +1040,7 @@ def test_cubic_kernel_exact_at_large_height():
 
 def _dense_a3_rows(a: int, H: int, red: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The A3 cells of the b-row indices ``rows`` over every c, from the raw
-    discriminant formula with no row filter, window or tiling."""
+    discriminant formula over the whole grid."""
     from galoiscensus.census import _square_mask
 
     b = (rows - H)[:, None]
@@ -1035,8 +1050,8 @@ def _dense_a3_rows(a: int, H: int, red: np.ndarray, rows: np.ndarray) -> np.ndar
 
 
 def _a3_cells(a: int, H: int, red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sweep's sparse A3 cells (b-row indices, c), checked to be in the
-    box, in strictly ascending (b, c) order and off the reducible mask."""
+    """The sparse A3 cells (b-row indices, c), checked to be in the box, in
+    strictly ascending (b, c) order and off the reducible mask."""
     from galoiscensus.census import _cubic_a3_cells
 
     rows, c = _cubic_a3_cells(a, H, red)
@@ -1047,19 +1062,12 @@ def _a3_cells(a: int, H: int, red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, c
 
 
-def test_cubic_row_filter_matches_dense_sweep(monkeypatch):
+def test_cubic_row_filter_matches_dense_sweep():
+    # the Eisenstein construction's cells equal the dense grid's on every
+    # stratum, both signs of a, so all three residues of a mod 3
     from galoiscensus.census import _cubic_red_mask, _factor_pairs
 
-    # three rows per tile, so every stripe runs many tiles with their own c0
     H, W = 60, 121
-    monkeypatch.setattr("galoiscensus.census._TILE_CELLS", 3 * W)
-    tiles, tile = [], census._cubic_disc_tile
-
-    def counted_tile(t1, t0, c):
-        tiles.append(t1.shape[0])
-        return tile(t1, t0, c)
-
-    monkeypatch.setattr(census, "_cubic_disc_tile", counted_tile)
     pairs = _factor_pairs(H)
     for a in range(-H, H + 1):
         red = _cubic_red_mask(a, H, pairs)
@@ -1068,14 +1076,14 @@ def test_cubic_row_filter_matches_dense_sweep(monkeypatch):
         sparse = np.zeros_like(dense)
         sparse[rows, c + H] = True
         assert np.array_equal(sparse, dense), a
-    assert len(tiles) > 10 * W and max(tiles) == 3
 
 
 @pytest.mark.parametrize("height", [1200, 5000])
 def test_cubic_tiles_match_dense_rows_at_large_heights(height):
-    # the full dense grid is too large here: sampled rows of seeded stripes
-    # are swept densely one at a time and compared with the sparse cells
-    from galoiscensus.census import _cubic_a3_rows, _cubic_red_mask, _factor_pairs
+    # the full dense grid is too large here: sampled rows of seeded stripes,
+    # some with a Loeschian I, are swept densely one at a time and compared
+    # with the sparse cells
+    from galoiscensus.census import _cubic_red_mask, _factor_pairs
 
     H, W = height, 2 * height + 1
     rng = random.Random(height)
@@ -1085,7 +1093,7 @@ def test_cubic_tiles_match_dense_rows_at_large_heights(height):
         rows, c = _a3_cells(a, H, red)
         hits = sorted(set(rows.tolist()))
         assert hits, a
-        sample = set(rng.sample(range(W), 20) + rng.sample(_cubic_a3_rows(a, H).tolist(), 40))
+        sample = set(rng.sample(range(W), 20) + rng.sample(_loeschian_rows(a, H), 40))
         for bi in sorted(sample | set(rng.sample(hits, min(20, len(hits))))):
             sparse = np.zeros(W, dtype=bool)
             sparse[c[rows == bi] + H] = True
@@ -1093,27 +1101,76 @@ def test_cubic_tiles_match_dense_rows_at_large_heights(height):
             assert np.array_equal(sparse, dense), (a, bi)
 
 
-def test_cubic_float_tile_is_exact_at_the_cap():
-    # every float64 discriminant of a tile equals the Python-int one at the
-    # cap H = 5000: at the corners and centre of the box, and on seeded cells
-    from galoiscensus.census import _cubic_disc_tile
-    from galoiscensus.classify import disc_cubic, disc_cubic_terms
+def test_cubic_norm_cubes_exact_in_int64_at_the_cap(monkeypatch):
+    # the strata with the largest I at the cap H = 5000, one per residue of a
+    # mod 3: every product ``_mul`` forms in int64 equals the Python-int
+    # product, every listed element has norm I^3, and the components, J and
+    # J - J0 stay inside the bounds of the docstrings
+    from galoiscensus.census import _cubic_norm_cubes
+    from galoiscensus.eisenstein import _mul
 
     H = 5000
-    rng = random.Random(53)
-    edges = [-H, 0, H]
-    cases = [(a, edges, edges) for a in edges]
-    cases += [(rng.randint(-H, H), rng.sample(range(-H, H + 1), 25), rng.sample(range(-H, H + 1), 40)) for _ in range(8)]
-    largest = 0
-    for a, bs, cs in cases:
-        t1, t0 = (t.astype(np.float64)[:, None] for t in disc_cubic_terms(a, np.array(bs, dtype=np.int64)))
-        v = _cubic_disc_tile(t1, t0, np.array(cs, dtype=np.float64))
-        for i, b in enumerate(bs):
-            for j, c in enumerate(cs):
-                exact = disc_cubic(MonicCubic(a, b, c))
-                assert v[i, j] == exact and int(v[i, j]) == exact, (a, b, c)
-                largest = max(largest, abs(exact))
-    assert 2**50 < largest < 2**53
+    calls = []
+
+    def recorded_mul(x, y):
+        out = _mul(x, y)
+        calls.append((x, y, out))
+        return out
+
+    monkeypatch.setattr(census, "_mul", recorded_mul)
+    largest = {"element": 0, "pair": 0, "product": 0, "J - J0": 0}
+    for a in (H, H - 1, H - 2):
+        calls.clear()
+        rows, m, n = _cubic_norm_cubes(a, H)
+        assert len(calls) == 2 and m.dtype == n.dtype == np.int64
+        for x, y, out in calls:
+            columns = [[int(v) for v in col.tolist()] for col in (*x, *y, *out)]
+            for x0, x1, y0, y1, m0, m1 in zip(*columns):
+                assert _mul((x0, x1), (y0, y1)) == (m0, m1), a
+        (e, f), pair = calls[0][0], calls[0][2]
+        largest["element"] = max(largest["element"], int(np.abs(e).max()), int(np.abs(f).max()))
+        largest["pair"] = max(largest["pair"], int(np.abs(pair[0]).max()), int(np.abs(pair[1]).max()))
+        for row, mm, nn in zip(rows.tolist(), m.tolist(), n.tolist()):
+            b = row - H
+            i, j0 = a * a - 3 * b, 2 * a**3 - 9 * a * b
+            assert mm * mm - mm * nn + nn * nn == i**3, (a, b)
+            largest["product"] = max(largest["product"], abs(mm), abs(nn))
+            largest["J - J0"] = max(largest["J - J0"], abs(2 * mm - nn - j0))
+    assert 5e3 < largest["element"] < 5.8e3 and 2.5e7 < largest["pair"] < 3e7, largest
+    assert 1.4e11 < largest["product"] < 1.5e11 and largest["J - J0"] < 5.1e11, largest
+
+
+def test_cubic_norm_cubes_give_every_representation_up_to_1000():
+    # S_I = {J : J^2 + 27 y^2 = 4 I^3, y != 0}, by brute force over y, is
+    # the set of +-(2m - n), n != 0, of the listed elements of the row of I:
+    # a = 0 holds every I = 0 (mod 3), a = 1 and 2 every I = 1 (mod 3), and
+    # no I = 2 (mod 3) has a representation.  For 3 not dividing a, the
+    # listed J are the ones = J0 (mod 3)
+    from galoiscensus.census import _cubic_norm_cubes
+
+    H = 334
+    found = {a: {} for a in (0, 1, 2)}
+    for a in (0, 1, 2):
+        rows, m, n = _cubic_norm_cubes(a, H)
+        for row, mm, nn in zip(rows.tolist(), m.tolist(), n.tolist()):
+            b = row - H
+            i, j = a * a - 3 * b, 2 * mm - nn
+            if a % 3:
+                assert (j - (2 * a**3 - 9 * a * b)) % 3 == 0, (a, b)
+            if nn and i <= 1000:
+                found[a].setdefault(i, set()).update((j, -j))
+    checked = 0
+    for i in range(1, 1001):
+        y = np.arange(1, math.isqrt(4 * i**3 // 27) + 1, dtype=np.int64)
+        t = 4 * i**3 - 27 * y * y
+        s = np.rint(np.sqrt(t)).astype(np.int64)
+        brute = set(s[s * s == t].tolist()) | set((-s[s * s == t]).tolist())
+        strata = [0] if i % 3 == 0 else [1, 2] if i % 3 == 1 else []
+        for a in strata:
+            assert found[a].get(i, set()) == brute, (i, a)
+        assert strata or not brute, i
+        checked += bool(brute)
+    assert checked > 100
 
 
 def test_pool_runs_partition_todo_within_the_cell_budget():
@@ -1186,7 +1243,7 @@ def test_j_window_brackets_the_exact_window():
     # (a >= 0, b, c) row for H <= 20, and at the cap the corner stripes of
     # test_quartic_kernel_exact_at_height_cap and the slope-0 rows (a, b) =
     # (4, 6) and (32, 384), where 72b = 27a^2
-    from galoiscensus.census import _cubic_a3_rows, _j_window
+    from galoiscensus.census import _j_window
     from galoiscensus.classify import disc_cubic_coeffs, invariants_cubic_coeffs, invariants_quartic_coeffs
 
     rng = random.Random(27)
@@ -1194,7 +1251,7 @@ def test_j_window_brackets_the_exact_window():
     for H in [1, 7, 60, 500, 1200, 5000]:
         rows = []
         for a in {0, H, -H, rng.randint(-H, H)}:
-            bs = _cubic_a3_rows(a, H).tolist()
+            bs = _loeschian_rows(a, H)
             for b in sorted({bs[0], bs[-1], *rng.sample(bs, min(40, len(bs)))}):
                 i, j0 = invariants_cubic_coeffs(a, b - H, 0)
                 rows.append((i, j0, 27, a, b - H))
