@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -31,12 +30,12 @@ from .classify import (
 )
 from .eisenstein import WitnessError, parametrize_cubic_witness
 from .families import (
+    cross_validate,
     d4vc_units,
     gen_a3_family,
     gen_a4_family,
     gen_v4_biquadratic,
     member_units,
-    validate_units,
 )
 from .identities import SUITES, run_suites
 
@@ -243,21 +242,20 @@ def _cmd_family(args, parser) -> int:
     if args.height < 0:
         parser.error(f"height must be >= 0, got {args.height}")
     start = time.perf_counter()
-    workers = args.threads or os.cpu_count() or 1
     try:
         if args.name == "d4vc":
             # generated in the pool units themselves
             units = d4vc_units(args.height, delta)
         elif args.name == "v4-biquadratic":
-            units = member_units(gen_v4_biquadratic(args.height), workers)
+            units = member_units(gen_v4_biquadratic(args.height))
         elif args.name == "a4":
-            units = member_units(gen_a4_family(args.height), workers)
+            units = member_units(gen_a4_family(args.height))
         else:
-            units = member_units(gen_a3_family(-args.height, args.height), workers)
+            units = member_units(gen_a3_family(-args.height, args.height))
     except ValueError as exc:
         parser.error(str(exc))
     with _output(args.out, parser) as write:
-        report = validate_units(units, workers, write)
+        report = cross_validate(units, args.threads, write)
         summary = json.loads(report.to_json())
         write(json.dumps({"family": args.name, "height": args.height, "delta": str(delta), **summary}))
     elapsed = time.perf_counter() - start

@@ -1,6 +1,15 @@
 """Generators for the lower-bound construction families, each cross-validated
 against the classifier.
 
+A member is the plain tuple (family, params, coeffs, expected): params as
+(name, value) pairs, coeffs below the leading 1, and the class labels the
+family promises.  ``cross_validate`` is the one engine: it runs pool units
+(fn, args), each returning its class tally, its JSON lines and its mismatch
+and exception entries, and merges them in unit order.  ``member_units``
+cuts a member list into units; ``d4vc_units`` cuts the d4vc construction's
+(u, v) pair list into ranges that the workers generate themselves, so no
+list of d4vc members is built to validate or write them.
+
 Square-root range conditions are decided by exact squared comparisons, never
 floats, so boundary tuples land on the correct side; floats only pick the
 candidates those comparisons decide.
@@ -10,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -31,7 +41,6 @@ from .classify import (
 from .exactarith import iroot
 
 __all__ = [
-    "FamilyMember",
     "CrossValidationReport",
     "gen_d4vc_family",
     "d4vc_units",
@@ -40,16 +49,7 @@ __all__ = [
     "gen_a3_family",
     "cross_validate",
     "member_units",
-    "validate_units",
 ]
-
-
-@dataclass(frozen=True)
-class FamilyMember:
-    family: str
-    params: tuple[tuple[str, int], ...]
-    coeffs: tuple[int, ...]
-    expected: tuple[str, ...]
 
 
 def _member_line(family: str, params: tuple, n_coeffs: int) -> str:
@@ -125,7 +125,7 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return group, offset
 
 
-# relative widening of every float range end; see gen_d4vc_family
+# relative widening of every float range end; see _d4vc_block
 _SLACK = 2.0**-40
 
 
@@ -140,7 +140,15 @@ def _residue_span(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _d4vc_prelude(H: int, p: int, q: int) -> tuple[np.ndarray, ...]:
     """The (u, v) pair list of gen_d4vc_family(H, p/q), u-major: the u that
     may hold a member, their sqrt(u), and the first j and the number of j
-    of their v = 4 + 6 j."""
+    of their v = 4 + 6 j.
+
+    Which (u, v) can give a member.  It needs w = 12 (mod 18) in
+    [ceil(v/2), v] with v = 4 (mod 6).  For v = 4 and 10 that range ends
+    below 12; v = 16 and 22 hold w = 12; v = 28 gives [14, 28], which holds
+    none; from v = 34 on the range has at least 18 integers, so it holds a w.
+    Hence v >= 16, and with v sqrt(u) <= delta^2 H that caps u at
+    delta^4 H^2 / 256.  A v whose range holds no w is dropped by
+    _d4vc_block before its x window is looked at."""
     v_min = 2 * q * math.sqrt(H) / p  # 2 delta^-1 sqrt(H) <= v sqrt(u)
     v_max = p * p * H / (q * q)  # v sqrt(u) <= delta^2 H
 
@@ -172,10 +180,11 @@ _D4VC_EXPECTED = ("D4", "V4", "C4")
 
 
 def d4vc_units(height: int, delta: Fraction = Fraction(1, 5)) -> list[tuple]:
-    """gen_d4vc_family(height, delta) as pool units for validate_units:
+    """gen_d4vc_family(height, delta) as pool units for cross_validate:
     consecutive ranges of its (u, v) pair list, of about _CHUNK estimated
     members each, which _d4vc_unit generates, classifies, validates and
-    renders column-wise.
+    renders column-wise in the worker that takes the unit.  The parent
+    holds only the ranges (four numpy slices a unit), never a member.
 
     A pair's x and a windows hold about L/18 residues each, with
     L = delta H / (v sqrt(u)), and its w range about v/36, so the pair
@@ -245,8 +254,9 @@ def _d4vc_columns(H: int, p: int, q: int, us, root_u, j_lo, n_v) -> tuple[np.nda
 
 
 def _d4vc_rows(H: int, p: int, q: int, us, root_u, j_lo, n_v):
-    """The fields (family, params, coeffs, expected) of the members of
-    _d4vc_columns, in their order: the per-member view of the oracle route."""
+    """The members (family, params, coeffs, expected) of _d4vc_columns, in
+    their order: the per-member view that _check_rows validates, the
+    oracle of _d4vc_unit."""
     tail = (("H", H), ("delta_num", p), ("delta_den", q))
     for row in zip(*[col.tolist() for col in _d4vc_columns(H, p, q, us, root_u, j_lo, n_v)]):
         yield "d4vc", (*zip(_D4VC_PARAMS, row), *tail), row[4:], _D4VC_EXPECTED
@@ -254,7 +264,27 @@ def _d4vc_rows(H: int, p: int, q: int, us, root_u, j_lo, n_v):
 
 def _d4vc_block(us, root_u, j_lo, n_v, H: int, p: int, q: int) -> tuple[np.ndarray, ...]:
     """The u, v, w, x, a arrays of the d4vc members whose u is in us and v
-    in 4 + 6 (j_lo + [0, n_v)), in (u, v, w, a, x) order."""
+    in 4 + 6 (j_lo + [0, n_v)), in (u, v, w, a, x) order.
+
+    Floats only pick candidates.  numpy estimates, for all u at once, the v
+    range [2 delta^-1 sqrt(H), delta^2 H] / sqrt(u) (in _d4vc_prelude); for
+    all (u, v) the x window (v sqrt(u), v sqrt(u) + L] with
+    L = delta H / (v sqrt(u)); and for each w of a pair with an x, the a
+    window (w sqrt(u), w sqrt(u) + L].  Each end takes at most six
+    correctly rounded operations on integers (conversions, sqrt(u),
+    products, quotients and one sum of positive terms), so it is within a
+    relative 8 * 2^-53 of the true end.  Each end is then widened by the
+    relative _SLACK = 2^-40, has 4 or 12 subtracted, is divided by 6 or 18
+    and is rounded to an integer.  Every end that can matter exceeds the
+    constant subtracted (window ends are at least 12 sqrt(30) > 65, and a v
+    range ending below 16 holds no v >= 16), so those steps cost under
+    another 2 * 2^-53 of the end.  The widening is over 100 times the total
+    error, so it carries each float end past the true one, and the rounded
+    quotients take in every integer of the true range.  A (u, v) or a w is
+    therefore dropped only when it has no member.  Every candidate x and a,
+    with its pair's v range, is then decided by the exact squared
+    comparisons below, in Python ints; at H = 10^6 they reach about 6e19,
+    past int64."""
     pH = p * H
     iu, j = _expand(n_v)
     pu, root_u = us[iu], root_u[iu]
@@ -306,78 +336,37 @@ def _d4vc_block(us, root_u, j_lo, n_v, H: int, p: int, q: int) -> tuple[np.ndarr
     return pu[mp], pv[mp], w[ia][im], mx, a[im]
 
 
-def gen_d4vc_family(height: int, delta: Fraction = Fraction(1, 5)) -> list[FamilyMember]:
+def gen_d4vc_family(height: int, delta: Fraction = Fraction(1, 5)) -> list[tuple]:
     """All admissible (u, v, w, x, a) tuples and their quartics (a, b, c, d).
 
     Ranges: 1 <= u <= H^(2-2*delta); delta^-1 sqrt(H) <= v sqrt(u)/2 <=
     w sqrt(u) <= v sqrt(u) <= delta^2 H; then x and a sit in windows of
     length delta*H/(v sqrt(u)) above v sqrt(u) and w sqrt(u).  Coefficients
     come from 4d = x^2 - u v^2, 4(b - x) = a^2 - u w^2, 2c = x a - u v w.
-    Members come in (u, v, w, a, x) order.
-
-    Which (u, v) can give a member.  It needs w = 12 (mod 18) in
-    [ceil(v/2), v] with v = 4 (mod 6).  For v = 4 and 10 that range ends
-    below 12; v = 16 and 22 hold w = 12; v = 28 gives [14, 28], which holds
-    none; from v = 34 on the range has at least 18 integers, so it holds a w.
-    Hence v >= 16, and with v sqrt(u) <= delta^2 H that caps u at
-    delta^4 H^2 / 256.  A v whose range holds no w is dropped before its x
-    window is looked at.
-
-    Floats only pick candidates.  numpy estimates, for all u at once, the v
-    range [2 delta^-1 sqrt(H), delta^2 H] / sqrt(u); for all (u, v) the x
-    window (v sqrt(u), v sqrt(u) + L] with L = delta H / (v sqrt(u)); and
-    for each w of a pair with an x, the a window (w sqrt(u), w sqrt(u) + L].
-    Each end takes at most six correctly rounded operations on integers
-    (conversions, sqrt(u), products, quotients and one sum of positive
-    terms), so it is within a relative 8 * 2^-53 of the true end.  Each end
-    is then widened by the relative _SLACK = 2^-40, has 4 or 12 subtracted,
-    is divided by 6 or 18 and is rounded to an integer.  Every end that
-    can matter exceeds the constant subtracted (window ends are at least
-    12 sqrt(30) > 65, and a v range ending below 16 holds no v >= 16), so
-    those steps cost under another 2 * 2^-53 of the end.  The widening is
-    over 100 times the total error, so it carries each float end past the
-    true one, and the rounded quotients take in every integer of the true
-    range.  A (u, v) or a w is therefore dropped only when it has no member.
-    Every candidate x and a, with its pair's v range, is then decided by
-    the exact squared comparisons in Python ints in _d4vc_block; at
-    H = 10^6 they reach about 6e19, past int64.
-
-    How the work is split.  _d4vc_prelude lists the (u, v) pairs once:
-    the u sieve, sqrt(u) and each u's v range, all cheap.  d4vc_units cuts
-    that list into consecutive ranges, and _d4vc_columns turns one range
-    into its members' int64 columns.  This function reads them member by
-    member (_d4vc_rows), range after range, in one process: it is the
-    oracle of the ``family`` command, which runs the same ranges as pool
-    units (_d4vc_unit), each generated, checked as columns, classified and
-    rendered in a worker.
+    Members come in (u, v, w, a, x) order, read member by member
+    (_d4vc_rows) from the ranges of d4vc_units, one after another, in this
+    process.  _d4vc_prelude and _d4vc_block argue which (u, v) and which
+    float window ends can be skipped.
     """
-    return [FamilyMember(*row) for _, args in d4vc_units(height, delta)
-            for row in _d4vc_rows(*args)]
+    return [row for _, args in d4vc_units(height, delta) for row in _d4vc_rows(*args)]
 
 
-def gen_v4_biquadratic(height: int) -> list[FamilyMember]:
+def gen_v4_biquadratic(height: int) -> list[tuple]:
     """X^4 + b X^2 + t^2 with b = 0 (4), t = 1 (4), H/2 <= b <= H, t <= sqrt(H).
 
     Empty below the smallest admissible height 8.
     """
     if height < 8:
         return []
-    members = []
     b_lo = -((-height) // 2)  # ceil(H/2)
-    for b in _cong_range(b_lo, height, 0, 4):
-        for t in _cong_range(1, math.isqrt(height), 1, 4):
-            members.append(
-                FamilyMember(
-                    family="v4-biquadratic",
-                    params=(("b", b), ("t", t), ("H", height)),
-                    coeffs=(0, b, 0, t * t),
-                    expected=("V4",),
-                )
-            )
-    return members
+    return [
+        ("v4-biquadratic", (("b", b), ("t", t), ("H", height)), (0, b, 0, t * t), ("V4",))
+        for b in _cong_range(b_lo, height, 0, 4)
+        for t in _cong_range(1, math.isqrt(height), 1, 4)
+    ]
 
 
-def gen_a4_family(bound: int) -> list[FamilyMember]:
+def gen_a4_family(bound: int) -> list[tuple]:
     """X^4 + 18 v^2 X^2 + 8 u v X + u^2 for 1 <= u, v <= bound.
 
     The discriminant equals (16 (27 u v^4 + u^3))^2 identically; the A4
@@ -387,44 +376,28 @@ def gen_a4_family(bound: int) -> list[FamilyMember]:
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    members = []
-    for u in range(1, bound + 1):
-        for v in range(1, bound + 1):
-            members.append(
-                FamilyMember(
-                    family="a4",
-                    params=(("u", u), ("v", v)),
-                    coeffs=(0, 18 * v * v, 8 * u * v, u * u),
-                    expected=("A4",),
-                )
-            )
-    return members
-
-
-def gen_a3_family(t_lo: int, t_hi: int) -> list[FamilyMember]:
-    """The one-parameter cyclic family X^3 + t X^2 + (t - 3) X - 1."""
     return [
-        FamilyMember(
-            family="a3",
-            params=(("t", t),),
-            coeffs=(t, t - 3, -1),
-            expected=("A3",),
-        )
-        for t in range(t_lo, t_hi + 1)
+        ("a4", (("u", u), ("v", v)), (0, 18 * v * v, 8 * u * v, u * u), ("A4",))
+        for u in range(1, bound + 1)
+        for v in range(1, bound + 1)
     ]
+
+
+def gen_a3_family(t_lo: int, t_hi: int) -> list[tuple]:
+    """The one-parameter cyclic family X^3 + t X^2 + (t - 3) X - 1."""
+    return [("a3", (("t", t),), (t, t - 3, -1), ("A3",)) for t in range(t_lo, t_hi + 1)]
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 _CHUNK = 1024
-"""Most members per pool unit: a chunk of a member list (member_units), or
+"""Most members per pool unit: a slice of a member list (member_units), or
 the estimated members of a d4vc pair range (d4vc_units).  A unit is
-(fn, args).  A chunk goes out as a list of plain tuples, which pickle and
-unpickle in under half the time of the dataclasses; a d4vc range goes out
-as four short numpy slices, and its worker generates the members.  A unit
-comes back as its class tally, its JSON lines joined into one string, and
-its mismatch and exception entries.
+(fn, args).  A slice goes out as a list of the caller's member tuples; a
+d4vc range goes out as four short numpy slices, and its worker generates
+the members.  A unit comes back as its class tally, its JSON lines joined
+into one string, and its mismatch and exception entries.
 Units of about 1024 members keep each reply near 200 kB at d4vc(6e5, 1/5)
 and leave dozens of units to balance the workers."""
 
@@ -490,7 +463,7 @@ def _entry(family: str, params: tuple, coeffs: tuple[int, ...], label: str, note
 
 def _check_rows(rows: list[tuple]) -> tuple[Counter, str, list[dict], list[dict]]:
     """The unit function of member_units: classify, validate and render
-    each member, given as its fields (family, params, coeffs, expected)."""
+    each member (family, params, coeffs, expected)."""
     tally, lines, mismatches, exceptions = Counter(), [], [], []
     for family, params, coeffs, expected in rows:
         label, ok, exception, note = _check_member(family, params, coeffs, expected)
@@ -546,29 +519,33 @@ def _check_unit(unit: tuple) -> tuple[Counter, str, list[dict], list[dict]]:
     return fn(*args)
 
 
-def member_units(members: list[FamilyMember], workers: int = 1) -> Iterator[tuple]:
-    """Pool units for validate_units: chunks of at most _CHUNK members, as
-    many as the workers where that leaves at least 256 members a chunk.
-    The chunks are built by a generator, but ``Executor.map`` submits every
-    unit before it yields the first result: the workers fork at the first
-    chunk, and the parent builds all the others right after the fork."""
-    size = min(_CHUNK, max(256, -(-len(members) // workers)))
-    for i in range(0, len(members), size):
-        yield _check_rows, ([(m.family, m.params, m.coeffs, m.expected) for m in members[i : i + size]],)
+def member_units(members: list[tuple]) -> Iterator[tuple]:
+    """Pool units for cross_validate: consecutive slices of at most _CHUNK
+    members, each a list of the caller's own (family, params, coeffs,
+    expected) tuples, for _check_rows.  The slices are taken by a
+    generator, but ``Executor.map`` submits every unit before it yields the
+    first result: the workers fork at the first slices, and the parent
+    takes all the others right after the fork."""
+    for i in range(0, len(members), _CHUNK):
+        yield _check_rows, (members[i : i + _CHUNK],)
 
 
-def validate_units(units: Iterable[tuple], workers: int = 1,
+def cross_validate(units: Iterable[tuple], workers: int = 1,
                    write: Callable[[str], object] | None = None) -> CrossValidationReport:
-    """Run every unit through _check_unit, on a pool of up to ``workers``
-    processes when there is more than one unit, and merge the results in
-    unit order; returns the report.  Each unit's non-empty block of JSON
-    lines goes to ``write``, if given, as the pool yields it.  Serial and
-    pooled runs share the unit function.  Only the first ``workers`` units
-    are taken before the pool forks.  ``Executor.map`` submits every unit
-    before it yields the first result, so the parent takes all the others
-    right after the fork and holds each until a worker has taken it."""
+    """Run every unit through _check_unit and merge the results in unit
+    order; returns the report.  The units run on a pool of up to
+    ``workers`` processes (0: one per core) when there is more than one
+    unit, else in this process; serial and pooled runs share the unit
+    function.  Each unit's non-empty block of JSON lines goes to ``write``,
+    if given, as the pool yields it; otherwise it is dropped as the unit is
+    merged.  Only the first ``workers`` units are taken before the pool
+    forks.  ``Executor.map`` submits every unit before it yields the first
+    result, so the parent takes all the others right after the fork and
+    holds each until a worker has taken it."""
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     units = iter(units)
-    head = list(islice(units, max(workers, 1)))
+    head = list(islice(units, workers or os.cpu_count() or 1))
     report, classes = CrossValidationReport(), Counter()
     pool = ProcessPoolExecutor(len(head)) if len(head) > 1 else None
     with pool or nullcontext():
@@ -583,9 +560,3 @@ def validate_units(units: Iterable[tuple], workers: int = 1,
                 write(text)
     report.classes = dict(classes)
     return report
-
-
-def cross_validate(members: list[FamilyMember], workers: int = 1) -> CrossValidationReport:
-    """Classify every member and tally mismatches against the family
-    contract; each unit's member lines are dropped as it is merged."""
-    return validate_units(member_units(members, workers), workers)

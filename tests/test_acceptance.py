@@ -29,11 +29,15 @@ from galoiscensus.classify import (
 )
 from galoiscensus.eisenstein import parametrize_cubic_witness
 from galoiscensus.families import (
+    _check_rows,
+    _d4vc_columns,
+    _d4vc_rows,
     cross_validate,
+    d4vc_units,
     gen_a3_family,
     gen_a4_family,
-    gen_d4vc_family,
     gen_v4_biquadratic,
+    member_units,
 )
 from galoiscensus.identities import disc_F_suite, star_suite, symmetry_suite
 
@@ -151,42 +155,46 @@ def test_criterion_10_frobenius_cross_check():
     _report("10 PASS: 10^4 sampled irreducible quartics, all cycle types realizable")
 
 
+def _d4vc_oracle_unit(*args):
+    """One d4vc unit member by member: the construction's predicates on its
+    int64 columns, 0 < 4d, 4(b - x), 2c < H, 3 | every coefficient and
+    9 does not divide d, then _check_rows over its member tuples."""
+    H, (x, a, b, c, d) = args[0], _d4vc_columns(*args)[3:]
+    assert ((0 < 4 * d) & (4 * d < H) & (0 < 4 * (b - x)) & (4 * (b - x) < H)).all()
+    assert ((0 < 2 * c) & (2 * c < H)).all() and (d % 9 != 0).all()
+    assert all((t % 3 == 0).all() for t in (a, b, c, d))
+    return _check_rows(list(_d4vc_rows(*args)))
+
+
 def test_criterion_11_constructions():
     """Every construction family validates against the classifier.
 
-    d4vc(10^6, 1/5) has 264,235 members; gen_d4vc_family builds them in
-    1.7-2.1 s on one core of a 2-core machine, and this test takes about
-    8 s there, most of it classifying and rendering the d4vc members on 2
-    workers.
-    The ``family`` command does the same work in about 4.1-4.4 s, since its
-    workers generate their own ranges of the family.
+    d4vc(10^6, 1/5) has 264,235 members.  They are checked member by member
+    with _check_rows, one d4vc_units range at a time in the workers, so no
+    process holds the whole family.  On 2 workers of a 2-core machine this
+    test takes 2.7-2.9 s (the ``family`` command, which checks the same
+    ranges column-wise, 1.6-1.8 s), and the pytest process peaks at 62 MB
+    of RSS, of which collecting this module alone takes 54.5 MB.
     """
-    rep = cross_validate(gen_v4_biquadratic(500))
+    rep = cross_validate(member_units(gen_v4_biquadratic(500)))
     assert rep.mismatch_count == 0 and rep.members_checked > 0
-    rep = cross_validate(gen_a3_family(-200, 200))
+    rep = cross_validate(member_units(gen_a3_family(-200, 200)))
     assert rep.mismatch_count == 0 and rep.members_checked == 401
 
     a4 = gen_a4_family(20)
     assert len(a4) == 400
-    for m in a4:
-        u, v = dict(m.params)["u"], dict(m.params)["v"]
-        assert disc_quartic(MonicQuartic(*m.coeffs)) == (16 * (27 * u * v**4 + u**3)) ** 2
-    assert cross_validate(a4).mismatch_count == 0
+    for _, params, coeffs, _ in a4:
+        u, v = dict(params)["u"], dict(params)["v"]
+        assert disc_quartic(MonicQuartic(*coeffs)) == (16 * (27 * u * v**4 + u**3)) ** 2
+    assert cross_validate(member_units(a4)).mismatch_count == 0
 
-    fam = gen_d4vc_family(10**6, Fraction(1, 5))
-    assert fam, "d4vc family empty at H=10^6"
-    rep = cross_validate(fam, workers=WORKERS or (os.cpu_count() or 1))
-    assert rep.mismatch_count == 0
+    units = [(_d4vc_oracle_unit, args) for _, args in d4vc_units(10**6, Fraction(1, 5))]
+    rep = cross_validate(units, workers=WORKERS)
+    assert rep.members_checked == 264_235 and rep.mismatch_count == 0
     assert set(rep.classes) <= {"D4", "V4", "C4"}
-    H = 10**6
-    for m in fam:
-        x = dict(m.params)["x"]
-        a, b, c, d = m.coeffs
-        assert 0 < 4 * d < H and 0 < 4 * (b - x) < H and 0 < 2 * c < H
-        assert all(t % 3 == 0 for t in m.coeffs) and d % 9 != 0
     _report(
         "11 PASS: v4(500), a3([-200,200]), a4(20) disc identity, and "
-        f"d4vc(10^6, 1/5) with {len(fam)} members all validate"
+        f"d4vc(10^6, 1/5) with {rep.members_checked} members all validate"
     )
 
 

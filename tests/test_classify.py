@@ -359,7 +359,7 @@ def test_root_filter_primes_each_certify_d4vc_members():
 
     from galoiscensus.families import gen_d4vc_family
 
-    fam = [m.coeffs for m in gen_d4vc_family(2 * 10**5, Fraction(1, 5))]
+    fam = [coeffs for _, _, coeffs, _ in gen_d4vc_family(2 * 10**5, Fraction(1, 5))]
 
     def root_free(p, a, b, c, d):
         return all((t**4 + a * t**3 + b * t**2 + c * t + d) % p for t in range(p))
@@ -523,8 +523,8 @@ def test_integer_roots_certificate_decides_d4vc_and_a3(monkeypatch):
     monkeypatch.setattr(classify, "_integer_roots_bisect", no_fallback)
     fam = gen_d4vc_family(10**5, Fraction(1, 5))
     assert len(fam) > 300
-    for m in fam:
-        assert resolvent_integer_roots(MonicQuartic(*m.coeffs)) == [dict(m.params)["x"]]
+    for _, params, coeffs, _ in fam:
+        assert resolvent_integer_roots(MonicQuartic(*coeffs)) == [dict(params)["x"]]
     a3 = list_a3_cubics(30)
     assert len(a3) > 700
     assert all(classify_cubic(MonicCubic(*c)) is CubicClass.A3 for c in a3)

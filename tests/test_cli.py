@@ -6,7 +6,7 @@ import pytest
 
 from galoiscensus import census, cli, families
 from galoiscensus.cli import main
-from galoiscensus.families import validate_units
+from galoiscensus.families import cross_validate
 
 
 def test_classify_quartic_text(capsys):
@@ -252,17 +252,19 @@ def test_family_summary_reports_time_and_rate(monkeypatch, capsys):
 
 
 def test_family_threads_zero_uses_every_core(monkeypatch, capsys):
-    seen = []
+    # --threads reaches the engine as given, and the engine asks for the
+    # core count only for 0 (one core here, so no pool starts)
+    seen, asked = [], []
 
     def spy(units, workers=1, write=None):
         seen.append(workers)
-        return validate_units(units, 1, write)
+        return cross_validate(units, workers, write)
 
-    monkeypatch.setattr(cli, "validate_units", spy)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "cross_validate", spy)
+    monkeypatch.setattr(families.os, "cpu_count", lambda: asked.append(1) or 1)
     assert main(["family", "--name", "a3", "--height", "5", "--threads", "0"]) == 0
     assert main(["family", "--name", "a3", "--height", "5", "--threads", "2"]) == 0
-    assert seen == [3, 2]
+    assert seen == [0, 2] and asked == [1]
 
 
 def test_family_negative_threads_is_usage_error(capsys):

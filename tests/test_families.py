@@ -20,7 +20,6 @@ from galoiscensus import families
 from galoiscensus.cli import main
 from galoiscensus.exactarith import factorize
 from galoiscensus.families import (
-    FamilyMember,
     cross_validate,
     gen_a3_family,
     gen_a4_family,
@@ -38,7 +37,6 @@ from galoiscensus.families import (
     _squarefree_u_values,
     d4vc_units,
     member_units,
-    validate_units,
 )
 
 
@@ -47,7 +45,7 @@ from galoiscensus.families import (
 def test_v4_count_at_100():
     fam = gen_v4_biquadratic(100)
     assert len(fam) == 39  # b in {52,...,100} step 4 (13), t in {1,5,9} (3)
-    assert fam[0].coeffs == (0, 52, 0, 1)
+    assert fam[0] == ("v4-biquadratic", (("b", 52), ("t", 1), ("H", 100)), (0, 52, 0, 1), ("V4",))
 
 
 def test_v4_empty_below_8():
@@ -56,16 +54,15 @@ def test_v4_empty_below_8():
 
 
 def test_v4_all_classify_v4():
-    rep = cross_validate(gen_v4_biquadratic(120))
+    rep = cross_validate(member_units(gen_v4_biquadratic(120)))
     assert rep.mismatch_count == 0
     assert set(rep.classes) == {"V4"}
 
 
 def test_v4_member_shape():
-    for m in gen_v4_biquadratic(60):
-        b = dict(m.params)["b"]
-        t = dict(m.params)["t"]
-        assert m.coeffs == (0, b, 0, t * t)
+    for _, params, coeffs, _ in gen_v4_biquadratic(60):
+        b, t = dict(params)["b"], dict(params)["t"]
+        assert coeffs == (0, b, 0, t * t)
         assert b % 4 == 0 and t % 4 == 1
         assert 2 * b >= 60 and b <= 60 and t * t <= 60
 
@@ -81,11 +78,10 @@ def test_a4_disc_identity_examples():
 def test_a4_family_members_and_validation():
     fam = gen_a4_family(6)
     assert len(fam) == 36
-    for m in fam:
-        u = dict(m.params)["u"]
-        v = dict(m.params)["v"]
-        assert disc_quartic(MonicQuartic(*m.coeffs)) == (16 * (27 * u * v**4 + u**3)) ** 2
-    rep = cross_validate(fam)
+    for _, params, coeffs, _ in fam:
+        u, v = dict(params)["u"], dict(params)["v"]
+        assert disc_quartic(MonicQuartic(*coeffs)) == (16 * (27 * u * v**4 + u**3)) ** 2
+    rep = cross_validate(member_units(fam))
     assert rep.mismatch_count == 0
 
 
@@ -93,7 +89,7 @@ def test_a4_exceptions_recorded_not_failed():
     # u = v = 3: f = X^4 + 162 X^2 + 72 X + 9 -- keep whatever the classifier
     # says, but reducible or resolvent-rooted members must land in exceptions
     fam = gen_a4_family(8)
-    rep = cross_validate(fam)
+    rep = cross_validate(member_units(fam))
     assert rep.mismatch_count == 0
     for entry in rep.exceptions:
         poly = MonicQuartic(*entry["coeffs"])
@@ -107,11 +103,11 @@ def test_a4_exceptions_recorded_not_failed():
 def test_a3_family_examples():
     fam = gen_a3_family(-50, 50)
     assert len(fam) == 101
-    by_t = {dict(m.params)["t"]: m for m in fam}
-    assert by_t[1].coeffs == (1, -2, -1)
-    assert by_t[0].coeffs == (0, -3, -1)
-    assert by_t[3].coeffs == (3, 0, -1)
-    rep = cross_validate(fam)
+    by_t = {dict(params)["t"]: coeffs for _, params, coeffs, _ in fam}
+    assert by_t[1] == (1, -2, -1)
+    assert by_t[0] == (0, -3, -1)
+    assert by_t[3] == (3, 0, -1)
+    rep = cross_validate(member_units(fam))
     assert rep.mismatch_count == 0
     assert set(rep.classes) == {"A3"}
 
@@ -164,17 +160,13 @@ def _d4vc_brute(H, delta):
                             e = Fraction(a * a - u * w * w, 4)
                             c = Fraction(x * a - u * v * w, 2)
                             assert d.denominator == e.denominator == c.denominator == 1
-                            members.append(
-                                FamilyMember(
-                                    family="d4vc",
-                                    params=(
-                                        ("u", u), ("v", v), ("w", w), ("x", x), ("a", a),
-                                        ("H", H), ("delta_num", p), ("delta_den", q),
-                                    ),
-                                    coeffs=(a, int(x + e), int(c), int(d)),
-                                    expected=("D4", "V4", "C4"),
-                                )
-                            )
+                            members.append((
+                                "d4vc",
+                                (("u", u), ("v", v), ("w", w), ("x", x), ("a", a),
+                                 ("H", H), ("delta_num", p), ("delta_den", q)),
+                                (a, int(x + e), int(c), int(d)),
+                                ("D4", "V4", "C4"),
+                            ))
                     a += 18
             v += 6
         u += 18
@@ -217,13 +209,7 @@ def test_d4vc_window_example_excludes_30_16_12():
     # at H=400, delta=1/2 the tuple u=30, v=16, w=12 satisfies the range
     # conditions but its x-window (87.63, 89.92] holds no x = 12 (mod 18)
     fam = gen_d4vc_family(400, Fraction(1, 2))
-    assert not [
-        m
-        for m in fam
-        if dict(m.params)["u"] == 30
-        and dict(m.params)["v"] == 16
-        and dict(m.params)["w"] == 12
-    ]
+    assert not [params for _, params, _, _ in fam if params[:3] == (("u", 30), ("v", 16), ("w", 12))]
 
 
 def test_d4vc_empty_when_ranges_infeasible():
@@ -234,19 +220,19 @@ def test_d4vc_members_validate_at_2e5():
     H = 2 * 10**5
     fam = gen_d4vc_family(H, Fraction(1, 5))
     assert fam, "expected a nonempty family at H = 2*10^5"
-    rep = cross_validate(fam)
+    rep = cross_validate(member_units(fam))
     assert rep.mismatch_count == 0
     assert set(rep.classes) <= {"D4", "V4", "C4"}
-    for m in fam:
-        params = dict(m.params)
+    for _, params, coeffs, _ in fam:
+        params = dict(params)
         u, v, w, x, a_par = (params[k] for k in "uvwxa")
-        a, b, c, d = m.coeffs
+        a, b, c, d = coeffs
         # the three displayed bounds
         assert 0 < 4 * d < H and 0 < 4 * (b - x) < H and 0 < 2 * c < H
         # congruences of the construction
         assert all(t % 18 == 12 for t in (u, w, x, a_par)) and v % 6 == 4
         # Eisenstein at 3
-        assert all(t % 3 == 0 for t in m.coeffs) and d % 9 != 0
+        assert all(t % 3 == 0 for t in coeffs) and d % 9 != 0
         # defining equations
         assert 4 * d == x * x - u * v * v
         assert 4 * (b - x) == a * a - u * w * w
@@ -255,7 +241,7 @@ def test_d4vc_members_validate_at_2e5():
 
 def test_d4vc_distinct_tuples_give_mostly_distinct_polys():
     fam = gen_d4vc_family(2 * 10**5, Fraction(1, 5))
-    coeff_set = {m.coeffs for m in fam}
+    coeff_set = {coeffs for _, _, coeffs, _ in fam}
     assert 3 * len(coeff_set) >= len(fam)  # each poly from at most 3 tuples
 
 
@@ -274,20 +260,69 @@ def test_d4vc_bad_delta():
 def test_cross_validate_empty():
     rep = cross_validate([])
     assert rep.members_checked == 0 and rep.mismatch_count == 0
+    rep = cross_validate([], 0)
+    assert rep.members_checked == 0 and rep.classes == {}
 
 
-def test_cross_validate_parallel_matches_serial():
-    # past the 256 members below which the pool is not used; a4(30) holds
+def test_member_units_hand_out_the_callers_tuples(monkeypatch):
+    # consecutive slices of at most _CHUNK members, each member the very
+    # tuple the caller passed, in order
+    monkeypatch.setattr(families, "_CHUNK", 7)
+    fam = gen_a3_family(-15, 15)
+    units = list(member_units(fam))
+    assert [len(args[0]) for _, args in units] == [7, 7, 7, 7, 3]
+    assert all(fn is _check_rows for fn, _ in units)
+    members = [m for _, (rows,) in units for m in rows]
+    assert len(members) == len(fam) and all(m is f for m, f in zip(members, fam))
+    assert list(member_units([])) == []
+
+
+def test_cross_validate_zero_workers_means_every_core(monkeypatch):
+    sizes = []
+
+    class Pool:  # records its size and runs the units in this process
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, units):
+            return map(fn, units)
+
+    monkeypatch.setattr(families, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(families.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(families, "_CHUNK", 2)
+    fam = gen_a3_family(-5, 5)
+    serial = cross_validate(member_units(fam), 1)
+    assert sizes == [] and serial.members_checked == 11
+    assert cross_validate(member_units(fam), 0) == serial and sizes == [3]
+    assert cross_validate(member_units(fam), 2) == serial and sizes == [3, 2]
+    # when os.cpu_count() cannot tell, one worker: this process
+    monkeypatch.setattr(families.os, "cpu_count", lambda: None)
+    assert cross_validate(member_units(fam), 0) == serial and sizes == [3, 2]
+
+
+@pytest.mark.parametrize("workers", [-1, -3])
+def test_cross_validate_refuses_negative_workers(workers):
+    with pytest.raises(ValueError, match=f"workers must be >= 0, got {workers}"):
+        cross_validate(member_units(gen_a3_family(-5, 5)), workers)
+
+
+def test_cross_validate_parallel_matches_serial(monkeypatch):
+    # units of 128 members, so 2 workers share several units; a4(30) holds
     # the exception u = 30, v = 3, and X^4 + 2 (D4) is a planted mismatch
+    monkeypatch.setattr(families, "_CHUNK", 128)
     fam = gen_a4_family(30)
-    fam.insert(
-        100,
-        FamilyMember("v4-biquadratic", (("b", 0), ("t", 1), ("H", 2)), (0, 0, 0, 2), ("V4",)),
-    )
+    fam.insert(100, ("v4-biquadratic", (("b", 0), ("t", 1), ("H", 2)), (0, 0, 0, 2), ("V4",)))
     serial_blocks, parallel_blocks = [], []
-    serial = validate_units(member_units(fam, 1), 1, serial_blocks.append)
-    parallel = validate_units(member_units(fam, 2), 2, parallel_blocks.append)
+    serial = cross_validate(member_units(fam), 1, serial_blocks.append)
+    parallel = cross_validate(member_units(fam), 2, parallel_blocks.append)
     assert serial.members_checked == parallel.members_checked == 901
+    assert len(parallel_blocks) == 8
     assert len(serial.exceptions) == 1 and serial.exceptions[0]["params"] == {"u": 30, "v": 3}
     assert [m["coeffs"] for m in serial.mismatches] == [[0, 0, 0, 2]]
     # the member lines carry each member's class, in member order
@@ -302,23 +337,23 @@ def test_cross_validate_many_chunks_keep_member_order(monkeypatch):
     monkeypatch.setattr(families, "_CHUNK", 7)
     fam = gen_a4_family(17) + gen_v4_biquadratic(200) + gen_a3_family(-20, 20)
     serial_blocks, parallel_blocks = [], []
-    serial = validate_units(member_units(fam, 1), 1, serial_blocks.append)
-    parallel = validate_units(member_units(fam, 2), 2, parallel_blocks.append)
+    serial = cross_validate(member_units(fam), 1, serial_blocks.append)
+    parallel = cross_validate(member_units(fam), 2, parallel_blocks.append)
     assert len(fam) > 256 and "\n".join(parallel_blocks) == "\n".join(serial_blocks)
     assert len(serial_blocks) > 2 and parallel.classes == serial.classes
     assert parallel.exceptions == serial.exceptions and parallel.mismatches == serial.mismatches
 
 
 # --- the d4vc route of the family command: pool units generate, validate
-# and render their own (u, v) ranges; gen_d4vc_family + cross_validate +
-# json.dumps is its oracle
+# and render their own (u, v) ranges; gen_d4vc_family through member_units,
+# with json.dumps lines, is its oracle
 
 def _oracle_output(H, delta):
-    """The family command's output and exit code, from the whole-family API."""
+    """The family command's output and exit code, from the whole member list."""
     fam = gen_d4vc_family(H, delta)
-    rep = cross_validate(fam)
+    rep = cross_validate(member_units(fam))
     # the family module's classifier, which a test may patch
-    labels = [families.classify_quartic(MonicQuartic(*m.coeffs)).group.value for m in fam]
+    labels = [families.classify_quartic(MonicQuartic(*coeffs)).group.value for _, _, coeffs, _ in fam]
     lines = [_json_dumps_line(m, label) for m, label in zip(fam, labels)]
     summary = {"family": "d4vc", "height": H, "delta": str(delta), **json.loads(rep.to_json())}
     lines.append(json.dumps(summary))
@@ -447,7 +482,7 @@ def test_d4vc_planted_mismatch_same_on_both_routes(tmp_path, monkeypatch):
     # entry, the same lines and exit 1 from the oracle and from the route,
     # serial and on a pool of several units (workers fork with the patch)
     H, delta = 10**5, Fraction(1, 5)
-    target = gen_d4vc_family(H, delta)[100].coeffs
+    _, _, target, _ = gen_d4vc_family(H, delta)[100]
     real = families.classify_quartic
 
     def classify(f):
@@ -501,9 +536,9 @@ def test_d4vc_planted_predicate_failure_same_on_both_routes(tmp_path, monkeypatc
     # entry, lines and exit 1 from the oracle and from the route, serial and
     # on a pool of several units
     H, delta = 10**5, Fraction(1, 5)
-    member = gen_d4vc_family(H, delta)[100]
-    assert member.coeffs[3] % 9 and member.coeffs[3] > 9
-    target = [value for _, value in member.params[:5]]
+    _, params, coeffs, _ = gen_d4vc_family(H, delta)[100]
+    assert coeffs[3] % 9 and coeffs[3] > 9
+    target = [value for _, value in params[:5]]
     _plant(monkeypatch, name, target, change)
     d4 = SimpleNamespace(group=SimpleNamespace(value="D4"))
     monkeypatch.setattr(families, "classify_quartic", lambda f: d4)
@@ -513,7 +548,7 @@ def test_d4vc_planted_predicate_failure_same_on_both_routes(tmp_path, monkeypatc
     assert expected[1] == 1 and summary["mismatch_count"] == 1
     (entry,) = summary["mismatches"]
     assert entry["note"] == note and entry["class"] == "D4"
-    assert entry["params"]["u"] == target[0] and entry["coeffs"] != list(member.coeffs)
+    assert entry["params"]["u"] == target[0] and entry["coeffs"] != list(coeffs)
     assert len(d4vc_units(H, delta)) > 2
     for workers in (1, 2):
         assert _route_output(tmp_path, H, delta, workers) == expected
@@ -578,8 +613,9 @@ def test_d4vc_height_cap(monkeypatch):
 
 def _json_dumps_line(member, classified):
     """The member JSON line as json.dumps writes it: the oracle for _member_line."""
-    return json.dumps({"family": member.family, "params": dict(member.params),
-                       "coeffs": list(member.coeffs), "class": classified})
+    family, params, coeffs, _ = member
+    return json.dumps({"family": family, "params": dict(params),
+                       "coeffs": list(coeffs), "class": classified})
 
 
 def test_member_json_line_matches_json_dumps():
@@ -587,23 +623,24 @@ def test_member_json_line_matches_json_dumps():
     for fam in (gen_d4vc_family(2 * 10**5, Fraction(1, 5))[:500], gen_v4_biquadratic(100),
                 gen_a4_family(5), gen_a3_family(-30, 30)):
         for m, label in zip(fam, ("D4", "reducible", "S4", "A3", "V4", "C4") * len(fam)):
-            line = _member_line(m.family, m.params, len(m.coeffs))
-            assert line % (*m.coeffs, label) == _json_dumps_line(m, label)
-            families_seen.add(m.family)
+            family, params, coeffs, _ = m
+            line = _member_line(family, params, len(coeffs))
+            assert line % (*coeffs, label) == _json_dumps_line(m, label)
+            families_seen.add(family)
     assert families_seen == {"d4vc", "v4-biquadratic", "a4", "a3"}
 
 
 def test_member_json_line_template_takes_the_open_params_first():
     m = gen_d4vc_family(10**5, Fraction(1, 5))[7]
-    params = dict(m.params)
-    line = _member_line("d4vc", [(k, "%d") for k in "uvwxa"] + list(m.params)[5:], 4)
-    filled = line % (*(params[k] for k in "uvwxa"), *m.coeffs, "D4")
+    _, params, coeffs, _ = m
+    line = _member_line("d4vc", [(k, "%d") for k in "uvwxa"] + list(params)[5:], 4)
+    filled = line % (*(dict(params)[k] for k in "uvwxa"), *coeffs, "D4")
     assert filled == _json_dumps_line(m, "D4")
 
 
 def test_member_json_line():
-    m = gen_a3_family(4, 4)[0]
-    payload = json.loads(_member_line(m.family, m.params, len(m.coeffs)) % (*m.coeffs, "A3"))
+    family, params, coeffs, _ = gen_a3_family(4, 4)[0]
+    payload = json.loads(_member_line(family, params, len(coeffs)) % (*coeffs, "A3"))
     assert payload == {
         "family": "a3",
         "params": {"t": 4},
