@@ -32,11 +32,11 @@ import numpy as np
 
 from .classify import (
     MonicCubic,
-    MonicQuartic,
+    _quartic_group,
     classify_cubic,
-    classify_quartic,
-    disc_quartic,
-    resolvent_integer_roots,
+    disc_quartic_coeffs,
+    integer_roots_monic_cubic,
+    resolvent_coeffs,
 )
 from .exactarith import iroot
 
@@ -137,6 +137,13 @@ def _residue_span(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return k_lo, np.maximum(k_hi - k_lo + 1, 0)
 
 
+def _w_range(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least w = 12 (mod 18) >= ceil(v/2), and how many such w <= v."""
+    half = (v + 1) // 2
+    w_lo = half + (12 - half) % 18
+    return w_lo, (v - w_lo) // 18 + 1
+
+
 def _d4vc_prelude(H: int, p: int, q: int) -> tuple[np.ndarray, ...]:
     """The (u, v) pair list of gen_d4vc_family(H, p/q), u-major: the u that
     may hold a member, their sqrt(u), and the first j and the number of j
@@ -164,10 +171,10 @@ def _d4vc_prelude(H: int, p: int, q: int) -> tuple[np.ndarray, ...]:
 
 
 # the work of scanning one (u, v) pair for candidates, counted in members:
-# at d4vc(6e5, 1/5) the scan takes 0.2-0.35 us a pair, and a member 9.5-12
-# us: 1.3-1.6 us to generate, 6-8 us to classify, the rest to validate and
-# render.  The last units hold the most pairs: with 1/32 the largest unit
-# takes 1.7 times the median unit's CPU, against 2.1 with 1/64.
+# at d4vc(6e5, 1/5) the scan takes 0.2-0.35 us a pair, and a member about
+# 8 us, 5-6 of them to classify.  The last units hold the most pairs (6.4k
+# to 8.8k each); with 1/32 they take 0.9-1.1 times the median unit's CPU,
+# against 1.1-1.2 with 1/64.
 _PAIR_COST = 1 / 32
 
 # the largest height whose d4vc intermediates fit in int64; see _d4vc_columns
@@ -187,8 +194,9 @@ def d4vc_units(height: int, delta: Fraction = Fraction(1, 5)) -> list[tuple]:
     holds only the ranges (four numpy slices a unit), never a member.
 
     A pair's x and a windows hold about L/18 residues each, with
-    L = delta H / (v sqrt(u)), and its w range about v/36, so the pair
-    holds about (delta H)^2 / (11664 u v) members.  Ranges are cut by that
+    L = delta H / (v sqrt(u)), and it has n_w values of w (_w_range; v/36
+    would undercount small v by half), so the pair holds about
+    (delta H)^2 n_w / (324 u v^2) members.  Ranges are cut by that
     estimate plus _PAIR_COST, and a cut may fall inside one u's v range:
     at (6e5, 1/5) u = 30 alone holds 10.6% of the members.  The running
     estimate is built twice, one block of _PLAN_PAIRS pairs at a time:
@@ -218,7 +226,8 @@ def d4vc_units(height: int, delta: Fraction = Fraction(1, 5)) -> list[tuple]:
     def running(run, lo):  # the running estimate over a block, from run
         u, _, j0, n = span(lo, lo + _PLAN_PAIRS)
         iu, j = _expand(n)
-        work = (p * H / q) ** 2 / (11664.0 * u[iu] * (4 + 6 * (j0[iu] + j))) + _PAIR_COST
+        v = 4 + 6 * (j0[iu] + j)
+        work = (p * H / q) ** 2 * _w_range(v)[1] / (324.0 * u[iu] * v * v) + _PAIR_COST
         work[0] += run
         return np.cumsum(work)
 
@@ -289,12 +298,11 @@ def _d4vc_block(us, root_u, j_lo, n_v, H: int, p: int, q: int) -> tuple[np.ndarr
     iu, j = _expand(n_v)
     pu, root_u = us[iu], root_u[iu]
     pv = 4 + 6 * (j_lo[iu] + j)
-    half = (pv + 1) // 2
-    w_lo = half + (12 - half) % 18  # the least w = 12 (mod 18) >= ceil(v/2)
+    w_lo, n_w = _w_range(pv)
     vf = pv * root_u
     length = pH / (q * vf)
     kx, nx = _residue_span(vf, vf + length)
-    nx[w_lo > pv] = 0  # no w for this v
+    nx[n_w == 0] = 0  # no w for this v
 
     # x candidates, then the exact v range and x window:
     #   v sqrt(u) < x <= v sqrt(u) + delta H / (v sqrt(u)), where the upper
@@ -314,7 +322,7 @@ def _d4vc_block(us, root_u, j_lo, n_v, H: int, p: int, q: int) -> tuple[np.ndarr
     # w of each pair with an x; a candidates, then the exact a window:
     #   w sqrt(u) < a <= w sqrt(u) + delta H / (v sqrt(u)), where the upper
     #   end  <=>  q a v sqrt(u) <= q u v w + p H
-    iw, jw = _expand((pv[pairs] - w_lo[pairs]) // 18 + 1)
+    iw, jw = _expand(n_w[pairs])
     wp = pairs[iw]
     w = w_lo[wp] + 18 * jw
     wf = w * root_u[wp]
@@ -406,12 +414,8 @@ def _check_member(family: str, params: tuple, coeffs: tuple[int, ...],
                   expected: tuple[str, ...]) -> tuple[str, bool, bool, str]:
     """Classify one member, given as its fields, and evaluate its
     family-specific predicates.  Returns (label, ok, exception, note)."""
-    if len(coeffs) == 3:
-        poly = MonicCubic(*coeffs)
-        label = classify_cubic(poly).value
-    else:
-        poly = MonicQuartic(*coeffs)
-        label = classify_quartic(poly).group.value
+    label = (classify_cubic(MonicCubic(*coeffs)).value if len(coeffs) == 3
+             else _quartic_group(*coeffs)[0].value)
 
     ok, exception, note = True, False, ""
     if family == "d4vc":
@@ -419,9 +423,9 @@ def _check_member(family: str, params: tuple, coeffs: tuple[int, ...],
     elif family == "a4":
         u = dict(params)["u"]
         v = dict(params)["v"]
-        if disc_quartic(poly) != (16 * (27 * u * v**4 + u**3)) ** 2:
+        if disc_quartic_coeffs(*coeffs) != (16 * (27 * u * v**4 + u**3)) ** 2:
             ok, note = False, "discriminant identity failed"
-        elif label == "reducible" or resolvent_integer_roots(poly):
+        elif label == "reducible" or integer_roots_monic_cubic(*resolvent_coeffs(*coeffs)):
             # Hilbert-irreducibility exceptions: recorded, not mismatches
             exception, note = True, f"side condition not met (class {label})"
         elif label not in expected:
@@ -491,7 +495,7 @@ def _d4vc_flags(H: int, x, a, b, c, d) -> np.ndarray:
 def _d4vc_unit(H: int, p: int, q: int, us, root_u, j_lo, n_v) -> tuple:
     """The unit function of d4vc_units, column-wise: the members' columns
     and family predicates as int64 arrays, then one loop that classifies
-    each member and fills one line template.  Only members flagged by
+    each member's ints and fills one line template.  Only members flagged by
     _d4vc_flags or classified outside D4/V4/C4 go through _validate_d4vc,
     which gives each mismatch its note as on the per-member route."""
     cols = _d4vc_columns(H, p, q, us, root_u, j_lo, n_v)
@@ -500,7 +504,7 @@ def _d4vc_unit(H: int, p: int, q: int, us, root_u, j_lo, n_v) -> tuple:
     line = _member_line("d4vc", (*[(k, "%d") for k in _D4VC_PARAMS], *tail), 4)
     labels, lines, mismatches = [], [], []
     for u, v, w, x, a, b, c, d, flag in zip(*[col.tolist() for col in cols], flags.tolist()):
-        label = classify_quartic(MonicQuartic(a, b, c, d)).group.value
+        label = _quartic_group(a, b, c, d)[0].value
         labels.append(label)
         lines.append(line % (u, v, w, x, a, a, b, c, d, label))
         if flag or label not in _D4VC_EXPECTED:  # the gate; the note is _validate_d4vc's

@@ -9,8 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from galoiscensus import classify
 from galoiscensus.classify import (
     MonicQuartic,
+    QuarticGroup,
     classify_quartic,
     disc_quartic,
     integer_roots_monic_cubic,
@@ -352,8 +354,8 @@ def _oracle_output(H, delta):
     """The family command's output and exit code, from the whole member list."""
     fam = gen_d4vc_family(H, delta)
     rep = cross_validate(member_units(fam))
-    # the family module's classifier, which a test may patch
-    labels = [families.classify_quartic(MonicQuartic(*coeffs)).group.value for _, _, coeffs, _ in fam]
+    # the family module's classifier core, which a test may patch
+    labels = [families._quartic_group(*coeffs)[0].value for _, _, coeffs, _ in fam]
     lines = [_json_dumps_line(m, label) for m, label in zip(fam, labels)]
     summary = {"family": "d4vc", "height": H, "delta": str(delta), **json.loads(rep.to_json())}
     lines.append(json.dumps(summary))
@@ -426,10 +428,15 @@ def test_d4vc_units_plan_in_bounded_memory(monkeypatch):
         tracemalloc.stop()
     assert peak < 12e6
     # the units cover the pair list in order, cut where the whole list's
-    # running estimate first reaches each unit's share
+    # running estimate first reaches each unit's share; a pair (u, v)
+    # holds about (H / 5)^2 / (324 u v^2) members per w = 12 (mod 18) in
+    # [ceil(v/2), v]
     us, _, j_lo, n_v = _d4vc_prelude(H, 1, 5)
     iu, j = _expand(n_v)
-    work = np.cumsum((H / 5) ** 2 / (11664.0 * us[iu] * (4 + 6 * (j_lo[iu] + j))) + families._PAIR_COST)
+    u, v = us[iu].tolist(), (4 + 6 * (j_lo[iu] + j)).tolist()
+    n_w = [len(range(-(-v_ // 2) + (12 - -(-v_ // 2)) % 18, v_ + 1, 18)) for v_ in v]
+    estimate = [(H / 5) ** 2 * n / (324.0 * u_ * v_ * v_) for u_, v_, n in zip(u, v, n_w)]
+    work = np.cumsum(np.array(estimate) + families._PAIR_COST)
     n_units = math.ceil(work[-1] / families._CHUNK)
     plan_u, plan_j, cuts = _plan(units)
     assert len(units) == n_units > 200
@@ -483,14 +490,14 @@ def test_d4vc_planted_mismatch_same_on_both_routes(tmp_path, monkeypatch):
     # serial and on a pool of several units (workers fork with the patch)
     H, delta = 10**5, Fraction(1, 5)
     _, _, target, _ = gen_d4vc_family(H, delta)[100]
-    real = families.classify_quartic
+    real = families._quartic_group
 
-    def classify(f):
-        if (f.a, f.b, f.c, f.d) == target:
-            return SimpleNamespace(group=SimpleNamespace(value="S4"))
-        return real(f)
+    def classify(*coeffs):
+        if coeffs == target:
+            return SimpleNamespace(value="S4"), None
+        return real(*coeffs)
 
-    monkeypatch.setattr(families, "classify_quartic", classify)
+    monkeypatch.setattr(families, "_quartic_group", classify)
     monkeypatch.setattr(families, "_CHUNK", 32)
     expected = _oracle_output(H, delta)
     summary = json.loads(expected[0].splitlines()[-1])
@@ -540,8 +547,7 @@ def test_d4vc_planted_predicate_failure_same_on_both_routes(tmp_path, monkeypatc
     assert coeffs[3] % 9 and coeffs[3] > 9
     target = [value for _, value in params[:5]]
     _plant(monkeypatch, name, target, change)
-    d4 = SimpleNamespace(group=SimpleNamespace(value="D4"))
-    monkeypatch.setattr(families, "classify_quartic", lambda f: d4)
+    monkeypatch.setattr(families, "_quartic_group", lambda *coeffs: (QuarticGroup.D4, None))
     monkeypatch.setattr(families, "_CHUNK", 32)
     expected = _oracle_output(H, delta)
     summary = json.loads(expected[0].splitlines()[-1])
@@ -559,6 +565,47 @@ def test_d4vc_unit_matches_the_per_member_route():
     for H, delta in ((10**5, Fraction(1, 5)), (400, Fraction(1, 2)), (100, Fraction(1, 5))):
         for _, args in d4vc_units(H, delta):
             assert _d4vc_unit(*args) == _check_rows(list(_d4vc_rows(*args)))
+
+
+def test_quartic_core_matches_classify_quartic_on_a_d4vc_unit():
+    # the int core behind classify_quartic, on every member of one unit:
+    # the same group and resolvent root, which is the member's x for D4
+    # and C4
+    _, args = d4vc_units(2 * 10**5)[0]
+    rows = list(_d4vc_rows(*args))
+    assert len(rows) > 500
+    for _, params, coeffs, _ in rows:
+        res = classify_quartic(MonicQuartic(*coeffs))
+        assert families._quartic_group(*coeffs) == (res.group, res.resolvent_root)
+        assert res.resolvent_root in (None, dict(params)["x"])
+
+
+def test_member_loops_build_no_quartic_objects(monkeypatch):
+    # _d4vc_unit and _check_rows classify on the members' ints: with the
+    # MonicQuartic and QuarticClass constructors made to raise they give
+    # the same results
+    fam = gen_a4_family(6) + gen_v4_biquadratic(60) + gen_a3_family(-3, 3)
+    units = d4vc_units(10**5)
+    expected = [_check_rows(fam), *[_d4vc_unit(*args) for _, args in units]]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a quartic object was built")
+
+    monkeypatch.setattr(classify, "MonicQuartic", boom)
+    monkeypatch.setattr(classify, "QuarticClass", boom)
+    with pytest.raises(AssertionError, match="quartic object"):
+        classify_quartic(SimpleNamespace(coeffs=lambda: (0, 0, 0, 2)))
+    assert [_check_rows(fam), *[_d4vc_unit(*args) for _, args in units]] == expected
+    assert sum(sum(tally.values()) for tally, *_ in expected[1:]) == 315
+
+
+def test_d4vc_units_are_balanced():
+    # each pair's w are counted exactly, so the units of large u (many
+    # pairs, small v) are not underestimated: at (6e5, 1/5) the largest
+    # unit holds at most 1.25 times the median unit's members
+    sizes = [len(_d4vc_columns(*args)[0]) for _, args in d4vc_units(600_000)]
+    assert sum(sizes) == 73_084
+    assert max(sizes) <= 1.25 * float(np.median(sizes))
 
 
 def test_d4vc_flags_match_the_member_predicates():
