@@ -504,7 +504,7 @@ def _d4vc_unit(H: int, p: int, q: int, us, root_u, j_lo, n_v) -> tuple:
     line = _member_line("d4vc", (*[(k, "%d") for k in _D4VC_PARAMS], *tail), 4)
     labels, lines, mismatches = [], [], []
     for u, v, w, x, a, b, c, d, flag in zip(*[col.tolist() for col in cols], flags.tolist()):
-        label = _quartic_group(a, b, c, d)[0].value
+        label = _quartic_group(a, b, c, d)[0]._value_  # .value, without the enum property's call
         labels.append(label)
         lines.append(line % (u, v, w, x, a, a, b, c, d, label))
         if flag or label not in _D4VC_EXPECTED:  # the gate; the note is _validate_d4vc's

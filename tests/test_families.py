@@ -494,7 +494,7 @@ def test_d4vc_planted_mismatch_same_on_both_routes(tmp_path, monkeypatch):
 
     def classify(*coeffs):
         if coeffs == target:
-            return SimpleNamespace(value="S4"), None
+            return QuarticGroup.S4, None
         return real(*coeffs)
 
     monkeypatch.setattr(families, "_quartic_group", classify)
