@@ -104,6 +104,9 @@ class QuarticGroup(enum.Enum):
     C4 = "C4"
 
 
+_QUARTIC_GROUPS = {g.value: g for g in QuarticGroup}  # label -> group
+
+
 @dataclass(frozen=True)
 class QuarticClass:
     """Classification outcome; D4 and C4 carry the resolvent root used."""
@@ -272,9 +275,8 @@ def integer_roots_monic_cubic(p: int, q: int, r: int) -> list[int]:
       many as the real roots, each holds exactly one, so no root is an
       integer.
 
-    Guesses with |X| >= 2^52, beyond float's unit resolution, are first
-    moved by exact Newton steps (``_newton_roots``).  Whenever the
-    certificate fails (too few sign changes or a float overflow), the exact
+    Whenever the certificate fails (too few sign changes, a float overflow,
+    or a guess with |X| >= 2^52, beyond float's unit resolution), the exact
     bisection ``_integer_roots_bisect`` decides.
     It is never needed on the d4vc resolvents, on the 4,946 A3 cubics of
     height 100, on the |coefficient| <= 12 box or on 20,000 random cubics
@@ -306,9 +308,9 @@ def _integer_roots_and_D(p: int, q: int, r: int) -> tuple[list[int], int]:
             c = -0.5 * (fj + math.copysign(math.sqrt(float(-D)), fj))
             u = math.copysign(abs(c) ** (1 / 3), c)
             xs = [(u + float(I) / u - p) / 3]
-        return _certified_roots(p, q, r, xs), D
-    except ArithmeticError:  # a float overflow, or a zero divisor in _newton_roots
+    except OverflowError:
         return _integer_roots_bisect(p, q, r), D
+    return _certified_roots(p, q, r, xs), D
 
 
 def _certified_roots(p: int, q: int, r: int, xs: list[float]) -> list[int]:
@@ -317,11 +319,11 @@ def _certified_roots(p: int, q: int, r: int, xs: list[float]) -> list[int]:
     of ``integer_roots_monic_cubic``, with ``_integer_roots_bisect`` where it
     fails.  The answer is exact whatever the guesses; they only decide
     whether the certificate holds."""
-    if not (-_FLOAT_UNIT_LIMIT < xs[0] and xs[-1] < _FLOAT_UNIT_LIMIT):
-        return _newton_roots(p, q, r, xs)
     pts = []  # the sample points, ascending
     prev_x = prev_n = None
     for x in xs:
+        if not -_FLOAT_UNIT_LIMIT < x < _FLOAT_UNIT_LIMIT:
+            return _integer_roots_bisect(p, q, r)
         n = math.floor(x)
         if n == prev_n:
             pts.insert(-1, (prev_x + x) / 2)
@@ -350,39 +352,6 @@ def _certified_roots(p: int, q: int, r: int, xs: list[float]) -> list[int]:
     if changes == len(xs):
         return []
     return _integer_roots_bisect(p, q, r)
-
-
-def _newton_roots(p: int, q: int, r: int, xs: list[float]) -> list[int]:
-    """``_certified_roots`` when the largest guess has |X| >= 2^52: exact
-    Newton steps m -> m - round(f(m) / f'(m)) from it stop at an integer m,
-    and a sign change among f(m - 1), f(m), f(m + 1) puts a root in an open
-    unit interval (a zero there deflates f).  The other two of three real
-    roots lost their guesses' precision to this one: they are re-guessed as
-    the roots of X^2 + sX + t, s = p + y and t = -r / y, for y one exact
-    Newton step past m.  Below 2^52, with |m| > 2^52 + 2, their
-    certificate's unit intervals miss m's, so it completes this one."""
-    m = int(max(xs, key=abs))
-    for _ in range(64):
-        slope = (3 * m + 2 * p) * m + q
-        step = (2 * _eval_monic_cubic(p, q, r, m) + slope) // (2 * slope) if slope else 0
-        if not step:
-            break
-        m -= step
-    lo, mid, hi = (_eval_monic_cubic(p, q, r, t) for t in (m - 1, m, m + 1))
-    if 0 in (lo, mid, hi):
-        return _deflated_roots(p, q, m - 1 + (lo, mid, hi).index(0))
-    if (lo > 0) == (mid > 0) == (hi > 0) or abs(m) <= _FLOAT_UNIT_LIMIT + 2:
-        return _integer_roots_bisect(p, q, r)
-    if len(xs) == 1:
-        return []
-    slope = (3 * m + 2 * p) * m + q
-    num = m * slope - mid  # y = num / slope
-    s, t = (p * slope + num) / slope, -r * slope / num
-    h = -(s + math.copysign(math.sqrt(max(s * s - 4 * t, 0.0)), s)) / 2
-    ys = sorted((h, t / h)) if h else [0.0, 0.0]
-    if not (-_FLOAT_UNIT_LIMIT < ys[0] and ys[1] < _FLOAT_UNIT_LIMIT):
-        return _integer_roots_bisect(p, q, r)
-    return _certified_roots(p, q, r, ys)
 
 
 def _deflated_roots(p: int, q: int, m: int) -> list[int]:
@@ -536,12 +505,14 @@ def is_c4(a: int, b: int, d: int, x: int, disc: int) -> bool:
 
 def classify_quartic(f: MonicQuartic) -> QuarticClass:
     """Kappe-Warren classification of a monic integer quartic."""
-    return QuarticClass(*_quartic_group(*f.coeffs()))
+    label, root = _quartic_label(*f.coeffs())
+    return QuarticClass(_QUARTIC_GROUPS[label], root)
 
 
-def _quartic_group(a: int, b: int, c: int, d: int) -> tuple[QuarticGroup, int | None]:
+def _quartic_label(a: int, b: int, c: int, d: int) -> tuple[str, int | None]:
     """``classify_quartic`` on the ints of X^4 + aX^3 + bX^2 + cX + d, as
-    (group, resolvent root or None): member loops build no objects.
+    (the group's label, resolvent root or None): member loops build no
+    objects and read no enum attribute.
 
     Order of tests: an integer root; the resolvent roots, which also decide
     a quadratic split; then square discriminant and resolvent roots split
@@ -550,17 +521,17 @@ def _quartic_group(a: int, b: int, c: int, d: int) -> tuple[QuarticGroup, int | 
     root search's exact D = 27 disc(resolvent) = 27 disc(f) over 27.
     """
     if _integer_root(a, b, c, d) is not None:
-        return QuarticGroup.REDUCIBLE, None
+        return "reducible", None
     roots, D = _integer_roots_and_D(*resolvent_coeffs(a, b, c, d))
     if _quadratic_split(a, b, c, d, roots) is not None:
-        return QuarticGroup.REDUCIBLE, None
+        return "reducible", None
     disc = D // 27
     if disc > 0 and perfect_square(disc) is not None:
-        return (QuarticGroup.V4 if roots else QuarticGroup.A4), None
+        return ("V4" if roots else "A4"), None
     if not roots:
-        return QuarticGroup.S4, None
+        return "S4", None
     x = roots[0]
-    return (QuarticGroup.C4 if is_c4(a, b, d, x, disc) else QuarticGroup.D4), x
+    return ("C4" if is_c4(a, b, d, x, disc) else "D4"), x
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 
 from .classify import (
     MonicCubic,
-    _quartic_group,
+    _quartic_label,
     classify_cubic,
     disc_quartic_coeffs,
     integer_roots_monic_cubic,
@@ -415,7 +415,7 @@ def _check_member(family: str, params: tuple, coeffs: tuple[int, ...],
     """Classify one member, given as its fields, and evaluate its
     family-specific predicates.  Returns (label, ok, exception, note)."""
     label = (classify_cubic(MonicCubic(*coeffs)).value if len(coeffs) == 3
-             else _quartic_group(*coeffs)[0].value)
+             else _quartic_label(*coeffs)[0])
 
     ok, exception, note = True, False, ""
     if family == "d4vc":
@@ -504,7 +504,7 @@ def _d4vc_unit(H: int, p: int, q: int, us, root_u, j_lo, n_v) -> tuple:
     line = _member_line("d4vc", (*[(k, "%d") for k in _D4VC_PARAMS], *tail), 4)
     labels, lines, mismatches = [], [], []
     for u, v, w, x, a, b, c, d, flag in zip(*[col.tolist() for col in cols], flags.tolist()):
-        label = _quartic_group(a, b, c, d)[0]._value_  # .value, without the enum property's call
+        label = _quartic_label(a, b, c, d)[0]
         labels.append(label)
         lines.append(line % (u, v, w, x, a, a, b, c, d, label))
         if flag or label not in _D4VC_EXPECTED:  # the gate; the note is _validate_d4vc's

@@ -444,21 +444,22 @@ def test_integer_roots_on_every_zero_disc_cubic_of_the_box():
     assert seen > 40
 
 
-def _shifted(p, q, r, n):
-    """(p', q', r') of f(X - n) for f = X^3 + pX^2 + qX + r."""
-    return p - 3 * n, 3 * n * n - 2 * p * n + q, -(n**3) + p * n * n - q * n + r
-
-
 @pytest.mark.parametrize(
     "coeffs,roots",
     [
-        # X^3 - 2(aX - 1)^2, a = 10^4, moved by 10^20: three roots beyond
-        # 2^53, two of them about 1.4e-10 apart, which no unit interval of
-        # the Newton steps or of the re-guessed floats separates
-        (_shifted(-2 * 10**8, 4 * 10**4, -2, 10**20), []),
+        # (X - 10^20)(X^2 + 3): a root beyond 2^53, where a float guess no
+        # longer locates a unit interval
+        ((-(10**20), 3, -3 * 10**20), [10**20]),
         # (X - 2)(X^2 + 10^300) and X^3 + 10^300 X + 1: float() overflows
         ((-2, 10**300, -2 * 10**300), [2]),
         ((0, 10**300, 1), []),
+        # X^3 - 10^20 X^2 + X - 1: one real root, within 10^-20 of 10^20
+        ((-(10**20), 1, -1), []),
+        # (X + 10^20)(X - 3)(X - 5)
+        (_planted(-(10**20), 3, 5), [-(10**20), 3, 5]),
+        # (X - 2^60)(X^2 - X - 1), and the same plus 1
+        ((-(2**60) - 1, 2**60 - 1, 2**60), [2**60]),
+        ((-(2**60) - 1, 2**60 - 1, 2**60 + 1), []),
     ],
 )
 def test_integer_roots_fallback_stays_exact(monkeypatch, coeffs, roots):
@@ -469,55 +470,26 @@ def test_integer_roots_fallback_stays_exact(monkeypatch, coeffs, roots):
     assert calls == [coeffs]
 
 
-@pytest.mark.parametrize(
-    "coeffs,roots",
-    [
-        # (X - 10^20)(X^2 + 3): one real root, beyond 2^53
-        ((-(10**20), 3, -3 * 10**20), [10**20]),
-        # X^3 - 10^20 X^2 + X - 1: one real root, within 10^-20 of 10^20
-        ((-(10**20), 1, -1), []),
-        # (X + 10^20)(X - 3)(X - 5)
-        (_planted(-(10**20), 3, 5), [-(10**20), 3, 5]),
-        # (X - 2^60)(X^2 - X - 1), whose small roots -0.618 and 1.618 the
-        # first float guesses miss by units; and the same plus 1
-        ((-(2**60) - 1, 2**60 - 1, 2**60), [2**60]),
-        ((-(2**60) - 1, 2**60 - 1, 2**60 + 1), []),
-    ],
-)
-def test_huge_roots_are_certified_without_bisection(monkeypatch, coeffs, roots):
-    # guesses beyond 2^52: exact Newton steps and the re-guessed quadratic
-    # roots carry the certificate
-    def no_fallback(*c):
-        raise AssertionError(f"fallback on {c}")
-
-    monkeypatch.setattr(classify, "_integer_roots_bisect", no_fallback)
-    assert integer_roots_monic_cubic(*coeffs) == roots
-
-
 @pytest.mark.parametrize("bound", [10**18, 10**30])
-def test_huge_roots_match_bisection(monkeypatch, bound):
-    # seeded cubics, and cubics built with known integer roots or with one
-    # huge integer root beside an irreducible quadratic, at |coefficient|
-    # up to bound: the answer is the bisection's, and fewer than 1% of
-    # the seeded cubics fall back to it (at 10^18 every guess beyond 2^52
-    # used to)
-    bisect = classify._integer_roots_bisect  # the oracle, called unpatched
-    calls = []
-    monkeypatch.setattr(classify, "_integer_roots_bisect", lambda *c: calls.append(c) or bisect(*c))
+def test_huge_cubics_match_bisection_and_planted_roots(bound):
+    # |coefficient| up to bound: seeded cubics agree with the bisection, and
+    # cubics built with one huge integer root beside two small ones give
+    # exactly their roots, and beside a quadratic with small coefficients
+    # the bisection's
+    bisect = classify._integer_roots_bisect
     rng = random.Random(bound)
-    scale = math.isqrt(math.isqrt(bound))  # small roots of size bound^(1/4)
-    seeded = [tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(3000)]
-    for p, q, r in seeded:
+    for _ in range(3000):
+        p, q, r = (rng.randint(-bound, bound) for _ in range(3))
         assert integer_roots_monic_cubic(p, q, r) == bisect(p, q, r), (p, q, r)
-    assert len(calls) < 0.01 * len(seeded)
+    scale = math.isqrt(math.isqrt(bound))  # small roots of size bound^(1/4)
     for _ in range(1000):
         big = rng.choice([-1, 1]) * rng.randint(bound // 1000, bound)
         r2, r3 = rng.randint(-scale, scale), rng.randint(-scale, scale)
-        coeffs = _planted(big, r2, r3)
-        assert integer_roots_monic_cubic(*coeffs) == sorted({big, r2, r3}) == bisect(*coeffs)
+        assert integer_roots_monic_cubic(*_planted(big, r2, r3)) == sorted({big, r2, r3})
         b, c = rng.randint(-scale, scale), rng.randint(-scale, scale)  # (X - big)(X^2 + bX + c)
         coeffs = (b - big, c - big * b, -big * c)
-        assert integer_roots_monic_cubic(*coeffs) == bisect(*coeffs), coeffs
+        roots = integer_roots_monic_cubic(*coeffs)
+        assert big in roots and roots == bisect(*coeffs), coeffs
 
 
 @pytest.mark.parametrize(
@@ -610,28 +582,17 @@ def test_classify_cubic_examples(f, cls):
         (MonicQuartic(0, 0, 8, 12), QuarticGroup.A4, None),
         (MonicQuartic(1, 1, 1, 1), QuarticGroup.C4, 2),
         (MonicQuartic(0, 0, 0, -2), QuarticGroup.D4, 0),
+        (MonicQuartic(0, 0, 0, -1), QuarticGroup.REDUCIBLE, None),  # a root at 1
+        (MonicQuartic(0, 0, 0, 4), QuarticGroup.REDUCIBLE, None),  # (X^2 - 2X + 2)(X^2 + 2X + 2)
+        (MonicQuartic(0, 0, 1, 1), QuarticGroup.S4, None),
+        (MonicQuartic(0, 18, 8, 1), QuarticGroup.A4, None),  # the a4 family at u = v = 1
+        (MonicQuartic(0, -10, 0, 5), QuarticGroup.C4, -10),
     ],
 )
 def test_classify_quartic_examples(f, group, root):
     res = classify_quartic(f)
     assert res.group is group
     assert res.resolvent_root == root
-
-
-def test_quartic_core_matches_classify_quartic():
-    # classify_quartic is QuarticClass(*_quartic_group(*f.coeffs())): the
-    # same group and resolvent root on seeded quartics of all six classes
-    rng = random.Random(34)
-    quartics = [tuple(rng.randint(-40, 40) for _ in range(4)) for _ in range(2000)]
-    quartics += [(0, 0, 0, t * t) for t in range(1, 12)]  # X^4 + t^2: V4 (or reducible)
-    quartics += [(0, 18 * v * v, 8 * u * v, u * u) for u in range(1, 6) for v in range(1, 6)]  # A4
-    quartics += [(1, 1, 1, 1), (0, -10, 0, 5), (0, 0, 0, -2), (0, 0, 8, 12)]  # C4, C4, D4, A4
-    seen = set()
-    for coeffs in quartics:
-        res = classify_quartic(MonicQuartic(*coeffs))
-        assert classify._quartic_group(*coeffs) == (res.group, res.resolvent_root), coeffs
-        seen.add(res.group)
-    assert seen == set(QuarticGroup)
 
 
 def test_nonreducible_implies_nonzero_disc():
