@@ -839,15 +839,16 @@ def _stripe_results(req: CensusRequest, todo: list[int], stack: contextlib.ExitS
     One job, ``_stripe_job`` with the request's degree, height and table, is
     mapped over ``todo``: by the builtin ``map`` in this process, or by a
     process pool's ``map`` (entered on ``stack``) in chunks of
-    ``_run_length`` strata.  ``table`` runs in this process, since its table
-    is not sent to workers, and so does ``direct`` when one worker or one
-    stripe makes a pool pointless.  With no stripe to run, no table is built.
+    ``_run_length`` strata, with no more workers than stripes.  ``table``
+    runs in this process, since its table is not sent to workers, and so
+    does ``direct`` when one worker or one stripe makes a pool pointless.
+    With no stripe to run, no table is built.
     """
     degree, H = req.degree, req.height
     table = build_irreducible_table(degree, H) if req.strategy == "table" and todo else None
     job = functools.partial(_stripe_job, degree, H, table=table)
-    workers = req.workers or os.cpu_count() or 1
-    if table is not None or workers == 1 or len(todo) <= 1:
+    workers = min(req.workers or os.cpu_count() or 1, len(todo))
+    if table is not None or workers <= 1:
         return map(job, todo)
     pool = ProcessPoolExecutor(max_workers=workers)
     # on an error or interrupt, drop the chunks no worker has started

@@ -667,14 +667,3 @@ def frobenius_cycle_type(f: MonicCubic | MonicQuartic, p: int) -> tuple[int, ...
         return (2, 2) if _p_compose(xp, rows, p) == (0, 1, 0, 0) else (4,)
     return (1,) * linear + ((rest,) if rest else ())
 
-
-# cycle types realizable by each transitive group, as subgroups of S_n
-CYCLE_TYPES = {
-    "S3": {(1, 1, 1), (1, 2), (3,)},
-    "A3": {(1, 1, 1), (3,)},
-    "S4": {(1, 1, 1, 1), (1, 1, 2), (2, 2), (1, 3), (4,)},
-    "A4": {(1, 1, 1, 1), (2, 2), (1, 3)},
-    "D4": {(1, 1, 1, 1), (1, 1, 2), (2, 2), (4,)},
-    "V4": {(1, 1, 1, 1), (2, 2)},
-    "C4": {(1, 1, 1, 1), (2, 2), (4,)},
-}

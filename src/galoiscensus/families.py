@@ -196,14 +196,14 @@ def d4vc_units(height: int, delta: Fraction = Fraction(1, 5)) -> list[tuple]:
     A pair's x and a windows hold about L/18 residues each, with
     L = delta H / (v sqrt(u)), and it has n_w values of w (_w_range; v/36
     would undercount small v by half), so the pair holds about
-    (delta H)^2 n_w / (324 u v^2) members.  Ranges are cut by that
-    estimate plus _PAIR_COST, and a cut may fall inside one u's v range:
-    at (6e5, 1/5) u = 30 alone holds 10.6% of the members.  The running
-    estimate is built twice, one block of _PLAN_PAIRS pairs at a time:
-    for its total, then for the cuts.  It only places the cuts; the ranges
-    partition the pair list whatever it says.  Height (at most _MAX_HEIGHT)
-    and delta are checked here, before anything is allocated or any unit
-    runs.
+    (delta H)^2 n_w / (324 u v^2) members.  The running sum of that
+    estimate plus _PAIR_COST is built in one pass, one block of _PLAN_PAIRS
+    pairs at a time, and a new range starts at each pair where it passes a
+    multiple of _CHUNK, so the last range holds the remainder.  A cut may
+    fall inside one u's v range: at (6e5, 1/5) u = 30 alone holds 10.6% of
+    the members.  The estimate only places the cuts; the ranges partition
+    the pair list whatever it says.  Height (at most _MAX_HEIGHT) and delta
+    are checked here, before anything is allocated or any unit runs.
     """
     if height < 0:
         raise ValueError(f"height must be >= 0, got {height}")
@@ -223,24 +223,16 @@ def d4vc_units(height: int, delta: Fraction = Fraction(1, 5)) -> list[tuple]:
         first, last = np.maximum(starts[s:e], lo), np.minimum(ends[s:e], hi)
         return us[s:e], root_u[s:e], j_lo[s:e] + first - starts[s:e], last - first
 
-    def running(run, lo):  # the running estimate over a block, from run
+    cuts, run = [0], 0.0
+    for lo in range(0, n_pairs, _PLAN_PAIRS):
         u, _, j0, n = span(lo, lo + _PLAN_PAIRS)
         iu, j = _expand(n)
         v = 4 + 6 * (j0[iu] + j)
         work = (p * H / q) ** 2 * _w_range(v)[1] / (324.0 * u[iu] * v * v) + _PAIR_COST
         work[0] += run
-        return np.cumsum(work)
-
-    blocks = range(0, n_pairs, _PLAN_PAIRS)
-    total = 0.0
-    for lo in blocks:
-        total = float(running(total, lo)[-1])
-    n_units = max(1, math.ceil(total / _CHUNK))
-    shares, cuts, run = total * np.arange(1, n_units) / n_units, [0], 0.0
-    for lo in blocks:
-        work = running(run, lo)
-        mine = shares[(run < shares) & (shares <= work[-1])]
-        cuts += (lo + np.searchsorted(work, mine)).tolist()
+        work = np.cumsum(work)
+        marks = _CHUNK * np.arange(run // _CHUNK + 1, work[-1] // _CHUNK + 1)
+        cuts += (lo + np.searchsorted(work, marks)).tolist()
         run = float(work[-1])
     cuts.append(n_pairs)
     return [(_d4vc_unit, (H, p, q, *span(lo, hi))) for lo, hi in zip(cuts, cuts[1:])]
@@ -400,8 +392,9 @@ def gen_a3_family(t_lo: int, t_hi: int) -> list[tuple]:
 # validation
 
 _CHUNK = 1024
-"""Most members per pool unit: a slice of a member list (member_units), or
-the estimated members of a d4vc pair range (d4vc_units).  A unit is
+"""Members per pool unit: at most this many in a slice of a member list
+(member_units), and about this many by estimate in a d4vc pair range
+(d4vc_units); the last unit of either holds the remainder.  A unit is
 (fn, args).  A slice goes out as a list of the caller's member tuples; a
 d4vc range goes out as four short numpy slices, and its worker generates
 the members.  A unit comes back as its class tally, its JSON lines joined
@@ -409,54 +402,49 @@ into one string, and its mismatch and exception entries.
 Units of about 1024 members keep each reply near 200 kB at d4vc(6e5, 1/5)
 and leave dozens of units to balance the workers."""
 
+_D4VC_NOTES = (
+    "range predicate failed",
+    "height exceeded",
+    "coefficients not all divisible by 3",
+    "9 divides d (Eisenstein at 3 fails)",
+)
+
+
+def _d4vc_failures(H: int, x, a, b, c, d) -> tuple:
+    """The d4vc member contract: one failure per note of _D4VC_NOTES, in
+    their order, for not 0 < 4d, 4(b - x), 2c < H; a |coefficient| above H;
+    a coefficient not divisible by 3; and 9 | d.  Written with operators
+    alone, it takes a member's ints and gives bools, or int64 columns and
+    gives masks (int64 as in _d4vc_columns: 4d < x^2, 4(b - x) < a^2)."""
+    four_d, four_e, two_c = 4 * d, 4 * (b - x), 2 * c
+    return (
+        (four_d <= 0) | (H <= four_d) | (four_e <= 0) | (H <= four_e) | (two_c <= 0) | (H <= two_c),
+        (H < abs(a)) | (H < abs(b)) | (H < abs(c)) | (H < abs(d)),
+        (0 < a % 3) | (0 < b % 3) | (0 < c % 3) | (0 < d % 3),
+        d % 9 == 0,
+    )
+
 
 def _check_member(family: str, params: tuple, coeffs: tuple[int, ...],
-                  expected: tuple[str, ...]) -> tuple[str, bool, bool, str]:
-    """Classify one member, given as its fields, and evaluate its
-    family-specific predicates.  Returns (label, ok, exception, note)."""
-    label = (classify_cubic(MonicCubic(*coeffs)).value if len(coeffs) == 3
-             else _quartic_label(*coeffs)[0])
-
-    ok, exception, note = True, False, ""
+                  expected: tuple[str, ...], label: str) -> tuple[bool, str]:
+    """Evaluate one member's family-specific predicates and its class label.
+    Returns (exception, note): the note of the first failing predicate, or
+    of a label outside expected, and "" when the member passes."""
+    exception, note = False, ""
     if family == "d4vc":
-        ok, note = _validate_d4vc(params, coeffs, expected, label)
+        params = dict(params)
+        fails = _d4vc_failures(params["H"], params["x"], *coeffs)
+        note = next((text for text, fail in zip(_D4VC_NOTES, fails) if fail), "")
     elif family == "a4":
-        u = dict(params)["u"]
-        v = dict(params)["v"]
+        u, v = dict(params)["u"], dict(params)["v"]
         if disc_quartic_coeffs(*coeffs) != (16 * (27 * u * v**4 + u**3)) ** 2:
-            ok, note = False, "discriminant identity failed"
+            note = "discriminant identity failed"
         elif label == "reducible" or integer_roots_monic_cubic(*resolvent_coeffs(*coeffs)):
             # Hilbert-irreducibility exceptions: recorded, not mismatches
             exception, note = True, f"side condition not met (class {label})"
-        elif label not in expected:
-            ok, note = False, f"classified {label}"
-    else:
-        if label not in expected:
-            ok, note = False, f"classified {label}"
-    return label, ok, exception, note
-
-
-def _validate_d4vc(params: tuple, coeffs: tuple[int, ...], expected: tuple[str, ...],
-                   label: str) -> tuple[bool, str]:
-    """The d4vc member contract, first failing predicate's note first.
-    _d4vc_flags encodes the same predicates as int64 masks: change both."""
-    params = dict(params)
-    H, x = params["H"], params["x"]
-    a, b, c, d = coeffs
-    four_d = 4 * d
-    four_e = 4 * (b - x)
-    two_c = 2 * c
-    if not (0 < four_d < H and 0 < four_e < H and 0 < two_c < H):
-        return False, "range predicate failed"
-    if any(abs(t) > H for t in coeffs):
-        return False, "height exceeded"
-    if any(t % 3 for t in coeffs):
-        return False, "coefficients not all divisible by 3"
-    if d % 9 == 0:
-        return False, "9 divides d (Eisenstein at 3 fails)"
-    if label not in expected:
-        return False, f"classified {label}"
-    return True, ""
+    if not note and label not in expected:
+        note = f"classified {label}"
+    return exception, note
 
 
 def _entry(family: str, params: tuple, coeffs: tuple[int, ...], label: str, note: str) -> dict:
@@ -470,48 +458,36 @@ def _check_rows(rows: list[tuple]) -> tuple[Counter, str, list[dict], list[dict]
     each member (family, params, coeffs, expected)."""
     tally, lines, mismatches, exceptions = Counter(), [], [], []
     for family, params, coeffs, expected in rows:
-        label, ok, exception, note = _check_member(family, params, coeffs, expected)
+        label = (classify_cubic(MonicCubic(*coeffs)).value if len(coeffs) == 3
+                 else _quartic_label(*coeffs)[0])
+        exception, note = _check_member(family, params, coeffs, expected, label)
         tally[label] += 1
         lines.append(_member_line(family, params, len(coeffs)) % (*coeffs, label))
-        if exception or not ok:
+        if note:
             (exceptions if exception else mismatches).append(
                 _entry(family, params, coeffs, label, note))
     return tally, "\n".join(lines), mismatches, exceptions
 
 
-def _d4vc_flags(H: int, x, a, b, c, d) -> np.ndarray:
-    """The members of the columns that fail a family predicate of
-    _validate_d4vc, the same contract as masks (change both): 0 < 4d < H,
-    0 < 4(b - x) < H, 0 < 2c < H, |coefficient| <= H, 3 | every coefficient
-    and 9 does not divide d.  int64 as in _d4vc_columns: 4d < x^2 and
-    4(b - x) < a^2."""
-    four_d, four_e, two_c = 4 * d, 4 * (b - x), 2 * c
-    ok = (0 < four_d) & (four_d < H) & (0 < four_e) & (four_e < H) & (0 < two_c) & (two_c < H)
-    for t in (a, b, c, d):
-        ok &= (np.abs(t) <= H) & (t % 3 == 0)
-    return ~(ok & (d % 9 != 0))
-
-
 def _d4vc_unit(H: int, p: int, q: int, us, root_u, j_lo, n_v) -> tuple:
-    """The unit function of d4vc_units, column-wise: the members' columns
-    and family predicates as int64 arrays, then one loop that classifies
-    each member's ints and fills one line template.  Only members flagged by
-    _d4vc_flags or classified outside D4/V4/C4 go through _validate_d4vc,
-    which gives each mismatch its note as on the per-member route."""
+    """The unit function of d4vc_units, column-wise: the members' int64
+    columns and the _d4vc_failures masks on them, then one loop that
+    classifies each member's ints and fills one line template.  A member
+    that fails a predicate or is classified outside D4/V4/C4 is a mismatch;
+    _check_member gives it its note as on the per-member route."""
     cols = _d4vc_columns(H, p, q, us, root_u, j_lo, n_v)
-    flags = _d4vc_flags(H, *cols[3:])
+    gate = np.any(_d4vc_failures(H, *cols[3:]), axis=0)
     tail = (("H", H), ("delta_num", p), ("delta_den", q))
     line = _member_line("d4vc", (*[(k, "%d") for k in _D4VC_PARAMS], *tail), 4)
     labels, lines, mismatches = [], [], []
-    for u, v, w, x, a, b, c, d, flag in zip(*[col.tolist() for col in cols], flags.tolist()):
+    for u, v, w, x, a, b, c, d, flag in zip(*[col.tolist() for col in cols], gate.tolist()):
         label = _quartic_label(a, b, c, d)[0]
         labels.append(label)
         lines.append(line % (u, v, w, x, a, a, b, c, d, label))
-        if flag or label not in _D4VC_EXPECTED:  # the gate; the note is _validate_d4vc's
+        if flag or label not in _D4VC_EXPECTED:
             params = (*zip(_D4VC_PARAMS, (u, v, w, x, a)), *tail)
-            ok, note = _validate_d4vc(params, (a, b, c, d), _D4VC_EXPECTED, label)
-            if not ok:
-                mismatches.append(_entry("d4vc", params, (a, b, c, d), label, note))
+            note = _check_member("d4vc", params, (a, b, c, d), _D4VC_EXPECTED, label)[1]
+            mismatches.append(_entry("d4vc", params, (a, b, c, d), label, note))
     return Counter(labels), "\n".join(lines), mismatches, []
 
 

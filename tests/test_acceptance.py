@@ -17,7 +17,6 @@ import pytest
 from galoiscensus.asymptotics import chela_constant_c, fit_reducible, lattice_count_L
 from galoiscensus.census import CensusReport, CensusRequest, list_a3_cubics, run_census
 from galoiscensus.classify import (
-    CYCLE_TYPES,
     MonicCubic,
     MonicQuartic,
     classify_quartic,
@@ -136,7 +135,7 @@ def test_criterion_09_parametrization_suite():
     _report(f"9 PASS: parametrization witnesses verified for all {len(cubics)} A3 cubics h<=30")
 
 
-def test_criterion_10_frobenius_cross_check():
+def test_criterion_10_frobenius_cross_check(cycle_types):
     rng = random.Random(20260808)
     primes = [p for p in range(2, 51) if all(p % q for q in range(2, p))]
     sampled = 0
@@ -147,7 +146,7 @@ def test_criterion_10_frobenius_cross_check():
             continue
         sampled += 1
         disc = disc_quartic(f)
-        allowed = CYCLE_TYPES[label]
+        allowed = cycle_types[label]
         for p in primes:
             if disc % p == 0:
                 continue

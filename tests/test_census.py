@@ -1195,6 +1195,35 @@ def test_pool_runs_partition_todo_within_the_cell_budget():
         assert [a for a, _ in results] == todo
 
 
+def test_census_pool_holds_at_most_one_worker_per_stripe(monkeypatch):
+    import contextlib
+
+    from galoiscensus.census import _stripe_results
+
+    sizes = []
+
+    class Pool:  # records its size and runs the stripes in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, todo, chunksize):
+            return map(fn, todo)
+
+        def shutdown(self, wait, cancel_futures):
+            pass
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
+    todo = [0, 3, 7]
+    with contextlib.ExitStack() as stack:
+        serial = list(_stripe_results(CensusRequest(3, 40, workers=1), todo, stack))
+        assert sizes == []
+        for workers in (8, 0, 2):
+            assert list(_stripe_results(CensusRequest(3, 40, workers=workers), todo, stack)) == serial
+        assert list(_stripe_results(CensusRequest(3, 40, workers=8), todo[:1], stack)) == serial[:1]
+    assert sizes == [3, 3, 2]
+
+
 def test_pooled_journal_equals_serial_journal(tmp_path):
     # results arrive in stratum order on every path, so a fresh journal
     # written by two workers is byte-identical to a serial one

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from galoiscensus import classify
 from galoiscensus.classify import (
-    CYCLE_TYPES,
     CubicClass,
     FactorWitness,
     MonicCubic,
@@ -790,7 +789,7 @@ def _seeded_frobenius_pairs(seed: int, count: int, degrees=(3, 4)):
     return pairs
 
 
-def test_frobenius_matches_oracle_on_seeded_pairs():
+def test_frobenius_matches_oracle_on_seeded_pairs(cycle_types):
     primes_seen, cycles_seen = set(), set()
     for f, p in _seeded_frobenius_pairs(15, 20_000):
         cycle = frobenius_cycle_type(f, p)
@@ -799,7 +798,7 @@ def test_frobenius_matches_oracle_on_seeded_pairs():
         cycles_seen.add(cycle)
     # both degrees at p = 2 and at each large prime, and every realizable cycle type
     assert {(n, p) for n in (3, 4) for p in (2, 10007, 65537, 1000003)} <= primes_seen
-    assert cycles_seen == set().union(*CYCLE_TYPES.values())
+    assert cycles_seen == set().union(*cycle_types.values())
 
 
 def test_frobenius_square_power_by_composition_matches_oracle():
@@ -841,7 +840,7 @@ def test_frobenius_work_counts(monkeypatch):
     assert rootless > 100
 
 
-def test_cycle_types_land_in_classified_group():
+def test_cycle_types_land_in_classified_group(cycle_types):
     rng = random.Random(99)
     primes = [p for p in range(3, 50) if all(p % q for q in range(2, p))]
     checked = 0
@@ -855,7 +854,7 @@ def test_cycle_types_land_in_classified_group():
         for p in primes:
             if disc % p == 0:
                 continue
-            assert frobenius_cycle_type(f, p) in CYCLE_TYPES[label]
+            assert frobenius_cycle_type(f, p) in cycle_types[label]
 
 
 def test_resolvent_root_unique_in_d4c4_branch():

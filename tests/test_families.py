@@ -28,7 +28,7 @@ from galoiscensus.families import (
     gen_v4_biquadratic,
     _check_rows,
     _d4vc_columns,
-    _d4vc_flags,
+    _d4vc_failures,
     _d4vc_prelude,
     _d4vc_rows,
     _d4vc_unit,
@@ -427,7 +427,7 @@ def test_d4vc_units_plan_in_bounded_memory(monkeypatch):
         tracemalloc.stop()
     assert peak < 12e6
     # the units cover the pair list in order, cut where the whole list's
-    # running estimate first reaches each unit's share; a pair (u, v)
+    # running estimate first reaches each multiple of _CHUNK; a pair (u, v)
     # holds about (H / 5)^2 / (324 u v^2) members per w = 12 (mod 18) in
     # [ceil(v/2), v]
     us, _, j_lo, n_v = _d4vc_prelude(H, 1, 5)
@@ -436,11 +436,11 @@ def test_d4vc_units_plan_in_bounded_memory(monkeypatch):
     n_w = [len(range(-(-v_ // 2) + (12 - -(-v_ // 2)) % 18, v_ + 1, 18)) for v_ in v]
     estimate = [(H / 5) ** 2 * n / (324.0 * u_ * v_ * v_) for u_, v_, n in zip(u, v, n_w)]
     work = np.cumsum(np.array(estimate) + families._PAIR_COST)
-    n_units = math.ceil(work[-1] / families._CHUNK)
+    n_units = int(work[-1] // families._CHUNK) + 1
     plan_u, plan_j, cuts = _plan(units)
     assert len(units) == n_units > 200
     assert np.array_equal(plan_u, us[iu]) and np.array_equal(plan_j, j_lo[iu] + j)
-    assert cuts == np.searchsorted(work, work[-1] * np.arange(1, n_units) / n_units).tolist()
+    assert cuts == np.searchsorted(work, families._CHUNK * np.arange(1, n_units)).tolist()
     # blocks of any size place the same cuts
     expected = _plan(d4vc_units(2 * 10**5))
     monkeypatch.setattr(families, "_PLAN_PAIRS", 7)
@@ -605,9 +605,9 @@ def test_d4vc_units_are_balanced():
 
 
 def test_d4vc_flags_match_the_member_predicates():
-    # members moved across one predicate each, cyclically: a member is
-    # flagged exactly when _validate_d4vc fails it with a class in D4/V4/C4,
-    # and each move fails the predicate it aims at
+    # members moved across one predicate each, cyclically: the first
+    # failure _d4vc_failures finds is the predicate each move aims at, on
+    # the members' ints (as bools, never ~True = -2) and on int64 columns
     H = 2 * 10**5
     rows = [row for _, args in d4vc_units(H, Fraction(1, 5)) for row in _d4vc_rows(*args)][:400]
     up = 9 * -(-H // 36)  # 4 (t + up) >= H, and up keeps t mod 9
@@ -621,14 +621,18 @@ def test_d4vc_flags_match_the_member_predicates():
         (lambda a, b, c, d: (a + 1, b, c, d), "coefficients not all divisible by 3"),
         (lambda a, b, c, d: (a, b, c, d - d % 9), "9 divides d (Eisenstein at 3 fails)"),
     ]
-    moved = []
-    for i, (_, params, coeffs, expected) in enumerate(rows):
-        move, note = moves[i % len(moves)]
-        moved.append((dict(params)["x"], *move(*coeffs)))
-        ok, got = families._validate_d4vc(params, moved[-1][1:], expected, "D4")
-        assert (ok, got) == (not note, note), (params, coeffs, note)
-    flags = _d4vc_flags(H, *np.array(moved, dtype=np.int64).T)
-    assert flags.tolist() == [i % len(moves) != 0 for i in range(len(rows))]
+    moved = [(dict(params)["x"], *moves[i % len(moves)][0](*coeffs))
+             for i, (_, params, coeffs, _) in enumerate(rows)]
+    notes = [moves[i % len(moves)][1] for i in range(len(rows))]
+
+    def first(fails):
+        return next((note for note, fail in zip(families._D4VC_NOTES, fails) if fail), "")
+
+    per_member = [_d4vc_failures(H, *member) for member in moved]
+    assert all(type(fail) is bool for fails in per_member for fail in fails)
+    assert [first(fails) for fails in per_member] == notes
+    masks = _d4vc_failures(H, *np.array(moved, dtype=np.int64).T)
+    assert [first(fails) for fails in zip(*masks)] == notes
 
 
 @pytest.mark.parametrize("delta", [Fraction(1, 5000), Fraction(2501, 5000), Fraction(1, 10000)])

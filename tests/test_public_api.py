@@ -5,12 +5,14 @@ The modules and perfbench are parsed with ``ast``, not imported.  A name in
 a module's ``__all__`` counts as reached when code reads it (as a name or an
 attribute) in another package module or in perfbench, or in its own module
 outside its own definition.  perfbench's tracer also reaches the attributes
-named by the strings of ``spans.TARGETS``.  A method or property of a class
-named in ``__all__`` counts as reached when that code reads it as an
-attribute outside its own definition.  Such a class defines no dunder
+named by the strings of ``spans.TARGETS``.  A module's top-level UPPER_CASE
+constants, public or not, must be reached by the same rule.  A method or
+property of a class named in ``__all__`` counts as reached when that code
+reads it as an attribute outside its own definition.  Such a class defines no dunder
 method but ``__post_init__``: operators and calls are read by no attribute
 access, so they would escape the check.  Tests do not count: a name only
-tests call is library surface no command, suite or workload uses.
+tests call is library surface no command, suite or workload uses, and a
+table only tests read belongs in the tests.
 """
 
 import ast
@@ -78,8 +80,15 @@ def _public(tree: ast.Module) -> list[str]:
     return [e.value for e in names.elts] if names else []
 
 
+def _constants(tree: ast.Module) -> list[str]:
+    """The top-level UPPER_CASE names a module assigns."""
+    return [t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets
+            if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()]
+
+
 def _unreached() -> list[str]:
-    """The public names and "Class.member"s the program does not reach."""
+    """The public names, constants and "Class.member"s the program does not
+    reach."""
     src = {p.name: _parse(p) for p in sorted((ROOT / "src" / "galoiscensus").glob("*.py"))}
     bench = {p.name: _parse(p) for p in sorted((ROOT / "perfbench").glob("*.py"))}
     targets = _assigned(bench["spans.py"], "TARGETS")
@@ -88,7 +97,7 @@ def _unreached() -> list[str]:
     unreached = []
     for name, tree in src.items():
         outside = set().union(bench_reads, *(_reads(t) for n, t in src.items() if n != name))
-        for public in _public(tree):
+        for public in dict.fromkeys([*_public(tree), *_constants(tree)]):
             if public not in outside and public not in _reads(tree, skip=public):
                 unreached.append(public)
     program = [*src.values(), *bench.values()]
