@@ -278,11 +278,13 @@ def integer_roots_monic_cubic(p: int, q: int, r: int) -> list[int]:
     Whenever the certificate fails (too few sign changes, a float overflow,
     or a guess with |X| >= 2^52, beyond float's unit resolution), the exact
     bisection ``_integer_roots_bisect`` decides.
-    It is never needed on the d4vc resolvents, on the 4,946 A3 cubics of
-    height 100, on the |coefficient| <= 12 box or on 20,000 random cubics
-    with |coefficient| <= 10^6.  Fallbacks begin where the guesses' absolute
-    error nears a unit: 1 in 20,000 random cubics at |coefficient| <= 10^12,
-    0.1% at 10^13, 1% at 10^14, 12% at 10^15 and 74% at 10^16.
+    It is never needed on the 4,946 A3 cubics of height 100, on the
+    |coefficient| <= 12 box or on 20,000 random cubics with |coefficient|
+    <= 10^6; the d4vc units skip the search, as each member's x is a
+    certified resolvent root (``_quartic_label``).  Fallbacks begin where
+    the guesses' absolute error nears a unit: 1 in 20,000 random cubics at
+    |coefficient| <= 10^12, 0.1% at 10^13, 1% at 10^14, 12% at 10^15 and
+    74% at 10^16.
     """
     return _integer_roots_and_D(p, q, r)[0]
 
@@ -509,7 +511,7 @@ def classify_quartic(f: MonicQuartic) -> QuarticClass:
     return QuarticClass(_QUARTIC_GROUPS[label], root)
 
 
-def _quartic_label(a: int, b: int, c: int, d: int) -> tuple[str, int | None]:
+def _quartic_label(a: int, b: int, c: int, d: int, x: int | None = None) -> tuple[str, int | None]:
     """``classify_quartic`` on the ints of X^4 + aX^3 + bX^2 + cX + d, as
     (the group's label, resolvent root or None): member loops build no
     objects and read no enum attribute.
@@ -518,11 +520,21 @@ def _quartic_label(a: int, b: int, c: int, d: int) -> tuple[str, int | None]:
     a quadratic split; then square discriminant and resolvent roots split
     S4/A4/V4 from the D4/C4 branch; ``is_c4`` separates D4 and C4 by the
     resolvent root x (unique in this branch).  The discriminant is the
-    root search's exact D = 27 disc(resolvent) = 27 disc(f) over 27.
+    exact D = 4I^3 - J^2 = 27 disc(resolvent) = 27 disc(f) over 27.
+
+    A hint x that is exactly a resolvent root replaces the root search by
+    deflation; either way all integer roots and D come out, so a wrong hint
+    costs one evaluation and the label depends on (a, b, c, d) alone.
     """
     if _integer_root(a, b, c, d) is not None:
         return "reducible", None
-    roots, D = _integer_roots_and_D(*resolvent_coeffs(a, b, c, d))
+    p, q, r = resolvent_coeffs(a, b, c, d)
+    if x is not None and ((x + p) * x + q) * x + r == 0:
+        roots = _deflated_roots(p, q, x)
+        I, J = invariants_cubic_coeffs(p, q, r)
+        D = 4 * I * I * I - J * J
+    else:
+        roots, D = _integer_roots_and_D(p, q, r)
     if _quadratic_split(a, b, c, d, roots) is not None:
         return "reducible", None
     disc = D // 27

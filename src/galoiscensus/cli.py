@@ -88,9 +88,10 @@ def _parse_coeffs(raw: str, expected: int, parser: argparse.ArgumentParser) -> l
     return coeffs
 
 
-def _progress_printer(label: str):
-    """Census progress callback: done/total, stripes/s and an ETA on stderr,
-    at most once a second (and at the end).
+def _progress_printer(label: str, degree: int, height: int):
+    """Census progress callback: done/total, stripes/s, tuples/s and an ETA
+    on stderr, at most once a second (and at the end).  Every stripe holds
+    (2H + 1)^(degree - 1) tuples.
 
     The clock and the stripe count start at the first call, so the rate
     counts only the stripes finished after it: neither the set-up before the
@@ -98,6 +99,7 @@ def _progress_printer(label: str):
     resumed from a journal.  The first line has no rate yet.
     """
     state = {"last": 0.0}
+    cells = (2 * height + 1) ** (degree - 1)
 
     def cb(done: int, total: int) -> None:
         now = time.monotonic()
@@ -108,7 +110,7 @@ def _progress_printer(label: str):
             line = f"{label}: {done}/{total} stripes"
             if done > state["base"]:
                 rate = (done - state["base"]) / max(now - state["start"], 1e-9)
-                line += f", {rate:.2f} stripes/s, ETA {(total - done) / rate:.0f} s"
+                line += f", {rate:.2f} stripes/s, {rate * cells:.3g} tuples/s, ETA {(total - done) / rate:.0f} s"
             print(line, file=sys.stderr, flush=True)
 
     return cb
@@ -207,8 +209,9 @@ def _cmd_census(args, parser) -> int:
         strategy=args.strategy,
         workers=args.threads,
     )
+    progress = _progress_printer("census", args.degree, args.height)
     try:
-        report = run_census(req, journal_path=args.journal, progress=_progress_printer("census"))
+        report = run_census(req, journal_path=args.journal, progress=progress)
     except CensusError as exc:
         parser.error(str(exc))
     with _output(args.out, parser) as write:
@@ -301,7 +304,7 @@ def _cmd_asym(args, parser) -> int:
             reports = [
                 run_census(
                     CensusRequest(args.n, h, workers=args.threads),
-                    progress=_progress_printer(f"census H={h}"),
+                    progress=_progress_printer(f"census H={h}", args.n, h),
                 )
                 for h in heights
             ]

@@ -472,16 +472,17 @@ def _check_rows(rows: list[tuple]) -> tuple[Counter, str, list[dict], list[dict]
 def _d4vc_unit(H: int, p: int, q: int, us, root_u, j_lo, n_v) -> tuple:
     """The unit function of d4vc_units, column-wise: the members' int64
     columns and the _d4vc_failures masks on them, then one loop that
-    classifies each member's ints and fills one line template.  A member
-    that fails a predicate or is classified outside D4/V4/C4 is a mismatch;
-    _check_member gives it its note as on the per-member route."""
+    classifies each member's ints, with its x as resolvent-root hint, and
+    fills one line template.  A member that fails a predicate or is
+    classified outside D4/V4/C4 is a mismatch; _check_member gives it its
+    note as on the per-member route."""
     cols = _d4vc_columns(H, p, q, us, root_u, j_lo, n_v)
     gate = np.any(_d4vc_failures(H, *cols[3:]), axis=0)
     tail = (("H", H), ("delta_num", p), ("delta_den", q))
     line = _member_line("d4vc", (*[(k, "%d") for k in _D4VC_PARAMS], *tail), 4)
     labels, lines, mismatches = [], [], []
     for u, v, w, x, a, b, c, d, flag in zip(*[col.tolist() for col in cols], gate.tolist()):
-        label = _quartic_label(a, b, c, d)[0]
+        label = _quartic_label(a, b, c, d, x)[0]
         labels.append(label)
         lines.append(line % (u, v, w, x, a, a, b, c, d, label))
         if flag or label not in _D4VC_EXPECTED:

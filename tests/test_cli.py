@@ -93,21 +93,21 @@ def test_census_progress_goes_to_stderr(capsys):
     assert len(captured.out.splitlines()) == 1
     assert json.loads(captured.out)["total"] == 5**4
     assert "census: 3/3 stripes, " in captured.err
-    assert "stripes/s, ETA 0 s" in captured.err
+    assert " stripes/s, " in captured.err and " tuples/s, ETA 0 s" in captured.err
 
 
 def test_progress_rate_excludes_resumed_stripes(monkeypatch, capsys):
     clock = iter([100.0, 102.0, 102.5, 104.0])
     monkeypatch.setattr(cli.time, "monotonic", lambda: next(clock))
-    progress = cli._progress_printer("census")
+    progress = cli._progress_printer("census", 4, 60)  # 121^3 tuples a stripe
     progress(31, 61)  # 30 stripes came from the journal; the clock starts here
     progress(32, 61)
     progress(33, 61)  # within a second of the last line: not printed
     progress(34, 61)
     assert capsys.readouterr().err.splitlines() == [
         "census: 31/61 stripes",
-        "census: 32/61 stripes, 0.50 stripes/s, ETA 58 s",
-        "census: 34/61 stripes, 0.75 stripes/s, ETA 36 s",
+        "census: 32/61 stripes, 0.50 stripes/s, 8.86e+05 tuples/s, ETA 58 s",
+        "census: 34/61 stripes, 0.75 stripes/s, 1.33e+06 tuples/s, ETA 36 s",
     ]
 
 

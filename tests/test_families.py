@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import math
 import time
@@ -491,10 +492,10 @@ def test_d4vc_planted_mismatch_same_on_both_routes(tmp_path, monkeypatch):
     _, _, target, _ = gen_d4vc_family(H, delta)[100]
     real = families._quartic_label
 
-    def classify(*coeffs):
-        if coeffs == target:
+    def classify(a, b, c, d, x=None):
+        if (a, b, c, d) == target:
             return "S4", None
-        return real(*coeffs)
+        return real(a, b, c, d, x)
 
     monkeypatch.setattr(families, "_quartic_label", classify)
     monkeypatch.setattr(families, "_CHUNK", 32)
@@ -546,7 +547,7 @@ def test_d4vc_planted_predicate_failure_same_on_both_routes(tmp_path, monkeypatc
     assert coeffs[3] % 9 and coeffs[3] > 9
     target = [value for _, value in params[:5]]
     _plant(monkeypatch, name, target, change)
-    monkeypatch.setattr(families, "_quartic_label", lambda *coeffs: ("D4", None))
+    monkeypatch.setattr(families, "_quartic_label", lambda a, b, c, d, x=None: ("D4", None))
     monkeypatch.setattr(families, "_CHUNK", 32)
     expected = _oracle_output(H, delta)
     summary = json.loads(expected[0].splitlines()[-1])
@@ -574,6 +575,38 @@ def test_d4vc_unit_resolvent_roots_are_the_members_x():
     assert len(rows) > 500
     for _, params, coeffs, _ in rows:
         assert families._quartic_label(*coeffs)[1] in (None, dict(params)["x"])
+
+
+def test_d4vc_units_never_search_resolvent_roots(monkeypatch):
+    # each member's x is a certified resolvent-root hint: with the float
+    # root search made to raise, every unit gives what it gave before
+    cases = ((10**5, Fraction(1, 5)), (400, Fraction(1, 2)), (100, Fraction(1, 5)))
+    units = [args for H, delta in cases for _, args in d4vc_units(H, delta)]
+    expected = [_d4vc_unit(*args) for args in units]
+
+    def boom(*args):
+        raise AssertionError("the resolvent roots were searched")
+
+    monkeypatch.setattr(classify, "_integer_roots_and_D", boom)
+    assert [_d4vc_unit(*args) for args in units] == expected
+
+
+def test_quartic_label_hint_cannot_steer_the_label():
+    # a hint is used only when it is exactly a resolvent root, and then the
+    # deflation gives every root and the same D: the true roots, their
+    # neighbours, 0 and another member's x all give the hint-free label
+    _, args = d4vc_units(2 * 10**5)[0]
+    members = [(coeffs, dict(params)["x"]) for _, params, coeffs, _ in _d4vc_rows(*args)]
+    box = [(coeffs, None) for coeffs in itertools.product(range(-4, 5), repeat=4)]
+    xs = [x for _, x in members]
+    assert len(members) > 500
+    for i, (coeffs, x) in enumerate(members + box):
+        label = families._quartic_label(*coeffs)
+        roots = integer_roots_monic_cubic(*resolvent_coeffs(*coeffs))
+        assert x is None or x in roots
+        hints = {0, xs[(i + 1) % len(xs)], *[t + e for t in roots for e in (-1, 0, 1)]}
+        for hint in hints:
+            assert families._quartic_label(*coeffs, hint) == label
 
 
 def test_member_loops_build_no_quartic_objects(monkeypatch):
