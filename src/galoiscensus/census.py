@@ -16,11 +16,10 @@ Two interchangeable strategies:
   marking products of lower-degree factors restricted to the stripe (for
   quartics, the linear factors; the stripe adds the quadratic splits read
   off its resolvent roots); memory is O(H^2) regardless of height.
-* ``table``: a global irreducibility bit table is built first by clearing
-  every product of lower-degree factors in the box, then shared read-only by
-  the classification pass, in this process (the table is not sent to
-  workers).  Memory is O(H^degree); it exists as a cross-check of the
-  direct strategy and is capped accordingly.
+* ``table``: each stripe job first builds its stratum's irreducibility bit
+  slab by clearing every product of lower-degree factors in it, with no
+  factor pair table; memory is W^(degree - 1) bytes per worker.  It exists
+  as a cross-check of the direct strategy.
 
 Both strategies map one stripe job over the strata, serially or on a
 process pool, and feed one result loop, which merges counts, appends each
@@ -123,7 +122,6 @@ __all__ = [
     "CensusRequest",
     "CensusReport",
     "run_census",
-    "build_irreducible_table",
     "list_a3_cubics",
     "report_to_json",
     "report_from_json",
@@ -136,7 +134,6 @@ CUBIC_CLASSES = ("reducible", "S3", "A3")
 QUARTIC_CLASSES = ("reducible", "S4", "A4", "D4", "V4", "C4")
 
 MAX_HEIGHT = {3: 5000, 4: 400}
-DEFAULT_TABLE_CAP = 2**31  # bytes
 
 # Version of the stripe kernels, recorded in each journal header: a resume
 # merges only stripes counted by the same version.  Bump it whenever a
@@ -164,8 +161,8 @@ class CensusRequest:
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
     def validate(self) -> None:
-        if self.degree not in (3, 4):
-            raise CensusError(f"degree must be 3 or 4, got {self.degree}")
+        if type(self.degree) is not int or self.degree not in (3, 4):
+            raise CensusError(f"degree must be 3 or 4, got {self.degree!r}")
         if type(self.height) is not int or self.height < 0:
             raise CensusError(f"height must be an int >= 0, got {self.height!r}")
         if self.height > MAX_HEIGHT[self.degree]:
@@ -175,8 +172,8 @@ class CensusRequest:
             )
         if self.strategy not in ("direct", "table"):
             raise CensusError(f"unknown strategy {self.strategy!r}")
-        if self.workers < 0:
-            raise CensusError("workers must be >= 0")
+        if type(self.workers) is not int or self.workers < 0:
+            raise CensusError(f"workers must be >= 0 and an int, got {self.workers!r}")
 
 
 @dataclass
@@ -720,7 +717,7 @@ def _quartic_block_counts(a: int, b0: int, b1: int, height: int, red: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# irreducibility tables (the reference enumeration's product marking)
+# irreducibility slabs (the reference enumeration's product marking)
 
 def _clear_products(flat: np.ndarray, height: int, *coeffs) -> None:
     """Set ``flat``, a C-order table over the box [-H, H]^n, to False at every
@@ -734,76 +731,61 @@ def _clear_products(flat: np.ndarray, height: int, *coeffs) -> None:
     flat[idx[ok]] = False
 
 
-def build_irreducible_table(degree: int, height: int) -> np.ndarray:
-    """Bit table over the coefficient box: True iff the tuple is irreducible.
+def _irreducible_slab(degree: int, height: int, a: int) -> np.ndarray:
+    """Bit table over stratum a of the box ((b, c) or (b, c, d), any |a| <= H):
+    True iff the tuple is irreducible.  W^(degree - 1) bytes, one slab per
+    worker at a time: at most 100 MB for cubics and 514 MB for quartics.
 
     Built by clearing every product of lower-degree monic factors that lies
-    in the box, one loop body per factor shape.  A reducible tuple has a
-    factor X + t or, as a quartic, a split (X^2 + pX + q)(X^2 + rX + s),
-    ordered so that p <= r.  The root -t divides the constant term, or is 0
-    when that is 0, so |t| <= H, and the cofactor's constant term s has
-    |ts| <= H.  A split without a root has qs = d != 0, so 0 < |q| <= H and
-    |qs| <= H.  Also 2p <= p + r = a <= H, and p >= -2H: p <= -2H - 1 would
-    give r = a - p >= H + 1 and |pr| >= (2H + 1)(H + 1) > 3H >= |b - q - s|.
-    Each loop runs over these t, or p and q, with the cofactor's constant
-    term s over the columns and the product's a over the rows (the quartic
-    X + t loop runs over a, and its rows hold b); the factors' other
-    coefficients follow.  Every tuple cleared is a product.  A table over
-    DEFAULT_TABLE_CAP bytes is refused.
+    in the stratum.  A reducible tuple has a factor X + t or, as a quartic, a
+    split (X^2 + pX + q)(X^2 + rX + s), ordered so that p <= r.  The root
+    -t divides the constant term, or is 0 when that is 0, so |t| <= H, and
+    the cofactor's constant term s has |ts| <= H.  A split without a root
+    has qs = d != 0, so 0 < |q| <= H and |qs| <= H.  Also 2p <= p + r = a,
+    and p >= -2H: p <= -2H - 1 would give r = a - p >= H + 1 and
+    |pr| >= (2H + 1)(H + 1) > 3H >= |b - q - s|.  The cubic pairs (t, s) are
+    laid out in one pass; the quartic loops run over t, with b on the rows,
+    and over q, with p on the rows; s runs over the columns, and the
+    factors' other coefficients follow.  Every tuple cleared is a product.
     """
-    if degree not in (3, 4):
-        raise CensusError("degree must be 3 or 4")
     H, W = height, 2 * height + 1
-    if W**degree > DEFAULT_TABLE_CAP:
-        raise CensusError(
-            f"table for degree {degree}, height {height} needs {W**degree} bytes, "
-            f"over the cap {DEFAULT_TABLE_CAP}"
-        )
-    irred = np.ones((W,) * degree, dtype=bool)
+    irred = np.ones((W,) * (degree - 1), dtype=bool)
     flat = irred.reshape(-1)
     box = np.arange(-H, H + 1, dtype=np.int64)
-    col = box[:, None]
-
-    def consts(k: int) -> np.ndarray:
-        """The row of s in the box with |k s| <= H (every s for k = 0)."""
-        m = H // abs(k) if k else H
-        return box[None, H - m : H + m + 1]
-
-    if degree == 3:
-        # (X + t)(X^2 + pX + q), p = a - t
-        for t in range(-H, H + 1):
-            q = consts(t)
-            _clear_products(flat, H, col, t * (col - t) + q, t * q)
+    m = H // np.maximum(np.abs(box), 1)  # |s| <= m for t = box (every s for t = 0)
+    if degree == 3:  # (X + t)(X^2 + pX + s), p = a - t
+        g, k = _expand(2 * m + 1)
+        t, s = box[g], k - m[g]
+        _clear_products(flat, H, s + t * (a - t), t * s)
         return irred
+    consts = [box[None, H - n : H + n + 1] for n in m.tolist()]  # the s row of each t or q
     # (X + t)(X^3 + pX^2 + qX + s), p = a - t and q = b - tp
-    for t in range(-H, H + 1):
-        s = consts(t)
-        for a in range(-H, H + 1):
-            _clear_products(flat, H, a, col, t * (col - t * (a - t)) + s, t * s)
+    b = box[:, None]
+    for t, s in zip(range(-H, H + 1), consts):
+        _clear_products(flat, H, b, t * (b - t * (a - t)) + s, t * s)
     # (X^2 + pX + q)(X^2 + rX + s), r = a - p
-    for p in range(-2 * H, H // 2 + 1):
-        r = col - p
-        for q in (*range(-H, 0), *range(1, H + 1)):
-            s = consts(q)
-            _clear_products(flat, H, col, q + s + p * r, p * s + q * r, q * s)
+    p = np.arange(-2 * H, a // 2 + 1, dtype=np.int64)[:, None]
+    for q, s in zip(range(-H, H + 1), consts):
+        if q:
+            _clear_products(flat, H, q + s + p * (a - p), p * s + q * (a - p), q * s)
     return irred
 
 
 # ---------------------------------------------------------------------------
 # stripe job (top level so ProcessPoolExecutor can pickle it)
 
-def _stripe_job(degree: int, height: int, a: int, table: np.ndarray | None = None):
+def _stripe_job(degree: int, height: int, strategy: str, a: int):
     """(a, counts) for the full a-stratum, doubled when a > 0.
 
     A cubic stratum is one (b, c) grid; a quartic one is walked in blocks of
     up to _BLOCK_CELLS // W^2 consecutive b, each a (b, c, d) grid.  The
-    reducible mask comes from the ``table`` strategy's irreducibility table
-    when one is given, else from the factor pairs (``direct``).
+    reducible mask comes from the factor pairs (``direct``) or from the
+    stratum's ``_irreducible_slab`` (``table``), which the job builds itself.
     """
     H, W = height, 2 * height + 1
-    pairs, irred = (_factor_pairs(H), None) if table is None else (None, table[a + H])
+    pairs, irred = (_factor_pairs(H), None) if strategy == "direct" else (None, _irreducible_slab(degree, H, a))
     if degree == 3:
-        red = _cubic_red_mask(a, H, pairs) if irred is None else ~irred
+        red = _cubic_red_mask(a, H, pairs) if irred is None else np.logical_not(irred, out=irred)
         classes, acc = CUBIC_CLASSES, _cubic_stripe_counts(a, H, red)
     else:
         classes, acc = QUARTIC_CLASSES, [0] * len(QUARTIC_CLASSES)
@@ -836,19 +818,16 @@ def _run_length(degree: int, height: int, n_todo: int, workers: int) -> int:
 def _stripe_results(req: CensusRequest, todo: list[int], stack: contextlib.ExitStack):
     """Iterator of (a, counts) over the stripes in ``todo``, in that order.
 
-    One job, ``_stripe_job`` with the request's degree, height and table, is
-    mapped over ``todo``: by the builtin ``map`` in this process, or by a
-    process pool's ``map`` (entered on ``stack``) in chunks of
-    ``_run_length`` strata, with no more workers than stripes.  ``table``
-    runs in this process, since its table is not sent to workers, and so
-    does ``direct`` when one worker or one stripe makes a pool pointless.
-    With no stripe to run, no table is built.
+    One job, ``_stripe_job`` with the request's degree, height and strategy,
+    is mapped over ``todo``: by the builtin ``map`` in this process when one
+    worker or one stripe makes a pool pointless, else by a process pool's
+    ``map`` (entered on ``stack``) in chunks of ``_run_length`` strata, with
+    no more workers than stripes.  Both strategies take this one path.
     """
     degree, H = req.degree, req.height
-    table = build_irreducible_table(degree, H) if req.strategy == "table" and todo else None
-    job = functools.partial(_stripe_job, degree, H, table=table)
+    job = functools.partial(_stripe_job, degree, H, req.strategy)
     workers = min(req.workers or os.cpu_count() or 1, len(todo))
-    if table is not None or workers <= 1:
+    if workers <= 1:
         return map(job, todo)
     pool = ProcessPoolExecutor(max_workers=workers)
     # on an error or interrupt, drop the chunks no worker has started

@@ -95,8 +95,8 @@ def _progress_printer(label: str, degree: int, height: int):
 
     The clock and the stripe count start at the first call, so the rate
     counts only the stripes finished after it: neither the set-up before the
-    first stripe (such as the ``table`` strategy's table) nor stripes
-    resumed from a journal.  The first line has no rate yet.
+    first stripe (such as the process pool's start) nor stripes resumed
+    from a journal.  The first line has no rate yet.
     """
     state = {"last": 0.0}
     cells = (2 * height + 1) ** (degree - 1)

@@ -16,7 +16,6 @@ from galoiscensus.census import (
     QUARTIC_CLASSES,
     CensusError,
     CensusRequest,
-    build_irreducible_table,
     list_a3_cubics,
     report_from_json,
     report_to_csv,
@@ -34,6 +33,12 @@ from galoiscensus.classify import (
     reducibility_witness,
 )
 from galoiscensus.exactarith import perfect_square
+
+
+def _table(degree: int, height: int) -> np.ndarray:
+    """The table strategy's irreducibility bits over the whole box, stacked
+    from the slabs of every stratum a in [-H, H]."""
+    return np.stack([census._irreducible_slab(degree, height, a) for a in range(-height, height + 1)])
 
 
 def _oracle_counts(degree: int, height: int) -> dict[str, int]:
@@ -221,9 +226,8 @@ def test_quartic_red_mask_matches_table_exhaustively():
     # block of all 33 b (the linear cells plus the split root cells), equals
     # the complement of the table strategy's independent product marking
     H = 16
-    table = build_irreducible_table(4, H)
     for a in range(-H, H + 1):
-        assert np.array_equal(_reducible_block(a, -H, H + 1, H), ~table[a + H]), a
+        assert np.array_equal(_reducible_block(a, -H, H + 1, H), ~census._irreducible_slab(4, H, a)), a
 
 
 def test_quartic_resolvent_roots_match_unpruned_search():
@@ -594,7 +598,7 @@ def test_quartic_blocks_and_tiles_match_classifier(monkeypatch, per_block):
     monkeypatch.setattr(census, "_quartic_block_counts", recorded)
     for a in (0, 7, H):
         blocks.clear()
-        assert _stripe_job(4, H, a) == (a, _stratum_labels(a, H)), a
+        assert _stripe_job(4, H, "direct", a) == (a, _stratum_labels(a, H)), a
         assert blocks == [(b0, min(b0 + nb, H + 1)) for b0 in range(-H, H + 1, nb)]
 
 
@@ -660,33 +664,33 @@ def test_monotonicity_in_height():
         prev = counts
 
 
-def test_request_validation(monkeypatch):
+def test_request_validation():
     with pytest.raises(CensusError):
         run_census(CensusRequest(5, 3))
+    for bad in (CensusRequest(3.0, 6), CensusRequest(3, 6, workers=2.5), CensusRequest(3, 6, workers="2")):
+        with pytest.raises(CensusError):
+            run_census(bad)
     with pytest.raises(CensusError):
         run_census(CensusRequest(3, -1))
     with pytest.raises(CensusError):
         run_census(CensusRequest(3, 10, strategy="magic"))
     with pytest.raises(CensusError):
         run_census(CensusRequest(4, 401))  # beyond the int64-safe cap
-    monkeypatch.setattr("galoiscensus.census.DEFAULT_TABLE_CAP", 10**6)
-    with pytest.raises(CensusError):
-        build_irreducible_table(4, 30)  # table over memory cap
 
 
 def test_irreducible_table_bit_counts():
-    t3 = build_irreducible_table(3, 1)
+    t3 = _table(3, 1)
     assert int(t3.sum()) == 12  # complement of the 15 reducibles at H=1
-    t4 = build_irreducible_table(4, 0)
+    t4 = _table(4, 0)
     assert int(t4.sum()) == 0  # X^4 alone, reducible
-    t4 = build_irreducible_table(4, 2)
+    t4 = _table(4, 2)
     direct = run_census(CensusRequest(4, 2, workers=1))
     irr_direct = sum(direct.counts.values()) - direct.counts["reducible"]
     assert int(t4.sum()) == irr_direct
 
 
 def test_irreducible_table_matches_witness_scan():
-    table = build_irreducible_table(4, 3)
+    table = _table(4, 3)
     for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
         expected = reducibility_witness(MonicQuartic(a, b, c, d)) is None
         assert bool(table[a + 3, b + 3, c + 3, d + 3]) == expected
@@ -695,7 +699,7 @@ def test_irreducible_table_matches_witness_scan():
 @pytest.mark.parametrize("degree, heights", [(3, range(0, 9)), (4, range(0, 5))])
 def test_irreducible_table_matches_classifier(degree, heights):
     for H in heights:
-        table = build_irreducible_table(degree, H)
+        table = _table(degree, H)
         for coeffs in itertools.product(range(-H, H + 1), repeat=degree):
             if degree == 3:
                 expected = classify_cubic(MonicCubic(*coeffs)).value != "reducible"
@@ -726,10 +730,10 @@ def test_complete_journal_builds_no_table(tmp_path, monkeypatch):
     req = CensusRequest(3, 6, strategy="table", workers=1)
     full = run_census(req, journal_path=str(journal))
 
-    def no_table(degree, height):
+    def no_slab(degree, height, a):
         raise AssertionError("every stripe is in the journal")
 
-    monkeypatch.setattr(census, "build_irreducible_table", no_table)
+    monkeypatch.setattr(census, "_irreducible_slab", no_slab)
     assert run_census(req, journal_path=str(journal)).counts == full.counts
 
 
@@ -1215,13 +1219,16 @@ def test_census_pool_holds_at_most_one_worker_per_stripe(monkeypatch):
     monkeypatch.setattr(census, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
     todo = [0, 3, 7]
-    with contextlib.ExitStack() as stack:
-        serial = list(_stripe_results(CensusRequest(3, 40, workers=1), todo, stack))
-        assert sizes == []
-        for workers in (8, 0, 2):
-            assert list(_stripe_results(CensusRequest(3, 40, workers=workers), todo, stack)) == serial
-        assert list(_stripe_results(CensusRequest(3, 40, workers=8), todo[:1], stack)) == serial[:1]
-    assert sizes == [3, 3, 2]
+    for strategy in ("direct", "table"):  # both strategies take the pool
+        sizes.clear()
+        with contextlib.ExitStack() as stack:
+            serial = list(_stripe_results(CensusRequest(3, 40, strategy, workers=1), todo, stack))
+            assert sizes == []
+            for workers in (8, 0, 2):
+                pooled = _stripe_results(CensusRequest(3, 40, strategy, workers=workers), todo, stack)
+                assert list(pooled) == serial
+            assert list(_stripe_results(CensusRequest(3, 40, strategy, workers=8), todo[:1], stack)) == serial[:1]
+        assert sizes == [3, 3, 2], strategy
 
 
 def test_pooled_journal_equals_serial_journal(tmp_path):

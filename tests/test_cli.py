@@ -111,21 +111,22 @@ def test_progress_rate_excludes_resumed_stripes(monkeypatch, capsys):
     ]
 
 
-def test_progress_rate_excludes_table_build(monkeypatch, capsys):
-    # the clock starts at the first stripe, after the table is built
-    build = census.build_irreducible_table
+def test_progress_rate_excludes_first_stripe(monkeypatch, capsys):
+    # the clock starts when the first stripe finishes, so a slow first
+    # stripe (or any set-up before it) does not count
+    job, delay = census._stripe_job, iter([1.5])
 
-    def slow_build(degree, height):
-        time.sleep(1.5)
-        return build(degree, height)
+    def slow_first(*args):
+        time.sleep(next(delay, 0))
+        return job(*args)
 
-    monkeypatch.setattr(census, "build_irreducible_table", slow_build)
+    monkeypatch.setattr(census, "_stripe_job", slow_first)
     argv = ["census", "--degree", "3", "--height", "3", "--strategy", "table", "--threads", "1"]
     assert main(argv) == 0
     lines = capsys.readouterr().err.splitlines()
     assert lines[0] == "census: 1/4 stripes" and lines[-1].startswith("census: 4/4 stripes, ")
     rates = [float(line.split(", ")[1].split()[0]) for line in lines[1:]]
-    assert rates and min(rates) > 5  # 4 stripes / 1.5 s if the build counted
+    assert rates and min(rates) > 5  # 4 stripes / 1.5 s if the first stripe counted
 
     assert main(["census", "--degree", "3", "--height", "0", "--threads", "1"]) == 0
     assert capsys.readouterr().err.splitlines() == ["census: 1/1 stripes"]
