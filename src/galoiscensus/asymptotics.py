@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .census import CensusReport
 
 __all__ = [
@@ -34,21 +32,21 @@ __all__ = [
 def lattice_count_L(n: int, N: int, h: int) -> int:
     """Vectors (a_1..a_n) with max |a_i| <= N and sum a_i = h, exactly.
 
-    Convolution over bounded coordinates; counts fit in int64 for every
-    N <= 20000 at n <= 4.
+    With b_i = a_i + N in [0, 2N] summing to m = h + nN, inclusion-exclusion
+    over the k coordinates forced past 2N gives
+    sum_k (-1)^k C(n, k) C(m - k(2N + 1) + n - 1, n - 1), in Python ints.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if N < 0:
         raise ValueError("N must be >= 0")
-    if abs(h) > n * N:
+    m = h + n * N
+    if not 0 <= m <= 2 * n * N:
         return 0
-    width = 2 * N + 1
-    ways = np.ones(width, dtype=np.int64)
-    for _ in range(n - 1):
-        ways = np.convolve(ways, np.ones(width, dtype=np.int64))
-    # ways[i] counts sums equal to i - n*N
-    return int(ways[h + n * N])
+    return sum(
+        (-1) ** k * math.comb(n, k) * math.comb(m - k * (2 * N + 1) + n - 1, n - 1)
+        for k in range(m // (2 * N + 1) + 1)
+    )
 
 
 def _irwin_hall_cdf(m: int, x: Fraction) -> Fraction:

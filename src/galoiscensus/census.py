@@ -21,12 +21,13 @@ Two interchangeable strategies:
   factor pair table; memory is W^(degree - 1) bytes per worker.  It exists
   as a cross-check of the direct strategy.
 
-Both strategies map one stripe job over the strata, serially or on a
-process pool, and feed one result loop, which merges counts, appends each
-stripe to the optional journal and reports progress.  A pool task is a
-chunk of consecutive strata of about 2^22 cells in all, so the pool's
-per-task cost is not paid on every short stratum.  Results come back in
-stratum order on every path, so a journal's records do too.
+Both strategies cut the strata into runs of consecutive strata, of about
+2^22 cells in all, and send each run as one unit through the package's one
+unit engine (``families._run_units``), which runs them in this process or
+on a process pool; a box that fits in one run takes no pool.  One result
+loop merges counts, appends each stripe to the optional journal and
+reports progress.  Results come back in stratum order on every path, so a
+journal's records do too.
 
 The cubic A3 cells are built, not searched.  By the identity
 27 disc = 4I^3 - J^2, a square disc = y^2 > 0 on the row (a, b) makes
@@ -101,8 +102,8 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -115,7 +116,7 @@ from .classify import (
     resolvent_root_bound,
 )
 from .eisenstein import _mul
-from .families import _expand
+from .families import _expand, _run_units
 
 __all__ = [
     "CensusError",
@@ -772,7 +773,7 @@ def _irreducible_slab(degree: int, height: int, a: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# stripe job (top level so ProcessPoolExecutor can pickle it)
+# stripe job and pool unit (top level so the pool can pickle them)
 
 def _stripe_job(degree: int, height: int, strategy: str, a: int):
     """(a, counts) for the full a-stratum, doubled when a > 0.
@@ -798,41 +799,22 @@ def _stripe_job(degree: int, height: int, strategy: str, a: int):
     return a, {k: v * factor for k, v in zip(classes, acc)}
 
 
+def _stripe_run(degree: int, height: int, strategy: str, run: list[int]) -> list:
+    """The pool unit of a census: _stripe_job on each stratum of ``run``."""
+    return [_stripe_job(degree, height, strategy, a) for a in run]
+
+
 _RUN_CELLS = 2**22
-"""Cells per pool task, unless one stratum alone holds more.  A task is a
-chunk of consecutive strata, so the pool's per-task cost (pickling, a
-future, a wakeup of the parent) is paid once per chunk: chunks of 4 strata
-at cubic H = 500 and of 2 at quartic H = 60, single strata from cubic
-H = 1024 and quartic H = 80 on.  A chunk never holds more than
-len(todo) // (4 workers) strata, so each worker still takes about four
-tasks or more and the last ones end close together."""
+"""Cells per pool unit, unless one stratum alone holds more.  A unit is a
+run of consecutive strata, so the pool's per-unit cost (pickling, a future,
+a wakeup of the parent) is paid once per run: 4 strata at cubic H = 500, 2
+at quartic H = 60, 1 from cubic H = 1024 and quartic H = 80 on.  A box of
+one run, up to cubic H = 100 or quartic H = 26, takes no pool."""
 
 
-def _run_length(degree: int, height: int, n_todo: int, workers: int) -> int:
-    """Strata per pool task: max(1, min(_RUN_CELLS // W^(degree - 1),
-    n_todo // (4 workers)))."""
-    per_stratum = (2 * height + 1) ** (degree - 1)
-    return max(1, min(_RUN_CELLS // per_stratum, n_todo // (4 * workers)))
-
-
-def _stripe_results(req: CensusRequest, todo: list[int], stack: contextlib.ExitStack):
-    """Iterator of (a, counts) over the stripes in ``todo``, in that order.
-
-    One job, ``_stripe_job`` with the request's degree, height and strategy,
-    is mapped over ``todo``: by the builtin ``map`` in this process when one
-    worker or one stripe makes a pool pointless, else by a process pool's
-    ``map`` (entered on ``stack``) in chunks of ``_run_length`` strata, with
-    no more workers than stripes.  Both strategies take this one path.
-    """
-    degree, H = req.degree, req.height
-    job = functools.partial(_stripe_job, degree, H, req.strategy)
-    workers = min(req.workers or os.cpu_count() or 1, len(todo))
-    if workers <= 1:
-        return map(job, todo)
-    pool = ProcessPoolExecutor(max_workers=workers)
-    # on an error or interrupt, drop the chunks no worker has started
-    stack.callback(pool.shutdown, wait=True, cancel_futures=True)
-    return pool.map(job, todo, chunksize=_run_length(degree, H, len(todo), workers))
+def _run_length(degree: int, height: int) -> int:
+    """Strata per pool unit: max(1, _RUN_CELLS // W^(degree - 1))."""
+    return max(1, _RUN_CELLS // (2 * height + 1) ** (degree - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -937,8 +919,10 @@ def run_census(req: CensusRequest, journal_path: str | None = None, progress=Non
     todo = [a for a in range(H + 1) if a not in done]
     completed = len(done)
 
+    n = _run_length(req.degree, H)
+    units = [(_stripe_run, (req.degree, H, req.strategy, todo[i : i + n])) for i in range(0, len(todo), n)]
     with contextlib.ExitStack() as stack:
-        results = _stripe_results(req, todo, stack)
+        results = chain.from_iterable(_run_units(units, req.workers, stack))
         journal = None
         if journal_path:
             journal = stack.enter_context(open(journal_path, "a", encoding="utf-8"))

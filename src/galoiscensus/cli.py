@@ -2,14 +2,16 @@
 
 Exit codes: 0 success, 1 validation failure (any mismatch or identity
 failure in the emitted report), 2 usage error, which includes an --out or
---journal path that cannot be opened or written.  Data goes to stdout (or
---out); progress and diagnostics go to stderr only.
+--journal path that cannot be opened or written, and a census --out that is
+its --journal.  Data goes to stdout (or --out); progress and diagnostics go
+to stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -332,7 +334,10 @@ def _join_negative_coeffs(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_coeffs(sys.argv[1:] if argv is None else argv))
-    _check_writable(parser, getattr(args, "journal", None), getattr(args, "out", None))
+    journal, out = getattr(args, "journal", None), getattr(args, "out", None)
+    _check_writable(parser, journal, out)
+    if journal and out and os.path.samefile(journal, out):
+        parser.error(f"--journal and --out name the same file {out}")
     handlers = {
         "classify": _cmd_classify,
         "census": _cmd_census,

@@ -3,12 +3,13 @@ against the classifier.
 
 A member is the plain tuple (family, params, coeffs, expected): params as
 (name, value) pairs, coeffs below the leading 1, and the class labels the
-family promises.  ``cross_validate`` is the one engine: it runs pool units
-(fn, args), each returning its class tally, its JSON lines and its mismatch
-and exception entries, and merges them in unit order.  ``member_units``
-cuts a member list into units; ``d4vc_units`` cuts the d4vc construction's
-(u, v) pair list into ranges that the workers generate themselves, so no
-list of d4vc members is built to validate or write them.
+family promises.  ``_run_units`` is the one engine of every process pool,
+here and in the census: it runs units (fn, args) in order.  A family unit
+returns its class tally, its JSON lines and its mismatch and exception
+entries, which ``cross_validate`` merges.  ``member_units`` cuts a member
+list into units; ``d4vc_units`` cuts the d4vc construction's (u, v) pair
+list into ranges that the workers generate themselves, so no list of d4vc
+members is built to validate or write them.
 
 Square-root range conditions are decided by exact squared comparisons, never
 floats, so boundary tuples land on the correct side; floats only pick the
@@ -22,7 +23,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
@@ -492,47 +493,48 @@ def _d4vc_unit(H: int, p: int, q: int, us, root_u, j_lo, n_v) -> tuple:
     return Counter(labels), "\n".join(lines), mismatches, []
 
 
-def _check_unit(unit: tuple) -> tuple[Counter, str, list[dict], list[dict]]:
-    """Run one pool unit (fn, args): fn(*args) returns the members per label
-    (keys in first-occurrence order), their JSON lines joined by newlines
-    and the mismatch and exception entries, in member order."""
+def _check_unit(unit: tuple):
+    """Run one pool unit (fn, args): return fn(*args)."""
     fn, args = unit
     return fn(*args)
+
+
+def _run_units(units: Iterable[tuple], workers: int, stack: ExitStack) -> Iterator:
+    """_check_unit over ``units``, in unit order: the one engine of the
+    census runs and the family units.  ``workers`` 0 means one per core.
+    The first ``workers`` units are taken before any fork; if they are one
+    or none, every unit runs in this process, else on a pool of one process
+    per head unit, which ``stack`` shuts down, dropping unstarted units.
+    ``Executor.map`` submits every unit before it yields the first result,
+    so the parent takes the rest right after the fork."""
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    units = iter(units)
+    head = list(islice(units, workers or os.cpu_count() or 1))
+    if len(head) <= 1:
+        return map(_check_unit, chain(head, units))
+    pool = ProcessPoolExecutor(len(head))
+    stack.callback(pool.shutdown, wait=True, cancel_futures=True)
+    return pool.map(_check_unit, chain(head, units))
 
 
 def member_units(members: list[tuple]) -> Iterator[tuple]:
     """Pool units for cross_validate: consecutive slices of at most _CHUNK
     members, each a list of the caller's own (family, params, coeffs,
     expected) tuples, for _check_rows.  The slices are taken by a
-    generator, but ``Executor.map`` submits every unit before it yields the
-    first result: the workers fork at the first slices, and the parent
-    takes all the others right after the fork."""
+    generator, so only the first ones are cut before the pool forks."""
     for i in range(0, len(members), _CHUNK):
         yield _check_rows, (members[i : i + _CHUNK],)
 
 
 def cross_validate(units: Iterable[tuple], workers: int = 1,
                    write: Callable[[str], object] | None = None) -> CrossValidationReport:
-    """Run every unit through _check_unit and merge the results in unit
-    order; returns the report.  The units run on a pool of up to
-    ``workers`` processes (0: one per core) when there is more than one
-    unit, else in this process; serial and pooled runs share the unit
-    function.  Each unit's non-empty block of JSON lines goes to ``write``,
-    if given, as the pool yields it; otherwise it is dropped as the unit is
-    merged.  Only the first ``workers`` units are taken before the pool
-    forks.  ``Executor.map`` submits every unit before it yields the first
-    result, so the parent takes all the others right after the fork and
-    holds each until a worker has taken it."""
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    units = iter(units)
-    head = list(islice(units, workers or os.cpu_count() or 1))
+    """Run the units through _run_units and merge their tallies and entries
+    in unit order into the report.  Each unit's non-empty block of JSON
+    lines goes to ``write``, if given, as the engine yields it."""
     report, classes = CrossValidationReport(), Counter()
-    pool = ProcessPoolExecutor(len(head)) if len(head) > 1 else None
-    with pool or nullcontext():
-        for tally, text, mismatches, exceptions in (pool.map if pool else map)(
-            _check_unit, chain(head, units)
-        ):
+    with ExitStack() as stack:
+        for tally, text, mismatches, exceptions in _run_units(units, workers, stack):
             classes.update(tally)
             report.members_checked += sum(tally.values())
             report.mismatches += mismatches

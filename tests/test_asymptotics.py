@@ -42,6 +42,30 @@ def test_lattice_count_brute_force_n4():
             assert lattice_count_L(4, N, h) == brute
 
 
+def _convolved_counts(n: int, N: int) -> list[int]:
+    """Counts of every sum -nN..nN of n coordinates in [-N, N], by repeated
+    convolution in Python ints."""
+    ways = [1] * (2 * N + 1)
+    for _ in range(n - 1):
+        new = [0] * (len(ways) + 2 * N)
+        for i, w in enumerate(ways):
+            for j in range(2 * N + 1):
+                new[i + j] += w
+        ways = new
+    return ways
+
+
+def test_lattice_count_exact_past_int64():
+    # L(10, 100, 0) is about 2.3e20, past int64; every count is exact
+    assert lattice_count_L(10, 100, 0) == _convolved_counts(10, 100)[1000] == 230494075732165988951
+    for n in range(1, 7):
+        for N in (0, 1, 4, 9):
+            ways = _convolved_counts(n, N)
+            for h in range(-n * N - 2, n * N + 3):
+                expected = ways[h + n * N] if abs(h) <= n * N else 0
+                assert lattice_count_L(n, N, h) == expected, (n, N, h)
+
+
 def test_lattice_negation_symmetry():
     for N in range(0, 51):
         assert lattice_count_L(3, N, -1) == lattice_count_L(3, N, 1)

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galoiscensus import census
+from galoiscensus import census, families
 from galoiscensus.census import (
     KERNEL_VERSION,
+    MAX_HEIGHT,
     QUARTIC_CLASSES,
     CensusError,
     CensusRequest,
@@ -754,15 +755,15 @@ def test_journal_torn_tail_is_recomputed(tmp_path):
 def test_journal_after_interrupt_holds_whole_records(tmp_path, workers):
     # Ctrl-C after k stripes: the journal keeps the header and exactly the k
     # records written so far, each a whole line, and a resume completes it.
-    # Two workers take chunks of 5 strata here, so k = 1 and k = 7 stop
-    # inside a chunk and the rest of that chunk is recomputed on resume
+    # The box holds 4 runs of up to 46 strata, so two workers take a pool,
+    # k = 1 and k = 7 stop inside its first run and the rest of that run is
+    # recomputed on resume
     from galoiscensus.census import _run_length
 
-    H = 40
+    H = 150
     req = CensusRequest(3, H, workers=workers)
     full = run_census(CensusRequest(3, H, workers=1))
-    if workers > 1:
-        assert _run_length(3, H, H + 1, workers) == 5
+    assert _run_length(3, H) == 46
     for k in (1, 7):
         journal = tmp_path / f"interrupted-{k}.journal"
 
@@ -1177,58 +1178,54 @@ def test_cubic_norm_cubes_give_every_representation_up_to_1000():
     assert checked > 100
 
 
-def test_pool_runs_partition_todo_within_the_cell_budget():
-    import contextlib
+def test_pool_runs_partition_todo_within_the_cell_budget(tmp_path):
+    from galoiscensus.census import _RUN_CELLS, _run_length
 
-    from galoiscensus.census import _RUN_CELLS, _run_length, _stripe_results
-
-    # the documented chunk lengths on two workers
-    for degree, H, n in [(3, 500, 4), (4, 60, 2), (3, 1024, 1), (4, 80, 1), (3, 12, 1)]:
-        assert _run_length(degree, H, H + 1, 2) == n, (degree, H)
-    for degree, H, workers in [(3, 500, 2), (3, 500, 7), (4, 60, 2), (3, 40, 2), (4, 400, 3), (3, 0, 2)]:
-        cells = (2 * H + 1) ** (degree - 1)
-        for todo in (list(range(H + 1)), [a for a in range(H + 1) if a % 7 != 3]):
-            n = _run_length(degree, H, len(todo), workers)
-            assert n >= 1
-            assert n == 1 or n * cells <= _RUN_CELLS
-            assert n <= max(1, len(todo) // (4 * workers))
+    # the documented run lengths, set by the height alone
+    for degree, H, n in [(3, 500, 4), (4, 60, 2), (3, 1024, 1), (4, 80, 1)]:
+        assert _run_length(degree, H) == n, (degree, H)
+    # a run fills the cell budget, and passes it only as a single stratum
+    for degree in (3, 4):
+        for H in range(MAX_HEIGHT[degree] + 1):
+            n, cells = _run_length(degree, H), (2 * H + 1) ** (degree - 1)
+            assert n == 1 or n * cells <= _RUN_CELLS < (n + 1) * cells, (degree, H)
     # the pool yields each stratum of a gapped todo once, in order
-    todo = [a for a in range(41) if a % 7 != 3]
-    with contextlib.ExitStack() as stack:
-        results = _stripe_results(CensusRequest(3, 40, workers=2), todo, stack)
-        assert [a for a, _ in results] == todo
+    journal = tmp_path / "gapped.journal"
+    full = run_census(CensusRequest(3, 150, workers=1), journal_path=str(journal))
+    header, *records = journal.read_text().splitlines(keepends=True)
+    kept = [r for r in records if json.loads(r)["stripe"] % 7 == 3]
+    journal.write_text(header + "".join(kept))
+    resumed = run_census(CensusRequest(3, 150, workers=2), journal_path=str(journal))
+    appended = [json.loads(r)["stripe"] for r in journal.read_text().splitlines()[1 + len(kept) :]]
+    assert appended == [a for a in range(151) if a % 7 != 3]
+    assert resumed.counts == full.counts
 
 
-def test_census_pool_holds_at_most_one_worker_per_stripe(monkeypatch):
-    import contextlib
-
-    from galoiscensus.census import _stripe_results
-
-    sizes = []
-
-    class Pool:  # records its size and runs the stripes in this process
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def map(self, fn, todo, chunksize):
-            return map(fn, todo)
-
-        def shutdown(self, wait, cancel_futures):
-            pass
-
-    monkeypatch.setattr(census, "ProcessPoolExecutor", Pool)
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 8)
-    todo = [0, 3, 7]
+def test_census_pool_holds_at_most_one_worker_per_stripe(monkeypatch, pool_sizes):
+    # runs of one stratum: three strata take a pool of at most three, and
+    # one stratum takes none
+    monkeypatch.setattr(census, "_RUN_CELLS", 1)
+    monkeypatch.setattr(families.os, "cpu_count", lambda: 8)
     for strategy in ("direct", "table"):  # both strategies take the pool
-        sizes.clear()
-        with contextlib.ExitStack() as stack:
-            serial = list(_stripe_results(CensusRequest(3, 40, strategy, workers=1), todo, stack))
-            assert sizes == []
-            for workers in (8, 0, 2):
-                pooled = _stripe_results(CensusRequest(3, 40, strategy, workers=workers), todo, stack)
-                assert list(pooled) == serial
-            assert list(_stripe_results(CensusRequest(3, 40, strategy, workers=8), todo[:1], stack)) == serial[:1]
-        assert sizes == [3, 3, 2], strategy
+        pool_sizes.clear()
+        serial = run_census(CensusRequest(3, 2, strategy, workers=1)).counts
+        assert pool_sizes == []
+        for workers in (8, 0, 2):
+            assert run_census(CensusRequest(3, 2, strategy, workers=workers)).counts == serial
+        run_census(CensusRequest(3, 0, strategy, workers=8))
+        assert pool_sizes == [3, 3, 2], strategy
+
+
+def test_census_box_of_one_run_starts_no_pool(pool_sizes):
+    for degree, H in [(3, 40), (4, 12), (3, 100), (4, 26)]:
+        run_census(CensusRequest(degree, H, workers=8))
+    assert pool_sizes == []
+    # cubic H = 150 holds 4 runs: one pool of min(workers, runs)
+    serial = run_census(CensusRequest(3, 150, workers=1)).counts
+    for workers, size in [(8, 4), (3, 3)]:
+        pool_sizes.clear()
+        assert run_census(CensusRequest(3, 150, workers=workers)).counts == serial
+        assert pool_sizes == [size]
 
 
 def test_pooled_journal_equals_serial_journal(tmp_path):

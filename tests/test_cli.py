@@ -181,6 +181,22 @@ def test_unwritable_journal_or_out_is_usage_error_before_any_work(argv, tmp_path
     assert f"cannot write {argv[-1]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["{name}", "./{name}"])
+def test_journal_as_out_is_usage_error_before_any_work(out, tmp_path, monkeypatch, capsys):
+    # the report would overwrite the journal; both paths are left as they were
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_census", lambda *args, **kwargs: pytest.fail("the work started"))
+    journal = tmp_path / "census.journal"
+    journal.write_text("kept\n")
+    argv = ["census", "--degree", "3", "--height", "2", "--threads", "1",
+            "--journal", journal.name, "--out", out.format(name=journal.name)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--journal and --out name the same file" in capsys.readouterr().err
+    assert journal.read_text() == "kept\n"
+
+
 def test_out_write_error_is_usage_error(monkeypatch, capsys):
     # an error while writing the report, after the probe opened the path,
     # is a usage error too

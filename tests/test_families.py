@@ -279,23 +279,8 @@ def test_member_units_hand_out_the_callers_tuples(monkeypatch):
     assert list(member_units([])) == []
 
 
-def test_cross_validate_zero_workers_means_every_core(monkeypatch):
-    sizes = []
-
-    class Pool:  # records its size and runs the units in this process
-        def __init__(self, workers):
-            sizes.append(workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, units):
-            return map(fn, units)
-
-    monkeypatch.setattr(families, "ProcessPoolExecutor", Pool)
+def test_cross_validate_zero_workers_means_every_core(monkeypatch, pool_sizes):
+    sizes = pool_sizes
     monkeypatch.setattr(families.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(families, "_CHUNK", 2)
     fam = gen_a3_family(-5, 5)
